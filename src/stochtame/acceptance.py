@@ -387,7 +387,7 @@ def ac6_increment_statistics(stats=None, seed: int = SUITE_SEED) -> CriterionRes
     table = stats.aldous_table()
     delta_min = min(stats.delta_grid)
     small = [r for r in table if r["delta"] == delta_min]
-    small_ok = all(r["p_hat"] <= 0.1 for r in small)
+    small_ok = all(r["n"] > 0 and r["p_hat"] <= 0.1 for r in small)
     per_d = {r["d"]: r["p_hat"] for r in small}
     return CriterionResult(
         name="AC-6",

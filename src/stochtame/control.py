@@ -200,7 +200,8 @@ def control_run(
 
     int_f1 = 0.0
     t = 0.0
-    rec.add(t, _norms(X, ladder), int_f1, regime, diag.m, diag.qv, "")
+    cache = _StateCache(X, A, projector, ladder, norm)
+    rec.add(t, _norms(cache), int_f1, regime, diag.m, diag.qv, "")
     rec.snap(t, X)
 
     if noise_available and norm >= L_hi:
@@ -215,7 +216,6 @@ def control_run(
     accepted_since_refine = 0
     env_eps = stepper.mart_epsilon
 
-    cache = _StateCache(X, A, projector, ladder)
     while pos < (n_base << level):
         h = stepper.dt * 2.0**-level
         stochastic = regime == "S" and noise_available
@@ -277,7 +277,7 @@ def control_run(
             env_qv += (b_pair / (sched.C + norm * norm)) ** 2 * h
         norm_before = norm
         X = X_new
-        cache = _StateCache(X, A, projector, ladder)
+        cache = _StateCache(X, A, projector, ladder, norm_new)
         norm = norm_new
         pos += 1
         t = pos * h
@@ -297,7 +297,7 @@ def control_run(
 
         flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
         if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or crossing:
-            rec.add(t, _norms(X, ladder), int_f1, regime, diag.m, diag.qv, flags)
+            rec.add(t, _norms(cache), int_f1, regime, diag.m, diag.qv, flags)
         if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
             rec.snap(t, X)
 
@@ -325,7 +325,7 @@ def control_run(
     if regime == "S" and math.isfinite(env_residual):
         residuals.append(env_residual)
     if rec.rows[-1][0] != t:
-        rec.add(t, _norms(X, ladder), int_f1, regime, diag.m, diag.qv, "")
+        rec.add(t, _norms(cache), int_f1, regime, diag.m, diag.qv, "")
     record = rec.build(status, blowup, diag, X)
     record.events = events
     record.envelope_residuals = residuals

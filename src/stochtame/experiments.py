@@ -240,7 +240,10 @@ class SummaryStats:
         return rows
 
     def median_increment_scale(self) -> float:
-        """Median over paths of the largest-window increment; the default eta."""
+        """Median over paths of the largest-window increment; the default eta.
+
+        NaN when no path completed with increment samples.
+        """
         if self.delta_grid is None:
             raise ValueError("no increment statistics were collected")
         dmax = max(self.delta_grid)
@@ -250,12 +253,14 @@ class SummaryStats:
             for p in self.paths(d, completed_only=True)
             if p.aldous is not None
         ]
-        if not vals:
-            raise ValueError("no usable increment samples")
-        return float(np.median(vals))
+        return float(np.median(vals)) if vals else math.nan
 
     def aldous_table(self, eta: float | None = None):
-        """Rows (d, delta, eta, p_hat, ci_lo, ci_hi) of increment exceedances."""
+        """Rows (d, delta, eta, p_hat, ci_lo, ci_hi, n) of increment exceedances.
+
+        ``n`` counts the paths with increment samples; a cutoff without any
+        reads p_hat 0 with the uninformative interval (0, 1).
+        """
         if self.delta_grid is None:
             raise ValueError("no increment statistics were collected")
         if eta is None:
@@ -277,6 +282,7 @@ class SummaryStats:
                         "p_hat": k / n if n else 0.0,
                         "ci_lo": lo,
                         "ci_hi": hi,
+                        "n": n,
                     }
                 )
         return rows

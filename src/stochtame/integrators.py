@@ -199,13 +199,10 @@ class _RecordBuilder:
         )
 
 
-def _norms(X: SpectralField, ladder: SpaceLadder) -> tuple[float, float, float, float]:
-    return (
-        sobolev_norm(X, ladder.s_G),
-        sobolev_norm(X, ladder.s_F0),
-        sobolev_norm(X, ladder.s_F1),
-        sobolev_norm(X, ladder.s_D),
-    )
+def _norms(cache: "_StateCache") -> tuple[float, float, float, float]:
+    """The state's (G, F0, F1, D) norms, read through its cache."""
+    lad = cache.ladder
+    return (cache.norm(lad.s_G), cache.norm(lad.s_F0), cache.norm(lad.s_F1), cache.norm(lad.s_D))
 
 
 def em_step(
@@ -274,14 +271,15 @@ class _StateCache:
 
     __slots__ = ("X", "A", "projector", "ladder", "_drift", "_drift_nG", "_norms")
 
-    def __init__(self, X, A, projector, ladder):
+    def __init__(self, X, A, projector, ladder, norm_F0=None):
         self.X = X
         self.A = A
         self.projector = projector
         self.ladder = ladder
         self._drift = None
         self._drift_nG = None
-        self._norms = {}
+        # the step that produced X already measured its F0 norm
+        self._norms = {} if norm_F0 is None else {float(ladder.s_F0): norm_F0}
 
     def drift(self):
         if self._drift is None:
@@ -385,7 +383,8 @@ def integrate_path(
     label = regime_label or ("S" if noise_on else "D")
     int_f1 = 0.0
     t = 0.0
-    rec.add(t, _norms(X, ladder), int_f1, label, diag.m, diag.qv, "")
+    cache = _StateCache(X, A, projector, ladder, n0)
+    rec.add(t, _norms(cache), int_f1, label, diag.m, diag.qv, "")
     rec.snap(t, X)
 
     n_base = int(round(stepper.t_end / stepper.dt))
@@ -397,7 +396,6 @@ def integrate_path(
     accepted_since_refine = 0
     steps_done = 0
 
-    cache = _StateCache(X, A, projector, ladder)
     while pos < (n_base << level):
         h = stepper.dt * 2.0**-level
         dW = wiener.increment(pos, level) if noise_on else 0.0
@@ -426,9 +424,7 @@ def integrate_path(
                 continue
             status, blowup = "blowup", (t, "dt_underflow")
             break
-        grew = norm_new > (1.0 + stepper.growth_trigger) * max(
-            sobolev_norm(X, ladder.s_F0), 1e-300
-        )
+        grew = norm_new > (1.0 + stepper.growth_trigger) * max(cache.norm(ladder.s_F0), 1e-300)
         if grew and can_halve:
             # sampled growth: refine while possible, accept at the floor
             level += 1
@@ -447,7 +443,7 @@ def integrate_path(
             )
             diag.update(b_pair * dW, b_pair**2 * h)
         X = X_new
-        cache = _StateCache(X, A, projector, ladder)
+        cache = _StateCache(X, A, projector, ladder, norm_new)
         pos += 1
         t = pos * h
         steps_done += 1
@@ -455,7 +451,7 @@ def integrate_path(
 
         flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
         if steps_done % stepper.save_stride == 0 or pos == (n_base << level):
-            rec.add(t, _norms(X, ladder), int_f1, label, diag.m, diag.qv, flags)
+            rec.add(t, _norms(cache), int_f1, label, diag.m, diag.qv, flags)
         if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
             rec.snap(t, X)
 
@@ -471,5 +467,5 @@ def integrate_path(
 
     if rec.rows[-1][0] != t:
         flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
-        rec.add(t, _norms(X, ladder), int_f1, label, diag.m, diag.qv, flags)
+        rec.add(t, _norms(cache), int_f1, label, diag.m, diag.qv, flags)
     return rec.build(status, blowup, diag, X)

@@ -17,7 +17,13 @@ The velocity in the vorticity models comes from the Biot-Savart inversion
 ``u = -curl Lap^-1 w`` (zero-mean, divergence free).  All quadratic terms are
 evaluated pseudo-spectrally with 2/3 dealiasing, which keeps the quadratic
 convolution exact on the retained modes; that exactness is what the
-enstrophy / energy conservation tests rely on.
+enstrophy / energy conservation tests rely on.  Each drift makes one real-FFT
+round trip: the fields and derivatives it needs are gathered into one stack of
+half spectra and inverted together, the products formed on the grid are
+transformed forward together, and the linear terms are added on the half
+spectrum.  The full coefficient array is then filled by mirroring the half
+(``fhat_{-k} = conj(fhat_k)``, self-conjugate modes real), so every drift
+output is exactly Hermitian whatever the rounding of the transforms.
 
 Shallow water note: the momentum state is used directly as the advected
 velocity.  A rotation vector potential with ``curl R = f zhat`` and zero
@@ -38,8 +44,6 @@ from .spectral import (
     GridMismatchError,
     SpaceLadder,
     SpectralField,
-    TorusGrid,
-    dealias,
     inner_product,
     sobolev_norm,
 )
@@ -120,18 +124,16 @@ def default_ladder(kind: str, params: ModelParams | None = None) -> SpaceLadder:
 # --- spectral calculus helpers ---------------------------------------------
 
 
-def _derivative_coeffs(f: SpectralField, axis: int) -> np.ndarray:
-    return 1j * f.grid.k_axes[axis] * f.coeffs
+def _dot_grad(vel: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Grid values of ``(vel . grad) f`` from ``vel[a]`` and ``grads[a] = d_a f``."""
+    return sum((vel[a] * grads[a] for a in range(1, len(vel))), vel[0] * grads[0])
 
 
-def _to_phys(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    spatial = tuple(range(1, grid.dim + 1))
-    return np.real(np.fft.ifftn(coeffs, axes=spatial)) * grid.mode_count
-
-
-def _to_spec(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    spatial = tuple(range(1, grid.dim + 1))
-    return np.fft.fftn(values, axes=spatial) / grid.mode_count
+def _velocity_and_gradients(hs, vel: np.ndarray, f: np.ndarray):
+    """Dealiased grid values of ``vel`` and ``grads[a, c] = d_a f_c``, one inverse transform."""
+    dim = len(hs.axes)
+    phys = hs.to_physical(np.concatenate([hs.dealiased(vel), hs.gradient(f)]))
+    return phys[:dim], phys[dim:].reshape((dim, len(f)) + phys.shape[1:])
 
 
 def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
@@ -140,24 +142,9 @@ def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
     Inputs are truncated by the 2/3 rule before the physical-space product, so
     the retained output modes carry the exact convolution.
     """
-    grid = f.grid
-    vel_d = dealias(vel)
-    f_d = dealias(f)
-    vel_phys = _to_phys(grid, vel_d.coeffs)
-    out_phys = np.zeros((f.components,) + (grid.n,) * grid.dim)
-    for a in range(grid.dim):
-        df = _to_phys(grid, _derivative_coeffs(f_d, a))
-        out_phys += vel_phys[a][np.newaxis] * df
-    return dealias(SpectralField(grid, _to_spec(grid, out_phys))).symmetrized()
-
-
-def product_field(a: SpectralField, b: SpectralField) -> SpectralField:
-    """Dealiased pointwise product of two scalar-per-component fields."""
-    a._check_compatible(b)
-    grid = a.grid
-    pa = _to_phys(grid, dealias(a).coeffs)
-    pb = _to_phys(grid, dealias(b).coeffs)
-    return dealias(SpectralField(grid, _to_spec(grid, pa * pb))).symmetrized()
+    hs = f.grid.half
+    v, grads = _velocity_and_gradients(hs, hs.take(vel.coeffs), hs.take(f.coeffs))
+    return SpectralField(f.grid, hs.to_full(hs.to_spectral(_dot_grad(v, grads))))
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -208,44 +195,44 @@ def biot_savart(omega: SpectralField, div_tol: float = 1e-8) -> SpectralField:
     relative to its size is rejected.
     """
     grid = omega.grid
-    ksq = grid.ksq.copy()
-    zero = (0,) * grid.dim
+    return SpectralField(grid, _biot_savart(omega.coeffs, grid.k_axes, grid.ksq, div_tol))
+
+
+def _biot_savart(w: np.ndarray, k, ksq: np.ndarray, div_tol: float = 1e-8) -> np.ndarray:
+    """:func:`biot_savart` on a full or half layout (zero mode at index 0)."""
+    zero = (0,) * len(k)
+    ksq = ksq.copy()
     ksq[zero] = 1.0  # avoid 0/0; the k=0 mode is zeroed below
-    if grid.dim == 2:
-        if omega.components != 1:
+    if len(k) == 2:
+        if len(w) != 1:
             raise GridMismatchError("2D vorticity must be scalar")
-        psi = -omega.coeffs[0] / ksq  # Lap psi = omega
-        k = grid.k_axes
+        psi = -w[0] / ksq  # Lap psi = omega
         u = np.stack([-1j * k[1] * psi, 1j * k[0] * psi])
-        u[:, 0, 0] = 0.0
-        return SpectralField(grid, u)
-    if grid.dim == 3:
-        if omega.components != 3:
+    elif len(k) == 3:
+        if len(w) != 3:
             raise GridMismatchError("3D vorticity must have three components")
-        scale = float(np.max(np.abs(omega.coeffs))) or 1.0
-        div = divergence(omega)
-        if float(np.max(np.abs(div.coeffs))) > div_tol * scale:
+        scale = float(np.max(np.abs(w))) or 1.0
+        div = sum(1j * k[a] * w[a] for a in range(3))
+        if float(np.max(np.abs(div))) > div_tol * scale:
             raise ValueError("3D vorticity input is not divergence free")
-        k = grid.k_axes
-        w = omega.coeffs
-        ux = 1j * (k[1] * w[2] - k[2] * w[1]) / ksq
-        uy = 1j * (k[2] * w[0] - k[0] * w[2]) / ksq
-        uz = 1j * (k[0] * w[1] - k[1] * w[0]) / ksq
-        u = np.stack([ux, uy, uz])
-        u[:, 0, 0, 0] = 0.0
-        return SpectralField(grid, u)
-    raise GridMismatchError("Biot-Savart inversion is 2D or 3D")
+        cross = [k[1] * w[2] - k[2] * w[1], k[2] * w[0] - k[0] * w[2], k[0] * w[1] - k[1] * w[0]]
+        u = 1j * np.stack(cross) / ksq
+    else:
+        raise GridMismatchError("Biot-Savart inversion is 2D or 3D")
+    u[(slice(None),) + zero] = 0.0
+    return u
 
 
 def _leray_project(f: SpectralField) -> SpectralField:
     """Remove the compressible part: fhat -> fhat - k (k.fhat)/|k|^2."""
-    grid = f.grid
-    ksq = grid.ksq.copy()
-    ksq[(0,) * grid.dim] = 1.0
-    k = grid.k_axes
-    kdot = sum(k[a] * f.coeffs[a] for a in range(grid.dim)) / ksq
-    out = np.stack([f.coeffs[a] - k[a] * kdot for a in range(grid.dim)])
-    return SpectralField(grid, out)
+    return SpectralField(f.grid, _leray(f.coeffs, f.grid.k_axes, f.grid.ksq))
+
+
+def _leray(f: np.ndarray, k, ksq: np.ndarray) -> np.ndarray:
+    ksq = ksq.copy()
+    ksq[(0,) * len(k)] = 1.0
+    kdot = sum(k[a] * f[a] for a in range(len(k))) / ksq
+    return np.stack([f[a] - k[a] * kdot for a in range(len(k))])
 
 
 # --- the drifts -------------------------------------------------------------
@@ -253,10 +240,13 @@ def _leray_project(f: SpectralField) -> SpectralField:
 
 def burgers_drift(u: SpectralField, nu: float = 0.0) -> SpectralField:
     """-(u.grad)u + nu*Lap u with exact spectral derivatives."""
-    out = -1.0 * advective_term(u, u)
+    hs = u.grid.half
+    uh = hs.take(u.coeffs)
+    vel, grads = _velocity_and_gradients(hs, uh, uh)
+    out = -hs.to_spectral(_dot_grad(vel, grads))
     if nu > 0.0:
-        out = out + nu * laplacian(u)
-    return out
+        out += nu * (-hs.ksq * uh)
+    return SpectralField(u.grid, hs.to_full(out))
 
 
 def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
@@ -265,14 +255,23 @@ def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
     The stretching term drops in 2D.  In 3D the output is re-projected onto
     divergence-free fields to stop rounding drift of ``div w``.
     """
-    u = biot_savart(omega)
-    out = -1.0 * advective_term(u, omega)
-    if omega.grid.dim == 3:
-        out = out + advective_term(omega, u)
-        out = _leray_project(out)
+    grid = omega.grid
+    hs = grid.half
+    wh = hs.take(omega.coeffs)
+    uh = _biot_savart(wh, hs.k_axes, hs.ksq)
+    if grid.dim == 2:
+        vel, grads = _velocity_and_gradients(hs, uh, wh)
+        out = -hs.to_spectral(_dot_grad(vel, grads))
+    else:
+        # (u.grad)w and (w.grad)u share one round trip
+        stack = [hs.dealiased(uh), hs.dealiased(wh), hs.gradient(wh), hs.gradient(uh)]
+        phys = hs.to_physical(np.concatenate(stack))
+        grads = phys[6:].reshape((2, 3, 3) + phys.shape[1:])
+        nonlinear = _dot_grad(phys[0:3], grads[0]) - _dot_grad(phys[3:6], grads[1])
+        out = _leray(-hs.to_spectral(nonlinear), hs.k_axes, hs.ksq)
     if nu > 0.0:
-        out = out + nu * laplacian(omega)
-    return out
+        out += nu * (-hs.ksq * wh)
+    return SpectralField(grid, hs.to_full(out))
 
 
 def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> SpectralField:
@@ -284,27 +283,26 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
     """
     if state.components != 3:
         raise GridMismatchError("shallow water state must be (v1, v2, h)")
-    grid = state.grid
-    u = SpectralField(grid, state.coeffs[0:2])
-    h = SpectralField(grid, state.coeffs[2:3])
+    hs = state.grid.half
+    sh = hs.take(state.coeffs)
+    u, h = sh[0:2], sh[2]
 
-    mom = -1.0 * advective_term(u, u)
+    phys = hs.to_physical(np.concatenate([hs.dealiased(sh), hs.gradient(u)]))
+    vel, height, grads = phys[0:2], phys[2], phys[3:].reshape((2, 2) + phys.shape[1:])
+    products = hs.to_spectral(np.concatenate([_dot_grad(vel, grads), height * vel]))
+    adv, flux = products[0:2], products[2:]
+
     f = params.f_coriolis
-    zcross = np.stack([-f * u.coeffs[1], f * u.coeffs[0]])
-    mom = mom + SpectralField(grid, -zcross)
-    p_coeffs = h.coeffs.copy()
-    if params.topography is not None:
-        p_coeffs = p_coeffs - params.topography.coeffs
-    p = SpectralField(grid, p_coeffs / (params.rossby * params.froude))
-    mom = mom + -1.0 * gradient(p)
-
-    flux = product_field(SpectralField(grid, np.broadcast_to(h.coeffs, u.coeffs.shape)), u)
-    hgt = -1.0 * divergence(flux)
+    zcross = np.stack([-f * u[1], f * u[0]])
+    b = 0.0 if params.topography is None else hs.take(params.topography.coeffs[0])
+    p = (h - b) / (params.rossby * params.froude)
+    mom = -adv - zcross - np.stack([ik * p for ik in hs.ik])
+    hgt = -(hs.ik[0] * flux[0] + hs.ik[1] * flux[1])
 
     if viscous:
-        mom = mom + params.nu * laplacian(u)
-        hgt = hgt + params.eta * laplacian(h)
-    return SpectralField(grid, np.concatenate([mom.coeffs, hgt.coeffs]))
+        mom += params.nu * (-hs.ksq * u)
+        hgt += params.eta * (-hs.ksq * h)
+    return SpectralField(state.grid, hs.to_full(np.concatenate([mom, hgt[np.newaxis]])))
 
 
 class FourierMultiplierDrift:
@@ -378,7 +376,7 @@ class DriftOperator:
     def check_state(self, X: SpectralField) -> list[str]:
         """Model-specific state warnings, recorded on the trajectory."""
         if self.kind in ("RSW_Viscous", "RSW_Inviscid"):
-            h_phys = _to_phys(X.grid, X.coeffs[2:3])
+            h_phys = X.grid.half.to_physical(X.grid.half.take(X.coeffs[2]))
             if float(h_phys.min()) <= 0.0:
                 return ["height_nonpositive"]
         return []

@@ -15,12 +15,15 @@ exactly 1 whenever the exponent relation ``s_F0 = m*s_F1 + (1-m)*s_G`` does
 (Hoelder on the coefficient sum), which is what the structural test suite
 checks.
 
-Real-valued fields are kept Hermitian-symmetric (``fhat_{-k} = conj(fhat_k)``);
-nonlinear evaluations in :mod:`stochtame.models` re-enforce the symmetry.
+Real-valued fields are kept Hermitian-symmetric (``fhat_{-k} = conj(fhat_k)``).
+The quadratic drifts of :mod:`stochtame.models` work on the non-redundant half
+of the spectrum (:class:`HalfSpectrum`) and rebuild the full array by
+mirroring, so their output has the symmetry exactly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,6 +70,97 @@ class _GridCache:
                 "weight_powers": {},
             }
         return cls._store[key]
+
+
+class HalfSpectrum:
+    """The non-redundant half of a real field's spectrum on one grid.
+
+    Half arrays hold the modes ``0 <= k_last <= n/2`` of the last spatial axis
+    (the numpy ``rfftn`` layout); leading axes are batch axes.  Dealiased
+    arrays keep only the columns ``k_last <= n/3`` that the 2/3 rule can leave
+    nonzero, so the transforms skip the columns that are zero anyway.  The
+    transforms use the module's normalisation, and :meth:`to_full` rebuilds
+    the full coefficient array as an exactly Hermitian one.
+    """
+
+    def __init__(self, dim: int, n: int):
+        m = n // 2 + 1
+        kept = n // 3 + 1
+        k1 = np.fft.fftfreq(n, d=1.0 / n)
+        axes = []
+        for a in range(dim):
+            shape = [1] * dim
+            shape[a] = m if a == dim - 1 else n
+            # the full grid's values, so k_last = -n/2 on the Nyquist plane
+            axes.append((k1[:m] if a == dim - 1 else k1).reshape(shape))
+        kinf = functools.reduce(np.maximum, [np.abs(ka) for ka in axes])
+        self.n = n
+        self.m = m
+        self.kept = kept
+        self.axes = tuple(range(-dim, 0))
+        self.k_axes = tuple(axes)
+        self.ik = tuple(1j * ka for ka in axes)
+        self.ksq = sum(ka**2 for ka in axes)
+        self._mask = (kinf <= n // 3)[..., :kept]
+        self._ik_dealiased = tuple(ik[..., :kept] * self._mask for ik in self.ik)
+
+        # Every full mode k is read from its half-spectrum representative:
+        # itself when 0 < k_last < n/2, else -k (conjugated) when k_last >
+        # n/2.  On the planes k_last in {0, n/2} both k and -k are in the half;
+        # the one whose leading indices come first in row-major order is read
+        # and the other is its conjugate.  Self-conjugate modes are made real.
+        full = np.indices((n,) * dim).reshape(dim, -1)
+        neg = (-full) % n
+        last = full[-1]
+        lead = np.ravel_multi_index(full[:-1], (n,) * (dim - 1)) if dim > 1 else 0
+        lead_neg = np.ravel_multi_index(neg[:-1], (n,) * (dim - 1)) if dim > 1 else 0
+        edge = (last == 0) | (last == n // 2)
+        direct = ((0 < last) & (last < n // 2)) | (edge & (lead <= lead_neg))
+        rep = np.where(direct, full, neg)
+        src = np.ravel_multi_index(rep, (n,) * (dim - 1) + (m,))
+        self._mirror_src = np.where(direct, src, src + n ** (dim - 1) * m)
+        self._self_conjugate = np.flatnonzero((full == neg).all(axis=0))
+
+    def take(self, coeffs: np.ndarray) -> np.ndarray:
+        """The half of a full coefficient array (a view)."""
+        return coeffs[..., : self.m]
+
+    def dealiased(self, half: np.ndarray) -> np.ndarray:
+        """2/3-rule truncation, on the kept columns."""
+        return half[..., : self.kept] * self._mask
+
+    def gradient(self, half: np.ndarray) -> np.ndarray:
+        """Dealiased derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
+        f = half[..., : self.kept]
+        return np.concatenate([ik * f for ik in self._ik_dealiased])
+
+    def to_physical(self, half: np.ndarray) -> np.ndarray:
+        """Grid values of a stack of half spectra, one batched inverse transform.
+
+        The stack may hold only the first columns (as :meth:`dealiased` gives);
+        the missing ones read as zero.
+        """
+        x = half
+        for axis in self.axes[:-1]:
+            x = np.fft.ifft(x, axis=axis, norm="forward")
+        return np.fft.irfft(x, n=self.n, axis=-1, norm="forward")
+
+    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        """2/3-dealiased half spectra of a stack of real grid arrays."""
+        x = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.kept]
+        for axis in self.axes[:-1]:
+            x = np.fft.fft(x, axis=axis, norm="forward")
+        out = np.zeros(x.shape[:-1] + (self.m,), dtype=np.complex128)
+        np.multiply(x, self._mask, out=out[..., : self.kept])
+        return out
+
+    def to_full(self, half: np.ndarray) -> np.ndarray:
+        """The Hermitian full coefficient array of a stack of half spectra."""
+        lead = half.shape[: -len(self.axes)]
+        flat = half.reshape(lead + (-1,))
+        full = np.take(np.concatenate([flat, flat.conj()], axis=-1), self._mirror_src, axis=-1)
+        full[..., self._self_conjugate] = full[..., self._self_conjugate].real
+        return full.reshape(lead + (self.n,) * len(self.axes))
 
 
 class TorusGrid:
@@ -126,6 +220,13 @@ class TorusGrid:
 
     def reverse_index(self):
         return self._arrays["reverse"]
+
+    @property
+    def half(self) -> HalfSpectrum:
+        """Half-spectrum wavenumbers, mask, mirror index and transforms (built once)."""
+        if "half" not in self._arrays:
+            self._arrays["half"] = HalfSpectrum(self.dim, self.n)
+        return self._arrays["half"]
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Collocation point coordinate arrays (sparse meshgrid)."""

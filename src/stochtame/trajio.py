@@ -9,7 +9,7 @@ Fixed headers:
 
 * trajectory:      t,norm_G,norm_F0,norm_F1,norm_D,int_F1sq,regime,M,QV,flags
 * uniform control: d,K,p_hat,ci_lo,ci_hi,n
-* increments:      d,delta,eta,p_hat,ci_lo,ci_hi
+* increments:      d,delta,eta,p_hat,ci_lo,ci_hi,n
 * audit:           key,value rows
 """
 
@@ -22,7 +22,7 @@ import os
 
 TRAJECTORY_HEADER = "t,norm_G,norm_F0,norm_F1,norm_D,int_F1sq,regime,M,QV,flags"
 UNIFORM_HEADER = "d,K,p_hat,ci_lo,ci_hi,n"
-ALDOUS_HEADER = "d,delta,eta,p_hat,ci_lo,ci_hi"
+ALDOUS_HEADER = "d,delta,eta,p_hat,ci_lo,ci_hi,n"
 
 
 def _provenance(config_hash: str, seed) -> str:

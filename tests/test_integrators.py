@@ -229,6 +229,35 @@ class TestIntegratePath:
                 recomputed = sobolev_norm(field, ladder.s_F0)
                 assert abs(recomputed - rec.norm_F0[i]) <= 1e-12 * max(recomputed, 1e-30)
 
+    def test_norms_per_accepted_step(self, monkeypatch):
+        # a step measures the new state's F0 norm and its drift's G norm; the
+        # saved row reuses the F0 norm, and the next step reuses the row
+        import stochtame.integrators as integrators
+
+        calls = []
+
+        def counting_norm(f, s):
+            calls.append(s)
+            return sobolev_norm(f, s)
+
+        monkeypatch.setattr(integrators, "sobolev_norm", counting_norm)
+        grid = TorusGrid(1, 64)
+        drift = DriftOperator("Burgers1D")
+        noise = NoiseSpec(0.5, 1.4, "F0", "I")
+        st = StepperConfig(
+            scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.1, save_stride=1, field_stride=1
+        )
+        rec = integrate_path(sine_field(grid), drift, noise, st, WienerPath(2, 1e-3), seed=2)
+        steps = rec.n_rows - 1
+        assert rec.status == "completed" and steps >= 100
+        assert len(calls) <= 6 * steps
+        lad = drift.ladder
+        for i, (_, field) in enumerate(rec.snapshots):
+            assert rec.norm_G[i] == sobolev_norm(field, lad.s_G)
+            assert rec.norm_F0[i] == sobolev_norm(field, lad.s_F0)
+            assert rec.norm_F1[i] == sobolev_norm(field, lad.s_F1)
+            assert rec.norm_D[i] == sobolev_norm(field, lad.s_D)
+
     def test_times_strictly_increasing_and_integral_monotone(self):
         grid = TorusGrid(1, 64)
         x0 = sine_field(grid)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stochtame.models import (
+    _leray_project,
     AssumptionConstants,
     DriftOperator,
     FourierMultiplierDrift,
@@ -280,3 +281,122 @@ def test_fourier_multiplier_linear_drift():
     out = heat(f)
     # Laplacian of sin is -sin (k^2 weights amplify high-mode rounding)
     assert np.max(np.abs(out.coeffs + f.coeffs)) < 1e-13
+
+
+# --- parity with a direct Fourier-mode convolution ----------------------------
+
+
+def _convolve(a, b, grid, band):
+    """Coefficients of the product of two scalar fields supported on
+    ``|k|_inf <= band``, summed mode pair by mode pair and kept on the
+    2/3-rule modes ``|k|_inf <= n // 3``."""
+    n = grid.n
+    modes = np.argwhere(np.ones((2 * band + 1,) * grid.dim)) - band
+    idx = tuple((modes % n).T)
+    k = modes[:, None, :] + modes[None, :, :]
+    vals = a[idx][:, None] * b[idx][None, :]
+    keep = np.abs(k).max(axis=-1) <= grid.dealias_cutoff
+    out = np.zeros((n,) * grid.dim, dtype=complex)
+    np.add.at(out, tuple((k[keep] % n).T), vals[keep])
+    return out
+
+
+def _oracle_advection(vel, f, grid, band):
+    """(vel . grad) f componentwise, by direct convolution."""
+    ik = [1j * ka for ka in grid.k_axes]
+    return np.stack(
+        [sum(_convolve(vel[a], ik[a] * fc, grid, band) for a in range(grid.dim)) for fc in f]
+    )
+
+
+def _oracle_drift(kind, X, params, band):
+    grid = X.grid
+    c, ksq = X.coeffs, grid.ksq
+    ik = [1j * ka for ka in grid.k_axes]
+    if kind.startswith("Burgers"):
+        return -_oracle_advection(c, c, grid, band) - params.nu * ksq * c
+    if kind.startswith("Vorticity"):
+        u = biot_savart(X).coeffs
+        out = -_oracle_advection(u, c, grid, band)
+        if grid.dim == 3:
+            out = _leray_project(SpectralField(grid, out + _oracle_advection(c, u, grid, band)))
+            out = out.coeffs
+        return out - params.nu * ksq * c
+    u, h = c[0:2], c[2]
+    b = 0.0 if params.topography is None else params.topography.coeffs[0]
+    p = (h - b) / (params.rossby * params.froude)
+    f = params.f_coriolis
+    mom = -_oracle_advection(u, u, grid, band) - np.stack([-f * u[1], f * u[0]])
+    mom = mom - np.stack([ik[0] * p, ik[1] * p]) - params.nu * ksq * u
+    flux = [_convolve(h, u[a], grid, band) for a in range(2)]
+    hgt = -(ik[0] * flux[0] + ik[1] * flux[1]) - params.eta * ksq * h
+    return np.concatenate([mom, hgt[np.newaxis]])
+
+
+def _band_limited_state(kind, seed, band):
+    """A Hermitian state with modes ``|k|_inf <= band`` for the given kind."""
+    dim = {"Burgers1D": 1, "Vorticity3D": 3}.get(kind, 2)
+    grid = TorusGrid(dim, {1: 64, 2: 16, 3: 10}[dim])
+    comps = {"Burgers1D": 1, "Burgers2D": 2, "Vorticity2D": 1}.get(kind, 3)
+    X = random_field(grid, comps, 2.0, 1.0, seed, zero_mean=kind.startswith("Vorticity"))
+    if kind == "Vorticity3D":
+        X = _leray_project(X)
+    if kind.startswith("RSW"):
+        X.coeffs[2, (0,) * dim] = 1.5
+    return galerkin_project(X, GalerkinProjector(band))
+
+
+QUADRATIC_KINDS = (
+    "Burgers1D", "Burgers2D", "RSW_Viscous", "RSW_Inviscid", "Vorticity2D", "Vorticity3D"
+)
+
+
+def _params(kind, grid):
+    if kind == "RSW_Viscous":
+        topo = galerkin_project(random_field(grid, 1, 2.0, 0.2, 99), GalerkinProjector(3))
+        return ModelParams(
+            nu=0.3, eta=0.2, f_coriolis=1.3, rossby=0.8, froude=1.1, topography=topo
+        )
+    if kind == "RSW_Inviscid":
+        return ModelParams(f_coriolis=0.7)
+    return ModelParams(nu=0.25)
+
+
+@pytest.mark.parametrize("kind", QUADRATIC_KINDS)
+def test_drift_matches_mode_convolution(kind):
+    band = {"Burgers1D": 20, "Vorticity3D": 3}.get(kind, 5)
+    for seed in range(3):
+        X = _band_limited_state(kind, seed, band)
+        params = _params(kind, X.grid)
+        out = DriftOperator(kind, params)(X)
+        expected = _oracle_drift(kind, X, params, band)
+        scale = np.max(np.abs(expected))
+        assert scale > 0.0
+        assert np.max(np.abs(out.coeffs - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", QUADRATIC_KINDS)
+def test_drift_output_is_exactly_hermitian(kind):
+    # band-limited states, and raw ones whose Nyquist modes the spectral
+    # derivatives leave non-Hermitian
+    for seed in range(3):
+        X = _band_limited_state(kind, seed, 3)
+        assert X.hermitian_defect() == 0.0
+        raw = random_field(X.grid, X.components, 2.0, 1.0, seed, zero_mean=True)
+        if kind == "Vorticity3D":
+            raw = _leray_project(raw)
+        for state in (X, raw):
+            out = DriftOperator(kind, _params(kind, X.grid))(state)
+            assert out.hermitian_defect() == 0.0
+
+
+@pytest.mark.parametrize("kind", ("Burgers2D", "RSW_Inviscid", "Vorticity2D", "Vorticity3D"))
+def test_band_limited_closure_multidimensional(kind):
+    # a quadratic drift of a state on |k|_inf <= K lives on |k|_inf <= 2K, and
+    # nothing passes the 2/3 cutoff
+    band = 2
+    X = _band_limited_state(kind, 7, band)
+    grid = X.grid
+    out = DriftOperator(kind, ModelParams())(X).coeffs
+    assert np.max(np.abs(out[:, grid.kinf > grid.dealias_cutoff])) == 0.0
+    assert np.max(np.abs(out[:, grid.kinf > 2 * band])) <= 1e-14 * np.max(np.abs(out))
