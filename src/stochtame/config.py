@@ -20,7 +20,7 @@ from .control import ControlSchedule
 from .integrators import SCHEMES, StepperConfig
 from .models import MODEL_KINDS, DriftOperator, ModelParams, default_ladder
 from .noise import CASE_NOISE_SPACE, NoiseSpec
-from .spectral import SpaceLadder, SpectralField, TorusGrid
+from .spectral import SpaceLadder, SpectralField, TorusGrid, two_thirds_cutoff
 
 _SPACE_ORDER = ("G", "F0", "F1", "D")
 
@@ -189,12 +189,12 @@ def validate_config(cfg: RunConfig) -> None:
                 f"model.initial.space declares only {declared}"
             )
 
-    cutoff_limit = m.resolution // 3
+    cutoff_limit = two_thirds_cutoff(m.resolution)
     for d in cfg.ensemble.d_list:
         if d > cutoff_limit:
             raise ConfigError(
                 f"ensemble.d_list entry {d} exceeds the dealiased closure limit "
-                f"resolution//3 = {cutoff_limit}"
+                f"(resolution - 1)//3 = {cutoff_limit}"
             )
     if list(cfg.ensemble.d_list) != sorted(cfg.ensemble.d_list):
         raise ConfigError("ensemble.d_list must be increasing")

@@ -32,15 +32,15 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .integrators import (
+    SPACE_INDEX,
     StepperConfig,
     _RecordBuilder,
     _StateCache,
-    _norms,
     _single_step,
     rk4_deterministic_step,
 )
 from .noise import MartingaleDiagnostics, NoiseSpec, WienerPath
-from .spectral import GalerkinProjector, SpectralField, galerkin_project, sobolev_norm
+from .spectral import GalerkinProjector, NonFiniteFieldError, SpectralField, galerkin_project
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,9 @@ def control_run(
 
     projector = GalerkinProjector(cutoff if cutoff is not None else X0.grid.dealias_cutoff)
     X = galerkin_project(X0, projector)
-    s_F0 = ladder.s_F0
-    norm = sobolev_norm(X, s_F0)
+    cache = _StateCache(X, A, projector, ladder)
+    norm = cache.norms()[1]
+    noise_idx = SPACE_INDEX[B.norm_space] if noise_available else None
     threshold = (
         stepper.blowup_threshold if stepper.blowup_threshold is not None else 1e8 * (1.0 + norm)
     )
@@ -200,9 +201,9 @@ def control_run(
 
     int_f1 = 0.0
     t = 0.0
-    cache = _StateCache(X, A, projector, ladder, norm)
-    rec.add(t, _norms(cache), int_f1, regime, diag.m, diag.qv, "")
-    rec.snap(t, X)
+    rec.visit(cache.norms())
+    rec.add(t, cache.norms(), int_f1, regime, diag.m, diag.qv, "")
+    rec.snap(t, X, norm)
 
     if noise_available and norm >= L_hi:
         open_stochastic(0.0, norm, norm)
@@ -228,10 +229,11 @@ def control_run(
             X_new = rk4_deterministic_step(X, A, h, projector, k1=cache.drift())
             stiffness = 0.0
 
-        finite = X_new.is_finite()
-        norm_new = sobolev_norm(X_new, s_F0) if finite else math.inf
+        trial = _StateCache(X_new, A, projector, ladder)
         can_halve = stepper.adapt and level < stepper.max_level
-        if not finite:
+        try:
+            norm_new = trial.norms()[1]
+        except NonFiniteFieldError:
             if can_halve:
                 level += 1
                 pos <<= 1
@@ -264,20 +266,17 @@ def control_run(
             continue
 
         # accept the step
-        int_f1 += cache.norm(ladder.s_F1) ** 2 * h
+        norms = cache.norms()
+        int_f1 += norms[2] ** 2 * h
         if stochastic:
-            b_pair = (
-                2.0
-                * B.theta
-                * cache.norm(ladder.exponent(B.norm_space)) ** B.alpha
-                * cache.norm(s_F0) ** 2
-            )
+            b_pair = 2.0 * B.theta * norms[noise_idx] ** B.alpha * norm**2
             diag.update(b_pair * dW, b_pair**2 * h)
             env_m += b_pair / (sched.C + norm * norm) * dW
             env_qv += (b_pair / (sched.C + norm * norm)) ** 2 * h
         norm_before = norm
         X = X_new
-        cache = _StateCache(X, A, projector, ladder, norm_new)
+        cache = trial
+        rec.visit(cache.norms())
         norm = norm_new
         pos += 1
         t = pos * h
@@ -297,9 +296,9 @@ def control_run(
 
         flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
         if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or crossing:
-            rec.add(t, _norms(cache), int_f1, regime, diag.m, diag.qv, flags)
+            rec.add(t, cache.norms(), int_f1, regime, diag.m, diag.qv, flags)
         if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
-            rec.snap(t, X)
+            rec.snap(t, X, norm)
 
         if norm >= threshold:
             status, blowup = "blowup", (t, "norm_threshold")
@@ -325,7 +324,7 @@ def control_run(
     if regime == "S" and math.isfinite(env_residual):
         residuals.append(env_residual)
     if rec.rows[-1][0] != t:
-        rec.add(t, _norms(cache), int_f1, regime, diag.m, diag.qv, "")
+        rec.add(t, cache.norms(), int_f1, regime, diag.m, diag.qv, "")
     record = rec.build(status, blowup, diag, X)
     record.events = events
     record.envelope_residuals = residuals

@@ -43,6 +43,7 @@ from .models import DriftOperator
 from .noise import MartingaleDiagnostics, NoiseSpec, WienerPath
 from .spectral import (
     GalerkinProjector,
+    NonFiniteFieldError,
     SpaceLadder,
     SpectralField,
     galerkin_project,
@@ -54,6 +55,9 @@ SCHEMES = ("EulerMaruyama", "TamedEulerMaruyama", "Milstein1D", "RK4Deterministi
 #: envelope space of the norm-squared Ito computation per case: cases I and II
 #: control the F0 norm, case III controls the F1 norm.
 ENVELOPE_SPACE = {"I": "F0", "II": "F0", "III": "F1"}
+
+#: position of each ladder space in the tuple :meth:`SpaceLadder.norms` returns
+SPACE_INDEX = {"G": 0, "F0": 1, "F1": 2, "D": 3}
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,10 @@ class TrajectoryRecord:
 
     ``status`` is "completed", "blowup" or "numeric_error"; ``blowup`` holds
     (time, reason) for the blow-up statuses.  Rows are immutable once the
-    record is finalised.
+    record is finalised.  ``sup_norms`` holds the maxima of the (G, F0, F1, D)
+    norms over every accepted state, saved as a row or not, so they do not
+    depend on the save stride; ``snapshot_norm_F0`` holds the F0 norm of each
+    snapshot.
     """
 
     times: np.ndarray
@@ -125,6 +132,8 @@ class TrajectoryRecord:
     diagnostics: MartingaleDiagnostics | None = None
     snapshots: list[tuple[float, SpectralField]] | None = None
     final_state: SpectralField | None = None
+    sup_norms: tuple[float, float, float, float] | None = None
+    snapshot_norm_F0: np.ndarray | None = None
 
     def __post_init__(self):
         for arr in (self.times, self.int_F1sq):
@@ -136,12 +145,8 @@ class TrajectoryRecord:
 
     @property
     def sup_norm_sq(self) -> dict[str, float]:
-        return {
-            "G": float(np.max(self.norm_G) ** 2),
-            "F0": float(np.max(self.norm_F0) ** 2),
-            "F1": float(np.max(self.norm_F1) ** 2),
-            "D": float(np.max(self.norm_D) ** 2),
-        }
+        """Squared maxima of the four norms over every accepted state."""
+        return {space: float(v) ** 2 for space, v in zip(SPACE_INDEX, self.sup_norms)}
 
     def rows(self):
         for i in range(self.n_rows):
@@ -164,16 +169,23 @@ class _RecordBuilder:
         self.rows = []
         self.flags = []
         self.snapshots = [] if keep_fields else None
+        self.snapshot_norms = [] if keep_fields else None
+        self.sup = (0.0, 0.0, 0.0, 0.0)
         self.seed = seed
         self.config_hash = config_hash
+
+    def visit(self, norms):
+        """Fold an accepted state's four norms into the running maxima."""
+        self.sup = tuple(map(max, self.sup, norms))
 
     def add(self, t, norms, int_f1sq, regime, m, qv, flags=""):
         self.rows.append((t, *norms, int_f1sq, regime, m, qv))
         self.flags.append(flags)
 
-    def snap(self, t, X: SpectralField):
+    def snap(self, t, X: SpectralField, norm_F0: float):
         if self.snapshots is not None:
             self.snapshots.append((t, X.copy()))
+            self.snapshot_norms.append(norm_F0)
 
     def build(self, status, blowup, diagnostics, final_state) -> TrajectoryRecord:
         data = np.asarray([r[:6] + r[7:] for r in self.rows], dtype=np.float64)
@@ -196,13 +208,11 @@ class _RecordBuilder:
             diagnostics=diagnostics,
             snapshots=self.snapshots,
             final_state=final_state,
+            sup_norms=self.sup,
+            snapshot_norm_F0=(
+                None if self.snapshot_norms is None else np.asarray(self.snapshot_norms)
+            ),
         )
-
-
-def _norms(cache: "_StateCache") -> tuple[float, float, float, float]:
-    """The state's (G, F0, F1, D) norms, read through its cache."""
-    lad = cache.ladder
-    return (cache.norm(lad.s_G), cache.norm(lad.s_F0), cache.norm(lad.s_F1), cache.norm(lad.s_D))
 
 
 def em_step(
@@ -223,15 +233,15 @@ def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     # scale-free stiffness: relative drift displacement and relative noise
     # quadratic variation per step, so spikes refine at bounded cost
     cache = cache if cache is not None else _StateCache(X, A, projector, ladder)
-    Ad = cache.drift()
-    scale = max(cache.norm(ladder.s_G), 1e-300)
-    stiffness = dt * cache.drift_norm_G() / scale
-    out = X + dt * Ad
+    norms = cache.norms()
+    stiffness = dt * cache.drift_norm_G() / max(norms[0], 1e-300)
+    out = cache.drift().coeffs * dt
+    out += X.coeffs
     if B is not None and B.theta > 0.0:
-        coeff = B.theta * cache.norm(ladder.exponent(B.norm_space)) ** B.alpha
+        coeff = B.theta * norms[SPACE_INDEX[B.norm_space]] ** B.alpha
         stiffness = max(stiffness, dt * coeff * coeff)
-        out = out + (dW * coeff) * X
-    return out, stiffness
+        out += X.coeffs * (dW * coeff)
+    return SpectralField(X.grid, out), stiffness
 
 
 def tamed_em_step(
@@ -250,36 +260,45 @@ def tamed_em_step(
 
 def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     cache = cache if cache is not None else _StateCache(X, A, projector, ladder)
-    Ad = cache.drift()
     drift_size = dt * cache.drift_norm_G()
-    out = X + (dt / (1.0 + drift_size)) * Ad
+    out = cache.drift().coeffs * (dt / (1.0 + drift_size))
+    out += X.coeffs
     stiffness = drift_size
     if B is not None and B.theta > 0.0:
-        coeff = B.theta * cache.norm(ladder.exponent(B.norm_space)) ** B.alpha
-        noise_size = dt * (coeff * cache.norm(ladder.s_G)) ** 2
+        norms = cache.norms()
+        coeff = B.theta * norms[SPACE_INDEX[B.norm_space]] ** B.alpha
+        noise_size = dt * (coeff * norms[0]) ** 2
         stiffness = max(stiffness, noise_size)
-        out = out + (dW * coeff / (1.0 + noise_size)) * X
-    return out, stiffness
+        out += X.coeffs * (dW * coeff / (1.0 + noise_size))
+    return SpectralField(X.grid, out), stiffness
 
 
 class _StateCache:
-    """Per-state memo of the projected drift and Sobolev norms.
+    """Per-state memo of the projected drift, its G norm and the ladder norms.
 
     A trial step that gets halved retries from the same state; caching makes
     the retry cost O(vector ops) instead of a fresh drift evaluation.
+
+    The state's (G, F0, F1, D) norms are one :meth:`SpaceLadder.norms` pass,
+    made on first use.  The stepper makes it once per trial state, where it is
+    also the finiteness test: it raises :class:`NonFiniteFieldError` exactly
+    when a coefficient is NaN or Inf, because a sum of nonnegative powers with
+    positive weights is finite unless a term is not (or it overflowed, which
+    the pass tells apart by a scan).  An accepted trial state's cache becomes
+    the current state's cache, so the growth check, the saved row, the noise
+    coefficient and the next step all read the same four numbers.
     """
 
     __slots__ = ("X", "A", "projector", "ladder", "_drift", "_drift_nG", "_norms")
 
-    def __init__(self, X, A, projector, ladder, norm_F0=None):
+    def __init__(self, X, A, projector, ladder):
         self.X = X
         self.A = A
         self.projector = projector
         self.ladder = ladder
         self._drift = None
         self._drift_nG = None
-        # the step that produced X already measured its F0 norm
-        self._norms = {} if norm_F0 is None else {float(ladder.s_F0): norm_F0}
+        self._norms = None
 
     def drift(self):
         if self._drift is None:
@@ -291,23 +310,34 @@ class _StateCache:
             self._drift_nG = sobolev_norm(self.drift(), self.ladder.s_G)
         return self._drift_nG
 
-    def norm(self, s: float) -> float:
-        key = float(s)
-        if key not in self._norms:
-            self._norms[key] = sobolev_norm(self.X, key)
-        return self._norms[key]
+    def norms(self) -> tuple[float, float, float, float]:
+        if self._norms is None:
+            self._norms = self.ladder.norms(self.X)
+        return self._norms
 
 
 def rk4_deterministic_step(
     X: SpectralField, A, dt: float, projector: GalerkinProjector, k1=None
 ) -> SpectralField:
     """Classical 4-stage step for the deterministic phase dX = A_d(X) dt."""
+
+    def stage(k, h):
+        y = k.coeffs * h
+        y += X.coeffs
+        return galerkin_project(A(SpectralField(X.grid, y)), projector)
+
     if k1 is None:
         k1 = galerkin_project(A(X), projector)
-    k2 = galerkin_project(A(X + (0.5 * dt) * k1), projector)
-    k3 = galerkin_project(A(X + (0.5 * dt) * k2), projector)
-    k4 = galerkin_project(A(X + dt * k3), projector)
-    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = stage(k1, 0.5 * dt)
+    k3 = stage(k2, 0.5 * dt)
+    k4 = stage(k3, dt)
+    out = k2.coeffs * 2.0
+    out += k1.coeffs
+    out += k3.coeffs * 2.0
+    out += k4.coeffs
+    out *= dt / 6.0
+    out += X.coeffs
+    return SpectralField(X.grid, out)
 
 
 def _single_step(scheme, X, A, B, dW, h, projector, ladder, cache=None):
@@ -362,7 +392,8 @@ def integrate_path(
 
     projector = GalerkinProjector(cutoff if cutoff is not None else X0.grid.dealias_cutoff)
     X = galerkin_project(X0, projector)
-    n0 = sobolev_norm(X, ladder.s_F0)
+    cache = _StateCache(X, A, projector, ladder)
+    n0 = cache.norms()[1]
     threshold = (
         stepper.blowup_threshold
         if stepper.blowup_threshold is not None
@@ -371,8 +402,8 @@ def integrate_path(
     if threshold <= n0:
         raise ValueError(f"blowup_threshold {threshold} must exceed the initial norm {n0}")
 
-    env_space = ENVELOPE_SPACE[B.case_label] if noise_on else "F0"
-    env_exp = ladder.exponent(env_space)
+    env_idx = SPACE_INDEX[ENVELOPE_SPACE[B.case_label] if noise_on else "F0"]
+    noise_idx = SPACE_INDEX[B.norm_space] if noise_on else None
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
 
     rec = _RecordBuilder(
@@ -383,9 +414,9 @@ def integrate_path(
     label = regime_label or ("S" if noise_on else "D")
     int_f1 = 0.0
     t = 0.0
-    cache = _StateCache(X, A, projector, ladder, n0)
-    rec.add(t, _norms(cache), int_f1, label, diag.m, diag.qv, "")
-    rec.snap(t, X)
+    rec.visit(cache.norms())
+    rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, "")
+    rec.snap(t, X, n0)
 
     n_base = int(round(stepper.t_end / stepper.dt))
     if abs(n_base * stepper.dt - stepper.t_end) > 1e-9 * max(1.0, stepper.t_end):
@@ -403,10 +434,11 @@ def integrate_path(
             stepper.scheme, X, A, B, dW, h, projector, ladder, cache
         )
 
-        finite = X_new.is_finite()
-        norm_new = sobolev_norm(X_new, ladder.s_F0) if finite else math.inf
+        trial = _StateCache(X_new, A, projector, ladder)
         can_halve = stepper.adapt and level < stepper.max_level
-        if not finite:
+        try:
+            norm_new = trial.norms()[1]
+        except NonFiniteFieldError:
             if can_halve:
                 level += 1
                 pos <<= 1
@@ -424,7 +456,8 @@ def integrate_path(
                 continue
             status, blowup = "blowup", (t, "dt_underflow")
             break
-        grew = norm_new > (1.0 + stepper.growth_trigger) * max(cache.norm(ladder.s_F0), 1e-300)
+        norms = cache.norms()
+        grew = norm_new > (1.0 + stepper.growth_trigger) * max(norms[1], 1e-300)
         if grew and can_halve:
             # sampled growth: refine while possible, accept at the floor
             level += 1
@@ -433,17 +466,13 @@ def integrate_path(
             continue
 
         # accept
-        int_f1 += cache.norm(ladder.s_F1) ** 2 * h
+        int_f1 += norms[2] ** 2 * h
         if noise_on:
-            b_pair = (
-                2.0
-                * B.theta
-                * cache.norm(ladder.exponent(B.norm_space)) ** B.alpha
-                * cache.norm(env_exp) ** 2
-            )
+            b_pair = 2.0 * B.theta * norms[noise_idx] ** B.alpha * norms[env_idx] ** 2
             diag.update(b_pair * dW, b_pair**2 * h)
         X = X_new
-        cache = _StateCache(X, A, projector, ladder, norm_new)
+        cache = trial
+        rec.visit(cache.norms())
         pos += 1
         t = pos * h
         steps_done += 1
@@ -451,9 +480,9 @@ def integrate_path(
 
         flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
         if steps_done % stepper.save_stride == 0 or pos == (n_base << level):
-            rec.add(t, _norms(cache), int_f1, label, diag.m, diag.qv, flags)
+            rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, flags)
         if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
-            rec.snap(t, X)
+            rec.snap(t, X, norm_new)
 
         if norm_new >= threshold:
             status, blowup = "blowup", (t, "norm_threshold")
@@ -467,5 +496,5 @@ def integrate_path(
 
     if rec.rows[-1][0] != t:
         flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
-        rec.add(t, _norms(cache), int_f1, label, diag.m, diag.qv, flags)
+        rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, flags)
     return rec.build(status, blowup, diag, X)

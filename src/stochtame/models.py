@@ -454,10 +454,7 @@ def drift_pairing_report(a: SpectralField, A: DriftOperator) -> AssumptionReport
     """
     lad = A.ladder
     Aa = A(a)
-    nG = sobolev_norm(a, lad.s_G)
-    n0 = sobolev_norm(a, lad.s_F0)
-    n1 = sobolev_norm(a, lad.s_F1)
-    nD = sobolev_norm(a, lad.s_D)
+    nG, n0, n1, nD = lad.norms(a)
     pG = inner_product(a, Aa, lad.s_G)
     p0 = inner_product(a, Aa, lad.s_F0)
     p1 = inner_product(a, Aa, lad.s_F1)

@@ -15,15 +15,31 @@ exactly 1 whenever the exponent relation ``s_F0 = m*s_F1 + (1-m)*s_G`` does
 (Hoelder on the coefficient sum), which is what the structural test suite
 checks.
 
+All Sobolev norms are read off the power spectrum ``P_k = sum_c |fhat_{c,k}|^2``
+(summed over components): ``||f||_{H^s}^2`` is one dot product of ``P`` with
+the cached flattened weight ``(1+|k|^2)^s``.  :meth:`SpaceLadder.norms` forms
+``P`` once and takes one dot product per ladder space, with the same
+arithmetic as :func:`sobolev_norm`, so the two agree bit for bit.
+Finiteness is read off the weighted sum instead of scanning the
+coefficients: every ``P_k`` is >= 0 and every weight is > 0, so a NaN or Inf
+coefficient makes the sum NaN or Inf, and a sum of finite coefficients is
+finite unless it overflows.  Only a non-finite sum is followed by an
+``isfinite`` scan, which tells an overflow (the norm is inf) from a
+non-finite field (:class:`NonFiniteFieldError`).
+
 Real-valued fields are kept Hermitian-symmetric (``fhat_{-k} = conj(fhat_k)``).
 The quadratic drifts of :mod:`stochtame.models` work on the non-redundant half
 of the spectrum (:class:`HalfSpectrum`) and rebuild the full array by
-mirroring, so their output has the symmetry exactly.
+mirroring, so their output has the symmetry exactly.  The 2/3 rule keeps the
+modes ``|k|_inf <= (n - 1) // 3`` (:func:`two_thirds_cutoff`): a product of
+two kept modes has ``|k|_inf <= 2d`` and aliases onto a kept mode only when
+``3d >= n``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,6 +56,12 @@ class NonFiniteFieldError(FloatingPointError):
     Distinct from the blow-up flag of a trajectory: this signals a numerical
     failure of an operation, not a detected norm explosion.
     """
+
+
+def two_thirds_cutoff(n: int) -> int:
+    """The largest cutoff d with ``3d < n``: products of modes ``|k|_inf <= d``
+    cannot alias onto them on an n-point grid."""
+    return (n - 1) // 3
 
 
 class _GridCache:
@@ -66,8 +88,10 @@ class _GridCache:
                 "kinf": kinf,
                 "weight": 1.0 + ksq,
                 "reverse": rev,
-                "dealias_mask": kinf <= n // 3,
+                "dealias_mask": kinf <= two_thirds_cutoff(n),
                 "weight_powers": {},
+                "ladder_weights": {},
+                "project_masks": {},
             }
         return cls._store[key]
 
@@ -77,7 +101,7 @@ class HalfSpectrum:
 
     Half arrays hold the modes ``0 <= k_last <= n/2`` of the last spatial axis
     (the numpy ``rfftn`` layout); leading axes are batch axes.  Dealiased
-    arrays keep only the columns ``k_last <= n/3`` that the 2/3 rule can leave
+    arrays keep only the columns ``k_last <= (n - 1) // 3`` that the 2/3 rule can leave
     nonzero, so the transforms skip the columns that are zero anyway.  The
     transforms use the module's normalisation, and :meth:`to_full` rebuilds
     the full coefficient array as an exactly Hermitian one.
@@ -85,7 +109,8 @@ class HalfSpectrum:
 
     def __init__(self, dim: int, n: int):
         m = n // 2 + 1
-        kept = n // 3 + 1
+        cutoff = two_thirds_cutoff(n)
+        kept = cutoff + 1
         k1 = np.fft.fftfreq(n, d=1.0 / n)
         axes = []
         for a in range(dim):
@@ -101,7 +126,7 @@ class HalfSpectrum:
         self.k_axes = tuple(axes)
         self.ik = tuple(1j * ka for ka in axes)
         self.ksq = sum(ka**2 for ka in axes)
-        self._mask = (kinf <= n // 3)[..., :kept]
+        self._mask = (kinf <= cutoff)[..., :kept]
         self._ik_dealiased = tuple(ik[..., :kept] * self._mask for ik in self.ik)
 
         # Every full mode k is read from its half-spectrum representative:
@@ -200,7 +225,7 @@ class TorusGrid:
 
     @property
     def dealias_cutoff(self) -> int:
-        return self.n // 3
+        return two_thirds_cutoff(self.n)
 
     @property
     def nyquist(self) -> int:
@@ -217,6 +242,23 @@ class TorusGrid:
         if key not in powers:
             powers[key] = self._arrays["weight"] ** key
         return powers[key]
+
+    def ladder_weights(self, exponents: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+        """Flattened :meth:`sobolev_weight` arrays of several exponents, cached per tuple."""
+        store = self._arrays["ladder_weights"]
+        if exponents not in store:
+            store[exponents] = tuple(self.sobolev_weight(s).ravel() for s in exponents)
+        return store[exponents]
+
+    def projection_mask(self, cutoff: int) -> np.ndarray:
+        """``|k|_inf <= cutoff`` as a complex 0/1 array, cached per cutoff.
+
+        Complex, so that masking complex coefficients needs no cast per call.
+        """
+        masks = self._arrays["project_masks"]
+        if cutoff not in masks:
+            masks[cutoff] = (self.kinf <= cutoff).astype(np.complex128)
+        return masks[cutoff]
 
     def reverse_index(self):
         return self._arrays["reverse"]
@@ -367,6 +409,10 @@ class SpaceLadder:
     m: float | None = None
     C_interp: float = 1.0
 
+    @functools.cached_property
+    def exponents(self) -> tuple[float, float, float, float]:
+        return (float(self.s_G), float(self.s_F0), float(self.s_F1), float(self.s_D))
+
     def __post_init__(self):
         if not (self.s_G < self.s_F0 < self.s_F1 < self.s_D):
             raise ValueError(
@@ -391,6 +437,19 @@ class SpaceLadder:
     def norm(self, f: "SpectralField", space: str) -> float:
         return sobolev_norm(f, self.exponent(space))
 
+    def norms(self, f: "SpectralField") -> tuple[float, float, float, float]:
+        """The (G, F0, F1, D) norms of ``f`` from one power spectrum.
+
+        Each equals ``sobolev_norm(f, s)`` for its exponent bit for bit, and
+        NaN or Inf coefficients raise :class:`NonFiniteFieldError` as there.
+        """
+        power = _power_spectrum(f)
+        wg, w0, w1, wd = f.grid.ladder_weights(self.exponents)
+        g, f0, f1, d = np.dot(power, wg), np.dot(power, w0), np.dot(power, w1), np.dot(power, wd)
+        if not math.isfinite(g + f0 + f1 + d):
+            _check_finite(f)
+        return math.sqrt(g), math.sqrt(f0), math.sqrt(f1), math.sqrt(d)
+
 
 @dataclass(frozen=True)
 class GalerkinProjector:
@@ -403,15 +462,30 @@ class GalerkinProjector:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
 
+def _power_spectrum(f: SpectralField) -> np.ndarray:
+    """``sum_c |fhat_{c,k}|^2`` over components, flattened."""
+    c = f.coeffs
+    p = np.square(c.real)
+    p += np.square(c.imag)
+    return (p[0] if len(p) == 1 else p.sum(axis=0)).ravel()
+
+
+def _check_finite(f: SpectralField) -> None:
+    """Raise for NaN/Inf coefficients; called only when a norm sum is not finite."""
+    if not f.is_finite():
+        raise NonFiniteFieldError("field has non-finite coefficients")
+
+
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm, ``sqrt(sum_k (1+|k|^2)^s |fhat_k|^2)`` over all components.
 
-    Raises :class:`NonFiniteFieldError` on NaN/Inf coefficients.
+    Raises :class:`NonFiniteFieldError` on NaN/Inf coefficients; a finite
+    field whose weighted sum overflows has norm inf.
     """
-    if not f.is_finite():
-        raise NonFiniteFieldError("field has non-finite coefficients")
-    w = f.grid.sobolev_weight(s)
-    return float(np.sqrt(np.sum(w * (f.coeffs.real**2 + f.coeffs.imag**2))))
+    sq = np.dot(_power_spectrum(f), f.grid.sobolev_weight(s).ravel())
+    if not math.isfinite(sq):
+        _check_finite(f)
+    return math.sqrt(sq)
 
 
 def inner_product(a: SpectralField, b: SpectralField, s: float) -> float:
@@ -438,12 +512,11 @@ def galerkin_project(f: SpectralField, p: GalerkinProjector) -> SpectralField:
         raise ValueError(
             f"cutoff {p.cutoff} exceeds the Nyquist limit {f.grid.nyquist} of {f.grid!r}"
         )
-    mask = f.grid.kinf <= p.cutoff
-    return SpectralField(f.grid, f.coeffs * mask)
+    return SpectralField(f.grid, f.coeffs * f.grid.projection_mask(p.cutoff))
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero modes with ``|k|_inf > floor(n/3)``."""
+    """2/3-rule truncation: zero modes with ``|k|_inf > (n - 1) // 3``."""
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
@@ -453,9 +526,7 @@ def interpolation_check(f: SpectralField, ladder: SpaceLadder) -> tuple[float, f
     Returns ``(lhs, rhs)`` for audit logging; with ``C_interp = 1`` and the
     exponent relation in force, ``lhs <= rhs`` up to rounding.
     """
-    lhs = sobolev_norm(f, ladder.s_F0)
-    n1 = sobolev_norm(f, ladder.s_F1)
-    ng = sobolev_norm(f, ladder.s_G)
+    ng, lhs, n1, _ = ladder.norms(f)
     rhs = ladder.C_interp * n1**ladder.m * ng ** (1.0 - ladder.m)
     return lhs, rhs
 

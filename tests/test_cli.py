@@ -1,7 +1,10 @@
 import csv
 import json
 
+import pytest
+
 from stochtame.cli import main
+from stochtame.config import ConfigError, parse_config
 
 
 def read_rows(path):
@@ -49,3 +52,16 @@ def test_ensemble_without_completed_paths_writes_every_table(tmp_path):
         assert float(row["p_hat"]) == 0.0
         assert (float(row["ci_lo"]), float(row["ci_hi"])) == (0.0, 1.0)
     assert all(int(r["n"]) == 2 for r in read_rows(out / "uniform_control.csv"))
+
+
+def test_config_cutoff_limit_is_alias_free():
+    # at resolution 24 the modes +-8 alias onto -+8, so the largest
+    # alias-free cutoff is (24 - 1) // 3 = 7
+    def config(d):
+        return json.dumps(
+            {"model": {"kind": "Burgers1D", "resolution": 24}, "ensemble": {"d_list": [d]}}
+        )
+
+    assert parse_config(config(7)).ensemble.d_list == (7,)
+    with pytest.raises(ConfigError, match=r"\(resolution - 1\)//3 = 7"):
+        parse_config(config(8))

@@ -258,6 +258,76 @@ class TestIntegratePath:
             assert rec.norm_F1[i] == sobolev_norm(field, lad.s_F1)
             assert rec.norm_D[i] == sobolev_norm(field, lad.s_D)
 
+    def test_one_ladder_pass_per_trial_state(self, monkeypatch):
+        # the trial state's four norms are one pass, reused by the growth
+        # check, the row and the next step; the only sobolev_norm call left
+        # is the drift's G norm, once per state whose drift is evaluated
+        import stochtame.integrators as integrators
+
+        passes, norm_calls, trials = [], [], []
+        ladder_norms = SpaceLadder.norms
+        single_step = integrators._single_step
+
+        def counting_pass(self, f):
+            passes.append(f)
+            return ladder_norms(self, f)
+
+        def counting_norm(f, s):
+            norm_calls.append(s)
+            return sobolev_norm(f, s)
+
+        def counting_step(*args):
+            trials.append(args[1])
+            return single_step(*args)
+
+        monkeypatch.setattr(SpaceLadder, "norms", counting_pass)
+        monkeypatch.setattr(integrators, "sobolev_norm", counting_norm)
+        monkeypatch.setattr(integrators, "_single_step", counting_step)
+        grid = TorusGrid(1, 64)
+        drift = DriftOperator("Burgers1D")
+        st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.3)
+        noise = NoiseSpec(1.0, 1.4, "F0", "I")
+        rec = integrate_path(sine_field(grid), drift, noise, st, WienerPath(1, 1e-3), seed=1)
+        steps = rec.n_rows - 1
+        assert rec.status == "completed" and len(trials) > steps  # some steps were halved
+        assert len(passes) == len(trials) + 1  # the initial state, then each trial state
+        assert len({id(f) for f in passes}) == len(passes)
+        assert len(norm_calls) <= len(trials)
+        assert set(norm_calls) == {drift.ladder.s_G}
+
+    @pytest.mark.parametrize("scheme", ["TamedEulerMaruyama", "EulerMaruyama"])
+    def test_sup_norms_cover_every_accepted_step(self, scheme):
+        grid = TorusGrid(1, 64)
+        drift = DriftOperator("Burgers1D")
+        noise = NoiseSpec(1.0, 1.4, "F0", "I")
+        sups = []
+        for stride in (1, 5, 25):
+            st = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.3, save_stride=stride)
+            rec = integrate_path(sine_field(grid), drift, noise, st, WienerPath(1, 1e-3), seed=1)
+            assert rec.status == "completed"
+            sups.append(rec.sup_norm_sq)
+            if stride == 1:
+                rows = (rec.norm_G, rec.norm_F0, rec.norm_F1, rec.norm_D)
+                assert sups[0] == {
+                    space: float(np.max(col) ** 2) for space, col in zip(("G", "F0", "F1", "D"), rows)
+                }
+        assert sups[0] == sups[1] == sups[2]
+        # the saved rows of the coarsest stride miss the supremum
+        assert float(np.max(rec.norm_F0) ** 2) < sups[2]["F0"]
+
+    def test_nan_drift_is_numeric_error_without_adaptation(self):
+        class NanDrift:
+            ladder = LADDER
+
+            def __call__(self, X):
+                return SpectralField(X.grid, np.full_like(X.coeffs, np.nan))
+
+        grid = TorusGrid(1, 32)
+        st = StepperConfig(scheme="RK4Deterministic", dt=1e-2, t_end=0.1, adapt=False)
+        rec = integrate_path(sine_field(grid), NanDrift(), None, st)
+        assert rec.status == "numeric_error" and rec.blowup is None
+        assert rec.n_rows == 1 and rec.final_state.is_finite()
+
     def test_times_strictly_increasing_and_integral_monotone(self):
         grid = TorusGrid(1, 64)
         x0 = sine_field(grid)

@@ -227,14 +227,14 @@ class TestDriftOperator:
             model(SpectralField.zeros(grid, 1))
 
     def test_band_limited_closure(self):
-        # the projected drift of a band-limited state is band-limited
+        # the unprojected drift of a state on |k| <= 10 lives on |k| <= 20,
+        # and nothing passes the 2/3 cutoff
         grid = TorusGrid(1, 128)
         model = DriftOperator("Burgers1D")
-        proj = GalerkinProjector(10)
-        u = galerkin_project(random_field(grid, 1, 3.5, 1.0, 31), proj)
-        out = galerkin_project(model(u), proj)
-        outside = out.coeffs[:, grid.kinf > 10]
-        assert np.max(np.abs(outside)) == 0.0
+        u = galerkin_project(random_field(grid, 1, 3.5, 1.0, 31), GalerkinProjector(10))
+        out = model(u).coeffs
+        assert np.max(np.abs(out[:, grid.kinf > grid.dealias_cutoff])) == 0.0
+        assert np.max(np.abs(out[:, grid.kinf > 20])) <= 1e-14 * np.max(np.abs(out))
 
     def test_viscosity_dissipation_decomposition(self):
         # exact algebra: adding nu shifts the F0 self-pairing by -nu * D(a)
@@ -373,6 +373,25 @@ def test_drift_matches_mode_convolution(kind):
         scale = np.max(np.abs(expected))
         assert scale > 0.0
         assert np.max(np.abs(out.coeffs - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_burgers_drift_alias_free_when_three_divides_n(n):
+    # with 3 | n, modes at +-n/3 would alias onto the kept modes -+n/3; the
+    # cutoff (n - 1) // 3 keeps them out
+    grid = TorusGrid(1, n)
+    d = grid.dealias_cutoff
+    assert 3 * d < n
+    params = ModelParams(nu=0.25)
+    for seed in range(3):
+        X = galerkin_project(random_field(grid, 1, 1.0, 1.0, seed), GalerkinProjector(d))
+        out = DriftOperator("Burgers1D", params)(X).coeffs
+        expected = _oracle_drift("Burgers1D", X, params, d)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # cos(n x / 3) is not a kept mode, so it contributes no drift
+    x = grid.coordinates()[0]
+    top = DriftOperator("Burgers1D")(SpectralField.from_physical(grid, np.cos(n // 3 * x)))
+    assert np.max(np.abs(top.coeffs[:, grid.kinf <= d])) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", QUADRATIC_KINDS)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,42 @@ class TestSobolevNorm:
         f = random_field(grid, 1, 4.0, 1.0, seed=5)
         norms = [sobolev_norm(f, s) for s in (-1.0, 0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b * (1 + 1e-14) for a, b in zip(norms, norms[1:]))
+
+
+class TestLadderNorms:
+    LADDER = SpaceLadder(-0.5, 1.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_bit_equal_to_sobolev_norm(self, dim, n, components):
+        grid = TorusGrid(dim, n)
+        lad = self.LADDER
+        for seed in range(3):
+            f = random_field(grid, components, 2.5, 10.0 ** (seed - 1), seed)
+            want = tuple(sobolev_norm(f, s) for s in (lad.s_G, lad.s_F0, lad.s_F1, lad.s_D))
+            assert lad.norms(f) == want
+            assert want[0] < want[1] < want[2] < want[3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_nonfinite_coefficients_raise(self, bad):
+        grid = TorusGrid(2, 16)
+        f = random_field(grid, 3, 2.5, 1.0, 4)
+        f.coeffs[1, 2, 5] = bad
+        with pytest.raises(NonFiniteFieldError):
+            self.LADDER.norms(f)
+        for s in (0.0, 1.0, 4.0):
+            with pytest.raises(NonFiniteFieldError):
+                sobolev_norm(f, s)
+
+    def test_overflowing_sum_of_finite_field_is_inf(self):
+        grid = TorusGrid(1, 64)
+        f = SpectralField.from_modes(grid, [((20,), 0, 1e153)])
+        assert f.is_finite()
+        with np.errstate(over="ignore"):
+            g, f0, f1, d = self.LADDER.norms(f)
+            assert math.isfinite(g) and g == sobolev_norm(f, self.LADDER.s_G)
+            assert f0 == f1 == d == math.inf
+            assert sobolev_norm(f, 4.0) == math.inf
 
 
 class TestInnerProduct:
