@@ -1,13 +1,15 @@
-"""Pure-numpy implementations of the hot per-step kernels.
+"""The per-step kernels of the scalar path ensembles, in numpy.
 
-These mirror the compiled Cython kernels operation for operation (same
-expression grouping), so the two backends agree to the last few ulps; the
-only divergence source is the vendor log/sqrt rounding.
+Each kernel advances a chunk of steps for all paths at once, one vectorised
+update per step.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: the kernels' implementation, reported by ``stochtame --version``
+BACKEND = "python"
 
 
 def envelope_chunk(z, rec, dw, u, h, c):

@@ -265,7 +265,7 @@ def ac4_blowup_vs_taming(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterio
     for j in range(n_paths):
         wiener = WienerPath(seed + 10_000 + j, sto_stepper.dt)
         rec = control_run(
-            u0_half, model, noise2, sched, sto_stepper, 2.0, wiener, seed=seed + 10_000 + j
+            u0_half, model, noise2, sched, sto_stepper, wiener, seed=seed + 10_000 + j
         )
         report = validate_schedule(rec, sched)
         control_results.append((rec, report))

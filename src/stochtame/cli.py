@@ -107,7 +107,7 @@ def cmd_control(args) -> int:
     x0 = InitialBuilder(cfg.model)(grid)
     wiener = WienerPath(seed, stepper.dt) if noise else None
     record = control_run(
-        x0, drift, noise, sched, stepper, stepper.t_end, wiener,
+        x0, drift, noise, sched, stepper, wiener,
         seed=seed, config_hash=config_hash(cfg),
     )
     report = validate_schedule(record, sched)

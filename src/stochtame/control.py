@@ -10,9 +10,12 @@ stopping-time ladder is
     rho_i = inf{t >= tau_i    : ||X_t|| <= L_lo},    rho_{-1} = 0.
 
 The system follows the deterministic drift on [rho_{i-1}, tau_i) and the
-stochastically tamed equation on [tau_i, rho_i).  Crossings are localised by
-dyadic step bisection down to ``dt_min``; the driving noise refines through
-the Brownian bridge, so localisation never changes the path's law.
+stochastically tamed equation on [tau_i, rho_i).  Paths are stepped by the
+adaptive loop of :mod:`stochtame.integrators` that also steps plain paths;
+this module supplies the phases: which steps carry the noise, the crossing
+rule and the events.  Crossings are localised by dyadic step bisection down
+to ``dt_min``; the driving noise refines through the Brownian bridge, so
+localisation never changes the path's law.
 
 If a stochastic phase fails to come back down (the incompressible regime
 admits this), a configurable maximum phase duration doubles K and continues,
@@ -31,16 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .integrators import (
-    SPACE_INDEX,
-    StepperConfig,
-    _RecordBuilder,
-    _StateCache,
-    _single_step,
-    rk4_deterministic_step,
-)
-from .noise import MartingaleDiagnostics, NoiseSpec, WienerPath
-from .spectral import GalerkinProjector, NonFiniteFieldError, SpectralField, galerkin_project
+from .integrators import SPACE_INDEX, StepperConfig, _adaptive_loop
+from .noise import NoiseSpec, WienerPath
+from .spectral import SpectralField
 
 
 @dataclass(frozen=True)
@@ -91,12 +87,6 @@ class ControlEvent:
         }
 
 
-@dataclass
-class RegimeState:
-    current: str = "D"  # "D" deterministic | "S" stochastic
-    since: float = 0.0
-
-
 def scale_value(m: float, sched: ControlSchedule) -> float:
     """phi(m) = log(C + m^2), strictly increasing on m >= 0."""
     if m < 0:
@@ -131,204 +121,115 @@ def control_run(
     B: NoiseSpec | None,
     sched: ControlSchedule,
     stepper: StepperConfig,
-    T: float,
     wiener: WienerPath | None = None,
     *,
     cutoff: int | None = None,
     seed: int | None = None,
     config_hash: str = "",
 ):
-    """Run the switching strategy up to time T; returns a TrajectoryRecord.
+    """Run the switching strategy up to ``stepper.t_end``; returns a TrajectoryRecord.
 
     The deterministic phases use RK4; the stochastic phases use the stepper's
     scheme.  With ``theta = 0`` or ``K = inf`` this degenerates to a purely
     deterministic integration.
     """
-    ladder = A.ladder
-    noise_available = B is not None and B.theta > 0.0
-    if noise_available and wiener is None:
-        raise ValueError("a WienerPath is required when the noise is active")
-
-    projector = GalerkinProjector(cutoff if cutoff is not None else X0.grid.dealias_cutoff)
-    X = galerkin_project(X0, projector)
-    cache = _StateCache(X, A, projector, ladder)
-    norm = cache.norms()[1]
-    noise_idx = SPACE_INDEX[B.norm_space] if noise_available else None
-    threshold = (
-        stepper.blowup_threshold if stepper.blowup_threshold is not None else 1e8 * (1.0 + norm)
-    )
-
-    current_K = sched.K
-    L_hi, L_lo = sched.levels(current_K)
-    diag = MartingaleDiagnostics(stepper.mart_epsilon)
-    rec = _RecordBuilder(
-        seed if seed is not None else (wiener.seed if wiener is not None else None),
-        config_hash,
-        keep_fields=stepper.field_stride is not None,
-    )
-
-    events: list[ControlEvent] = []
-    residuals: list[float] = []
-    regime = "D"
-    pair_index = 0
-    phase_start = 0.0
-    env_ref = 0.0
-    env_m = 0.0
-    env_qv = 0.0
-    env_residual = -math.inf
-
-    def open_stochastic(t: float, norm_before: float, norm_now: float):
-        nonlocal regime, phase_start, env_ref, env_m, env_qv, env_residual
-        events.append(
-            ControlEvent("tau", pair_index, t, norm_now, norm_before, L_hi, L_lo, current_K)
-        )
-        regime = "S"
-        phase_start = t
-        env_ref = scale_value(norm_now, sched)
-        env_m = 0.0
-        env_qv = 0.0
-        env_residual = -math.inf
-
-    def close_stochastic(t: float, norm_before: float, norm_now: float):
-        nonlocal regime, pair_index, env_residual
-        events.append(
-            ControlEvent("rho", pair_index, t, norm_now, norm_before, L_hi, L_lo, current_K)
-        )
-        pair_index += 1
-        regime = "D"
-        if math.isfinite(env_residual):
-            residuals.append(env_residual)
-
-    int_f1 = 0.0
-    t = 0.0
-    rec.visit(cache.norms())
-    rec.add(t, cache.norms(), int_f1, regime, diag.m, diag.qv, "")
-    rec.snap(t, X, norm)
-
-    if noise_available and norm >= L_hi:
-        open_stochastic(0.0, norm, norm)
-        rec.flags[-1] = "tau0_at_start"
-
-    n_base = int(round(T / stepper.dt)) or (0 if T == 0 else 1)
-    status, blowup = "completed", None
-    level = 0
-    pos = 0
-    steps_done = 0
-    accepted_since_refine = 0
-    env_eps = stepper.mart_epsilon
-
-    while pos < (n_base << level):
-        h = stepper.dt * 2.0**-level
-        stochastic = regime == "S" and noise_available
-        dW = wiener.increment(pos, level) if stochastic else 0.0
-        if stochastic:
-            X_new, stiffness = _single_step(
-                stepper.scheme, X, A, B, dW, h, projector, ladder, cache
-            )
-        else:
-            X_new = rk4_deterministic_step(X, A, h, projector, k1=cache.drift())
-            stiffness = 0.0
-
-        trial = _StateCache(X_new, A, projector, ladder)
-        can_halve = stepper.adapt and level < stepper.max_level
-        try:
-            norm_new = trial.norms()[1]
-        except NonFiniteFieldError:
-            if can_halve:
-                level += 1
-                pos <<= 1
-                accepted_since_refine = 0
-                continue
-            status = "numeric_error"
-            break
-        if stepper.adapt and stiffness > stepper.stiff_cap:
-            if can_halve:
-                level += 1
-                pos <<= 1
-                accepted_since_refine = 0
-                continue
-            status, blowup = "blowup", (t, "dt_underflow")
-            break
-        grew = norm_new > (1.0 + stepper.growth_trigger) * max(norm, 1e-300)
-        if grew and can_halve:
-            level += 1
-            pos <<= 1
-            accepted_since_refine = 0
-            continue
-
-        crossing = (not stochastic and noise_available and norm_new >= L_hi) or (
-            stochastic and norm_new <= L_lo
-        )
-        if crossing and can_halve and h > stepper.resolved_dt_min:
-            level += 1
-            pos <<= 1
-            accepted_since_refine = 0
-            continue
-
-        # accept the step
-        norms = cache.norms()
-        int_f1 += norms[2] ** 2 * h
-        if stochastic:
-            b_pair = 2.0 * B.theta * norms[noise_idx] ** B.alpha * norm**2
-            diag.update(b_pair * dW, b_pair**2 * h)
-            env_m += b_pair / (sched.C + norm * norm) * dW
-            env_qv += (b_pair / (sched.C + norm * norm)) ** 2 * h
-        norm_before = norm
-        X = X_new
-        cache = trial
-        rec.visit(cache.norms())
-        norm = norm_new
-        pos += 1
-        t = pos * h
-        steps_done += 1
-        accepted_since_refine += 1
-
-        if stochastic and t > phase_start:
-            excess = scale_value(norm, sched) - env_ref - (env_m - 0.5 * env_eps * env_qv)
-            env_residual = max(env_residual, excess / (t - phase_start))
-
-        if crossing:
-            if regime == "D":
-                open_stochastic(t, norm_before, norm)
-            else:
-                close_stochastic(t, norm_before, norm)
-            accepted_since_refine = 0
-
-        flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
-        if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or crossing:
-            rec.add(t, cache.norms(), int_f1, regime, diag.m, diag.qv, flags)
-        if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
-            rec.snap(t, X, norm)
-
-        if norm >= threshold:
-            status, blowup = "blowup", (t, "norm_threshold")
-            break
-
-        if (
-            regime == "S"
-            and sched.max_stochastic_duration is not None
-            and t - phase_start > sched.max_stochastic_duration
-        ):
-            current_K = 2.0 * current_K
-            L_hi, L_lo = sched.levels(current_K)
-            events.append(
-                ControlEvent("escalate", pair_index, t, norm, norm, L_hi, L_lo, current_K)
-            )
-            phase_start = t
-
-        if level > 0 and accepted_since_refine >= 4 and pos % 2 == 0:
-            level -= 1
-            pos >>= 1
-            accepted_since_refine = 0
-
-    if regime == "S" and math.isfinite(env_residual):
-        residuals.append(env_residual)
-    if rec.rows[-1][0] != t:
-        rec.add(t, cache.norms(), int_f1, regime, diag.m, diag.qv, "")
-    record = rec.build(status, blowup, diag, X)
-    record.events = events
-    record.envelope_residuals = residuals
+    switch = _Switching(sched, B, stepper.mart_epsilon)
+    record = _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch)
+    if switch.regime == "S":
+        switch.keep_residual()
+    record.events = switch.events
+    record.envelope_residuals = switch.residuals
     return record
+
+
+class _Switching:
+    """The phases of one switching path, as the shared stepping loop asks.
+
+    Holds the regime, the K in force and its levels, the tau/rho/escalate
+    events and the envelope of the open stochastic phase.
+    """
+
+    def __init__(self, sched: ControlSchedule, B: NoiseSpec | None, epsilon: float):
+        self.sched = sched
+        self.B = B
+        self.noise = B is not None and B.theta > 0.0
+        self.noise_idx = SPACE_INDEX[B.norm_space] if self.noise else None
+        self.epsilon = epsilon
+        self.K = sched.K
+        self.L_hi, self.L_lo = sched.levels(self.K)
+        self.regime = "D"
+        self.pair_index = 0
+        self.events: list[ControlEvent] = []
+        self.residuals: list[float] = []
+        self.phase_start = 0.0
+        self.env_ref = self.env_m = self.env_qv = 0.0
+        self.env_residual = -math.inf
+
+    @property
+    def stochastic(self) -> bool:
+        return self.regime == "S"
+
+    def _event(self, kind, t, norm_before, norm):
+        self.events.append(
+            ControlEvent(kind, self.pair_index, t, norm, norm_before, self.L_hi, self.L_lo, self.K)
+        )
+
+    def start(self, norm: float) -> str:
+        """Open the first stochastic phase at t = 0 if the start lies above L_hi."""
+        if not self.crosses(norm):
+            return ""
+        self._open(0.0, norm, norm)
+        return "tau0_at_start"
+
+    def crosses(self, norm: float) -> bool:
+        if self.regime == "S":
+            return norm <= self.L_lo
+        return self.noise and norm >= self.L_hi
+
+    def _open(self, t, norm_before, norm):
+        self._event("tau", t, norm_before, norm)
+        self.regime = "S"
+        self.phase_start = t
+        self.env_ref = scale_value(norm, self.sched)
+        self.env_m = self.env_qv = 0.0
+        self.env_residual = -math.inf
+
+    def keep_residual(self):
+        if math.isfinite(self.env_residual):
+            self.residuals.append(self.env_residual)
+
+    def accept(self, t, h, dW, norms, norm_new, crossing) -> str:
+        """Envelope and switching events of an accepted step; its row's regime."""
+        if self.regime == "S":
+            norm = norms[1]
+            b_pair = 2.0 * self.B.theta * norms[self.noise_idx] ** self.B.alpha * norm**2
+            rate = b_pair / (self.sched.C + norm * norm)
+            self.env_m += rate * dW
+            self.env_qv += rate**2 * h
+            if t > self.phase_start:
+                excess = (
+                    scale_value(norm_new, self.sched)
+                    - self.env_ref
+                    - (self.env_m - 0.5 * self.epsilon * self.env_qv)
+                )
+                self.env_residual = max(self.env_residual, excess / (t - self.phase_start))
+        if crossing and self.regime == "D":
+            self._open(t, norms[1], norm_new)
+        elif crossing:
+            self._event("rho", t, norms[1], norm_new)
+            self.pair_index += 1
+            self.regime = "D"
+            self.keep_residual()
+        return self.regime
+
+    def escalate(self, t: float, norm: float):
+        """Double K when the stochastic phase outlasts its maximal duration."""
+        limit = self.sched.max_stochastic_duration
+        if self.regime == "S" and limit is not None and t - self.phase_start > limit:
+            self.K = 2.0 * self.K
+            self.L_hi, self.L_lo = self.sched.levels(self.K)
+            self._event("escalate", t, norm, norm)
+            self.phase_start = t
 
 
 def validate_schedule(record, sched: ControlSchedule, tol: float | None = None) -> ValidationReport:

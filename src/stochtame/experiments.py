@@ -367,7 +367,7 @@ def _run_one_path(cfg: EnsembleConfig, d: int, index: int) -> PathOutcome:
         schedule_passed, alpha, pairs = None, None, 0
     else:
         rec = control_run(
-            X0, cfg.drift, cfg.noise, cfg.schedule, stepper, horizon, wiener,
+            X0, cfg.drift, cfg.noise, cfg.schedule, stepper, wiener,
             cutoff=d, seed=seed,
         )
         report = validate_schedule(rec, cfg.schedule)

@@ -50,7 +50,7 @@ from .spectral import (
     sobolev_norm,
 )
 
-SCHEMES = ("EulerMaruyama", "TamedEulerMaruyama", "Milstein1D", "RK4Deterministic")
+SCHEMES = ("EulerMaruyama", "TamedEulerMaruyama", "RK4Deterministic")
 
 #: envelope space of the norm-squared Ito computation per case: cases I and II
 #: control the F0 norm, case III controls the F1 norm.
@@ -65,8 +65,9 @@ class StepperConfig:
     """Scheme selection, base step, horizon and blow-up thresholds.
 
     ``dt_min`` defaults to ``dt * 2**-20``; ``blowup_threshold`` (on the F0
-    norm) defaults to ``1e8 * (1 + ||X0||_F0)`` at run start.  The horizon is
-    rounded to a whole number of base steps.
+    norm) defaults to ``1e8 * (1 + ||X0||_F0)`` at run start and must exceed
+    the initial norm.  A horizon that is not a whole number of base steps
+    (up to a relative 1e-9) is rounded up to the next one.
     """
 
     scheme: str = "TamedEulerMaruyama"
@@ -358,9 +359,7 @@ def _single_step(scheme, X, A, B, dW, h, projector, ladder, cache=None):
         return out, 0.0
     if scheme == "EulerMaruyama":
         return _em_step_with_stiffness(X, A, B, dW, h, projector, ladder, cache)
-    if scheme == "TamedEulerMaruyama":
-        return _tamed_step_with_stiffness(X, A, B, dW, h, projector, ladder, cache)
-    raise ValueError(f"scheme {scheme} is restricted to the 1D SDE laboratory")
+    return _tamed_step_with_stiffness(X, A, B, dW, h, projector, ladder, cache)
 
 
 def integrate_path(
@@ -373,7 +372,6 @@ def integrate_path(
     cutoff: int | None = None,
     seed: int | None = None,
     config_hash: str = "",
-    regime_label: str | None = None,
 ) -> TrajectoryRecord:
     """Integrate one path up to the horizon or blow-up.
 
@@ -383,12 +381,34 @@ def integrate_path(
     integral of ||X||_F1^2, the regime label, and the raw martingale pair
     (M_t, <M>_t) accumulated from 2<X, B(X)> dW in the case's envelope space.
     """
+    if B is not None and B.theta > 0.0 and stepper.scheme == "RK4Deterministic":
+        raise ValueError("RK4Deterministic is the deterministic-phase scheme")
+    return _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash)
+
+
+def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=None):
+    """The adaptive dyadic stepping loop of plain and switching paths.
+
+    A trial step is refined (level + 1, the Wiener path split by its bridge)
+    when its state is not finite, when its stiffness exceeds the cap, when
+    the F0 norm grew by more than the trigger, or when it crosses a
+    switching level; at the floor the first two end the path and the last
+    two are accepted.  The step coarsens again after four calm accepted
+    steps on an even position.
+
+    Without ``switch`` every step runs the stepper's scheme with the noise
+    on whenever ``B`` is.  A switching controller (:mod:`stochtame.control`)
+    provides ``stochastic`` (the next step carries the noise; otherwise it
+    is an RK4 step), ``start(norm)`` (the initial row's flags),
+    ``crosses(norm_new)`` (the trial state crosses the level in force),
+    ``accept(t, h, dW, norms, norm_new, crossing)`` (its events; returns the
+    new row's regime label) and ``escalate(t, norm)``.  A crossing step is
+    always saved and restarts the coarsening count.
+    """
     ladder: SpaceLadder = A.ladder
     noise_on = B is not None and B.theta > 0.0
     if noise_on and wiener is None:
         raise ValueError("a WienerPath is required when the noise is active")
-    if noise_on and stepper.scheme == "RK4Deterministic":
-        raise ValueError("RK4Deterministic is the deterministic-phase scheme")
 
     projector = GalerkinProjector(cutoff if cutoff is not None else X0.grid.dealias_cutoff)
     X = galerkin_project(X0, projector)
@@ -405,17 +425,19 @@ def integrate_path(
     env_idx = SPACE_INDEX[ENVELOPE_SPACE[B.case_label] if noise_on else "F0"]
     noise_idx = SPACE_INDEX[B.norm_space] if noise_on else None
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
+    check_state = getattr(A, "check_state", lambda X: ())
 
     rec = _RecordBuilder(
         seed if seed is not None else (wiener.seed if wiener is not None else None),
         config_hash,
         keep_fields=stepper.field_stride is not None,
     )
-    label = regime_label or ("S" if noise_on else "D")
+    label = "S" if noise_on and switch is None else "D"
+    flags = "" if switch is None else switch.start(n0)
     int_f1 = 0.0
     t = 0.0
     rec.visit(cache.norms())
-    rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, "")
+    rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, flags)
     rec.snap(t, X, n0)
 
     n_base = int(round(stepper.t_end / stepper.dt))
@@ -429,45 +451,43 @@ def integrate_path(
 
     while pos < (n_base << level):
         h = stepper.dt * 2.0**-level
-        dW = wiener.increment(pos, level) if noise_on else 0.0
+        stochastic = noise_on if switch is None else switch.stochastic
+        scheme = stepper.scheme if stochastic or switch is None else "RK4Deterministic"
+        dW = wiener.increment(pos, level) if stochastic else 0.0
         X_new, stiffness = _single_step(
-            stepper.scheme, X, A, B, dW, h, projector, ladder, cache
+            scheme, X, A, B if stochastic else None, dW, h, projector, ladder, cache
         )
 
         trial = _StateCache(X_new, A, projector, ladder)
-        can_halve = stepper.adapt and level < stepper.max_level
+        norms = cache.norms()
+        failure = None
         try:
             norm_new = trial.norms()[1]
         except NonFiniteFieldError:
-            if can_halve:
-                level += 1
-                pos <<= 1
-                accepted_since_refine = 0
-                continue
-            status, blowup = "numeric_error", None
-            break
-        if stepper.adapt and stiffness > stepper.stiff_cap:
-            # deterministic unresolvable stiffness at the floor is the
-            # discrete signature of a blow-up
-            if can_halve:
-                level += 1
-                pos <<= 1
-                accepted_since_refine = 0
-                continue
-            status, blowup = "blowup", (t, "dt_underflow")
-            break
-        norms = cache.norms()
-        grew = norm_new > (1.0 + stepper.growth_trigger) * max(norms[1], 1e-300)
-        if grew and can_halve:
-            # sampled growth: refine while possible, accept at the floor
+            refine, failure = True, ("numeric_error", None)
+        else:
+            crossing = switch is not None and switch.crosses(norm_new)
+            if stepper.adapt and stiffness > stepper.stiff_cap:
+                # deterministic unresolvable stiffness at the floor is the
+                # discrete signature of a blow-up
+                refine, failure = True, ("blowup", (t, "dt_underflow"))
+            else:
+                # sampled growth: refine while possible, accept at the floor;
+                # a crossing is bisected down to dt_min
+                grew = norm_new > (1.0 + stepper.growth_trigger) * max(norms[1], 1e-300)
+                refine = grew or (crossing and h > stepper.resolved_dt_min)
+        if refine and stepper.adapt and level < stepper.max_level:
             level += 1
             pos <<= 1
             accepted_since_refine = 0
             continue
+        if failure is not None:
+            status, blowup = failure
+            break
 
         # accept
         int_f1 += norms[2] ** 2 * h
-        if noise_on:
+        if stochastic:
             b_pair = 2.0 * B.theta * norms[noise_idx] ** B.alpha * norms[env_idx] ** 2
             diag.update(b_pair * dW, b_pair**2 * h)
         X = X_new
@@ -476,17 +496,20 @@ def integrate_path(
         pos += 1
         t = pos * h
         steps_done += 1
-        accepted_since_refine += 1
+        accepted_since_refine = 0 if crossing else accepted_since_refine + 1
+        if switch is not None:
+            label = switch.accept(t, h, dW, norms, norm_new, crossing)
 
-        flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
-        if steps_done % stepper.save_stride == 0 or pos == (n_base << level):
-            rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, flags)
+        if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or crossing:
+            rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
         if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
             rec.snap(t, X, norm_new)
 
         if norm_new >= threshold:
             status, blowup = "blowup", (t, "norm_threshold")
             break
+        if switch is not None:
+            switch.escalate(t, norm_new)
 
         # coarsen after a calm stretch, staying on the dyadic grid
         if level > 0 and accepted_since_refine >= 4 and pos % 2 == 0:
@@ -495,6 +518,5 @@ def integrate_path(
             accepted_since_refine = 0
 
     if rec.rows[-1][0] != t:
-        flags = ";".join(A.check_state(X)) if hasattr(A, "check_state") else ""
-        rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, flags)
+        rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
     return rec.build(status, blowup, diag, X)

@@ -65,3 +65,17 @@ def test_config_cutoff_limit_is_alias_free():
     assert parse_config(config(7)).ensemble.d_list == (7,)
     with pytest.raises(ConfigError, match=r"\(resolution - 1\)//3 = 7"):
         parse_config(config(8))
+
+
+def test_config_rejects_milstein_scheme():
+    # the scalar Milstein step needs the diffusion derivative in closed form;
+    # no field run can take it, so the config refuses it up front
+    text = json.dumps(
+        {
+            "model": {"kind": "Burgers1D", "resolution": 32},
+            "stepper": {"scheme": "Milstein1D"},
+            "ensemble": {"d_list": [8]},
+        }
+    )
+    with pytest.raises(ConfigError, match="stepper.scheme"):
+        parse_config(text)

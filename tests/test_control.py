@@ -69,7 +69,7 @@ class TestControlRun:
         sched = ControlSchedule(K=scale_value(3.0, ControlSchedule(K=1.0)) / 2.0)
         noise = NoiseSpec(1.0, 1.0, "F0", "I")
         st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.5)
-        rec = control_run(x0, heat_drift(), noise, sched, st, 0.5, WienerPath(1, 1e-3))
+        rec = control_run(x0, heat_drift(), noise, sched, st, WienerPath(1, 1e-3))
         assert rec.events == []
         assert set(rec.regime) == {"D"}
         report = validate_schedule(rec, sched)
@@ -81,7 +81,7 @@ class TestControlRun:
         sched = ControlSchedule(K=math.log(1.0 + 2.0**2) / 2.0)  # L_hi = 2
         noise = NoiseSpec(1.0, 1.0, "F0", "I")
         st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.05, stiff_cap=0.05)
-        rec = control_run(x0, heat_drift(), noise, sched, st, 0.05, WienerPath(2, 1e-3))
+        rec = control_run(x0, heat_drift(), noise, sched, st, WienerPath(2, 1e-3))
         assert rec.events[0].kind == "tau" and rec.events[0].time == 0.0
 
     def test_theta_zero_with_infinite_level_degenerates(self):
@@ -89,7 +89,7 @@ class TestControlRun:
         x0 = sine_field(grid)
         sched = ControlSchedule(K=math.inf)
         st = StepperConfig(scheme="RK4Deterministic", dt=1e-3, t_end=0.5, adapt=False)
-        rec = control_run(x0, heat_drift(), None, sched, st, 0.5, None)
+        rec = control_run(x0, heat_drift(), None, sched, st, None)
         ref = integrate_path(x0, heat_drift(), None, st)
         assert rec.events == []
         assert set(rec.regime) == {"D"}
@@ -111,7 +111,7 @@ class TestControlRun:
             stiff_cap=0.02,
             save_stride=5,
         )
-        rec = control_run(x0, growth, noise, sched, st, 4.0, WienerPath(3, 1e-3), seed=3)
+        rec = control_run(x0, growth, noise, sched, st, WienerPath(3, 1e-3), seed=3)
         report = validate_schedule(rec, sched)
         assert rec.status == "completed"
         assert report.passed, report.failures
@@ -140,10 +140,70 @@ class TestControlRun:
         st = StepperConfig(
             scheme="EulerMaruyama", dt=1e-3, t_end=1.0, stiff_cap=0.05, save_stride=5
         )
-        rec = control_run(x0, growth, noise, sched, st, 1.0, WienerPath(8, 1e-3), seed=8)
+        rec = control_run(x0, growth, noise, sched, st, WienerPath(8, 1e-3), seed=8)
         assert any(e.kind == "escalate" for e in rec.events)
         esc = [e for e in rec.events if e.kind == "escalate"]
         assert esc[0].K == pytest.approx(2.0 * sched.K)
+
+
+class TestSharedLoop:
+    """``control_run`` and ``integrate_path`` step through one loop."""
+
+    @pytest.mark.parametrize("t_end", [0.0025, 0.0105])
+    def test_horizon_rounds_up_to_whole_base_steps(self, t_end):
+        grid = TorusGrid(1, 32)
+        st = StepperConfig(scheme="RK4Deterministic", dt=1e-3, t_end=t_end)
+        sched = ControlSchedule(K=math.inf)
+        rec = control_run(sine_field(grid), heat_drift(), None, sched, st, None)
+        ref = integrate_path(sine_field(grid), heat_drift(), None, st)
+        assert rec.times[-1] >= t_end
+        assert rec.times[-1] == ref.times[-1]
+
+    @pytest.mark.parametrize("case", ["I", "III"])
+    def test_open_stochastic_phase_matches_plain_path(self, case):
+        # tau fires at t = 0 and the norm never falls to L_lo = 0.1, so the
+        # switching path is the plain tamed path, record martingale included
+        # (case III keeps it in F1)
+        grid = TorusGrid(1, 32)
+        x = grid.coordinates()[0]
+        x0 = SpectralField.from_physical(grid, 5.0 * np.sin(x) + 2.0 * np.cos(3.0 * x))
+        noise = NoiseSpec(1.0, 1.0, "F0", case)
+        sched = ControlSchedule(K=math.log(1.0 + 0.1**2))
+        st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.05)
+        rec = control_run(x0, heat_drift(), noise, sched, st, WienerPath(5, 1e-3), seed=5)
+        ref = integrate_path(x0, heat_drift(), noise, st, WienerPath(5, 1e-3), seed=5)
+        assert [e.kind for e in rec.events] == ["tau"] and rec.events[0].time == 0.0
+        assert rec.n_rows == ref.n_rows > 10
+        for column in ("times", "norm_G", "norm_F0", "norm_F1", "norm_D", "M", "QV"):
+            np.testing.assert_array_equal(getattr(rec, column), getattr(ref, column))
+
+    def test_threshold_at_or_below_initial_norm_raises(self):
+        grid = TorusGrid(1, 32)
+        x0 = sine_field(grid, amplitude=5.0)
+        noise = NoiseSpec(1.0, 1.0, "F0", "I")
+        st = StepperConfig(dt=1e-3, t_end=0.01, blowup_threshold=1.0)
+        with pytest.raises(ValueError, match="blowup_threshold"):
+            control_run(x0, heat_drift(), noise, ControlSchedule(K=1.0), st, WienerPath(1, 1e-3))
+        with pytest.raises(ValueError, match="blowup_threshold"):
+            integrate_path(x0, heat_drift(), noise, st, WienerPath(1, 1e-3))
+
+    def test_closing_row_carries_state_flags(self):
+        # a blow-up between saved rows closes the record with a row that
+        # carries the model's state flags, as every saved row does
+        class FlaggedGrowth(FourierMultiplierDrift):
+            def check_state(self, X):
+                return ["flagged"]
+
+        grid = TorusGrid(1, 32)
+        growth = FlaggedGrowth(LADDER, lambda ksq: 1.0 + 0.0 * ksq)
+        st = StepperConfig(
+            scheme="RK4Deterministic", dt=1e-3, t_end=1.0, blowup_threshold=1.5, save_stride=1000
+        )
+        rec = control_run(sine_field(grid), growth, None, ControlSchedule(K=math.inf), st, None)
+        ref = integrate_path(sine_field(grid), growth, None, st)
+        for r in (rec, ref):
+            assert r.status == "blowup" and r.blowup[1] == "norm_threshold"
+            assert r.n_rows == 2 and r.flags == ["", "flagged"]
 
 
 class TestValidateSchedule:

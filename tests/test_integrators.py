@@ -347,6 +347,8 @@ class TestIntegratePath:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StepperConfig(scheme="Nope")
+        with pytest.raises(ValueError, match="scheme must be one of"):
+            StepperConfig(scheme="Milstein1D")
         with pytest.raises(ValueError):
             StepperConfig(dt=1e-3, dt_min=2e-3)
         with pytest.raises(ValueError):
