@@ -15,11 +15,21 @@ adaptive loop of :mod:`stochtame.integrators` that also steps plain paths;
 this module supplies the phases: which steps carry the noise, the crossing
 rule and the events.  Crossings are localised by dyadic step bisection down
 to ``dt_min``; the driving noise refines through the Brownian bridge, so
-localisation never changes the path's law.
+localisation never changes the path's law.  Once the crossing step is
+accepted the stepper climbs straight back to the step level that held before
+the bisection began, so a crossing costs one bisection and at most one
+accepted step per halving on the way back up.
 
 If a stochastic phase fails to come back down (the incompressible regime
 admits this), a configurable maximum phase duration doubles K and continues,
-recording the escalation.
+recording the escalation.  The levels then follow the K in force, so
+``L_lo(t)`` jumps up at each escalation and
+
+    rho_i = inf{t >= tau_i : ||X_t|| <= L_lo(t)}.
+
+When the norm already lies at or below the raised L_lo, rho fires at the
+escalation instant itself, with no crossing step to bisect, just as tau_0
+fires at t = 0 when the start lies at or above L_hi.
 
 During each stochastic phase the controller logs the envelope residual: the
 observed excess of ``phi(||X_t||)`` over
@@ -186,6 +196,12 @@ class _Switching:
             return norm <= self.L_lo
         return self.noise and norm >= self.L_hi
 
+    def _close(self, t, norm_before, norm):
+        self._event("rho", t, norm_before, norm)
+        self.pair_index += 1
+        self.regime = "D"
+        self.keep_residual()
+
     def _open(self, t, norm_before, norm):
         self._event("tau", t, norm_before, norm)
         self.regime = "S"
@@ -199,7 +215,8 @@ class _Switching:
             self.residuals.append(self.env_residual)
 
     def accept(self, t, h, dW, norms, norm_new, crossing) -> str:
-        """Envelope and switching events of an accepted step; its row's regime."""
+        """Envelope, switching and escalation events of an accepted step; its
+        row's regime."""
         if self.regime == "S":
             norm = norms[1]
             b_pair = 2.0 * self.B.theta * norms[self.noise_idx] ** self.B.alpha * norm**2
@@ -216,20 +233,21 @@ class _Switching:
         if crossing and self.regime == "D":
             self._open(t, norms[1], norm_new)
         elif crossing:
-            self._event("rho", t, norms[1], norm_new)
-            self.pair_index += 1
-            self.regime = "D"
-            self.keep_residual()
-        return self.regime
-
-    def escalate(self, t: float, norm: float):
-        """Double K when the stochastic phase outlasts its maximal duration."""
+            self._close(t, norms[1], norm_new)
         limit = self.sched.max_stochastic_duration
         if self.regime == "S" and limit is not None and t - self.phase_start > limit:
-            self.K = 2.0 * self.K
-            self.L_hi, self.L_lo = self.sched.levels(self.K)
-            self._event("escalate", t, norm, norm)
-            self.phase_start = t
+            self._escalate(t, norm_new)
+        return self.regime
+
+    def _escalate(self, t: float, norm: float):
+        """Double K when the stochastic phase outlasts its maximal duration;
+        rho fires at once if the norm lies at or below the raised L_lo."""
+        self.K = 2.0 * self.K
+        self.L_hi, self.L_lo = self.sched.levels(self.K)
+        self._event("escalate", t, norm, norm)
+        self.phase_start = t
+        if norm <= self.L_lo:
+            self._close(t, norm, norm)
 
 
 def validate_schedule(record, sched: ControlSchedule, tol: float | None = None) -> ValidationReport:
@@ -241,6 +259,13 @@ def validate_schedule(record, sched: ControlSchedule, tol: float | None = None) 
     overshoot"; an explicit ``tol`` widens the bands instead), and reports the
     minimal deterministic dwell ``alpha = min_i (tau_i - rho_{i-1})`` with
     ``rho_{-1} = 0``.
+
+    Two events fire with no crossing step, at an instant where the stopping
+    rule already holds, and need their norm on the stopped side of the level
+    instead: tau_0 at t = 0 with ``||X_0|| >= L_hi``, and a rho at an
+    escalation of its own phase (same index and time) with the norm at or
+    below the raised L_lo (the infimum of the module docstring is attained
+    at the escalation instant).
     """
     failures: list[str] = []
     switching = [e for e in record.events if e.kind in ("tau", "rho")]
@@ -270,13 +295,18 @@ def validate_schedule(record, sched: ControlSchedule, tol: float | None = None) 
                 failures.append(f"rho_{i} = {rho.time} precedes tau_{i} = {tau.time}")
             prev_rho = rho.time
 
+    escalations = {(e.index, e.time) for e in record.events if e.kind == "escalate"}
     for e in switching:
         lvl = e.level_hi if e.kind == "tau" else e.level_lo
+        if e.kind == "tau":
+            at_once = e.time == 0.0 and e.norm >= lvl
+        else:
+            at_once = (e.index, e.time) in escalations and e.norm <= lvl
         if tol is not None:
-            ok = abs(e.norm - lvl) <= tol or (e.kind == "tau" and e.time == 0.0)
+            ok = abs(e.norm - lvl) <= tol or at_once
         else:
             lo, hi = min(e.norm_before, e.norm), max(e.norm_before, e.norm)
-            ok = (lo <= lvl <= hi) or (e.kind == "tau" and e.time == 0.0 and e.norm >= lvl)
+            ok = (lo <= lvl <= hi) or at_once
         if not ok:
             failures.append(
                 f"{e.kind}_{e.index} at t={e.time}: norm {e.norm} does not bracket level {lvl}"

@@ -112,6 +112,14 @@ class TrajectoryRecord:
     norms over every accepted state, saved as a row or not, so they do not
     depend on the save stride; ``snapshot_norm_F0`` holds the F0 norm of each
     snapshot.
+
+    The step accounting: ``trials`` counts trial steps; ``rejections`` counts
+    the rejected ones by cause ("non_finite", "stiffness", "growth",
+    "crossing"), the trial that ends a path as a blow-up or numeric error
+    included; ``level_steps[l]`` counts the accepted steps at dyadic level l
+    (step ``dt * 2**-l``); ``finest_level`` is the finest level any trial
+    reached.  So ``trials == accepted_steps + rejected_steps``, and at save
+    stride 1 ``accepted_steps == n_rows - 1``.
     """
 
     times: np.ndarray
@@ -135,6 +143,9 @@ class TrajectoryRecord:
     final_state: SpectralField | None = None
     sup_norms: tuple[float, float, float, float] | None = None
     snapshot_norm_F0: np.ndarray | None = None
+    trials: int = 0
+    rejections: dict[str, int] = dataclass_field(default_factory=dict)
+    level_steps: tuple[int, ...] = ()
 
     def __post_init__(self):
         for arr in (self.times, self.int_F1sq):
@@ -143,6 +154,18 @@ class TrajectoryRecord:
     @property
     def n_rows(self) -> int:
         return len(self.times)
+
+    @property
+    def accepted_steps(self) -> int:
+        return sum(self.level_steps)
+
+    @property
+    def rejected_steps(self) -> int:
+        return sum(self.rejections.values())
+
+    @property
+    def finest_level(self) -> int:
+        return len(self.level_steps) - 1
 
     @property
     def sup_norm_sq(self) -> dict[str, float]:
@@ -166,7 +189,7 @@ class TrajectoryRecord:
 
 
 class _RecordBuilder:
-    def __init__(self, seed, config_hash, keep_fields: bool):
+    def __init__(self, seed, config_hash, keep_fields: bool, max_level: int):
         self.rows = []
         self.flags = []
         self.snapshots = [] if keep_fields else None
@@ -174,6 +197,10 @@ class _RecordBuilder:
         self.sup = (0.0, 0.0, 0.0, 0.0)
         self.seed = seed
         self.config_hash = config_hash
+        self.trials = 0
+        self.rejections = dict.fromkeys(("non_finite", "stiffness", "growth", "crossing"), 0)
+        self.level_steps = [0] * (max_level + 1)
+        self.finest_level = 0
 
     def visit(self, norms):
         """Fold an accepted state's four norms into the running maxima."""
@@ -213,21 +240,10 @@ class _RecordBuilder:
             snapshot_norm_F0=(
                 None if self.snapshot_norms is None else np.asarray(self.snapshot_norms)
             ),
+            trials=self.trials,
+            rejections=self.rejections,
+            level_steps=tuple(self.level_steps[: self.finest_level + 1]),
         )
-
-
-def em_step(
-    X: SpectralField,
-    A,
-    B: NoiseSpec | None,
-    dW: float,
-    dt: float,
-    projector: GalerkinProjector,
-    ladder: SpaceLadder,
-) -> SpectralField:
-    """One Euler-Maruyama step of the projected equation."""
-    out, _ = _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder)
-    return out
 
 
 def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
@@ -243,20 +259,6 @@ def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
         stiffness = max(stiffness, dt * coeff * coeff)
         out += X.coeffs * (dW * coeff)
     return SpectralField(X.grid, out), stiffness
-
-
-def tamed_em_step(
-    X: SpectralField,
-    A,
-    B: NoiseSpec | None,
-    dW: float,
-    dt: float,
-    projector: GalerkinProjector,
-    ladder: SpaceLadder,
-) -> SpectralField:
-    """Tamed Euler-Maruyama step: drift and noise increments normalised."""
-    out, _ = _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder)
-    return out
 
 
 def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
@@ -396,14 +398,30 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     two are accepted.  The step coarsens again after four calm accepted
     steps on an even position.
 
+    A crossing is bisected from the level in force when its first trial
+    crossed, the pre-bisection level.  Once the step that switches the
+    regime is accepted, the stepper climbs straight back: after every
+    accepted step it drops levels while the position is even, with no
+    four-step wait, until the pre-bisection level holds again; from there
+    the four-calm-steps rule holds.  Each climb step after the first drops
+    at least one level, so the climb costs at most
+    ``max_level - level_before`` steps.  The bisection's accepted halves and
+    the climb tile the pre-bisection step with complementary binary digits,
+    so together they take one step per level below it besides the crossing
+    step, and each halving of ``dt_min`` costs about one accepted step a
+    crossing.  Any refinement during the climb ends it.  A bisection whose
+    crossing vanishes on the finer steps lapses at the end of the
+    pre-bisection step.
+
     Without ``switch`` every step runs the stepper's scheme with the noise
-    on whenever ``B`` is.  A switching controller (:mod:`stochtame.control`)
-    provides ``stochastic`` (the next step carries the noise; otherwise it
-    is an RK4 step), ``start(norm)`` (the initial row's flags),
-    ``crosses(norm_new)`` (the trial state crosses the level in force),
-    ``accept(t, h, dW, norms, norm_new, crossing)`` (its events; returns the
-    new row's regime label) and ``escalate(t, norm)``.  A crossing step is
-    always saved and restarts the coarsening count.
+    on whenever ``B`` is, and no step crosses.  A switching controller
+    (:mod:`stochtame.control`) provides ``stochastic`` (the next step
+    carries the noise; otherwise it is an RK4 step), ``start(norm)`` (the
+    initial row's flags), ``crosses(norm_new)`` (the trial state crosses the
+    level in force) and ``accept(t, h, dW, norms, norm_new, crossing)`` (its
+    events; returns the new row's regime label).  A step that changes the
+    regime is always saved, and a crossing step restarts the coarsening
+    count.
     """
     ladder: SpaceLadder = A.ladder
     noise_on = B is not None and B.theta > 0.0
@@ -431,9 +449,10 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
         seed if seed is not None else (wiener.seed if wiener is not None else None),
         config_hash,
         keep_fields=stepper.field_stride is not None,
+        max_level=stepper.max_level,
     )
-    label = "S" if noise_on and switch is None else "D"
     flags = "" if switch is None else switch.start(n0)
+    label = ("S" if noise_on else "D") if switch is None else switch.regime
     int_f1 = 0.0
     t = 0.0
     rec.visit(cache.norms())
@@ -448,6 +467,9 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     pos = 0
     accepted_since_refine = 0
     steps_done = 0
+    # pre-bisection level of the crossing being bisected, and the level the
+    # stepper climbs back to once the regime has switched
+    bisect_from = climb_to = None
 
     while pos < (n_base << level):
         h = stepper.dt * 2.0**-level
@@ -458,30 +480,39 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
             scheme, X, A, B if stochastic else None, dW, h, projector, ladder, cache
         )
 
+        rec.trials += 1
         trial = _StateCache(X_new, A, projector, ladder)
         norms = cache.norms()
         failure = None
+        crossing = False
         try:
             norm_new = trial.norms()[1]
         except NonFiniteFieldError:
-            refine, failure = True, ("numeric_error", None)
+            refine, cause, failure = True, "non_finite", ("numeric_error", None)
         else:
             crossing = switch is not None and switch.crosses(norm_new)
             if stepper.adapt and stiffness > stepper.stiff_cap:
                 # deterministic unresolvable stiffness at the floor is the
                 # discrete signature of a blow-up
-                refine, failure = True, ("blowup", (t, "dt_underflow"))
+                refine, cause, failure = True, "stiffness", ("blowup", (t, "dt_underflow"))
             else:
                 # sampled growth: refine while possible, accept at the floor;
                 # a crossing is bisected down to dt_min
                 grew = norm_new > (1.0 + stepper.growth_trigger) * max(norms[1], 1e-300)
                 refine = grew or (crossing and h > stepper.resolved_dt_min)
+                cause = "growth" if grew else "crossing"
         if refine and stepper.adapt and level < stepper.max_level:
+            rec.rejections[cause] += 1
+            if crossing and bisect_from is None:
+                bisect_from = level
+            climb_to = None
             level += 1
+            rec.finest_level = max(rec.finest_level, level)
             pos <<= 1
             accepted_since_refine = 0
             continue
         if failure is not None:
+            rec.rejections[cause] += 1
             status, blowup = failure
             break
 
@@ -493,14 +524,20 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
         X = X_new
         cache = trial
         rec.visit(cache.norms())
+        rec.level_steps[level] += 1
         pos += 1
         t = pos * h
         steps_done += 1
         accepted_since_refine = 0 if crossing else accepted_since_refine + 1
+        before = label
         if switch is not None:
             label = switch.accept(t, h, dW, norms, norm_new, crossing)
+        if label != before:
+            climb_to, bisect_from = bisect_from, None
+        elif bisect_from is not None and pos % (1 << (level - bisect_from)) == 0:
+            bisect_from = None  # past the pre-bisection step: nothing crossed
 
-        if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or crossing:
+        if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or label != before:
             rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
         if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
             rec.snap(t, X, norm_new)
@@ -508,11 +545,17 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
         if norm_new >= threshold:
             status, blowup = "blowup", (t, "norm_threshold")
             break
-        if switch is not None:
-            switch.escalate(t, norm_new)
 
-        # coarsen after a calm stretch, staying on the dyadic grid
-        if level > 0 and accepted_since_refine >= 4 and pos % 2 == 0:
+        # coarsen, staying on the dyadic grid: straight back to the
+        # pre-bisection level after a crossing, else after a calm stretch
+        if climb_to is not None:
+            while level > climb_to and pos % 2 == 0:
+                level -= 1
+                pos >>= 1
+                accepted_since_refine = 0
+            if level == climb_to:
+                climb_to = None
+        elif level > 0 and accepted_since_refine >= 4 and pos % 2 == 0:
             level -= 1
             pos >>= 1
             accepted_since_refine = 0

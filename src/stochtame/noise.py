@@ -415,19 +415,3 @@ def theta_advisor(
     else:
         raise ValueError(f"case must be I, II or III, got {case!r}")
     return AdvisedNoise(theta=theta, alpha=alpha, case_label=case, inequality=ineq)
-
-
-# --- 1D SDE steppers (laboratory only) ----------------------------------------
-
-
-def milstein_step_1d(x, mu, sigma, sigma_prime, dt: float, dW: float):
-    """Scalar Milstein step; needs the diffusion derivative in closed form."""
-    s = sigma(x)
-    return x + mu(x) * dt + s * dW + 0.5 * s * sigma_prime(x) * (dW**2 - dt)
-
-
-def tamed_em_step_1d(x, mu, sigma, dt: float, dW: float):
-    """Scalar twin of the tamed field step: both increments are normalised."""
-    m = mu(x)
-    s = sigma(x)
-    return x + dt * m / (1.0 + dt * abs(m)) + dW * s / (1.0 + dt * s * s)

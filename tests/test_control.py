@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stochtame import control, integrators
 from stochtame.control import (
     ControlEvent,
     ControlSchedule,
@@ -25,6 +26,27 @@ def heat_drift():
 
 def sine_field(grid, amplitude=1.0):
     return SpectralField.from_physical(grid, amplitude * np.sin(grid.coordinates()[0]))
+
+
+GROWING_SCHED = ControlSchedule(K=math.log(1.0 + 1.5**2) / 2.0)
+
+
+def growing_mode_run(dt_min_exponent=30, save_stride=5):
+    """dX = +X dt grows deterministically; taming noise pulls it back."""
+    grid = TorusGrid(1, 32)
+    growth = FourierMultiplierDrift(LADDER, lambda ksq: 1.0 + 0.0 * ksq)
+    noise = NoiseSpec(theta=3.0, alpha=1.0, norm_space="F0", case_label="I")
+    st = StepperConfig(
+        scheme="EulerMaruyama",
+        dt=1e-3,
+        t_end=4.0,
+        dt_min=1e-3 * 2**-dt_min_exponent,
+        stiff_cap=0.02,
+        save_stride=save_stride,
+    )
+    wiener = WienerPath(3, 1e-3)
+    rec = control_run(sine_field(grid), growth, noise, GROWING_SCHED, st, wiener, seed=3)
+    return rec, st
 
 
 class TestScaleFunction:
@@ -83,6 +105,8 @@ class TestControlRun:
         st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.05, stiff_cap=0.05)
         rec = control_run(x0, heat_drift(), noise, sched, st, WienerPath(2, 1e-3))
         assert rec.events[0].kind == "tau" and rec.events[0].time == 0.0
+        # the row at t = 0 lies in [tau_0, rho_0)
+        assert rec.regime[0] == "S" and rec.flags[0] == "tau0_at_start"
 
     def test_theta_zero_with_infinite_level_degenerates(self):
         grid = TorusGrid(1, 64)
@@ -96,23 +120,9 @@ class TestControlRun:
         assert rec.norm_F0[-1] == pytest.approx(ref.norm_F0[-1], rel=1e-13)
 
     def test_growing_mode_cycles_and_validates(self):
-        # dX = +X dt grows deterministically; taming noise pulls it back:
         # alternation with at least one full pair, all straddling their levels
-        grid = TorusGrid(1, 32)
-        x0 = sine_field(grid)
-        growth = FourierMultiplierDrift(LADDER, lambda ksq: 1.0 + 0.0 * ksq)
-        noise = NoiseSpec(theta=3.0, alpha=1.0, norm_space="F0", case_label="I")
-        sched = ControlSchedule(K=math.log(1.0 + 1.5**2) / 2.0)
-        st = StepperConfig(
-            scheme="EulerMaruyama",
-            dt=1e-3,
-            t_end=4.0,
-            dt_min=1e-3 * 2**-30,
-            stiff_cap=0.02,
-            save_stride=5,
-        )
-        rec = control_run(x0, growth, noise, sched, st, WienerPath(3, 1e-3), seed=3)
-        report = validate_schedule(rec, sched)
+        rec, _ = growing_mode_run()
+        report = validate_schedule(rec, GROWING_SCHED)
         assert rec.status == "completed"
         assert report.passed, report.failures
         assert report.n_pairs >= 1
@@ -144,6 +154,71 @@ class TestControlRun:
         assert any(e.kind == "escalate" for e in rec.events)
         esc = [e for e in rec.events if e.kind == "escalate"]
         assert esc[0].K == pytest.approx(2.0 * sched.K)
+        # the second escalation lifts L_lo above the norm: rho fires there
+        report = validate_schedule(rec, sched)
+        assert report.passed, report.failures
+        rho = next(e for e in rec.events if e.kind == "rho")
+        assert rho.time == esc[1].time and rho.norm == rho.norm_before <= rho.level_lo
+
+
+class TestClimbBack:
+    """A crossing costs one bisection: the stepper climbs straight back."""
+
+    def test_climb_returns_to_the_pre_bisection_level(self, monkeypatch):
+        # after each accepted crossing, at most max_level - level_before
+        # accepted steps lie finer than the level its bisection began at;
+        # a refine during the climb ends it
+        trials = []  # [level, crosses] of each trial step
+        single_step, crosses = integrators._single_step, control._Switching.crosses
+
+        def spy_step(scheme, X, A, B, dW, h, *rest):
+            trials.append([round(math.log2(1e-3 / h)), False])
+            return single_step(scheme, X, A, B, dW, h, *rest)
+
+        def spy_crosses(self, norm):
+            out = crosses(self, norm)
+            if trials:
+                trials[-1][1] = out
+            return out
+
+        monkeypatch.setattr(integrators, "_single_step", spy_step)
+        monkeypatch.setattr(control._Switching, "crosses", spy_crosses)
+        _, st = growing_mode_run(save_stride=1)
+        climbs = []  # [level before the bisection, accepted steps finer than it]
+        level_before = climb = None
+        for i, (level, crossing) in enumerate(trials):
+            # a refine is the only way to a finer level
+            accepted = i + 1 == len(trials) or trials[i + 1][0] <= level
+            if climb is not None and (not accepted or level <= climb[0]):
+                climbs.append(climb)
+                climb = None
+            if not accepted:
+                if crossing and level_before is None:
+                    level_before = level
+            elif crossing and level_before is not None:
+                climb, level_before = [level_before, 0], None
+            elif climb is not None:
+                climb[1] += 1
+        assert len(climbs) >= 10
+        for before, steps in climbs:
+            assert steps <= st.max_level - before, climbs
+
+    def test_step_accounting_on_a_switching_path(self):
+        rec, st = growing_mode_run(save_stride=1)
+        assert rec.trials == rec.accepted_steps + rec.rejected_steps
+        assert rec.accepted_steps == rec.n_rows - 1
+        assert rec.rejections["crossing"] > 0
+        # every crossing is bisected down to the floor
+        assert rec.finest_level == st.max_level
+
+    def test_step_floor_costs_about_one_step_per_halving(self):
+        # dt_min from dt 2^-12 to dt 2^-30: every crossing is bisected 18
+        # levels deeper, which may cost about one accepted step a level
+        coarse, _ = growing_mode_run(12, save_stride=1)
+        fine, _ = growing_mode_run(30, save_stride=1)
+        crossings = [e for e in fine.events if e.kind in ("tau", "rho") and e.time > 0.0]
+        assert len(crossings) >= 10
+        assert fine.n_rows - coarse.n_rows <= 1.5 * 18 * len(crossings)
 
 
 class TestSharedLoop:
@@ -238,6 +313,39 @@ class TestValidateSchedule:
         events = [ControlEvent("rho", 0, 0.5, lo, lo + 0.1, hi, lo, sched.K)]
         report = validate_schedule(self.synthetic_record(events), sched)
         assert not report.passed
+
+    def escalation_events(self, sched, rho_norm, rho_time=0.5):
+        """tau, an escalation at t = 0.5 and a rho without a crossing step."""
+        hi, lo = sched.levels()
+        hi2, lo2 = sched.levels(2.0 * sched.K)
+        return [
+            ControlEvent("tau", 0, 0.1, hi + 0.01, hi - 0.01, hi, lo, sched.K),
+            ControlEvent("escalate", 0, 0.5, 0.9 * lo2, 0.9 * lo2, hi2, lo2, 2.0 * sched.K),
+            ControlEvent("rho", 0, rho_time, rho_norm, rho_norm, hi2, lo2, 2.0 * sched.K),
+        ]
+
+    def test_rho_at_escalation_needs_norm_at_or_below_level(self):
+        sched = ControlSchedule(K=1.0)
+        lo2 = sched.levels(2.0 * sched.K)[1]
+        below = self.escalation_events(sched, 0.9 * lo2)
+        assert validate_schedule(self.synthetic_record(below), sched).passed
+        # the raised level lies below the norm: rho cannot fire there
+        above = self.escalation_events(sched, 1.1 * lo2)
+        report = validate_schedule(self.synthetic_record(above), sched)
+        assert not report.passed and "bracket" in report.failures[0]
+        report = validate_schedule(self.synthetic_record(above), sched, tol=0.01 * lo2)
+        assert not report.passed
+
+    def test_rho_away_from_escalation_must_bracket(self):
+        sched = ControlSchedule(K=1.0)
+        lo2 = sched.levels(2.0 * sched.K)[1]
+        later = self.escalation_events(sched, 0.9 * lo2, rho_time=0.6)
+        report = validate_schedule(self.synthetic_record(later), sched)
+        assert not report.passed and "bracket" in report.failures[0]
+        # an escalation of another phase does not count
+        other = self.escalation_events(sched, 0.9 * lo2)
+        other[1].index = 1
+        assert not validate_schedule(self.synthetic_record(other), sched).passed
 
     def test_level_straddle_enforced(self):
         sched = ControlSchedule(K=1.0)

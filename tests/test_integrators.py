@@ -5,10 +5,9 @@ import pytest
 
 from stochtame.integrators import (
     StepperConfig,
-    em_step,
+    _single_step,
     integrate_path,
     rk4_deterministic_step,
-    tamed_em_step,
 )
 from stochtame.models import DriftOperator, FourierMultiplierDrift
 from stochtame.noise import GbmSpec, NoiseSpec, WienerPath, gbm_exact
@@ -44,19 +43,21 @@ class TestSteps:
 
     def test_zero_drift_theta_zero_fixed_point(self):
         zero = linear_drift(0.0)
-        out = em_step(self.X, zero, None, 0.0, 0.1, self.proj, LADDER)
+        out, _ = _single_step("EulerMaruyama", self.X, zero, None, 0.0, 0.1, self.proj, LADDER)
         assert np.array_equal(out.coeffs, self.X.coeffs)
 
     def test_scalar_linear_drift(self):
-        out = em_step(self.X, linear_drift(1.0), None, 0.0, 0.01, self.proj, LADDER)
+        out, _ = _single_step(
+            "EulerMaruyama", self.X, linear_drift(1.0), None, 0.0, 0.01, self.proj, LADDER
+        )
         assert np.allclose(out.coeffs, 1.01 * self.X.coeffs, rtol=1e-14)
 
     def test_tamed_matches_em_for_small_increments(self):
         # difference is O(dt^2 ||A||^2) by the algebraic expansion
         dt = 1e-4
         drift = heat_drift()
-        a = em_step(self.X, drift, None, 0.0, dt, self.proj, LADDER)
-        b = tamed_em_step(self.X, drift, None, 0.0, dt, self.proj, LADDER)
+        a, _ = _single_step("EulerMaruyama", self.X, drift, None, 0.0, dt, self.proj, LADDER)
+        b, _ = _single_step("TamedEulerMaruyama", self.X, drift, None, 0.0, dt, self.proj, LADDER)
         diff = np.max(np.abs(a.coeffs - b.coeffs))
         norm_a = sobolev_norm(drift(self.X), LADDER.s_G)
         assert diff <= dt**2 * norm_a**2 * 2
@@ -65,7 +66,9 @@ class TestSteps:
         # huge ||B||: increment magnitude <= |dW| / (dt ||B||_G)
         spec = NoiseSpec(theta=1e6, alpha=0.0, norm_space="F0", case_label="I")
         dt, dW = 1e-3, 0.37
-        out = tamed_em_step(self.X, linear_drift(0.0), spec, dW, dt, self.proj, LADDER)
+        out, _ = _single_step(
+            "TamedEulerMaruyama", self.X, linear_drift(0.0), spec, dW, dt, self.proj, LADDER
+        )
         incr = sobolev_norm(out - self.X, LADDER.s_G)
         bound = abs(dW) / (dt * spec.theta * sobolev_norm(self.X, LADDER.s_G))
         assert incr <= bound * (1 + 1e-12)
@@ -73,7 +76,9 @@ class TestSteps:
     def test_zero_field_fixed_point(self):
         zero_field = SpectralField.zeros(self.grid)
         spec = NoiseSpec(2.0, 1.0, "F0", "I")
-        out = tamed_em_step(zero_field, heat_drift(), spec, 0.5, 0.01, self.proj, LADDER)
+        out, _ = _single_step(
+            "TamedEulerMaruyama", zero_field, heat_drift(), spec, 0.5, 0.01, self.proj, LADDER
+        )
         assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_rk4_heat_single_mode_order(self):
@@ -327,6 +332,27 @@ class TestIntegratePath:
         rec = integrate_path(sine_field(grid), NanDrift(), None, st)
         assert rec.status == "numeric_error" and rec.blowup is None
         assert rec.n_rows == 1 and rec.final_state.is_finite()
+        # the trial that ends the path counts as rejected
+        assert rec.trials == rec.rejections["non_finite"] == 1 and rec.accepted_steps == 0
+
+    def test_step_accounting_on_a_refined_path(self):
+        # trials split into accepted and rejected steps; at save stride 1
+        # every accepted step is one row
+        grid = TorusGrid(1, 32)
+        x = grid.coordinates()[0]
+        x0 = SpectralField.from_physical(grid, 5.0 * np.sin(x) + 2.0 * np.cos(3.0 * x))
+        noise = NoiseSpec(2.0, 1.0, "F0", "I")
+        st = StepperConfig(dt=1e-3, t_end=0.1, stiff_cap=0.05, growth_trigger=0.05)
+        rec = integrate_path(x0, heat_drift(), noise, st, WienerPath(4, 1e-3))
+        assert rec.status == "completed"
+        assert rec.trials == rec.accepted_steps + rec.rejected_steps
+        assert rec.accepted_steps == rec.n_rows - 1
+        assert rec.rejections["stiffness"] > 0 and rec.rejections["growth"] > 0
+        assert rec.rejections["crossing"] == rec.rejections["non_finite"] == 0
+        assert len(rec.level_steps) == rec.finest_level + 1 and rec.finest_level > 0
+        # a path that never refines stays at level 0
+        plain = integrate_path(x0, heat_drift(), None, StepperConfig(dt=1e-3, t_end=0.01))
+        assert plain.level_steps == (10,) and plain.trials == 10 and plain.rejected_steps == 0
 
     def test_times_strictly_increasing_and_integral_monotone(self):
         grid = TorusGrid(1, 64)
