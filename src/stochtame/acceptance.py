@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import InitialBuilder, InitialSection, ModelSection
 from .control import ControlSchedule, control_run, validate_schedule
 from .experiments import (
     EnsembleConfig,
@@ -37,7 +38,6 @@ from .experiments import (
     gbm_strong_error_order,
     gbm_study,
     mann_kendall_pvalue,
-    replace_constants,
     revuz_yor_study,
     run_ensemble,
     uniform_control_report,
@@ -50,6 +50,7 @@ from .noise import (
     NoiseSpec,
     ScaleFunctionSpec,
     WienerPath,
+    advisor_constants,
     gbm_scale_closed_form,
     scale_function,
     theta_advisor,
@@ -91,10 +92,9 @@ def _fmt(v):
 # --- shared Burgers experiment pieces ----------------------------------------
 
 
-def _burgers_sine(n: int, amplitude: float) -> tuple[TorusGrid, SpectralField]:
-    grid = TorusGrid(1, n)
-    x = grid.coordinates()[0]
-    return grid, SpectralField.from_physical(grid, amplitude * np.sin(x))
+def _initial(model: str, **initial) -> InitialBuilder:
+    """The config's initial-state factory for a model kind and initial section."""
+    return InitialBuilder(ModelSection(kind=model, initial=InitialSection(**initial)))
 
 
 def burgers_advised_noise(case: str, epsilon: float = 0.25, level: float = 1.45, seed: int = 11):
@@ -106,38 +106,9 @@ def burgers_advised_noise(case: str, epsilon: float = 0.25, level: float = 1.45,
     """
     model = DriftOperator("Burgers1D")
     constants, report = assumption_audit(model, n_samples=200, seed=seed)
-    if case == "III":
-        constants = replace_constants(constants, C1=report["C13"])
+    constants = advisor_constants(case, constants, report)
     advised = theta_advisor(case, constants, epsilon, level=level)
     return advised, constants, report
-
-
-class _SineInitial:
-    """Picklable sine initial condition (first component, first axis)."""
-
-    def __init__(self, amplitude: float, components: int = 1):
-        self.amplitude = amplitude
-        self.components = components
-
-    def __call__(self, grid: TorusGrid) -> SpectralField:
-        x = grid.coordinates()[0]
-        shape = (self.components,) + (grid.n,) * grid.dim
-        values = np.zeros(shape)
-        values[0] = self.amplitude * np.sin(x) + np.zeros((grid.n,) * grid.dim)
-        return SpectralField.from_physical(grid, values)
-
-
-class _RswInitial:
-    """Random velocity over a unit height column, declared in D."""
-
-    def __init__(self, amplitude: float, seed_offset: int = 0):
-        self.amplitude = amplitude
-        self.seed_offset = seed_offset
-
-    def __call__(self, grid: TorusGrid) -> SpectralField:
-        f = random_field(grid, 3, 6.5, self.amplitude, 97 + self.seed_offset)
-        f.coeffs[2, (0,) * grid.dim] = 1.0  # mean height
-        return f
 
 
 # --- the criteria -------------------------------------------------------------
@@ -220,7 +191,8 @@ def ac3_martingale_tail_bound(seed: int = SUITE_SEED) -> CriterionResult:
 def ac4_blowup_vs_taming(seed: int = SUITE_SEED, n_paths: int = 200) -> CriterionResult:
     """Blow-up of the deterministic Burgers flow vs survival under taming."""
     t0 = time.time()
-    grid, u0 = _burgers_sine(1024, 1.0)
+    grid = TorusGrid(1, 1024)
+    u0 = _initial("Burgers1D", kind="sine", amplitude=1.0)(grid)
     model = DriftOperator("Burgers1D")
 
     # (a) deterministic blow-up inside the characteristics window
@@ -255,7 +227,7 @@ def ac4_blowup_vs_taming(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterio
     tamed_fraction = survived / n_paths
 
     # (c) switching control from half amplitude, compressible-inviscid pairing
-    _, u0_half = _burgers_sine(1024, 0.5)
+    u0_half = _initial("Burgers1D", kind="sine", amplitude=0.5)(grid)
     advised2, _, _ = burgers_advised_noise("II", epsilon=0.25)
     noise2 = advised2.spec()
     sched = ControlSchedule(K=math.log(1.0 + 0.9**2) / 2.0, C=1.0)
@@ -317,7 +289,7 @@ def ac5_uniform_control(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterion
     cfg = EnsembleConfig(
         grid=grid,
         drift=DriftOperator("Burgers1D"),
-        initial=_SineInitial(1.0),
+        initial=_initial("Burgers1D", kind="sine", amplitude=1.0),
         stepper=stepper,
         noise=advised.spec(),
         n_paths=n_paths,
@@ -347,7 +319,9 @@ def ac5_uniform_control(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterion
     rsw_cfg = EnsembleConfig(
         grid=rsw_grid,
         drift=rsw,
-        initial=_RswInitial(0.4),
+        initial=_initial(
+            "RSW_Inviscid", kind="rest_height", amplitude=0.4, seed=97, decay_exponent=6.5
+        ),
         stepper=rsw_stepper,
         noise=rsw_adv.spec(),
         n_paths=48,

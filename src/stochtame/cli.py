@@ -5,8 +5,10 @@ Subcommands: ``simulate`` (one path), ``control`` (switching run),
 constants), ``gbm`` and ``scalefn`` (the 1D laboratory) and ``verify``
 (structural/acceptance suites; nonzero exit on failure).
 
-The base seed resolves as: ``--seed`` flag, else the ``STOCHTAME_SEED``
-environment variable, else the config's ensemble section.
+Every subcommand that takes a seed resolves it one way: the ``--seed`` flag,
+else the ``STOCHTAME_SEED`` environment variable (an integer), else the
+subcommand's default: the config's ``ensemble.base_seed``, 0 for ``gbm`` and
+the suite seed for ``verify``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ def _load_config(path: str):
         raise SystemExit(f"invalid config {path}: {exc}")
 
 
-def _resolve_seed(args, cfg) -> int:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args, default: int) -> int:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("STOCHTAME_SEED")
     if env:
@@ -42,7 +44,7 @@ def _resolve_seed(args, cfg) -> int:
             return int(env)
         except ValueError:
             raise SystemExit(f"STOCHTAME_SEED must be an integer, got {env!r}")
-    return cfg.ensemble.base_seed if cfg is not None else 0
+    return default
 
 
 def _out_dir(args, cfg) -> Path:
@@ -53,8 +55,6 @@ def _out_dir(args, cfg) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
     from .config import build_drift, build_grid, build_noise, build_stepper, config_hash
     from .config import InitialBuilder
     from .integrators import integrate_path
@@ -62,11 +62,11 @@ def cmd_simulate(args) -> int:
     from .trajio import write_trajectory
 
     cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
+    seed = _resolve_seed(args, cfg.ensemble.base_seed)
     drift = build_drift(cfg)
     grid = build_grid(cfg)
     noise = build_noise(cfg, drift)
-    stepper = build_stepper(cfg, save_stride=cfg.output.save_stride)
+    stepper = build_stepper(cfg)
     x0 = InitialBuilder(cfg.model)(grid)
     wiener = WienerPath(seed, stepper.dt) if noise else None
     record = integrate_path(
@@ -98,11 +98,11 @@ def cmd_control(args) -> int:
     cfg = _load_config(args.config)
     if not cfg.control.enabled:
         raise SystemExit("config has control.enabled = false")
-    seed = _resolve_seed(args, cfg)
+    seed = _resolve_seed(args, cfg.ensemble.base_seed)
     drift = build_drift(cfg)
     grid = build_grid(cfg)
     noise = build_noise(cfg, drift)
-    stepper = build_stepper(cfg, save_stride=cfg.output.save_stride)
+    stepper = build_stepper(cfg)
     sched = build_schedule(cfg)
     x0 = InitialBuilder(cfg.model)(grid)
     wiener = WienerPath(seed, stepper.dt) if noise else None
@@ -139,11 +139,11 @@ def cmd_ensemble(args) -> int:
     from .trajio import ALDOUS_HEADER, UNIFORM_HEADER, write_keyvalue, write_table
 
     cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
+    seed = _resolve_seed(args, cfg.ensemble.base_seed)
     drift = build_drift(cfg)
     grid = build_grid(cfg)
     noise = build_noise(cfg, drift)
-    stepper = build_stepper(cfg, save_stride=cfg.output.save_stride)
+    stepper = build_stepper(cfg)
     n_paths = args.paths or cfg.ensemble.n_paths
     K_grid = cfg.ensemble.K_grid or tuple(float(x) for x in np.logspace(-2, 10, 49))
     ens = EnsembleConfig(
@@ -189,7 +189,7 @@ def cmd_audit(args) -> int:
     from .trajio import write_keyvalue
 
     cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
+    seed = _resolve_seed(args, cfg.ensemble.base_seed)
     drift = build_drift(cfg)
     constants, report = assumption_audit(drift, n_samples=args.samples, seed=seed)
     payload = {**constants.as_dict(), **{f"report_{k}": v for k, v in report.items()}}
@@ -206,7 +206,7 @@ def cmd_gbm(args) -> int:
     from .experiments import gbm_study
     from .noise import GbmSpec
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("STOCHTAME_SEED", "0"))
+    seed = _resolve_seed(args, 0)
     rows = gbm_study(
         [GbmSpec(args.a, args.b, args.f0)],
         n_paths=args.paths or 1000,
@@ -229,7 +229,7 @@ def cmd_scalefn(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import ALL_CRITERIA, TRIVIAL_CRITERIA, run_acceptance
+    from .acceptance import ALL_CRITERIA, SUITE_SEED, TRIVIAL_CRITERIA, run_acceptance
 
     names = {
         "trivial": TRIVIAL_CRITERIA,
@@ -237,11 +237,7 @@ def cmd_verify(args) -> int:
         "full": ALL_CRITERIA,
     }[args.suite]
     echo = (lambda *_: None) if args.quiet else print
-    seed = args.seed if args.seed is not None else int(os.environ.get("STOCHTAME_SEED", "0")) or None
-    kwargs = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    results = run_acceptance(names, echo=echo, **kwargs)
+    results = run_acceptance(names, seed=_resolve_seed(args, SUITE_SEED), echo=echo)
     failed = [r.name for r in results if not r.passed]
     if failed and not args.quiet:
         print(f"FAILED: {', '.join(failed)}")

@@ -7,6 +7,14 @@ location; cross-field rules (case vs declared initial space, Galerkin cutoffs
 vs resolution) are enforced at parse time.  ``serialize_config`` emits a
 canonical form whose parse returns an equal RunConfig, and ``config_hash``
 stamps every output file for provenance.
+
+The facts behind the rules are read, not restated: the case rule (which
+space a noise case needs the initial state in, and the noise norm it takes)
+from :data:`stochtame.noise.NOISE_CASES` through
+:meth:`~stochtame.noise.NoiseSpec.admits_initial_space`, and each model
+kind's dimension, components and random states from
+:data:`stochtame.models.CATALOGUE`.  ``output.save_stride`` is the one row
+stride of every command.
 """
 
 from __future__ import annotations
@@ -16,13 +24,27 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .control import ControlSchedule
 from .integrators import SCHEMES, StepperConfig
-from .models import MODEL_KINDS, DriftOperator, ModelParams, default_ladder
-from .noise import CASE_NOISE_SPACE, NoiseSpec
-from .spectral import SpaceLadder, SpectralField, TorusGrid, two_thirds_cutoff
-
-_SPACE_ORDER = ("G", "F0", "F1", "D")
+from .models import (
+    CATALOGUE,
+    MODEL_KINDS,
+    DriftOperator,
+    ModelParams,
+    default_ladder,
+    random_state,
+)
+from .noise import NOISE_CASES, NoiseSpec, advisor_constants, theta_advisor
+from .spectral import (
+    LADDER_SPACES,
+    SpaceLadder,
+    SpectralField,
+    TorusGrid,
+    random_field,
+    two_thirds_cutoff,
+)
 
 
 class ConfigError(ValueError):
@@ -73,7 +95,6 @@ class StepperSection:
     growth_trigger: float = 0.10
     stiff_cap: float = 0.5
     blowup_threshold: float | None = None
-    save_stride: int = 1
     mart_epsilon: float = 0.25
 
 
@@ -170,23 +191,25 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {m.kind!r}")
     if m.resolution < 4 or m.resolution % 2:
         raise ConfigError("model.resolution must be even and >= 4")
-    if m.initial.space not in _SPACE_ORDER:
-        raise ConfigError(f"model.initial.space must be one of {_SPACE_ORDER}")
-    if cfg.noise.case not in CASE_NOISE_SPACE:
+    if m.initial.space not in LADDER_SPACES:
+        raise ConfigError(f"model.initial.space must be one of {LADDER_SPACES}")
+    if cfg.noise.case not in NOISE_CASES:
         raise ConfigError("noise.case must be I, II or III")
     if cfg.stepper.scheme not in SCHEMES:
         raise ConfigError(f"stepper.scheme must be one of {SCHEMES}")
     if cfg.stepper.dt <= 0:
         raise ConfigError("stepper.dt must be positive")
 
-    # case table: required initial space per noise case
     if cfg.noise.theta > 0 or cfg.noise.advisor:
-        required = {"I": "F0", "II": "D", "III": "F1"}[cfg.noise.case]
-        declared = m.initial.space
-        if _SPACE_ORDER.index(declared) < _SPACE_ORDER.index(required):
+        try:
+            spec = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
+        except ValueError as exc:
+            raise ConfigError(f"noise: {exc}") from None
+        if not spec.admits_initial_space(m.initial.space):
             raise ConfigError(
-                f"noise.case {cfg.noise.case} requires initial data in {required}; "
-                f"model.initial.space declares only {declared}"
+                f"noise.case {cfg.noise.case} requires initial data in "
+                f"{spec.required_initial_space}; model.initial.space declares only "
+                f"{m.initial.space}"
             )
 
     cutoff_limit = two_thirds_cutoff(m.resolution)
@@ -224,9 +247,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def build_grid(cfg: RunConfig) -> TorusGrid:
-    from .models import _KIND_DIM
-
-    return TorusGrid(_KIND_DIM[cfg.model.kind], cfg.model.resolution)
+    return TorusGrid(CATALOGUE[cfg.model.kind].dim, cfg.model.resolution)
 
 
 def build_drift(cfg: RunConfig) -> DriftOperator:
@@ -243,7 +264,7 @@ def build_drift(cfg: RunConfig) -> DriftOperator:
     return DriftOperator(m.kind, params, ladder)
 
 
-def build_stepper(cfg: RunConfig, save_stride: int | None = None) -> StepperConfig:
+def build_stepper(cfg: RunConfig) -> StepperConfig:
     s = cfg.stepper
     return StepperConfig(
         scheme=s.scheme,
@@ -254,7 +275,7 @@ def build_stepper(cfg: RunConfig, save_stride: int | None = None) -> StepperConf
         growth_trigger=s.growth_trigger,
         stiff_cap=s.stiff_cap,
         blowup_threshold=s.blowup_threshold,
-        save_stride=save_stride if save_stride is not None else s.save_stride,
+        save_stride=cfg.output.save_stride,
         mart_epsilon=s.mart_epsilon,
     )
 
@@ -274,47 +295,20 @@ class InitialBuilder:
 
     def __init__(self, model: ModelSection):
         self.section = model.initial
-        self.components = {
-            "Burgers1D": 1,
-            "Burgers2D": 2,
-            "RSW_Viscous": 3,
-            "RSW_Inviscid": 3,
-            "Vorticity2D": 1,
-            "Vorticity3D": 3,
-            "Heat1D": 1,
-        }[model.kind]
         self.kind = model.kind
 
     def __call__(self, grid: TorusGrid) -> SpectralField:
-        import numpy as np
-
-        from .models import _leray_project
-        from .spectral import random_field
-
         init = self.section
+        components = CATALOGUE[self.kind].components
         if init.kind == "sine":
-            coords = grid.coordinates()
-            phys = init.amplitude * np.sin(coords[0])
-            shape = (self.components,) + tuple(grid.n for _ in range(grid.dim))
-            values = np.zeros(shape)
-            values[0] = phys + np.zeros(tuple(grid.n for _ in range(grid.dim)))
+            values = np.zeros((components,) + (grid.n,) * grid.dim)
+            values[0] = init.amplitude * np.sin(grid.coordinates()[0])
             return SpectralField.from_physical(grid, values)
         if init.kind == "random":
-            zero_mean = self.kind.startswith("Vorticity")
-            f = random_field(
-                grid,
-                self.components,
-                init.decay_exponent,
-                init.amplitude,
-                init.seed,
-                zero_mean=zero_mean,
-            )
-            if self.kind == "Vorticity3D":
-                f = _leray_project(f)
-            return f
+            return random_state(self.kind, grid, init.decay_exponent, init.amplitude, init.seed)
         if init.kind == "rest_height":
             # small random velocity over a positive mean height column
-            f = random_field(grid, self.components, init.decay_exponent, init.amplitude, init.seed)
+            f = random_field(grid, components, init.decay_exponent, init.amplitude, init.seed)
             f.coeffs[2, (0,) * grid.dim] = init.mean_height
             return f
         raise ConfigError(f"unknown initial kind {init.kind!r}")
@@ -324,21 +318,11 @@ def build_noise(cfg: RunConfig, drift: DriftOperator | None = None) -> NoiseSpec
     n = cfg.noise
     if n.advisor:
         from .experiments import assumption_audit
-        from .noise import theta_advisor
 
         drift = drift or build_drift(cfg)
         constants, report = assumption_audit(drift, n_samples=200, seed=cfg.ensemble.base_seed)
-        if n.case == "III":
-            constants = type(constants)(**{**constants.as_dict(), "C1": report["C13"]})
-        advised = theta_advisor(
-            n.case, constants, n.advisor_epsilon, level=n.advisor_level
-        )
-        return advised.spec()
+        constants = advisor_constants(n.case, constants, report)
+        return theta_advisor(n.case, constants, n.advisor_epsilon, level=n.advisor_level).spec()
     if n.theta == 0.0:
         return None
-    return NoiseSpec(
-        theta=n.theta,
-        alpha=n.alpha,
-        norm_space=CASE_NOISE_SPACE[n.case],
-        case_label=n.case,
-    )
+    return NoiseSpec.for_case(n.theta, n.alpha, n.case)

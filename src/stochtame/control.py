@@ -44,9 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .integrators import SPACE_INDEX, StepperConfig, _adaptive_loop
+from .integrators import StepperConfig, _adaptive_loop
 from .noise import NoiseSpec, WienerPath
-from .spectral import SpectralField
+from .spectral import LADDER_SPACES, SpectralField
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class _Switching:
         self.sched = sched
         self.B = B
         self.noise = B is not None and B.theta > 0.0
-        self.noise_idx = SPACE_INDEX[B.norm_space] if self.noise else None
+        self.noise_idx = LADDER_SPACES.index(B.norm_space) if self.noise else None
         self.epsilon = epsilon
         self.K = sched.K
         self.L_hi, self.L_lo = sched.levels(self.K)

@@ -23,25 +23,24 @@ from .integrators import StepperConfig, integrate_path
 from .models import (
     AssumptionConstants,
     DriftOperator,
-    _leray_project,
     dissipation_term,
     drift_pairing_report,
     lipschitz_quotient,
+    random_state,
 )
 from .noise import (
+    NOISE_CASES,
     GbmSpec,
-    MartingaleDiagnostics,
     NoiseSpec,
     WienerPath,
+    advisor_constants,
     gbm_decay_criterion,
     theta_advisor,
 )
 from .spectral import (
     GalerkinProjector,
-    SpectralField,
     TorusGrid,
     galerkin_project,
-    random_field,
 )
 
 # --- small statistics helpers -------------------------------------------------
@@ -503,13 +502,6 @@ def d_space_control_report(stats: SummaryStats, epsilon_target: float) -> Unifor
     return uniform_control_report(stats, epsilon_target, space="D")
 
 
-def aldous_stats(cfg: EnsembleConfig, delta_grid, eta: float | None = None, jobs: int = 1):
-    """Run the ensemble with snapshots and tabulate increment exceedances."""
-    cfg = replace(cfg, delta_grid=tuple(float(x) for x in delta_grid))
-    stats = run_ensemble(cfg, jobs=jobs)
-    return stats.aldous_table(eta), stats
-
-
 # --- scalar laboratories --------------------------------------------------------
 
 
@@ -728,15 +720,6 @@ def default_audit_grid(dim: int) -> TorusGrid:
     return TorusGrid(dim, {1: 128, 2: 64, 3: 16}[dim])
 
 
-def _audit_sample(model: DriftOperator, grid: TorusGrid, decay, amp, seed) -> SpectralField:
-    zero_mean = model.kind.startswith("Vorticity")
-    f = random_field(grid, model.components, decay, amp, seed, zero_mean=zero_mean)
-    if model.kind == "Vorticity3D":
-        f = _leray_project(f)
-        f.coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
-    return f
-
-
 def assumption_audit(
     model: DriftOperator,
     n_samples: int = 200,
@@ -767,7 +750,7 @@ def assumption_audit(
     for i in range(n_samples):
         amp = amps[i % len(amps)]
         decay = decays[(i // len(amps)) % len(decays)]
-        f = _audit_sample(model, grid, decay, amp, seed + i)
+        f = random_state(model.kind, grid, decay, amp, seed + i)
         rep = drift_pairing_report(f, model)
         rows.append((seed + i, amp, rep))
         if prev is not None and (i % 3 == 0):
@@ -838,29 +821,6 @@ def assumption_audit(
         beta_emb=1.0 - lad.m,
     )
 
-    advised = {}
-    for case, c_for_case, g_for_case in (
-        ("I", C1, gamma1),
-        ("II", C1, gamma1),
-        ("III", C13, gamma13),
-    ):
-        case_constants = replace_constants(constants, C1=c_for_case)
-        try:
-            adv = theta_advisor(case, case_constants, epsilon)
-            checks = {
-                "I": 2 * adv.alpha > g_for_case,
-                "II": 2 * adv.alpha > g_for_case - 2,
-                "III": abs(adv.alpha - g_for_case / 2) < 1e-12,
-            }[case]
-            advised[case] = {
-                "theta": adv.theta,
-                "alpha": adv.alpha,
-                "inequality": adv.inequality,
-                "exponent_check": bool(checks),
-            }
-        except ValueError as exc:
-            advised[case] = {"error": str(exc)}
-
     report = {
         "n_samples": n_samples,
         "amplitude_grid": list(amps),
@@ -875,15 +835,27 @@ def assumption_audit(
         "lipschitz_max": float(max((q for _, q in lips), default=0.0)),
         "lipschitz_attaining_seed": int(max(lips, key=lambda t: t[1])[0]) if lips else None,
         "interp_max_ratio": _interpolation_ratio(model, grid, seed, lad),
-        "advised": advised,
     }
+    advised = {}
+    for case in NOISE_CASES:
+        try:
+            adv = theta_advisor(case, advisor_constants(case, constants, report), epsilon)
+        except ValueError as exc:
+            advised[case] = {"error": str(exc)}
+            continue
+        checks = {
+            "I": 2 * adv.alpha > gamma1,
+            "II": 2 * adv.alpha > gamma1 - 2,
+            "III": abs(adv.alpha - gamma13 / 2) < 1e-12,
+        }
+        advised[case] = {
+            "theta": adv.theta,
+            "alpha": adv.alpha,
+            "inequality": adv.inequality,
+            "exponent_check": bool(checks[case]),
+        }
+    report["advised"] = advised
     return constants, report
-
-
-def replace_constants(constants: AssumptionConstants, **kw) -> AssumptionConstants:
-    data = constants.as_dict()
-    data.update(kw)
-    return AssumptionConstants(**data)
 
 
 def _interpolation_ratio(model, grid, seed, lad, n: int = 64) -> float:
@@ -891,7 +863,7 @@ def _interpolation_ratio(model, grid, seed, lad, n: int = 64) -> float:
 
     worst = 0.0
     for i in range(n):
-        f = _audit_sample(model, grid, grid.dim / 2.0 + lad.s_D + 1.0, 1.0, seed + 10_000 + i)
+        f = random_state(model.kind, grid, grid.dim / 2.0 + lad.s_D + 1.0, 1.0, seed + 10_000 + i)
         lhs, rhs = interpolation_check(f, lad)
         if rhs > 0:
             worst = max(worst, lhs / rhs)

@@ -40,8 +40,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .models import DriftOperator
-from .noise import MartingaleDiagnostics, NoiseSpec, WienerPath
+from .noise import NOISE_CASES, MartingaleDiagnostics, NoiseSpec, WienerPath
 from .spectral import (
+    LADDER_SPACES,
     GalerkinProjector,
     NonFiniteFieldError,
     SpaceLadder,
@@ -51,13 +52,6 @@ from .spectral import (
 )
 
 SCHEMES = ("EulerMaruyama", "TamedEulerMaruyama", "RK4Deterministic")
-
-#: envelope space of the norm-squared Ito computation per case: cases I and II
-#: control the F0 norm, case III controls the F1 norm.
-ENVELOPE_SPACE = {"I": "F0", "II": "F0", "III": "F1"}
-
-#: position of each ladder space in the tuple :meth:`SpaceLadder.norms` returns
-SPACE_INDEX = {"G": 0, "F0": 1, "F1": 2, "D": 3}
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ class TrajectoryRecord:
     @property
     def sup_norm_sq(self) -> dict[str, float]:
         """Squared maxima of the four norms over every accepted state."""
-        return {space: float(v) ** 2 for space, v in zip(SPACE_INDEX, self.sup_norms)}
+        return {space: float(v) ** 2 for space, v in zip(LADDER_SPACES, self.sup_norms)}
 
     def rows(self):
         for i in range(self.n_rows):
@@ -255,7 +249,7 @@ def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     out = cache.drift().coeffs * dt
     out += X.coeffs
     if B is not None and B.theta > 0.0:
-        coeff = B.theta * norms[SPACE_INDEX[B.norm_space]] ** B.alpha
+        coeff = B.theta * norms[LADDER_SPACES.index(B.norm_space)] ** B.alpha
         stiffness = max(stiffness, dt * coeff * coeff)
         out += X.coeffs * (dW * coeff)
     return SpectralField(X.grid, out), stiffness
@@ -269,7 +263,7 @@ def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     stiffness = drift_size
     if B is not None and B.theta > 0.0:
         norms = cache.norms()
-        coeff = B.theta * norms[SPACE_INDEX[B.norm_space]] ** B.alpha
+        coeff = B.theta * norms[LADDER_SPACES.index(B.norm_space)] ** B.alpha
         noise_size = dt * (coeff * norms[0]) ** 2
         stiffness = max(stiffness, noise_size)
         out += X.coeffs * (dW * coeff / (1.0 + noise_size))
@@ -440,8 +434,9 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     if threshold <= n0:
         raise ValueError(f"blowup_threshold {threshold} must exceed the initial norm {n0}")
 
-    env_idx = SPACE_INDEX[ENVELOPE_SPACE[B.case_label] if noise_on else "F0"]
-    noise_idx = SPACE_INDEX[B.norm_space] if noise_on else None
+    env_space = NOISE_CASES[B.case_label].envelope_space if noise_on else "F0"
+    env_idx = LADDER_SPACES.index(env_space)
+    noise_idx = LADDER_SPACES.index(B.norm_space) if noise_on else None
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
     check_state = getattr(A, "check_state", lambda X: ())
 

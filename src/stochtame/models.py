@@ -1,6 +1,9 @@
-"""Drift operators for the fluid models and their ladder defaults.
+"""Drift operators for the fluid models and the catalogue of their kinds.
 
-Six tagged kinds are provided:
+The catalogue (:data:`CATALOGUE`) holds each kind's facts: its dimension and
+components, its drift, its default ladder (G, F0, F1, D), its state check,
+and how a random state of the kind is built.  Every other module reads them
+from there.
 
 ==============  ====  ============  =====================================
 kind            dim   components    drift
@@ -44,40 +47,11 @@ from .spectral import (
     GridMismatchError,
     SpaceLadder,
     SpectralField,
+    TorusGrid,
     inner_product,
+    random_field,
     sobolev_norm,
 )
-
-MODEL_KINDS = (
-    "Burgers1D",
-    "Burgers2D",
-    "RSW_Viscous",
-    "RSW_Inviscid",
-    "Vorticity2D",
-    "Vorticity3D",
-    "Heat1D",
-)
-
-_KIND_DIM = {
-    "Burgers1D": 1,
-    "Burgers2D": 2,
-    "RSW_Viscous": 2,
-    "RSW_Inviscid": 2,
-    "Vorticity2D": 2,
-    "Vorticity3D": 3,
-    "Heat1D": 1,
-}
-
-_KIND_COMPONENTS = {
-    "Burgers1D": 1,
-    "Burgers2D": 2,
-    "RSW_Viscous": 3,
-    "RSW_Inviscid": 3,
-    "Vorticity2D": 1,
-    "Vorticity3D": 3,
-    "Heat1D": 1,
-}
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -103,22 +77,6 @@ class ModelParams:
             raise ValueError("rossby and froude numbers must be positive")
         if self.nu < 0 or self.eta < 0:
             raise ValueError("viscosities must be nonnegative")
-
-
-def default_ladder(kind: str, params: ModelParams | None = None) -> SpaceLadder:
-    """Per-kind Sobolev exponents of the four-space ladder."""
-    params = params or ModelParams()
-    if kind in ("Burgers1D", "Burgers2D", "RSW_Inviscid"):
-        return SpaceLadder(0.0, 1.0, 3.0, 4.0)
-    if kind == "RSW_Viscous":
-        return SpaceLadder(0.0, 1.0, 2.0, 3.0)
-    if kind in ("Vorticity2D", "Vorticity3D"):
-        if params.nu > 0:
-            return SpaceLadder(0.0, 2.0, 3.0, 4.0)
-        return SpaceLadder(0.0, 1.5 + params.epsilon_sobolev, 3.0, 4.0)
-    if kind == "Heat1D":
-        return SpaceLadder(0.0, 1.0, 2.0, 3.0)
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 # --- spectral calculus helpers ---------------------------------------------
@@ -325,61 +283,136 @@ class FourierMultiplierDrift:
         return []
 
 
+def _no_warnings(X: SpectralField) -> list[str]:
+    return []
+
+
+def _height_warnings(X: SpectralField) -> list[str]:
+    h_phys = X.grid.half.to_physical(X.grid.half.take(X.coeffs[2]))
+    return ["height_nonpositive"] if float(h_phys.min()) <= 0.0 else []
+
+
+def _fixed_ladder(*exponents: float) -> Callable[[ModelParams], SpaceLadder]:
+    return lambda params: SpaceLadder(*exponents)
+
+
+def _vorticity_ladder(params: ModelParams) -> SpaceLadder:
+    if params.nu > 0:
+        return SpaceLadder(0.0, 2.0, 3.0, 4.0)
+    return SpaceLadder(0.0, 1.5 + params.epsilon_sobolev, 3.0, 4.0)
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """The facts of one model kind.
+
+    ``drift(X, params)`` is its tendency, ``ladder(params)`` its default
+    ladder and ``check_state(X)`` its state warnings.  A random state of the
+    kind has zero mean when ``zero_mean`` holds and is Leray-projected when
+    ``leray`` does.
+    """
+
+    dim: int
+    components: int
+    drift: Callable[[SpectralField, ModelParams], SpectralField]
+    ladder: Callable[[ModelParams], SpaceLadder]
+    check_state: Callable[[SpectralField], list[str]] = _no_warnings
+    zero_mean: bool = False
+    leray: bool = False
+
+
+_LADDER_0134 = _fixed_ladder(0.0, 1.0, 3.0, 4.0)
+
+CATALOGUE = {
+    "Burgers1D": ModelKind(1, 1, lambda X, p: burgers_drift(X, p.nu), _LADDER_0134),
+    "Burgers2D": ModelKind(2, 2, lambda X, p: burgers_drift(X, p.nu), _LADDER_0134),
+    "RSW_Viscous": ModelKind(
+        2,
+        3,
+        lambda X, p: rsw_drift(X, p, viscous=True),
+        _fixed_ladder(0.0, 1.0, 2.0, 3.0),
+        _height_warnings,
+    ),
+    "RSW_Inviscid": ModelKind(
+        2, 3, lambda X, p: rsw_drift(X, p, viscous=False), _LADDER_0134, _height_warnings
+    ),
+    "Vorticity2D": ModelKind(
+        2, 1, lambda X, p: vorticity_drift(X, p.nu), _vorticity_ladder, zero_mean=True
+    ),
+    "Vorticity3D": ModelKind(
+        3, 3, lambda X, p: vorticity_drift(X, p.nu), _vorticity_ladder, zero_mean=True, leray=True
+    ),
+}
+
+MODEL_KINDS = tuple(CATALOGUE)
+
+
+def model_kind(kind: str) -> ModelKind:
+    """The catalogue entry of ``kind``; ValueError for an unknown kind."""
+    if kind not in CATALOGUE:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    return CATALOGUE[kind]
+
+
+def default_ladder(kind: str, params: ModelParams | None = None) -> SpaceLadder:
+    """Per-kind Sobolev exponents of the four-space ladder."""
+    return model_kind(kind).ladder(params or ModelParams())
+
+
+def random_state(
+    kind: str, grid: TorusGrid, decay_exponent: float, amplitude: float, seed
+) -> SpectralField:
+    """A :func:`random_field` state of ``kind``: its components, zero mean and
+    Leray projection as the catalogue says."""
+    facts = model_kind(kind)
+    f = random_field(
+        grid, facts.components, decay_exponent, amplitude, seed, zero_mean=facts.zero_mean
+    )
+    return _leray_project(f) if facts.leray else f
+
+
 @dataclass(frozen=True)
 class DriftOperator:
-    """Tagged drift descriptor; immutable, shareable across ensemble workers."""
+    """Tagged drift descriptor; immutable, shareable across ensemble workers.
+
+    The kind's facts are read from :data:`CATALOGUE` by name, so the operator
+    pickles as its kind, parameters and ladder.
+    """
 
     kind: str
     params: ModelParams = field(default_factory=ModelParams)
     ladder: SpaceLadder | None = None
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        if self.kind in ("RSW_Inviscid",) and (self.params.nu != 0.0 or self.params.eta != 0.0):
+        facts = model_kind(self.kind)
+        if self.kind == "RSW_Inviscid" and (self.params.nu != 0.0 or self.params.eta != 0.0):
             raise ValueError("inviscid shallow water requires nu = eta = 0")
         if self.ladder is None:
-            object.__setattr__(self, "ladder", default_ladder(self.kind, self.params))
+            object.__setattr__(self, "ladder", facts.ladder(self.params))
 
     @property
     def dim(self) -> int:
-        return _KIND_DIM[self.kind]
+        return CATALOGUE[self.kind].dim
 
     @property
     def components(self) -> int:
-        return _KIND_COMPONENTS[self.kind]
+        return CATALOGUE[self.kind].components
 
     def with_viscosity(self, nu: float) -> "DriftOperator":
         return replace(self, params=replace(self.params, nu=nu))
 
-    def _check_input(self, X: SpectralField):
-        if X.grid.dim != self.dim or X.components != self.components:
+    def __call__(self, X: SpectralField) -> SpectralField:
+        facts = CATALOGUE[self.kind]
+        if X.grid.dim != facts.dim or X.components != facts.components:
             raise GridMismatchError(
-                f"{self.kind} expects dim={self.dim}, components={self.components}; "
+                f"{self.kind} expects dim={facts.dim}, components={facts.components}; "
                 f"got dim={X.grid.dim}, components={X.components}"
             )
-
-    def __call__(self, X: SpectralField) -> SpectralField:
-        self._check_input(X)
-        if self.kind in ("Burgers1D", "Burgers2D"):
-            return burgers_drift(X, self.params.nu)
-        if self.kind in ("Vorticity2D", "Vorticity3D"):
-            return vorticity_drift(X, self.params.nu)
-        if self.kind == "RSW_Viscous":
-            return rsw_drift(X, self.params, viscous=True)
-        if self.kind == "RSW_Inviscid":
-            return rsw_drift(X, self.params, viscous=False)
-        if self.kind == "Heat1D":
-            return SpectralField(X.grid, -max(self.params.nu, 1.0) * X.grid.ksq * X.coeffs)
-        raise AssertionError(self.kind)
+        return facts.drift(X, self.params)
 
     def check_state(self, X: SpectralField) -> list[str]:
         """Model-specific state warnings, recorded on the trajectory."""
-        if self.kind in ("RSW_Viscous", "RSW_Inviscid"):
-            h_phys = X.grid.half.to_physical(X.grid.half.take(X.coeffs[2]))
-            if float(h_phys.min()) <= 0.0:
-                return ["height_nonpositive"]
-        return []
+        return CATALOGUE[self.kind].check_state(X)
 
 
 def dissipation_term(a: SpectralField, s: float) -> float:

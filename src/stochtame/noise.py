@@ -10,7 +10,7 @@ norm identity used by the envelope computations holds verbatim, e.g.
 ``||B(X)||_{F_i}^2 = theta^2 ||X||_{F_i}^(2*alpha+2)``.
 
 Three regimes pair the space of the initial state with the norm entering the
-noise:
+noise (:data:`NOISE_CASES`, the one table of these facts):
 
 * case I   - X0 in F0, noise norm F0 (viscous compressible models),
 * case II  - X0 in D,  noise norm F1 (inviscid compressible models),
@@ -37,16 +37,35 @@ Monte Carlo suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
 
-from .spectral import SpaceLadder, SpectralField, sobolev_norm
+from .spectral import LADDER_SPACES, SpaceLadder, SpectralField, sobolev_norm
 
-CASE_NOISE_SPACE = {"I": "F0", "II": "F1", "III": "F0"}
-CASE_INITIAL_SPACE = {"I": "F0", "II": "D", "III": "F1"}
-_SPACE_RANK = {"G": 0, "F0": 1, "F1": 2, "D": 3}
+
+@dataclass(frozen=True)
+class NoiseCase:
+    """The ladder spaces of one noise case and the constant its advisor takes.
+
+    ``noise_space`` holds the norm in B(X), ``initial_space`` the least space
+    the initial state must lie in, ``envelope_space`` the norm whose square
+    the martingale of the envelope tracks, and ``advisor_constant`` the
+    audited constant :func:`theta_advisor` takes as C1.
+    """
+
+    noise_space: str
+    initial_space: str
+    envelope_space: str
+    advisor_constant: str
+
+
+NOISE_CASES = {
+    "I": NoiseCase("F0", "F0", "F0", "C1"),
+    "II": NoiseCase("F1", "D", "F0", "C1"),
+    "III": NoiseCase("F0", "F1", "F1", "C13"),
+}
 
 
 class DomainError(ValueError):
@@ -70,24 +89,30 @@ class NoiseSpec:
     def __post_init__(self):
         if self.theta < 0 or self.alpha < 0:
             raise ValueError("theta and alpha must be nonnegative")
-        if self.case_label not in CASE_NOISE_SPACE:
+        if self.case_label not in NOISE_CASES:
             raise ValueError(f"case_label must be I, II or III, got {self.case_label!r}")
-        expected = CASE_NOISE_SPACE[self.case_label]
+        expected = NOISE_CASES[self.case_label].noise_space
         if self.norm_space != expected:
             raise ValueError(
                 f"case {self.case_label} takes the noise norm in {expected}, "
                 f"not {self.norm_space}"
             )
 
+    @classmethod
+    def for_case(cls, theta: float, alpha: float, case: str) -> "NoiseSpec":
+        """The spec of a noise case, with the noise norm the case takes."""
+        return cls(theta, alpha, NOISE_CASES[case].noise_space, case)
+
     @property
     def required_initial_space(self) -> str:
-        return CASE_INITIAL_SPACE[self.case_label]
+        return NOISE_CASES[self.case_label].initial_space
 
     def admits_initial_space(self, declared: str) -> bool:
-        """True when a state declared in ``declared`` qualifies for this case."""
-        if declared not in _SPACE_RANK:
+        """True when a state declared in ``declared`` qualifies for this case:
+        the declared space embeds into the required one."""
+        if declared not in LADDER_SPACES:
             raise ValueError(f"unknown ladder space {declared!r}")
-        return _SPACE_RANK[declared] >= _SPACE_RANK[self.required_initial_space]
+        return LADDER_SPACES.index(declared) >= LADDER_SPACES.index(self.required_initial_space)
 
 
 def noise_coefficient(X: SpectralField, spec: NoiseSpec, ladder: SpaceLadder) -> SpectralField:
@@ -96,14 +121,6 @@ def noise_coefficient(X: SpectralField, spec: NoiseSpec, ladder: SpaceLadder) ->
         return SpectralField.zeros(X.grid, X.components)
     norm = sobolev_norm(X, ladder.exponent(spec.norm_space))
     return (spec.theta * norm**spec.alpha) * X
-
-
-def noise_pairing(X: SpectralField, spec: NoiseSpec, ladder: SpaceLadder, s: float) -> float:
-    """<X, B(X)>_{H^s} = theta ||X||_{F_i}^alpha ||X||_{H^s}^2 without forming B."""
-    if spec.theta == 0.0:
-        return 0.0
-    norm_i = sobolev_norm(X, ladder.exponent(spec.norm_space))
-    return spec.theta * norm_i**spec.alpha * sobolev_norm(X, s) ** 2
 
 
 # --- scalar Wiener path with dyadic bridge refinement -----------------------
@@ -283,9 +300,7 @@ class MartingaleDiagnostics:
     """Running M_t, <M>_t and the record sup_t (M_t - eps/2 <M>_t).
 
     Owned by a single path simulation.  ``update`` consumes one increment of
-    the stochastic term and of its quadratic variation; an optional
-    ``intra_max`` supplies the exact within-step supremum of the compensated
-    process (e.g. from Brownian-bridge sampling) when the caller has it.
+    the stochastic term and of its quadratic variation.
 
     Any ``epsilon > 0`` is accepted here: the record E(eps) is
     Exp(eps)-distributed for a Brownian integrand at every positive epsilon,
@@ -306,12 +321,12 @@ class MartingaleDiagnostics:
     def compensated(self) -> float:
         return self.m - 0.5 * self.epsilon * self.qv
 
-    def update(self, dM: float, d_qv: float, intra_max: float | None = None):
+    def update(self, dM: float, d_qv: float):
         if d_qv < 0:
             raise ValueError("quadratic variation increments are nonnegative")
         self.m += dM
         self.qv += d_qv
-        candidate = self.compensated if intra_max is None else max(intra_max, self.compensated)
+        candidate = self.compensated
         if candidate > self.record:
             self.record = candidate
         return self
@@ -320,11 +335,9 @@ class MartingaleDiagnostics:
         return (self.m, self.qv, self.record)
 
 
-def track_martingale(
-    diag: MartingaleDiagnostics, dM: float, d_qv: float, intra_max: float | None = None
-) -> MartingaleDiagnostics:
+def track_martingale(diag: MartingaleDiagnostics, dM: float, d_qv: float) -> MartingaleDiagnostics:
     """Accumulate one (dM, d<M>) increment into the diagnostics."""
-    return diag.update(dM, d_qv, intra_max)
+    return diag.update(dM, d_qv)
 
 
 def revuz_yor_bound(x: float, y: float) -> float:
@@ -347,12 +360,7 @@ class AdvisedNoise:
     inequality: str
 
     def spec(self) -> NoiseSpec:
-        return NoiseSpec(
-            theta=self.theta,
-            alpha=self.alpha,
-            norm_space=CASE_NOISE_SPACE[self.case_label],
-            case_label=self.case_label,
-        )
+        return NoiseSpec.for_case(self.theta, self.alpha, self.case_label)
 
 
 def theta_advisor(
@@ -379,8 +387,9 @@ def theta_advisor(
       ``theta > sqrt(C1/(1-eps))`` (a strict inequality, hence the margin),
       and ``alpha = gamma13 / 2`` exactly.
 
-    ``constants`` carries the audited C1/gamma values; C1 = 0 returns
-    theta = 0 in every case.
+    ``constants`` carries the audited C1/gamma values, with C1 the constant
+    the case takes (:func:`advisor_constants`); C1 = 0 returns theta = 0 in
+    every case.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
@@ -415,3 +424,11 @@ def theta_advisor(
     else:
         raise ValueError(f"case must be I, II or III, got {case!r}")
     return AdvisedNoise(theta=theta, alpha=alpha, case_label=case, inequality=ineq)
+
+
+def advisor_constants(case: str, constants, report: dict):
+    """The audited ``constants`` with C1 set to the constant the case's
+    advisor takes (:data:`NOISE_CASES`), read from the audit ``report`` when
+    it is not C1 itself (C13 for case III)."""
+    name = NOISE_CASES[case].advisor_constant
+    return constants if name == "C1" else replace(constants, C1=report[name])

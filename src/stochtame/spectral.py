@@ -58,6 +58,11 @@ class NonFiniteFieldError(FloatingPointError):
     """
 
 
+#: the ladder spaces G, F0, F1, D in their embedding order, which is also the
+#: order of the norms :meth:`SpaceLadder.norms` returns
+LADDER_SPACES = ("G", "F0", "F1", "D")
+
+
 def two_thirds_cutoff(n: int) -> int:
     """The largest cutoff d with ``3d < n``: products of modes ``|k|_inf <= d``
     cannot alias onto them on an n-point grid."""
@@ -407,7 +412,6 @@ class SpaceLadder:
     s_F1: float
     s_D: float
     m: float | None = None
-    C_interp: float = 1.0
 
     @functools.cached_property
     def exponents(self) -> tuple[float, float, float, float]:
@@ -429,13 +433,9 @@ class SpaceLadder:
             )
 
     def exponent(self, space: str) -> float:
-        try:
-            return {"G": self.s_G, "F0": self.s_F0, "F1": self.s_F1, "D": self.s_D}[space]
-        except KeyError:
-            raise ValueError(f"unknown ladder space {space!r}") from None
-
-    def norm(self, f: "SpectralField", space: str) -> float:
-        return sobolev_norm(f, self.exponent(space))
+        if space not in LADDER_SPACES:
+            raise ValueError(f"unknown ladder space {space!r}")
+        return self.exponents[LADDER_SPACES.index(space)]
 
     def norms(self, f: "SpectralField") -> tuple[float, float, float, float]:
         """The (G, F0, F1, D) norms of ``f`` from one power spectrum.
@@ -521,13 +521,13 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def interpolation_check(f: SpectralField, ladder: SpaceLadder) -> tuple[float, float]:
-    """Both sides of ``||f||_F0 <= C * ||f||_F1^m * ||f||_G^(1-m)``.
+    """Both sides of ``||f||_F0 <= ||f||_F1^m * ||f||_G^(1-m)``.
 
-    Returns ``(lhs, rhs)`` for audit logging; with ``C_interp = 1`` and the
-    exponent relation in force, ``lhs <= rhs`` up to rounding.
+    Returns ``(lhs, rhs)`` for audit logging; with the exponent relation in
+    force, ``lhs <= rhs`` up to rounding (the constant is exactly 1).
     """
     ng, lhs, n1, _ = ladder.norms(f)
-    rhs = ladder.C_interp * n1**ladder.m * ng ** (1.0 - ladder.m)
+    rhs = n1**ladder.m * ng ** (1.0 - ladder.m)
     return lhs, rhs
 
 

@@ -79,3 +79,44 @@ def test_config_rejects_milstein_scheme():
     )
     with pytest.raises(ConfigError, match="stepper.scheme"):
         parse_config(text)
+
+
+def test_simulate_writes_every_save_stride_row(tmp_path):
+    # 20 base steps of a small deterministic Burgers path, no refinement:
+    # output.save_stride 5 keeps t = 0 and every fifth step
+    config = {
+        "model": {"kind": "Burgers1D", "resolution": 32, "initial": {"amplitude": 0.1}},
+        "stepper": {"scheme": "RK4Deterministic", "dt": 1e-3, "t_end": 0.02},
+        "ensemble": {"d_list": [8]},
+        "output": {"save_stride": 5},
+    }
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    times = [float(r["t"]) for r in read_rows(out / "trajectory.csv")]
+    assert times == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02], abs=1e-15)
+
+
+@pytest.mark.parametrize("argv", [["gbm", "--paths", "10"], ["verify", "--suite", "trivial"]])
+def test_non_integer_seed_variable_is_a_clean_error(monkeypatch, argv):
+    monkeypatch.setenv("STOCHTAME_SEED", "seven")
+    with pytest.raises(SystemExit, match="STOCHTAME_SEED must be an integer, got 'seven'"):
+        main(argv + ["--quiet"])
+
+
+@pytest.mark.parametrize("env, flag, expected", [("0", None, 0), ("5", None, 5), ("5", "0", 0)])
+def test_verify_seed_resolution(monkeypatch, env, flag, expected):
+    # the seed variable means the same as the flag: 0 is seed 0, not the suite seed
+    import stochtame.acceptance
+
+    seen = []
+    monkeypatch.setattr(
+        stochtame.acceptance,
+        "run_acceptance",
+        lambda names, seed=None, echo=None: seen.append(seed) or [],
+    )
+    monkeypatch.setenv("STOCHTAME_SEED", env)
+    argv = ["verify", "--suite", "trivial", "--quiet"] + (["--seed", flag] if flag else [])
+    assert main(argv) == 0
+    assert seen == [expected]

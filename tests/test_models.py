@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import stochtame.models
 from stochtame.models import (
     _leray_project,
+    CATALOGUE,
     AssumptionConstants,
     DriftOperator,
     FourierMultiplierDrift,
@@ -419,3 +421,12 @@ def test_band_limited_closure_multidimensional(kind):
     out = DriftOperator(kind, ModelParams())(X).coeffs
     assert np.max(np.abs(out[:, grid.kinf > grid.dealias_cutoff])) == 0.0
     assert np.max(np.abs(out[:, grid.kinf > 2 * band])) <= 1e-14 * np.max(np.abs(out))
+
+
+def test_module_table_lists_the_catalogue():
+    lines = stochtame.models.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    rows = [line.split() for line in lines[rules[1] + 1 : rules[2]]]
+    assert [row[0] for row in rows] == list(CATALOGUE)
+    for kind, dim, components, *_ in rows:
+        assert (int(dim), int(components)) == (CATALOGUE[kind].dim, CATALOGUE[kind].components)
