@@ -54,6 +54,15 @@ def _out_dir(args, cfg) -> Path:
     return Path(ensure_dir(directory))
 
 
+def _step_accounting(record) -> str:
+    """A path's trials, rejections by cause, finest level and drift evaluations."""
+    rejections = ",".join(f"{cause}:{n}" for cause, n in record.rejections.items())
+    return (
+        f"trials={record.trials} rejections={rejections} "
+        f"finest_level={record.finest_level} drift_evals={record.drift_evals}"
+    )
+
+
 def cmd_simulate(args) -> int:
     from .config import build_drift, build_grid, build_noise, build_stepper, config_hash
     from .config import InitialBuilder
@@ -75,8 +84,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, cfg) / "trajectory.csv"
     write_trajectory(out, record)
     if not args.quiet:
-        print(f"status={record.status} rows={record.n_rows} final_norms="
-              f"G={record.norm_G[-1]:.6g},F0={record.norm_F0[-1]:.6g}")
+        print(f"status={record.status} {_step_accounting(record)} rows={record.n_rows} "
+              f"final_norms=G={record.norm_G[-1]:.6g},F0={record.norm_F0[-1]:.6g}")
         print(f"wrote {out}")
     return 0
 
@@ -116,7 +125,7 @@ def cmd_control(args) -> int:
     write_events(out / "events.csv", record.events, config_hash(cfg), seed)
     if not args.quiet:
         print(
-            f"status={record.status} events={len(record.events)} "
+            f"status={record.status} {_step_accounting(record)} events={len(record.events)} "
             f"valid={report.passed} dwell={report.alpha_dwell}"
         )
         print(f"wrote {out}/trajectory.csv, {out}/events.csv")

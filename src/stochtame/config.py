@@ -3,16 +3,16 @@
 Sections: ``model`` (kind, resolution, parameters, ladder overrides, initial
 state), ``noise`` (theta/alpha/case or "advisor"), ``stepper``, ``control``,
 ``ensemble`` and ``output``.  Unknown keys are rejected with their dotted
-location; cross-field rules (case vs declared initial space, Galerkin cutoffs
-vs resolution) are enforced at parse time.  ``serialize_config`` emits a
-canonical form whose parse returns an equal RunConfig, and ``config_hash``
-stamps every output file for provenance.
+location; cross-field rules (case vs declared initial space, initial kind vs
+model kind, Galerkin cutoffs vs resolution) are enforced at parse time.
+``serialize_config`` emits a canonical form whose parse returns an equal
+RunConfig, and ``config_hash`` stamps every output file for provenance.
 
 The facts behind the rules are read, not restated: the case rule (which
 space a noise case needs the initial state in, and the noise norm it takes)
 from :data:`stochtame.noise.NOISE_CASES` through
 :meth:`~stochtame.noise.NoiseSpec.admits_initial_space`, and each model
-kind's dimension, components and random states from
+kind's dimension, components, initial kinds and random states from
 :data:`stochtame.models.CATALOGUE`.  ``output.save_stride`` is the one row
 stride of every command.
 """
@@ -191,6 +191,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {m.kind!r}")
     if m.resolution < 4 or m.resolution % 2:
         raise ConfigError("model.resolution must be even and >= 4")
+    initial_kinds = CATALOGUE[m.kind].initial_kinds
+    if m.initial.kind not in initial_kinds:
+        raise ConfigError(
+            f"model.initial.kind of {m.kind} must be one of {initial_kinds}, "
+            f"got {m.initial.kind!r}"
+        )
     if m.initial.space not in LADDER_SPACES:
         raise ConfigError(f"model.initial.space must be one of {LADDER_SPACES}")
     if cfg.noise.case not in NOISE_CASES:

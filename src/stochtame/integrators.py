@@ -25,6 +25,19 @@ fixed-step recursion), not at the strong order 1/2.  The adaptive stiffness
 cap (``StepperConfig.stiff_cap``) bounds this quantity by halving the step;
 ``adapt=False`` switches the cap off.
 
+The loop holds its state as the non-redundant half spectrum (the
+:class:`~stochtame.spectral.HalfSpectrum` layout), zero outside the Galerkin
+cutoff.  The cutoff is one multiply by a cached half mask; the drift is
+called on the half and returns the half; the four ladder norms of a trial
+state and the G norm of its drift are weighted dot products over the half,
+each stored mode counted once per mirror image.  Full coefficient arrays are
+built only for the record's public fields: ``final_state``, and the
+snapshots, mirrored in batches as the path goes, so that halves never pile
+up beside the full arrays.  The norms agree with sums over the full array
+only to rounding (a few ulps a sum), because the half sum adds the terms in
+another order; a path therefore matches the one stepped on full arrays to
+rounding, not bit for bit.
+
 A path terminates with a blow-up record when the F0 norm crosses the
 threshold or when adaptive halving hits ``dt_min`` (the discrete counterpart
 of a finite maximal existence time with exploding F0 norm).  Non-finite
@@ -47,7 +60,6 @@ from .spectral import (
     NonFiniteFieldError,
     SpaceLadder,
     SpectralField,
-    galerkin_project,
     sobolev_norm,
 )
 
@@ -113,7 +125,9 @@ class TrajectoryRecord:
     included; ``level_steps[l]`` counts the accepted steps at dyadic level l
     (step ``dt * 2**-l``); ``finest_level`` is the finest level any trial
     reached.  So ``trials == accepted_steps + rejected_steps``, and at save
-    stride 1 ``accepted_steps == n_rows - 1``.
+    stride 1 ``accepted_steps == n_rows - 1``.  ``drift_evals`` counts the
+    drift evaluations: one per state whose drift a trial reads (a refined
+    trial reuses it) and three more per RK4 trial.
     """
 
     times: np.ndarray
@@ -140,6 +154,7 @@ class TrajectoryRecord:
     trials: int = 0
     rejections: dict[str, int] = dataclass_field(default_factory=dict)
     level_steps: tuple[int, ...] = ()
+    drift_evals: int = 0
 
     def __post_init__(self):
         for arr in (self.times, self.int_F1sq):
@@ -182,11 +197,17 @@ class TrajectoryRecord:
             )
 
 
+#: half-spectrum snapshots mirrored to the full layout at a time
+_SNAPSHOT_CHUNK = 32
+
+
 class _RecordBuilder:
-    def __init__(self, seed, config_hash, keep_fields: bool, max_level: int):
+    def __init__(self, grid, seed, config_hash, keep_fields: bool, max_level: int):
+        self.grid = grid
         self.rows = []
         self.flags = []
         self.snapshots = [] if keep_fields else None
+        self._pending = []  # (t, half coefficients) not yet mirrored
         self.snapshot_norms = [] if keep_fields else None
         self.sup = (0.0, 0.0, 0.0, 0.0)
         self.seed = seed
@@ -205,11 +226,26 @@ class _RecordBuilder:
         self.flags.append(flags)
 
     def snap(self, t, X: SpectralField, norm_F0: float):
+        # no copy: the loop never writes into a state's coefficients
         if self.snapshots is not None:
-            self.snapshots.append((t, X.copy()))
+            self._pending.append((t, X.coeffs))
             self.snapshot_norms.append(norm_F0)
+            if len(self._pending) == _SNAPSHOT_CHUNK:
+                self._mirror_pending()
 
-    def build(self, status, blowup, diagnostics, final_state) -> TrajectoryRecord:
+    def _mirror_pending(self):
+        """Mirror the pending half snapshots to full-layout fields in one batch,
+        so that halves never pile up beside the full arrays."""
+        full = self.grid.half.to_full(np.stack([c for _, c in self._pending]))
+        self.snapshots.extend(
+            (t, SpectralField(self.grid, f)) for (t, _), f in zip(self._pending, full)
+        )
+        self._pending = []
+
+    def build(self, status, blowup, diagnostics, X, drift_evals) -> TrajectoryRecord:
+        """The record of a path that ended in the half-layout state ``X``."""
+        if self._pending:
+            self._mirror_pending()
         data = np.asarray([r[:6] + r[7:] for r in self.rows], dtype=np.float64)
         regimes = np.asarray([r[6] for r in self.rows])
         return TrajectoryRecord(
@@ -229,7 +265,7 @@ class _RecordBuilder:
             config_hash=self.config_hash,
             diagnostics=diagnostics,
             snapshots=self.snapshots,
-            final_state=final_state,
+            final_state=X.as_full(),
             sup_norms=self.sup,
             snapshot_norm_F0=(
                 None if self.snapshot_norms is None else np.asarray(self.snapshot_norms)
@@ -237,13 +273,28 @@ class _RecordBuilder:
             trials=self.trials,
             rejections=self.rejections,
             level_steps=tuple(self.level_steps[: self.finest_level + 1]),
+            drift_evals=drift_evals,
         )
+
+
+class _CountingDrift:
+    """The drift as the stepping loop calls it, counting the evaluations."""
+
+    __slots__ = ("A", "calls")
+
+    def __init__(self, A):
+        self.A = A
+        self.calls = 0
+
+    def __call__(self, X: SpectralField) -> SpectralField:
+        self.calls += 1
+        return self.A(X)
 
 
 def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     # scale-free stiffness: relative drift displacement and relative noise
     # quadratic variation per step, so spikes refine at bounded cost
-    cache = cache if cache is not None else _StateCache(X, A, projector, ladder)
+    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X), ladder)
     norms = cache.norms()
     stiffness = dt * cache.drift_norm_G() / max(norms[0], 1e-300)
     out = cache.drift().coeffs * dt
@@ -256,7 +307,7 @@ def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
 
 
 def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
-    cache = cache if cache is not None else _StateCache(X, A, projector, ladder)
+    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X), ladder)
     drift_size = dt * cache.drift_norm_G()
     out = cache.drift().coeffs * (dt / (1.0 + drift_size))
     out += X.coeffs
@@ -273,6 +324,9 @@ def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
 class _StateCache:
     """Per-state memo of the projected drift, its G norm and the ladder norms.
 
+    The drift is projected by one multiply with the cached mask of the
+    state's layout (:meth:`GalerkinProjector.mask`).
+
     A trial step that gets halved retries from the same state; caching makes
     the retry cost O(vector ops) instead of a fresh drift evaluation.
 
@@ -286,12 +340,12 @@ class _StateCache:
     coefficient and the next step all read the same four numbers.
     """
 
-    __slots__ = ("X", "A", "projector", "ladder", "_drift", "_drift_nG", "_norms")
+    __slots__ = ("X", "A", "mask", "ladder", "_drift", "_drift_nG", "_norms")
 
-    def __init__(self, X, A, projector, ladder):
+    def __init__(self, X, A, mask, ladder):
         self.X = X
         self.A = A
-        self.projector = projector
+        self.mask = mask
         self.ladder = ladder
         self._drift = None
         self._drift_nG = None
@@ -299,7 +353,7 @@ class _StateCache:
 
     def drift(self):
         if self._drift is None:
-            self._drift = galerkin_project(self.A(self.X), self.projector)
+            self._drift = SpectralField(self.X.grid, self.A(self.X).coeffs * self.mask)
         return self._drift
 
     def drift_norm_G(self):
@@ -316,25 +370,30 @@ class _StateCache:
 def rk4_deterministic_step(
     X: SpectralField, A, dt: float, projector: GalerkinProjector, k1=None
 ) -> SpectralField:
-    """Classical 4-stage step for the deterministic phase dX = A_d(X) dt."""
+    """Classical 4-stage step for the deterministic phase dX = A_d(X) dt.
+
+    The step keeps the layout of ``X``; ``k1``, when given, is the projected
+    drift of ``X`` in that layout.
+    """
+    grid = X.grid
+    mask = projector.mask(X)
 
     def stage(k, h):
-        y = k.coeffs * h
+        y = k * h
         y += X.coeffs
-        return galerkin_project(A(SpectralField(X.grid, y)), projector)
+        return A(SpectralField(grid, y)).coeffs * mask
 
-    if k1 is None:
-        k1 = galerkin_project(A(X), projector)
+    k1 = A(X).coeffs * mask if k1 is None else k1.coeffs
     k2 = stage(k1, 0.5 * dt)
     k3 = stage(k2, 0.5 * dt)
     k4 = stage(k3, dt)
-    out = k2.coeffs * 2.0
-    out += k1.coeffs
-    out += k3.coeffs * 2.0
-    out += k4.coeffs
+    out = k2 * 2.0
+    out += k1
+    out += k3 * 2.0
+    out += k4
     out *= dt / 6.0
     out += X.coeffs
-    return SpectralField(X.grid, out)
+    return SpectralField(grid, out)
 
 
 def _single_step(scheme, X, A, B, dW, h, projector, ladder, cache=None):
@@ -372,10 +431,12 @@ def integrate_path(
     """Integrate one path up to the horizon or blow-up.
 
     The initial state is projected to the Galerkin cutoff (default: the 2/3
-    dealiasing cutoff of the grid, the largest closure-exact choice).  The
-    record stores per-row norms in all four ladder spaces, the running
-    integral of ||X||_F1^2, the regime label, and the raw martingale pair
-    (M_t, <M>_t) accumulated from 2<X, B(X)> dW in the case's envelope space.
+    dealiasing cutoff of the grid, the largest closure-exact choice).  It may
+    come in either layout; a full one is read through its half, as the real
+    field it stands for.  The record stores per-row norms in all four ladder
+    spaces, the running integral of ||X||_F1^2, the regime label, and the raw
+    martingale pair (M_t, <M>_t) accumulated from 2<X, B(X)> dW in the case's
+    envelope space.
     """
     if B is not None and B.theta > 0.0 and stepper.scheme == "RK4Deterministic":
         raise ValueError("RK4Deterministic is the deterministic-phase scheme")
@@ -421,10 +482,14 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     noise_on = B is not None and B.theta > 0.0
     if noise_on and wiener is None:
         raise ValueError("a WienerPath is required when the noise is active")
+    check_state = getattr(A, "check_state", lambda X: ())
+    A = _CountingDrift(A)
 
     projector = GalerkinProjector(cutoff if cutoff is not None else X0.grid.dealias_cutoff)
-    X = galerkin_project(X0, projector)
-    cache = _StateCache(X, A, projector, ladder)
+    X = X0.as_half()
+    mask = projector.mask(X)
+    X = SpectralField(X.grid, X.coeffs * mask)
+    cache = _StateCache(X, A, mask, ladder)
     n0 = cache.norms()[1]
     threshold = (
         stepper.blowup_threshold
@@ -438,9 +503,9 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     env_idx = LADDER_SPACES.index(env_space)
     noise_idx = LADDER_SPACES.index(B.norm_space) if noise_on else None
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
-    check_state = getattr(A, "check_state", lambda X: ())
 
     rec = _RecordBuilder(
+        X.grid,
         seed if seed is not None else (wiener.seed if wiener is not None else None),
         config_hash,
         keep_fields=stepper.field_stride is not None,
@@ -476,7 +541,7 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
         )
 
         rec.trials += 1
-        trial = _StateCache(X_new, A, projector, ladder)
+        trial = _StateCache(X_new, A, mask, ladder)
         norms = cache.norms()
         failure = None
         crossing = False
@@ -557,4 +622,4 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
 
     if rec.rows[-1][0] != t:
         rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
-    return rec.build(status, blowup, diag, X)
+    return rec.build(status, blowup, diag, X, A.calls)

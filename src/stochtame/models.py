@@ -24,9 +24,11 @@ enstrophy / energy conservation tests rely on.  Each drift makes one real-FFT
 round trip: the fields and derivatives it needs are gathered into one stack of
 half spectra and inverted together, the products formed on the grid are
 transformed forward together, and the linear terms are added on the half
-spectrum.  The full coefficient array is then filled by mirroring the half
-(``fhat_{-k} = conj(fhat_k)``, self-conjugate modes real), so every drift
-output is exactly Hermitian whatever the rounding of the transforms.
+spectrum.  A drift keeps the layout of its input: it returns the half for a
+half-layout field (the stepping loop's state), and for a full field fills the
+full array by mirroring the half (``fhat_{-k} = conj(fhat_k)``, self-conjugate
+modes real), so that output is exactly Hermitian whatever the rounding of the
+transforms.
 
 Shallow water note: the momentum state is used directly as the advected
 velocity.  A rotation vector potential with ``curl R = f zhat`` and zero
@@ -84,13 +86,25 @@ class ModelParams:
 
 def _dot_grad(vel: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Grid values of ``(vel . grad) f`` from ``vel[a]`` and ``grads[a] = d_a f``."""
-    return sum((vel[a] * grads[a] for a in range(1, len(vel))), vel[0] * grads[0])
+    out = vel[0] * grads[0]
+    for a in range(1, len(vel)):
+        out += vel[a] * grads[a]
+    return out
+
+
+def _in_layout(X: SpectralField, half: np.ndarray) -> SpectralField:
+    """A drift's half-spectrum output in the layout of its input ``X``:
+    mirrored to the full array only when ``X`` is full."""
+    return SpectralField(X.grid, half if X.is_half else X.grid.half.to_full(half))
 
 
 def _velocity_and_gradients(hs, vel: np.ndarray, f: np.ndarray):
     """Dealiased grid values of ``vel`` and ``grads[a, c] = d_a f_c``, one inverse transform."""
     dim = len(hs.axes)
-    phys = hs.to_physical(np.concatenate([hs.dealiased(vel), hs.gradient(f)]))
+    if vel is f:
+        phys = hs.to_physical(hs.with_gradient(f))
+    else:
+        phys = hs.to_physical(np.concatenate([hs.dealiased(vel), hs.gradient(f)]))
     return phys[:dim], phys[dim:].reshape((dim, len(f)) + phys.shape[1:])
 
 
@@ -102,7 +116,7 @@ def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
     """
     hs = f.grid.half
     v, grads = _velocity_and_gradients(hs, hs.take(vel.coeffs), hs.take(f.coeffs))
-    return SpectralField(f.grid, hs.to_full(hs.to_spectral(_dot_grad(v, grads))))
+    return _in_layout(f, hs.to_spectral(_dot_grad(v, grads)))
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -182,8 +196,18 @@ def _biot_savart(w: np.ndarray, k, ksq: np.ndarray, div_tol: float = 1e-8) -> np
 
 
 def _leray_project(f: SpectralField) -> SpectralField:
-    """Remove the compressible part: fhat -> fhat - k (k.fhat)/|k|^2."""
-    return SpectralField(f.grid, _leray(f.coeffs, f.grid.k_axes, f.grid.ksq))
+    """Remove the compressible part, fhat -> fhat - k (k.fhat)/|k|^2, and the
+    Nyquist planes.
+
+    The fft order reads ``k_a = -n/2`` at both ends of a plane ``|k_a| = n/2``,
+    so a mode there and its mirror image would be projected with wavevectors
+    that are not negatives of each other, and the field would lose its
+    conjugate symmetry.  Zeroing those modes keeps it Hermitian, and divergence
+    free, since the divergence acts mode by mode.
+    """
+    grid = f.grid
+    off_nyquist = grid.kinf < grid.nyquist
+    return SpectralField(grid, _leray(f.coeffs, grid.k_axes, grid.ksq) * off_nyquist)
 
 
 def _leray(f: np.ndarray, k, ksq: np.ndarray) -> np.ndarray:
@@ -204,7 +228,7 @@ def burgers_drift(u: SpectralField, nu: float = 0.0) -> SpectralField:
     out = -hs.to_spectral(_dot_grad(vel, grads))
     if nu > 0.0:
         out += nu * (-hs.ksq * uh)
-    return SpectralField(u.grid, hs.to_full(out))
+    return _in_layout(u, out)
 
 
 def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
@@ -229,7 +253,7 @@ def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
         out = _leray(-hs.to_spectral(nonlinear), hs.k_axes, hs.ksq)
     if nu > 0.0:
         out += nu * (-hs.ksq * wh)
-    return SpectralField(grid, hs.to_full(out))
+    return _in_layout(omega, out)
 
 
 def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> SpectralField:
@@ -260,7 +284,7 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
     if viscous:
         mom += params.nu * (-hs.ksq * u)
         hgt += params.eta * (-hs.ksq * h)
-    return SpectralField(state.grid, hs.to_full(np.concatenate([mom, hgt[np.newaxis]])))
+    return _in_layout(state, np.concatenate([mom, hgt[np.newaxis]]))
 
 
 class FourierMultiplierDrift:
@@ -277,7 +301,8 @@ class FourierMultiplierDrift:
         self.kind = "FourierMultiplier"
 
     def __call__(self, X: SpectralField) -> SpectralField:
-        return SpectralField(X.grid, self.symbol(X.grid.ksq) * X.coeffs)
+        ksq = X.grid.half.ksq if X.is_half else X.grid.ksq
+        return SpectralField(X.grid, self.symbol(ksq) * X.coeffs)
 
     def check_state(self, X: SpectralField) -> list[str]:
         return []
@@ -307,9 +332,12 @@ class ModelKind:
     """The facts of one model kind.
 
     ``drift(X, params)`` is its tendency, ``ladder(params)`` its default
-    ladder and ``check_state(X)`` its state warnings.  A random state of the
-    kind has zero mean when ``zero_mean`` holds and is Leray-projected when
-    ``leray`` does.
+    ladder and ``check_state(X)`` its state warnings; the drift and the check
+    take either layout of a field, and the drift returns its input's layout.
+    A random state of the kind has zero mean when ``zero_mean`` holds and is
+    Leray-projected when ``leray`` does.  ``initial_kinds`` are the initial
+    states a config may ask for: a sine in the first component is not
+    divergence free in 3D, and a rest height needs a height component.
     """
 
     dim: int
@@ -319,9 +347,11 @@ class ModelKind:
     check_state: Callable[[SpectralField], list[str]] = _no_warnings
     zero_mean: bool = False
     leray: bool = False
+    initial_kinds: tuple[str, ...] = ("sine", "random")
 
 
 _LADDER_0134 = _fixed_ladder(0.0, 1.0, 3.0, 4.0)
+_RSW_INITIAL = ("sine", "random", "rest_height")
 
 CATALOGUE = {
     "Burgers1D": ModelKind(1, 1, lambda X, p: burgers_drift(X, p.nu), _LADDER_0134),
@@ -332,15 +362,27 @@ CATALOGUE = {
         lambda X, p: rsw_drift(X, p, viscous=True),
         _fixed_ladder(0.0, 1.0, 2.0, 3.0),
         _height_warnings,
+        initial_kinds=_RSW_INITIAL,
     ),
     "RSW_Inviscid": ModelKind(
-        2, 3, lambda X, p: rsw_drift(X, p, viscous=False), _LADDER_0134, _height_warnings
+        2,
+        3,
+        lambda X, p: rsw_drift(X, p, viscous=False),
+        _LADDER_0134,
+        _height_warnings,
+        initial_kinds=_RSW_INITIAL,
     ),
     "Vorticity2D": ModelKind(
         2, 1, lambda X, p: vorticity_drift(X, p.nu), _vorticity_ladder, zero_mean=True
     ),
     "Vorticity3D": ModelKind(
-        3, 3, lambda X, p: vorticity_drift(X, p.nu), _vorticity_ladder, zero_mean=True, leray=True
+        3,
+        3,
+        lambda X, p: vorticity_drift(X, p.nu),
+        _vorticity_ladder,
+        zero_mean=True,
+        leray=True,
+        initial_kinds=("random",),
     ),
 }
 

@@ -125,6 +125,17 @@ def noise_coefficient(X: SpectralField, spec: NoiseSpec, ladder: SpaceLadder) ->
 
 # --- scalar Wiener path with dyadic bridge refinement -----------------------
 
+_MASK = (1 << 64) - 1
+
+
+def _mix(x: int) -> int:
+    # splitmix64 finaliser: cheap, well-distributed counter hash
+    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
 
 class WienerPath:
     """Scalar Brownian increments on the dyadic refinements of a base grid.
@@ -143,22 +154,14 @@ class WienerPath:
     (the split itself is deterministic, so repeated queries are bit-equal).
     """
 
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int, dt_base: float):
         if dt_base <= 0:
             raise ValueError("dt_base must be positive")
         self.seed = int(seed)
         self.dt_base = float(dt_base)
+        self._sqrt_dt = math.sqrt(self.dt_base)
+        self._seed_word = _mix(self.seed & _MASK)
         self._cache: dict[tuple[int, int, int], float] = {}
-
-    @classmethod
-    def _mix(cls, x: int) -> int:
-        # splitmix64 finaliser: cheap, well-distributed counter hash
-        x = (x + 0x9E3779B97F4A7C15) & cls._MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & cls._MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & cls._MASK
-        return x ^ (x >> 31)
 
     def _noise(self, base: int, level: int, offset: int) -> float:
         """Standard normal keyed by (seed, base, level, offset).
@@ -166,11 +169,11 @@ class WienerPath:
         Counter-based: two chained splitmix64 words feed a Box-Muller pair,
         so the value never depends on evaluation order.
         """
-        h = self._mix(self.seed & self._MASK)
+        h = self._seed_word
         for word in (base, level, offset):
-            h = self._mix(h ^ (word & self._MASK))
-        u1 = (self._mix(h) >> 11) * 2.0**-53
-        u2 = (self._mix(h ^ 0xD1B54A32D192ED03) >> 11) * 2.0**-53
+            h = _mix(h ^ (word & _MASK))
+        u1 = (_mix(h) >> 11) * 2.0**-53
+        u2 = (_mix(h ^ 0xD1B54A32D192ED03) >> 11) * 2.0**-53
         r = math.sqrt(-2.0 * math.log(1.0 - u1))
         return r * math.cos(2.0 * math.pi * u2)
 
@@ -187,7 +190,7 @@ class WienerPath:
         if cached is not None:
             return cached
         if level == 0:
-            val = math.sqrt(self.dt_base) * self._noise(base, 0, 0)
+            val = self._sqrt_dt * self._noise(base, 0, 0)
         else:
             parent = self._value(base, level - 1, offset >> 1)
             h_parent = self.dt_base * 2.0 ** -(level - 1)

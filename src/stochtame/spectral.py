@@ -1,7 +1,7 @@
 """Fourier representation of periodic fields and the Sobolev space ladder.
 
-Fields live on the torus ``[0, 2*pi)^dim`` and are stored as full complex
-Fourier coefficient arrays in numpy fft ordering.  The normalisation is
+Fields live on the torus ``[0, 2*pi)^dim`` and are stored as complex Fourier
+coefficient arrays in numpy fft ordering.  The normalisation is
 
     fhat_k = (2*pi)^(-dim) * integral f(x) exp(-i k.x) dx,
 
@@ -15,24 +15,43 @@ exactly 1 whenever the exponent relation ``s_F0 = m*s_F1 + (1-m)*s_G`` does
 (Hoelder on the coefficient sum), which is what the structural test suite
 checks.
 
-All Sobolev norms are read off the power spectrum ``P_k = sum_c |fhat_{c,k}|^2``
-(summed over components): ``||f||_{H^s}^2`` is one dot product of ``P`` with
-the cached flattened weight ``(1+|k|^2)^s``.  :meth:`SpaceLadder.norms` forms
-``P`` once and takes one dot product per ladder space, with the same
-arithmetic as :func:`sobolev_norm`, so the two agree bit for bit.
+Real-valued fields are Hermitian-symmetric (``fhat_{-k} = conj(fhat_k)``), so
+a field has two layouts (:class:`SpectralField`).  The full layout holds every
+mode.  The half layout holds the non-redundant half, the modes
+``0 <= k_last <= n/2`` of the last axis (the numpy ``rfftn`` layout,
+:class:`HalfSpectrum`).  The stepping loop of :mod:`stochtame.integrators`
+holds its state as a half; full arrays are built by mirroring
+(:meth:`HalfSpectrum.to_full`) only at the public boundary: a drift of a full
+field, and the final state and snapshots of a trajectory record.  Mirrored
+arrays are exactly Hermitian, with real self-conjugate modes.  In 2D and 3D
+the planes ``k_last = 0`` and ``k_last = n/2`` of a half store both ``k`` and
+``-k``; a stepped half keeps them conjugate only to rounding, and the mirror
+reads one of each pair.
+
+Sobolev norms are weighted sums over the stored modes of the half: each mode
+is counted once per mirror image, that is twice off the planes
+``k_last = 0, n/2`` and once on them, where ``-k`` is stored too.  The power
+(:meth:`HalfSpectrum.power`) is the squared real and imaginary parts of every
+component at the stored modes; of a full array it is the mean of each mode's
+squares and its mirror image's, which are the same bits when the array is
+Hermitian.  ``||f||_{H^s}^2`` is one dot product of the power with the cached
+weight, and :meth:`SpaceLadder.norms` forms the power once and takes one dot
+product per ladder space, with the same arithmetic as :func:`sobolev_norm`, so
+the two agree bit for bit.  A Hermitian field's norms are also bit for bit the
+same in either layout.  They agree with the plain sum over the full array
+only to rounding (a few ulps): the half sum adds each off-plane mode once
+with weight 2, where the full sum adds it twice, in another order.
 Finiteness is read off the weighted sum instead of scanning the
-coefficients: every ``P_k`` is >= 0 and every weight is > 0, so a NaN or Inf
+coefficients: every square is >= 0 and every weight is > 0, so a NaN or Inf
 coefficient makes the sum NaN or Inf, and a sum of finite coefficients is
 finite unless it overflows.  Only a non-finite sum is followed by an
 ``isfinite`` scan, which tells an overflow (the norm is inf) from a
 non-finite field (:class:`NonFiniteFieldError`).
 
-Real-valued fields are kept Hermitian-symmetric (``fhat_{-k} = conj(fhat_k)``).
-The quadratic drifts of :mod:`stochtame.models` work on the non-redundant half
-of the spectrum (:class:`HalfSpectrum`) and rebuild the full array by
-mirroring, so their output has the symmetry exactly.  The 2/3 rule keeps the
-modes ``|k|_inf <= (n - 1) // 3`` (:func:`two_thirds_cutoff`): a product of
-two kept modes has ``|k|_inf <= 2d`` and aliases onto a kept mode only when
+The quadratic drifts of :mod:`stochtame.models` work on the half spectrum and
+return a half, mirrored only for a full input.  The 2/3 rule keeps the modes
+``|k|_inf <= (n - 1) // 3`` (:func:`two_thirds_cutoff`): a product of two
+kept modes has ``|k|_inf <= 2d`` and aliases onto a kept mode only when
 ``3d >= n``.
 """
 
@@ -94,8 +113,9 @@ class _GridCache:
                 "weight": 1.0 + ksq,
                 "reverse": rev,
                 "dealias_mask": kinf <= two_thirds_cutoff(n),
+                # coefficient shapes of one component: full and half layout
+                "layouts": ((n,) * dim, (n,) * (dim - 1) + (n // 2 + 1,)),
                 "weight_powers": {},
-                "ladder_weights": {},
                 "project_masks": {},
             }
         return cls._store[key]
@@ -131,8 +151,27 @@ class HalfSpectrum:
         self.k_axes = tuple(axes)
         self.ik = tuple(1j * ka for ka in axes)
         self.ksq = sum(ka**2 for ka in axes)
+        self.kinf = kinf
         self._mask = (kinf <= cutoff)[..., :kept]
         self._ik_dealiased = tuple(ik[..., :kept] * self._mask for ik in self.ik)
+        # complex, so that masking complex coefficients needs no cast per call
+        value_and_ik = np.stack((self._mask.astype(np.complex128),) + self._ik_dealiased)
+        self._value_and_ik = value_and_ik[:, np.newaxis]
+        # in 1D the forward transform's 1/n rides on the dealiasing mask
+        self._mask_1d = (kinf <= cutoff) * (1.0 + 0j) / n if dim == 1 else None
+        self._weights: dict[tuple[float, int], np.ndarray] = {}
+        self._ladder_weights: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._project_masks: dict[int, np.ndarray] = {}
+
+        # each stored mode stands for itself and its mirror image -k, except
+        # on the planes k_last = 0 and k_last = n/2, which store both
+        images = np.full(m, 2.0)
+        images[0] = images[-1] = 1.0
+        self._images = np.broadcast_to(images, kinf.shape).ravel()
+        # flat full-array indices of every stored mode k and of -k
+        half = np.indices(kinf.shape).reshape(dim, -1)
+        self._full_index = np.ravel_multi_index(half, (n,) * dim)
+        self._mirror_index = np.ravel_multi_index((-half) % n, (n,) * dim)
 
         # Every full mode k is read from its half-spectrum representative:
         # itself when 0 < k_last < n/2, else -k (conjugated) when k_last >
@@ -152,8 +191,50 @@ class HalfSpectrum:
         self._self_conjugate = np.flatnonzero((full == neg).all(axis=0))
 
     def take(self, coeffs: np.ndarray) -> np.ndarray:
-        """The half of a full coefficient array (a view)."""
+        """The half of a full coefficient array (a view); a half array itself."""
         return coeffs[..., : self.m]
+
+    def weight(self, s: float, components: int) -> np.ndarray:
+        """The weights of :meth:`power`: ``(1+|k|^2)^s`` times the mirror
+        images of each stored mode, once for the real and once for the
+        imaginary part, for each component; cached per (s, components)."""
+        key = (float(s), components)
+        if key not in self._weights:
+            w = self._images * (1.0 + self.ksq.ravel()) ** key[0]
+            self._weights[key] = np.tile(np.repeat(w, 2), components)
+        return self._weights[key]
+
+    def ladder_weights(self, exponents: tuple[float, ...], components: int):
+        """The :meth:`weight` arrays of several exponents; cached per tuple."""
+        key = (exponents, components)
+        if key not in self._ladder_weights:
+            self._ladder_weights[key] = tuple(self.weight(s, components) for s in exponents)
+        return self._ladder_weights[key]
+
+    def projection_mask(self, cutoff: int) -> np.ndarray:
+        """``|k|_inf <= cutoff`` on the half, as a complex 0/1 array; cached per cutoff."""
+        if cutoff not in self._project_masks:
+            self._project_masks[cutoff] = (self.kinf <= cutoff).astype(np.complex128)
+        return self._project_masks[cutoff]
+
+    def power(self, coeffs: np.ndarray) -> np.ndarray:
+        """The squared real and imaginary parts at the stored modes, flattened.
+
+        ``coeffs`` is a half or a full array of shape (components, ...).  Of
+        a full array each stored mode gets the mean of its own squares and
+        its mirror image's; these are its own squares bit for bit when the
+        array is Hermitian, and the :meth:`weight` sums then equal the full
+        sums for any array.
+        """
+        v = np.ascontiguousarray(coeffs).view(np.float64)
+        q = v * v
+        if coeffs.shape[-1] == self.m:
+            return q.reshape(-1)
+        q = q.reshape(len(q), -1, 2)
+        own = np.take(q, self._full_index, axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf of an Inf coefficient: NaN
+            own += 0.5 * (np.take(q, self._mirror_index, axis=1) - own)
+        return own.reshape(-1)
 
     def dealiased(self, half: np.ndarray) -> np.ndarray:
         """2/3-rule truncation, on the kept columns."""
@@ -163,6 +244,11 @@ class HalfSpectrum:
         """Dealiased derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
         f = half[..., : self.kept]
         return np.concatenate([ik * f for ik in self._ik_dealiased])
+
+    def with_gradient(self, half: np.ndarray) -> np.ndarray:
+        """``concatenate([dealiased(f), gradient(f)])`` in one multiply."""
+        f = half[..., : self.kept]
+        return (self._value_and_ik * f).reshape((-1,) + f.shape[1:])
 
     def to_physical(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a stack of half spectra, one batched inverse transform.
@@ -177,6 +263,8 @@ class HalfSpectrum:
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """2/3-dealiased half spectra of a stack of real grid arrays."""
+        if self._mask_1d is not None:
+            return np.fft.rfft(values, axis=-1) * self._mask_1d
         x = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.kept]
         for axis in self.axes[:-1]:
             x = np.fft.fft(x, axis=axis, norm="forward")
@@ -248,13 +336,6 @@ class TorusGrid:
             powers[key] = self._arrays["weight"] ** key
         return powers[key]
 
-    def ladder_weights(self, exponents: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-        """Flattened :meth:`sobolev_weight` arrays of several exponents, cached per tuple."""
-        store = self._arrays["ladder_weights"]
-        if exponents not in store:
-            store[exponents] = tuple(self.sobolev_weight(s).ravel() for s in exponents)
-        return store[exponents]
-
     def projection_mask(self, cutoff: int) -> np.ndarray:
         """``|k|_inf <= cutoff`` as a complex 0/1 array, cached per cutoff.
 
@@ -294,17 +375,20 @@ class SpectralField:
     """A real field on the torus stored as complex Fourier coefficients.
 
     ``coeffs`` has shape ``(components, n, ..., n)`` with ``dim`` spatial axes
-    in numpy fft ordering.
+    in numpy fft ordering (the full layout), or ``(components, n, ..., m)``
+    with ``m = n/2 + 1``, the non-redundant half of a Hermitian array (the
+    :class:`HalfSpectrum` layout).  Norms, the Galerkin projection, the
+    arithmetic and the drifts of :mod:`stochtame.models` take either layout
+    and keep it; :meth:`as_full` and :meth:`as_half` convert.
     """
 
     __slots__ = ("grid", "coeffs")
 
     def __init__(self, grid: TorusGrid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        expected_tail = (grid.n,) * grid.dim
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
-        if coeffs.ndim != grid.dim + 1 or coeffs.shape[1:] != expected_tail:
+        if coeffs.shape[1:] not in grid._arrays["layouts"]:
             raise GridMismatchError(
                 f"coefficient shape {coeffs.shape} incompatible with {grid!r}"
             )
@@ -349,6 +433,21 @@ class SpectralField:
     def components(self) -> int:
         return self.coeffs.shape[0]
 
+    @property
+    def is_half(self) -> bool:
+        """True for the half layout."""
+        return self.coeffs.shape[-1] != self.grid.n
+
+    def as_full(self) -> "SpectralField":
+        """The field in the full layout; a half is mirrored, exactly Hermitian."""
+        if not self.is_half:
+            return self
+        return SpectralField(self.grid, self.grid.half.to_full(self.coeffs))
+
+    def as_half(self) -> "SpectralField":
+        """The field in the half layout (a view of a full field's coefficients)."""
+        return SpectralField(self.grid, self.grid.half.take(self.coeffs))
+
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.coeffs).all())
 
@@ -356,26 +455,29 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self) -> np.ndarray:
+        if self.is_half:
+            return self.grid.half.to_physical(self.coeffs)
         spatial = tuple(range(1, self.grid.dim + 1))
         return np.real(np.fft.ifftn(self.coeffs, axes=spatial)) * self.grid.mode_count
 
     def hermitian_defect(self) -> float:
+        """Largest ``|fhat_k - conj(fhat_{-k})|`` of a full-layout field."""
         rev = self.grid.reverse_index()
         mirrored = np.conj(self.coeffs[(slice(None),) + rev])
         return float(np.max(np.abs(self.coeffs - mirrored))) if self.coeffs.size else 0.0
 
     def symmetrized(self) -> "SpectralField":
-        """Project onto the Hermitian-symmetric (real-field) subspace."""
+        """Project a full-layout field onto the Hermitian-symmetric (real-field) subspace."""
         rev = self.grid.reverse_index()
         mirrored = np.conj(self.coeffs[(slice(None),) + rev])
         return SpectralField(self.grid, 0.5 * (self.coeffs + mirrored))
 
     # arithmetic (value semantics) ----------------------------------------
     def _check_compatible(self, other: "SpectralField"):
-        if self.grid != other.grid or self.components != other.components:
+        if self.grid != other.grid or self.coeffs.shape != other.coeffs.shape:
             raise GridMismatchError(
-                f"incompatible fields: {self.grid!r}/{self.components} vs "
-                f"{other.grid!r}/{other.components}"
+                f"incompatible fields: {self.grid!r}/{self.coeffs.shape} vs "
+                f"{other.grid!r}/{other.coeffs.shape}"
             )
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -438,14 +540,16 @@ class SpaceLadder:
         return self.exponents[LADDER_SPACES.index(space)]
 
     def norms(self, f: "SpectralField") -> tuple[float, float, float, float]:
-        """The (G, F0, F1, D) norms of ``f`` from one power spectrum.
+        """The (G, F0, F1, D) norms of ``f`` (either layout) from one power spectrum.
 
-        Each equals ``sobolev_norm(f, s)`` for its exponent bit for bit, and
-        NaN or Inf coefficients raise :class:`NonFiniteFieldError` as there.
+        Each equals ``sobolev_norm(f, s)`` for its exponent bit for bit: the
+        same dot product of the power with the same weights.  NaN or Inf
+        coefficients raise :class:`NonFiniteFieldError` as there.
         """
-        power = _power_spectrum(f)
-        wg, w0, w1, wd = f.grid.ladder_weights(self.exponents)
-        g, f0, f1, d = np.dot(power, wg), np.dot(power, w0), np.dot(power, w1), np.dot(power, wd)
+        hs = f.grid.half
+        power = hs.power(f.coeffs)
+        wg, w0, w1, wd = hs.ladder_weights(self.exponents, len(f.coeffs))
+        g, f0, f1, d = np.dot(wg, power), np.dot(w0, power), np.dot(w1, power), np.dot(wd, power)
         if not math.isfinite(g + f0 + f1 + d):
             _check_finite(f)
         return math.sqrt(g), math.sqrt(f0), math.sqrt(f1), math.sqrt(d)
@@ -461,13 +565,16 @@ class GalerkinProjector:
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
-
-def _power_spectrum(f: SpectralField) -> np.ndarray:
-    """``sum_c |fhat_{c,k}|^2`` over components, flattened."""
-    c = f.coeffs
-    p = np.square(c.real)
-    p += np.square(c.imag)
-    return (p[0] if len(p) == 1 else p.sum(axis=0)).ravel()
+    def mask(self, f: SpectralField) -> np.ndarray:
+        """The cached complex 0/1 mask of the kept modes, in ``f``'s layout."""
+        grid = f.grid
+        if self.cutoff > grid.nyquist:
+            raise ValueError(
+                f"cutoff {self.cutoff} exceeds the Nyquist limit {grid.nyquist} of {grid!r}"
+            )
+        if f.is_half:
+            return grid.half.projection_mask(self.cutoff)
+        return grid.projection_mask(self.cutoff)
 
 
 def _check_finite(f: SpectralField) -> None:
@@ -479,10 +586,13 @@ def _check_finite(f: SpectralField) -> None:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm, ``sqrt(sum_k (1+|k|^2)^s |fhat_k|^2)`` over all components.
 
-    Raises :class:`NonFiniteFieldError` on NaN/Inf coefficients; a finite
-    field whose weighted sum overflows has norm inf.
+    Summed over the stored modes of the half spectrum, each weighted by its
+    mirror images (:meth:`HalfSpectrum.power`), for either layout.  Raises
+    :class:`NonFiniteFieldError` on NaN/Inf coefficients; a finite field
+    whose weighted sum overflows has norm inf.
     """
-    sq = np.dot(_power_spectrum(f), f.grid.sobolev_weight(s).ravel())
+    hs = f.grid.half
+    sq = np.dot(hs.weight(s, len(f.coeffs)), hs.power(f.coeffs))
     if not math.isfinite(sq):
         _check_finite(f)
     return math.sqrt(sq)
@@ -508,11 +618,7 @@ def duality_pairing(a: SpectralField, b: SpectralField, ladder: SpaceLadder, i: 
 
 def galerkin_project(f: SpectralField, p: GalerkinProjector) -> SpectralField:
     """Zero every coefficient with ``|k|_inf > cutoff``. Idempotent, norm contracting."""
-    if p.cutoff > f.grid.nyquist:
-        raise ValueError(
-            f"cutoff {p.cutoff} exceeds the Nyquist limit {f.grid.nyquist} of {f.grid!r}"
-        )
-    return SpectralField(f.grid, f.coeffs * f.grid.projection_mask(p.cutoff))
+    return SpectralField(f.grid, f.coeffs * p.mask(f))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -566,8 +672,8 @@ def random_field(
 #
 # Layout (numpy .npz): "dim", "n_per_axis", "components" as scalar int arrays
 # and "coeffs" as the complex coefficient array with shape
-# (components, n, ..., n), spatial axes in numpy fft ordering (row-major).
-# Round trips are bit-exact.
+# (components, n, ..., n), or (components, n, ..., n/2 + 1) for a half,
+# spatial axes in numpy fft ordering (row-major).  Round trips are bit-exact.
 
 
 def save_field(path, f: SpectralField) -> None:

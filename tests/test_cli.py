@@ -120,3 +120,38 @@ def test_verify_seed_resolution(monkeypatch, env, flag, expected):
     argv = ["verify", "--suite", "trivial", "--quiet"] + (["--seed", flag] if flag else [])
     assert main(argv) == 0
     assert seen == [expected]
+
+
+ACCOUNTING = (
+    r"^status=(\w+) trials=(\d+) rejections=non_finite:(\d+),stiffness:(\d+),growth:(\d+),"
+    r"crossing:(\d+) finest_level=(\d+) drift_evals=(\d+) "
+)
+
+
+@pytest.mark.parametrize("command", ["simulate", "control"])
+def test_path_commands_print_the_step_accounting(tmp_path, capsys, command):
+    # a tamed Burgers path whose noise refines some steps; the control run
+    # starts above L_hi, so tau fires at t = 0, and the noise stays on: every
+    # step is a tamed step, one drift evaluation per accepted step
+    import re
+
+    config = {
+        "model": {"kind": "Burgers1D", "resolution": 64, "initial": {"amplitude": 3.0}},
+        "noise": {"theta": 0.5, "alpha": 1.0, "case": "I"},
+        "stepper": {"dt": 1e-3, "t_end": 0.05, "stiff_cap": 0.05, "growth_trigger": 0.05},
+        "control": {"enabled": command == "control", "K": 1.0, "C": 1.0},
+        "ensemble": {"d_list": [8]},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--seed", "3"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    match = re.match(ACCOUNTING, line)
+    assert match, line
+    status, trials, *rejections, finest, evals = match.groups()
+    accepted = len(read_rows(out / "trajectory.csv")) - 1
+    assert status == "completed"
+    assert int(trials) == accepted + sum(map(int, rejections))
+    assert int(rejections[1]) > 0 and int(rejections[2]) > 0 and int(finest) > 0
+    assert int(evals) == accepted

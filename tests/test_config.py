@@ -61,24 +61,33 @@ def test_every_kind_builds_grid_drift_and_initial_state(kind, initial):
     assert out.hermitian_defect() == 0.0
 
 
-@pytest.mark.parametrize(
-    "kind, initial",
-    [
-        pytest.param(
-            kind,
-            initial,
-            # the Leray projection reads k = -n/2 at both ends of a Nyquist
-            # plane, so those modes lose their conjugate symmetry
-            marks=pytest.mark.xfail(strict=True, reason="Nyquist planes not Hermitian")
-            if (kind, initial) == ("Vorticity3D", "random")
-            else (),
-        )
-        for kind, initial in PAIRS
-    ],
-)
+@pytest.mark.parametrize("kind, initial", PAIRS)
 def test_initial_state_is_hermitian(kind, initial):
     _, _, X = _build(kind, initial)
     assert X.hermitian_defect() <= 1e-14 * max(np.max(np.abs(X.coeffs)), 1.0)
+
+
+@pytest.mark.parametrize("kind", list(CATALOGUE))
+def test_catalogue_lists_the_initial_kinds_a_kind_can_take(kind):
+    assert set(CATALOGUE[kind].initial_kinds) == set(_initial_kinds(kind))
+
+
+@pytest.mark.parametrize(
+    "kind, initial",
+    [
+        ("Vorticity3D", "sine"),
+        ("Vorticity3D", "rest_height"),
+        ("Burgers1D", "rest_height"),
+        ("Burgers2D", "rest_height"),
+        ("Vorticity2D", "rest_height"),
+        ("RSW_Inviscid", "vortex"),
+    ],
+)
+def test_initial_kind_the_model_cannot_take_is_rejected(kind, initial):
+    # a sine is not divergence free in 3D, and a rest height needs the
+    # height component of shallow water: both used to die in a traceback
+    with pytest.raises(ConfigError, match=rf"model\.initial\.kind of {kind} must be one of"):
+        _build(kind, initial)
 
 
 @pytest.mark.parametrize("case", list(NOISE_CASES))

@@ -15,7 +15,7 @@ from stochtame.control import (
 from stochtame.integrators import StepperConfig, integrate_path
 from stochtame.models import DriftOperator, FourierMultiplierDrift
 from stochtame.noise import NoiseSpec, WienerPath
-from stochtame.spectral import SpaceLadder, SpectralField, TorusGrid, sobolev_norm
+from stochtame.spectral import SpaceLadder, SpectralField, TorusGrid, random_field, sobolev_norm
 
 LADDER = SpaceLadder(0.0, 1.0, 2.0, 3.0)
 
@@ -279,6 +279,30 @@ class TestSharedLoop:
         for r in (rec, ref):
             assert r.status == "blowup" and r.blowup[1] == "norm_threshold"
             assert r.n_rows == 2 and r.flags == ["", "flagged"]
+
+
+def test_shallow_water_control_fields_are_hermitian_and_projected():
+    # a seeded inviscid shallow-water switching path: tau at t = 0, rho once
+    # the noise brings the norm down, RK4 after; its record's fields are
+    # mirrored from the half spectrum the loop steps
+    grid = TorusGrid(2, 16)
+    d = 4
+    x0 = random_field(grid, 3, 6.5, 4.0, 97)
+    x0.coeffs[2, 0, 0] = 1.0
+    st = StepperConfig(
+        scheme="EulerMaruyama", dt=2e-3, t_end=0.1, stiff_cap=0.1, growth_trigger=1.0,
+        field_stride=1,
+    )
+    noise = NoiseSpec(1.0, 1.0, "F1", "II")
+    rec = control_run(
+        x0, DriftOperator("RSW_Inviscid"), noise, ControlSchedule(K=1.0, C=1.0), st,
+        WienerPath(1, 2e-3), cutoff=d,
+    )
+    assert rec.status == "completed"
+    assert [e.kind for e in rec.events][:2] == ["tau", "rho"] and "D" in rec.regime
+    for field in [rec.final_state] + [f for _, f in rec.snapshots]:
+        assert not field.is_half and field.hermitian_defect() == 0.0
+        assert np.all(field.coeffs[:, grid.kinf > d] == 0.0)
 
 
 class TestValidateSchedule:

@@ -354,6 +354,48 @@ class TestIntegratePath:
         plain = integrate_path(x0, heat_drift(), None, StepperConfig(dt=1e-3, t_end=0.01))
         assert plain.level_steps == (10,) and plain.trials == 10 and plain.rejected_steps == 0
 
+    def test_drift_evals_on_a_refined_tamed_path(self):
+        # a refined trial reuses its state's drift, and the last state's drift
+        # is never needed: one evaluation per accepted step, as many as the
+        # drift itself saw
+        calls = []
+
+        class CountedHeat(FourierMultiplierDrift):
+            def __call__(self, X):
+                calls.append(X)
+                return super().__call__(X)
+
+        grid = TorusGrid(1, 32)
+        x = grid.coordinates()[0]
+        x0 = SpectralField.from_physical(grid, 5.0 * np.sin(x) + 2.0 * np.cos(3.0 * x))
+        drift = CountedHeat(LADDER, lambda ksq: -ksq)
+        st = StepperConfig(dt=1e-3, t_end=0.1, stiff_cap=0.05, growth_trigger=0.05)
+        rec = integrate_path(x0, drift, NoiseSpec(2.0, 1.0, "F0", "I"), st, WienerPath(4, 1e-3))
+        assert rec.status == "completed" and rec.rejected_steps > 0
+        assert rec.drift_evals == rec.accepted_steps == len(calls)
+
+    def test_drift_evals_on_an_rk4_path(self):
+        # three stages per trial besides the cached drift of each state
+        st = StepperConfig(scheme="RK4Deterministic", dt=0.1, t_end=1.0, growth_trigger=0.1)
+        rec = integrate_path(sine_field(TorusGrid(1, 32)), linear_drift(5.0), None, st)
+        assert rec.status == "completed" and rec.rejected_steps > 0
+        assert rec.drift_evals == rec.accepted_steps + 3 * rec.trials
+
+    def test_public_fields_are_hermitian_and_projected(self):
+        # the loop steps the half spectrum; the record's fields are mirrored
+        grid = TorusGrid(1, 128)
+        d = 16
+        st = StepperConfig(dt=1e-3, t_end=0.2, field_stride=3)
+        noise = NoiseSpec(1.0, 1.4, "F0", "I")
+        rec = integrate_path(
+            sine_field(grid), DriftOperator("Burgers1D"), noise, st, WienerPath(6, 1e-3), cutoff=d
+        )
+        assert rec.status == "completed" and len(rec.snapshots) > 60
+        for field in [rec.final_state] + [f for _, f in rec.snapshots]:
+            assert not field.is_half and field.hermitian_defect() == 0.0
+            assert np.all(field.coeffs[:, grid.kinf > d] == 0.0)
+        assert sobolev_norm(rec.final_state, LADDER.s_G) > 0.0
+
     def test_times_strictly_increasing_and_integral_monotone(self):
         grid = TorusGrid(1, 64)
         x0 = sine_field(grid)

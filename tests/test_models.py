@@ -17,6 +17,7 @@ from stochtame.models import (
     divergence,
     drift_pairing_report,
     lipschitz_quotient,
+    random_state,
     rsw_drift,
     vorticity_drift,
 )
@@ -421,6 +422,20 @@ def test_band_limited_closure_multidimensional(kind):
     out = DriftOperator(kind, ModelParams())(X).coeffs
     assert np.max(np.abs(out[:, grid.kinf > grid.dealias_cutoff])) == 0.0
     assert np.max(np.abs(out[:, grid.kinf > 2 * band])) <= 1e-14 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("kind", list(CATALOGUE))
+def test_half_drift_mirrored_is_the_full_drift(kind):
+    # the drift of a half-layout state is a half; mirrored, it is the drift
+    # of the full state bit for bit
+    dim = CATALOGUE[kind].dim
+    grid = TorusGrid(dim, {1: 32, 2: 16, 3: 8}[dim])
+    A = DriftOperator(kind, _params(kind, grid))
+    for seed in range(2):
+        X = random_state(kind, grid, 2.0, 1.0, seed)
+        half = A(X.as_half())
+        assert half.is_half
+        assert np.array_equal(half.as_full().coeffs, A(X).coeffs)
 
 
 def test_module_table_lists_the_catalogue():

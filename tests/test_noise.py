@@ -178,6 +178,42 @@ class TestWienerPath:
         assert abs(xs.var() - 0.5) < 0.05
         assert abs(np.corrcoef(xs[:-1], xs[1:])[0, 1]) < 0.06
 
+    def test_draws_follow_the_written_out_formula(self):
+        # splitmix64 words keyed by (seed, base, level, offset) feed one
+        # Box-Muller draw; a base increment is sqrt(dt) xi, and a refinement
+        # splits its parent P over 2h into P/2 + sqrt(2h)/2 xi and the rest
+        mask = (1 << 64) - 1
+
+        def mix(x):
+            x = (x + 0x9E3779B97F4A7C15) & mask
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+            return x ^ (x >> 31)
+
+        def normal(seed, base, level, offset):
+            h = mix(seed & mask)
+            for word in (base, level, offset):
+                h = mix(h ^ word)
+            u1 = (mix(h) >> 11) * 2.0**-53
+            u2 = (mix(h ^ 0xD1B54A32D192ED03) >> 11) * 2.0**-53
+            return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+
+        def increment(seed, dt, index, level):
+            if level == 0:
+                return math.sqrt(dt) * normal(seed, index, 0, 0)
+            parent = increment(seed, dt, index >> 1, level - 1)
+            base = index >> level
+            offset = index - (base << level)
+            xi = normal(seed, base, level, offset | 1)
+            half = 0.5 * parent + 0.5 * math.sqrt(dt * 2.0 ** -(level - 1)) * xi
+            return parent - half if offset & 1 else half
+
+        for seed in (0, 7, 10300093, 2**64 + 5, -3):
+            w = WienerPath(seed, 1e-3)
+            for level in range(4):
+                for i in range(6 << level):
+                    assert w.increment(i, level) == increment(seed, 1e-3, i, level)
+
     def test_refined_increment_statistics(self):
         # bridge-refined increments are iid N(0, h) at every level: variance h
         # and uncorrelated siblings (the two halves of one parent interval)

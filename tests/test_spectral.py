@@ -115,6 +115,46 @@ class TestLadderNorms:
             assert sobolev_norm(f, 4.0) == math.inf
 
 
+class TestHalfLayout:
+    LADDER = SpaceLadder(-0.5, 1.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 6)])
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_half_norms_equal_the_full_sums(self, dim, n, components):
+        # every mode is nonzero, on the planes k_last = 0 and k_last = n/2
+        # too, where the half stores both k and -k: a wrong count of mirror
+        # images there or elsewhere moves the sums
+        grid = TorusGrid(dim, n)
+        for seed in range(3):
+            f = random_field(grid, components, 1.0, 1.0, seed)
+            assert f.hermitian_defect() == 0.0 and np.min(np.abs(f.coeffs)) > 0.0
+            half = f.as_half()
+            assert half.is_half and half.coeffs.shape[-1] == n // 2 + 1
+            power = np.abs(f.coeffs) ** 2
+            for s, got in zip(self.LADDER.exponents, self.LADDER.norms(half)):
+                want = math.sqrt(np.sum((1.0 + grid.ksq) ** s * power))
+                assert abs(got - want) <= 1e-14 * want
+                assert sobolev_norm(half, s) == got == sobolev_norm(f, s)
+
+    def test_full_layout_norm_of_a_non_hermitian_field_is_the_full_sum(self):
+        grid = TorusGrid(2, 8)
+        f = SpectralField(grid, random_field(grid, 2, 1.0, 1.0, 4).coeffs * (1.0 + 0.3j))
+        assert f.hermitian_defect() > 0.1
+        want = math.sqrt(np.sum((1.0 + grid.ksq) ** 2.0 * np.abs(f.coeffs) ** 2))
+        assert abs(sobolev_norm(f, 2.0) - want) <= 1e-14 * want
+
+    def test_layouts_round_trip(self):
+        grid = TorusGrid(2, 8)
+        f = random_field(grid, 3, 2.0, 1.0, 5)
+        assert np.array_equal(f.as_half().as_full().coeffs, f.coeffs)
+        assert np.allclose(f.as_half().to_physical(), f.to_physical(), atol=1e-14)
+        p = GalerkinProjector(2)
+        projected = galerkin_project(f.as_half(), p)
+        assert np.array_equal(projected.as_full().coeffs, galerkin_project(f, p).coeffs)
+        with pytest.raises(GridMismatchError):
+            f + f.as_half()
+
+
 class TestInnerProduct:
     def test_disjoint_support_orthogonal(self, grid):
         a = SpectralField.from_modes(grid, [((1,), 0, 1j)])
