@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class InitialSection:
-    kind: str = "sine"  # sine | random | rest_height
+    kind: str = "sine"  # sine | random | rest_height; unset: the model kind's first
     amplitude: float = 1.0
     space: str = "D"  # ladder space the initial state is declared to lie in
     seed: int = 0
@@ -181,6 +181,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"section {key!r} must be an object")
         sections[key] = _coerce_section(_SECTION_TYPES[key], value, key)
     cfg = RunConfig(**sections)
+    m = cfg.model
+    if "kind" not in data.get("model", {}).get("initial", {}) and m.kind in CATALOGUE:
+        initial = replace(m.initial, kind=CATALOGUE[m.kind].initial_kinds[0])
+        cfg = replace(cfg, model=replace(m, initial=initial))
     validate_config(cfg)
     return cfg
 

@@ -31,12 +31,11 @@ cutoff.  The cutoff is one multiply by a cached half mask; the drift is
 called on the half and returns the half; the four ladder norms of a trial
 state and the G norm of its drift are weighted dot products over the half,
 each stored mode counted once per mirror image.  Full coefficient arrays are
-built only for the record's public fields: ``final_state``, and the
-snapshots, mirrored in batches as the path goes, so that halves never pile
-up beside the full arrays.  The norms agree with sums over the full array
-only to rounding (a few ulps a sum), because the half sum adds the terms in
-another order; a path therefore matches the one stepped on full arrays to
-rounding, not bit for bit.
+built only for the record's public fields: ``final_state``, and each
+snapshot, mirrored when it is taken.  The norms agree with sums over the
+full array only to rounding (a few ulps a sum), because the half sum adds
+the terms in another order; a path therefore matches the one stepped on full
+arrays to rounding, not bit for bit.
 
 A path terminates with a blow-up record when the F0 norm crosses the
 threshold or when adaptive halving hits ``dt_min`` (the discrete counterpart
@@ -197,17 +196,11 @@ class TrajectoryRecord:
             )
 
 
-#: half-spectrum snapshots mirrored to the full layout at a time
-_SNAPSHOT_CHUNK = 32
-
-
 class _RecordBuilder:
-    def __init__(self, grid, seed, config_hash, keep_fields: bool, max_level: int):
-        self.grid = grid
+    def __init__(self, seed, config_hash, keep_fields: bool, max_level: int):
         self.rows = []
         self.flags = []
         self.snapshots = [] if keep_fields else None
-        self._pending = []  # (t, half coefficients) not yet mirrored
         self.snapshot_norms = [] if keep_fields else None
         self.sup = (0.0, 0.0, 0.0, 0.0)
         self.seed = seed
@@ -226,26 +219,12 @@ class _RecordBuilder:
         self.flags.append(flags)
 
     def snap(self, t, X: SpectralField, norm_F0: float):
-        # no copy: the loop never writes into a state's coefficients
         if self.snapshots is not None:
-            self._pending.append((t, X.coeffs))
+            self.snapshots.append((t, X.as_full()))
             self.snapshot_norms.append(norm_F0)
-            if len(self._pending) == _SNAPSHOT_CHUNK:
-                self._mirror_pending()
-
-    def _mirror_pending(self):
-        """Mirror the pending half snapshots to full-layout fields in one batch,
-        so that halves never pile up beside the full arrays."""
-        full = self.grid.half.to_full(np.stack([c for _, c in self._pending]))
-        self.snapshots.extend(
-            (t, SpectralField(self.grid, f)) for (t, _), f in zip(self._pending, full)
-        )
-        self._pending = []
 
     def build(self, status, blowup, diagnostics, X, drift_evals) -> TrajectoryRecord:
         """The record of a path that ended in the half-layout state ``X``."""
-        if self._pending:
-            self._mirror_pending()
         data = np.asarray([r[:6] + r[7:] for r in self.rows], dtype=np.float64)
         regimes = np.asarray([r[6] for r in self.rows])
         return TrajectoryRecord(
@@ -505,7 +484,6 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
 
     rec = _RecordBuilder(
-        X.grid,
         seed if seed is not None else (wiener.seed if wiener is not None else None),
         config_hash,
         keep_fields=stepper.field_stride is not None,

@@ -86,10 +86,7 @@ class ModelParams:
 
 def _dot_grad(vel: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Grid values of ``(vel . grad) f`` from ``vel[a]`` and ``grads[a] = d_a f``."""
-    out = vel[0] * grads[0]
-    for a in range(1, len(vel)):
-        out += vel[a] * grads[a]
-    return out
+    return sum((vel[a] * grads[a] for a in range(1, len(vel))), vel[0] * grads[0])
 
 
 def _in_layout(X: SpectralField, half: np.ndarray) -> SpectralField:
@@ -101,10 +98,7 @@ def _in_layout(X: SpectralField, half: np.ndarray) -> SpectralField:
 def _velocity_and_gradients(hs, vel: np.ndarray, f: np.ndarray):
     """Dealiased grid values of ``vel`` and ``grads[a, c] = d_a f_c``, one inverse transform."""
     dim = len(hs.axes)
-    if vel is f:
-        phys = hs.to_physical(hs.with_gradient(f))
-    else:
-        phys = hs.to_physical(np.concatenate([hs.dealiased(vel), hs.gradient(f)]))
+    phys = hs.to_physical(np.concatenate([hs.dealiased(vel), hs.gradient(f)]))
     return phys[:dim], phys[dim:].reshape((dim, len(f)) + phys.shape[1:])
 
 

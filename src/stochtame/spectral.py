@@ -152,13 +152,14 @@ class HalfSpectrum:
         self.ik = tuple(1j * ka for ka in axes)
         self.ksq = sum(ka**2 for ka in axes)
         self.kinf = kinf
-        self._mask = (kinf <= cutoff)[..., :kept]
-        self._ik_dealiased = tuple(ik[..., :kept] * self._mask for ik in self.ik)
         # complex, so that masking complex coefficients needs no cast per call
-        value_and_ik = np.stack((self._mask.astype(np.complex128),) + self._ik_dealiased)
-        self._value_and_ik = value_and_ik[:, np.newaxis]
-        # in 1D the forward transform's 1/n rides on the dealiasing mask
-        self._mask_1d = (kinf <= cutoff) * (1.0 + 0j) / n if dim == 1 else None
+        self._mask = (kinf <= cutoff)[..., :kept].astype(np.complex128)
+        # stacked on a leading axis, so that one multiply makes every derivative
+        self._ik_dealiased = np.stack([ik[..., :kept] * self._mask for ik in self.ik])[:, None]
+        # the forward transforms are unnormalised and their 1/n per axis rides
+        # on the mask; for n a power of two that scaling is exact, so the result
+        # is bit for bit that of normalised transforms
+        self._spectral_mask = self._mask / n**dim
         self._weights: dict[tuple[float, int], np.ndarray] = {}
         self._ladder_weights: dict[tuple, tuple[np.ndarray, ...]] = {}
         self._project_masks: dict[int, np.ndarray] = {}
@@ -243,12 +244,7 @@ class HalfSpectrum:
     def gradient(self, half: np.ndarray) -> np.ndarray:
         """Dealiased derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
         f = half[..., : self.kept]
-        return np.concatenate([ik * f for ik in self._ik_dealiased])
-
-    def with_gradient(self, half: np.ndarray) -> np.ndarray:
-        """``concatenate([dealiased(f), gradient(f)])`` in one multiply."""
-        f = half[..., : self.kept]
-        return (self._value_and_ik * f).reshape((-1,) + f.shape[1:])
+        return (self._ik_dealiased * f).reshape((-1,) + f.shape[1:])
 
     def to_physical(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a stack of half spectra, one batched inverse transform.
@@ -263,21 +259,19 @@ class HalfSpectrum:
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """2/3-dealiased half spectra of a stack of real grid arrays."""
-        if self._mask_1d is not None:
-            return np.fft.rfft(values, axis=-1) * self._mask_1d
-        x = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.kept]
+        x = np.fft.rfft(values, axis=-1)[..., : self.kept]
         for axis in self.axes[:-1]:
-            x = np.fft.fft(x, axis=axis, norm="forward")
+            x = np.fft.fft(x, axis=axis)
         out = np.zeros(x.shape[:-1] + (self.m,), dtype=np.complex128)
-        np.multiply(x, self._mask, out=out[..., : self.kept])
+        np.multiply(x, self._spectral_mask, out=out[..., : self.kept])
         return out
 
     def to_full(self, half: np.ndarray) -> np.ndarray:
         """The Hermitian full coefficient array of a stack of half spectra."""
         lead = half.shape[: -len(self.axes)]
         flat = half.reshape(lead + (-1,))
-        full = np.take(np.concatenate([flat, flat.conj()], axis=-1), self._mirror_src, axis=-1)
-        full[..., self._self_conjugate] = full[..., self._self_conjugate].real
+        full = np.concatenate([flat, flat.conj()], axis=-1).take(self._mirror_src, axis=-1)
+        full.imag[..., self._self_conjugate] = 0.0
         return full.reshape(lead + (self.n,) * len(self.axes))
 
 

@@ -9,6 +9,7 @@ from stochtame.config import (
     build_drift,
     build_grid,
     parse_config,
+    serialize_config,
 )
 from stochtame.models import CATALOGUE
 from stochtame.noise import NOISE_CASES, NoiseSpec
@@ -88,6 +89,16 @@ def test_initial_kind_the_model_cannot_take_is_rejected(kind, initial):
     # height component of shallow water: both used to die in a traceback
     with pytest.raises(ConfigError, match=rf"model\.initial\.kind of {kind} must be one of"):
         _build(kind, initial)
+
+
+@pytest.mark.parametrize("kind", list(CATALOGUE))
+def test_unset_initial_kind_is_the_model_kinds_first(kind):
+    # Vorticity3D takes random states only, so a config without
+    # model.initial (as an audit config may be) must not default to a sine
+    text = json.dumps({"model": {"kind": kind, "resolution": 8}, "ensemble": {"d_list": [2]}})
+    cfg = parse_config(text)
+    assert cfg.model.initial.kind == CATALOGUE[kind].initial_kinds[0]
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize("case", list(NOISE_CASES))
