@@ -37,11 +37,9 @@ from .experiments import (
     exp_law_study,
     gbm_strong_error_order,
     gbm_study,
-    mann_kendall_pvalue,
     revuz_yor_study,
     run_ensemble,
     uniform_control_report,
-    d_space_control_report,
 )
 from .integrators import StepperConfig, integrate_path
 from .models import DriftOperator, ModelParams
@@ -334,7 +332,7 @@ def ac5_uniform_control(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterion
                                  max_stochastic_duration=0.5),
     )
     rsw_stats = run_ensemble(rsw_cfg)
-    rsw_d_report = d_space_control_report(rsw_stats, epsilon_target=0.1)
+    rsw_d_report = uniform_control_report(rsw_stats, epsilon_target=0.1, space="D")
 
     passed = report.attained and trend_ok and rsw_d_report.K1 is not None
     return CriterionResult(

@@ -243,7 +243,6 @@ def cmd_verify(args) -> int:
     names = {
         "trivial": TRIVIAL_CRITERIA,
         "acceptance": ALL_CRITERIA,
-        "full": ALL_CRITERIA,
     }[args.suite]
     echo = (lambda *_: None) if args.quiet else print
     results = run_acceptance(names, seed=_resolve_seed(args, SUITE_SEED), echo=echo)
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scalefn)
 
     p = sub.add_parser("verify", help="run the structural/acceptance suites")
-    p.add_argument("--suite", choices=("trivial", "acceptance", "full"), default="trivial")
+    p.add_argument("--suite", choices=("trivial", "acceptance"), default="trivial")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify)

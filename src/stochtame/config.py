@@ -222,6 +222,8 @@ def validate_config(cfg: RunConfig) -> None:
                 f"{m.initial.space}"
             )
 
+    if not cfg.ensemble.d_list:
+        raise ConfigError("ensemble.d_list must hold at least one cutoff")
     cutoff_limit = two_thirds_cutoff(m.resolution)
     for d in cfg.ensemble.d_list:
         if d > cutoff_limit:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .integrators import StepperConfig, _adaptive_loop
 from .noise import NoiseSpec, WienerPath
-from .spectral import LADDER_SPACES, SpectralField
+from .spectral import SpectralField
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,6 @@ class _Switching:
         self.sched = sched
         self.B = B
         self.noise = B is not None and B.theta > 0.0
-        self.noise_idx = LADDER_SPACES.index(B.norm_space) if self.noise else None
         self.epsilon = epsilon
         self.K = sched.K
         self.L_hi, self.L_lo = sched.levels(self.K)
@@ -219,7 +218,7 @@ class _Switching:
         row's regime."""
         if self.regime == "S":
             norm = norms[1]
-            b_pair = 2.0 * self.B.theta * norms[self.noise_idx] ** self.B.alpha * norm**2
+            b_pair = 2.0 * self.B.coefficient(norms) * norm**2
             rate = b_pair / (self.sched.C + norm * norm)
             self.env_m += rate * dW
             self.env_qv += rate**2 * h

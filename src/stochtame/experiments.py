@@ -4,14 +4,13 @@ geometric-Brownian-motion stabilisation and drift assumption audits.
 
 Determinism: path seeds derive as ``base_seed + path_index``, the same seed
 drives the same Brownian path at every Galerkin cutoff, and aggregation is
-order independent, so identical configurations produce identical statistics
-and results merge associatively across disjoint seed ranges.
+order independent, so identical configurations produce identical statistics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -23,7 +22,6 @@ from .integrators import StepperConfig, integrate_path
 from .models import (
     AssumptionConstants,
     DriftOperator,
-    dissipation_term,
     drift_pairing_report,
     lipschitz_quotient,
     random_state,
@@ -57,8 +55,8 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def mann_kendall_pvalue(values, alternative: str = "increasing") -> float:
-    """One-sided Mann-Kendall trend test p-value.
+def mann_kendall_pvalue(values) -> float:
+    """One-sided Mann-Kendall p-value against an increasing trend.
 
     Exact permutation distribution for n <= 8 (ties handled by permuting the
     observed multiset), normal approximation with tie-corrected variance
@@ -77,9 +75,6 @@ def mann_kendall_pvalue(values, alternative: str = "increasing") -> float:
         return s
 
     s_obs = s_stat(v)
-    if alternative == "decreasing":
-        s_obs = -s_obs
-        v = [-x for x in v]
     if n <= 8:
         perms = set(permutations(v))
         count = sum(1 for p in perms if s_stat(p) >= s_obs)
@@ -163,7 +158,6 @@ class SummaryStats:
     K_grid: tuple
     delta_grid: tuple | None
     epsilon: float
-    base_seeds: set = dataclass_field(default_factory=set)
 
     def paths(self, d: int, completed_only: bool = False):
         out = self.by_d[d]
@@ -174,67 +168,21 @@ class SummaryStats:
     def n_numeric_failures(self, d: int) -> int:
         return sum(1 for p in self.by_d[d] if p.status == "numeric_error")
 
-    def merge(self, other: "SummaryStats") -> "SummaryStats":
-        """Combine disjoint seed ranges; commutative and associative."""
-        if self.K_grid != other.K_grid or self.delta_grid != other.delta_grid:
-            raise ValueError("cannot merge stats with different grids")
-        seeds_a = {p.seed for d in self.by_d for p in self.by_d[d]}
-        seeds_b = {p.seed for d in other.by_d for p in other.by_d[d]}
-        if seeds_a & seeds_b:
-            raise ValueError("seed ranges overlap; merge would double count")
-        merged = {}
-        for d in sorted(set(self.by_d) | set(other.by_d)):
-            rows = list(self.by_d.get(d, [])) + list(other.by_d.get(d, []))
-            merged[d] = sorted(rows, key=lambda p: p.seed)
-        return SummaryStats(
-            by_d=merged,
-            K_grid=self.K_grid,
-            delta_grid=self.delta_grid,
-            epsilon=self.epsilon,
-            base_seeds=self.base_seeds | other.base_seeds,
-        )
-
     # tables -----------------------------------------------------------------
     def sup_table(self, space: str = "F0"):
         """Rows (d, K, p_hat, ci_lo, ci_hi, n) for P(sup_t ||X||^2 >= K)."""
-        rows = []
-        for d in sorted(self.by_d):
-            paths = self.paths(d, completed_only=True)
-            n = len(paths)
-            for K in self.K_grid:
-                k = sum(1 for p in paths if p.sup_sq[space] >= K)
-                lo, hi = wilson_interval(k, n)
-                rows.append(
-                    {
-                        "d": d,
-                        "K": float(K),
-                        "p_hat": k / n if n else 0.0,
-                        "ci_lo": lo,
-                        "ci_hi": hi,
-                        "n": n,
-                    }
-                )
-        return rows
+        return self._threshold_rows(lambda p: p.sup_sq[space])
 
     def int_table(self):
         """Rows (d, K, p_hat, ci_lo, ci_hi, n) for P(int ||X||_F1^2 >= K)."""
+        return self._threshold_rows(lambda p: p.int_f1sq)
+
+    def _threshold_rows(self, value):
+        """The exceedance rows of ``value(path)`` over the cutoffs and K_grid."""
         rows = []
         for d in sorted(self.by_d):
-            paths = self.paths(d, completed_only=True)
-            n = len(paths)
-            for K in self.K_grid:
-                k = sum(1 for p in paths if p.int_f1sq >= K)
-                lo, hi = wilson_interval(k, n)
-                rows.append(
-                    {
-                        "d": d,
-                        "K": float(K),
-                        "p_hat": k / n if n else 0.0,
-                        "ci_lo": lo,
-                        "ci_hi": hi,
-                        "n": n,
-                    }
-                )
+            values = [value(p) for p in self.paths(d, completed_only=True)]
+            rows.extend(_exceedance_row(values, K, d=d, K=float(K)) for K in self.K_grid)
         return rows
 
     def median_increment_scale(self) -> float:
@@ -261,38 +209,26 @@ class SummaryStats:
         """
         if self.delta_grid is None:
             raise ValueError("no increment statistics were collected")
-        if eta is None:
-            eta = self.median_increment_scale()
+        eta = float(self.median_increment_scale() if eta is None else eta)
         rows = []
         for d in sorted(self.by_d):
             samples = [
                 p.aldous for p in self.paths(d, completed_only=True) if p.aldous is not None
             ]
-            n = len(samples)
-            for delta in self.delta_grid:
-                k = sum(1 for a in samples if a[delta] >= eta)
-                lo, hi = wilson_interval(k, n)
-                rows.append(
-                    {
-                        "d": d,
-                        "delta": float(delta),
-                        "eta": float(eta),
-                        "p_hat": k / n if n else 0.0,
-                        "ci_lo": lo,
-                        "ci_hi": hi,
-                        "n": n,
-                    }
-                )
+            rows.extend(
+                _exceedance_row([a[delta] for a in samples], eta, d=d, delta=float(delta), eta=eta)
+                for delta in self.delta_grid
+            )
         return rows
 
-    def e_record_samples(self):
-        return np.asarray(
-            sorted(
-                p.e_record
-                for d in self.by_d
-                for p in self.paths(d, completed_only=True)
-            )
-        )
+
+def _exceedance_row(values, level, **keys) -> dict:
+    """``keys``, then the fraction p_hat of ``values`` at or above ``level``,
+    its Wilson interval and the sample count n (p_hat 0 when n = 0)."""
+    n = len(values)
+    k = sum(1 for v in values if v >= level)
+    lo, hi = wilson_interval(k, n)
+    return {**keys, "p_hat": k / n if n else 0.0, "ci_lo": lo, "ci_hi": hi, "n": n}
 
 
 #: snapshots stacked at a time by :func:`_aldous_increments`
@@ -425,7 +361,6 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SummaryStats:
         K_grid=tuple(cfg.K_grid),
         delta_grid=delta_grid,
         epsilon=cfg.stepper.mart_epsilon,
-        base_seeds={cfg.base_seed},
     )
 
 
@@ -495,11 +430,6 @@ def uniform_control_report(
         trend_pvalue=trend_p,
         attained=K1 is not None and K2 is not None,
     )
-
-
-def d_space_control_report(stats: SummaryStats, epsilon_target: float) -> UniformControlReport:
-    """The same report for the top-of-ladder norm sup_t ||X||_D^2."""
-    return uniform_control_report(stats, epsilon_target, space="D")
 
 
 # --- scalar laboratories --------------------------------------------------------
@@ -606,6 +536,10 @@ class ExpLawReport:
         return d
 
 
+#: steps drawn and advanced at a time by :func:`exp_law_samples`
+_EXP_LAW_CHUNK = 512
+
+
 def exp_law_samples(
     epsilon: float,
     n_paths: int,
@@ -613,7 +547,6 @@ def exp_law_samples(
     T: float,
     seed: int = 0,
     bridge: bool = True,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Samples of E(eps) = sup_t (W_t - eps/2 t) on [0, T] for Brownian M.
 
@@ -630,7 +563,7 @@ def exp_law_samples(
     done = 0
     root_dt = math.sqrt(dt)
     while done < n_steps:
-        s = min(chunk, n_steps - done)
+        s = min(_EXP_LAW_CHUNK, n_steps - done)
         dw = rng.standard_normal((s, n_paths)) * root_dt
         u = 1.0 - rng.random((s, n_paths)) if bridge else None
         envelope_chunk(z, rec, np.ascontiguousarray(dw), u, dt, c)

@@ -10,10 +10,14 @@ both increments are normalised),
 
     X' = X + dt*A_d(X)/(1 + dt ||A_d(X)||_G) + dW*B(X)/(1 + dt ||B(X)||_G^2),
 
-or classical RK4 for the deterministic phases.  Step sizes halve whenever the
-relative F0-norm growth in one step exceeds the trigger; the driving noise is
-refined consistently through Brownian-bridge splitting, so halving never
-changes the coarse increments of the path.
+or classical RK4 for the deterministic phases.  B(X) is the noise
+coefficient ``theta ||X||_{F_i}^alpha`` times X; both Euler steps and the
+martingale pair 2<X, B(X)> take that number from
+:meth:`~stochtame.noise.NoiseSpec.coefficient` of the state's four cached
+ladder norms.  Step sizes halve whenever the relative F0-norm growth in one
+step exceeds the trigger; the driving noise is refined consistently through
+Brownian-bridge splitting, so halving never changes the coarse increments of
+the path.
 
 The taming error is pre-asymptotic while ``dt ||B(X)||_G^2`` is not small on
 the sampled paths.  On the one-mode geometric Brownian motion with a = 1,
@@ -51,7 +55,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .models import DriftOperator
 from .noise import NOISE_CASES, MartingaleDiagnostics, NoiseSpec, WienerPath
 from .spectral import (
     LADDER_SPACES,
@@ -279,7 +282,7 @@ def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     out = cache.drift().coeffs * dt
     out += X.coeffs
     if B is not None and B.theta > 0.0:
-        coeff = B.theta * norms[LADDER_SPACES.index(B.norm_space)] ** B.alpha
+        coeff = B.coefficient(norms)
         stiffness = max(stiffness, dt * coeff * coeff)
         out += X.coeffs * (dW * coeff)
     return SpectralField(X.grid, out), stiffness
@@ -293,7 +296,7 @@ def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     stiffness = drift_size
     if B is not None and B.theta > 0.0:
         norms = cache.norms()
-        coeff = B.theta * norms[LADDER_SPACES.index(B.norm_space)] ** B.alpha
+        coeff = B.coefficient(norms)
         noise_size = dt * (coeff * norms[0]) ** 2
         stiffness = max(stiffness, noise_size)
         out += X.coeffs * (dW * coeff / (1.0 + noise_size))
@@ -480,7 +483,6 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
 
     env_space = NOISE_CASES[B.case_label].envelope_space if noise_on else "F0"
     env_idx = LADDER_SPACES.index(env_space)
-    noise_idx = LADDER_SPACES.index(B.norm_space) if noise_on else None
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
 
     rec = _RecordBuilder(
@@ -557,7 +559,7 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
         # accept
         int_f1 += norms[2] ** 2 * h
         if stochastic:
-            b_pair = 2.0 * B.theta * norms[noise_idx] ** B.alpha * norms[env_idx] ** 2
+            b_pair = 2.0 * B.coefficient(norms) * norms[env_idx] ** 2
             diag.update(b_pair * dW, b_pair**2 * h)
         X = X_new
         cache = trial

@@ -40,7 +40,7 @@ pressure ``p = (h - b) / (rossby * froude)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -113,10 +113,6 @@ def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
     return _in_layout(f, hs.to_spectral(_dot_grad(v, grads)))
 
 
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, -f.grid.ksq * f.coeffs)
-
-
 def divergence(f: SpectralField) -> SpectralField:
     grid = f.grid
     if f.components != grid.dim:
@@ -151,7 +147,12 @@ def curl(f: SpectralField) -> SpectralField:
     raise GridMismatchError("curl defined for 2D 2-component or 3D 3-component fields")
 
 
-def biot_savart(omega: SpectralField, div_tol: float = 1e-8) -> SpectralField:
+#: largest divergence, relative to the largest coefficient, of a 3D
+#: vorticity that :func:`biot_savart` inverts
+_DIV_TOL = 1e-8
+
+
+def biot_savart(omega: SpectralField) -> SpectralField:
     """Velocity with ``curl u = omega``, ``div u = 0`` and zero mean.
 
     2D: scalar vorticity -> streamfunction ``psi`` with ``Lap psi = omega``,
@@ -161,10 +162,10 @@ def biot_savart(omega: SpectralField, div_tol: float = 1e-8) -> SpectralField:
     relative to its size is rejected.
     """
     grid = omega.grid
-    return SpectralField(grid, _biot_savart(omega.coeffs, grid.k_axes, grid.ksq, div_tol))
+    return SpectralField(grid, _biot_savart(omega.coeffs, grid.k_axes, grid.ksq))
 
 
-def _biot_savart(w: np.ndarray, k, ksq: np.ndarray, div_tol: float = 1e-8) -> np.ndarray:
+def _biot_savart(w: np.ndarray, k, ksq: np.ndarray) -> np.ndarray:
     """:func:`biot_savart` on a full or half layout (zero mode at index 0)."""
     zero = (0,) * len(k)
     ksq = ksq.copy()
@@ -179,7 +180,7 @@ def _biot_savart(w: np.ndarray, k, ksq: np.ndarray, div_tol: float = 1e-8) -> np
             raise GridMismatchError("3D vorticity must have three components")
         scale = float(np.max(np.abs(w))) or 1.0
         div = sum(1j * k[a] * w[a] for a in range(3))
-        if float(np.max(np.abs(div))) > div_tol * scale:
+        if float(np.max(np.abs(div))) > _DIV_TOL * scale:
             raise ValueError("3D vorticity input is not divergence free")
         cross = [k[1] * w[2] - k[2] * w[1], k[2] * w[0] - k[0] * w[2], k[0] * w[1] - k[1] * w[0]]
         u = 1j * np.stack(cross) / ksq
@@ -433,9 +434,6 @@ class DriftOperator:
     @property
     def components(self) -> int:
         return CATALOGUE[self.kind].components
-
-    def with_viscosity(self, nu: float) -> "DriftOperator":
-        return replace(self, params=replace(self.params, nu=nu))
 
     def __call__(self, X: SpectralField) -> SpectralField:
         facts = CATALOGUE[self.kind]

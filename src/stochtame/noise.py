@@ -4,7 +4,11 @@ The stochastic term is the rank-one superlinear multiplier
 
     B(X) = theta * ||X||_{F_i}^alpha * X,
 
-driven by a single scalar Brownian motion.  Because B(X) points along X, the
+driven by a single scalar Brownian motion.  Its scalar coefficient
+``theta * ||X||_{F_i}^alpha`` has one definition,
+:meth:`NoiseSpec.coefficient`, read from a state's four ladder norms; the
+Euler steps, the martingale pair of the stepping loop and the switching
+envelope all take it from there.  Because B(X) points along X, the
 Hilbert-Schmidt norm of the noise collapses to ``||B(X)||_{F_i}`` and every
 norm identity used by the envelope computations holds verbatim, e.g.
 ``||B(X)||_{F_i}^2 = theta^2 ||X||_{F_i}^(2*alpha+2)``.
@@ -37,12 +41,12 @@ Monte Carlo suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
 
-from .spectral import LADDER_SPACES, SpaceLadder, SpectralField, sobolev_norm
+from .spectral import LADDER_SPACES, SpaceLadder, SpectralField
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class NoiseSpec:
     alpha: float
     norm_space: str = "F0"
     case_label: str = "I"
+    #: position of the noise norm in the (G, F0, F1, D) norms
+    _index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.theta < 0 or self.alpha < 0:
@@ -97,6 +103,11 @@ class NoiseSpec:
                 f"case {self.case_label} takes the noise norm in {expected}, "
                 f"not {self.norm_space}"
             )
+        object.__setattr__(self, "_index", LADDER_SPACES.index(self.norm_space))
+
+    def coefficient(self, norms: tuple[float, float, float, float]) -> float:
+        """theta * ||X||_{F_i}^alpha, from the (G, F0, F1, D) norms of X."""
+        return self.theta * norms[self._index] ** self.alpha
 
     @classmethod
     def for_case(cls, theta: float, alpha: float, case: str) -> "NoiseSpec":
@@ -117,10 +128,7 @@ class NoiseSpec:
 
 def noise_coefficient(X: SpectralField, spec: NoiseSpec, ladder: SpaceLadder) -> SpectralField:
     """B(X) = theta * ||X||_{F_i}^alpha * X."""
-    if spec.theta == 0.0:
-        return SpectralField.zeros(X.grid, X.components)
-    norm = sobolev_norm(X, ladder.exponent(spec.norm_space))
-    return (spec.theta * norm**spec.alpha) * X
+    return spec.coefficient(ladder.norms(X)) * X
 
 
 # --- scalar Wiener path with dyadic bridge refinement -----------------------
@@ -203,10 +211,6 @@ class WienerPath:
         self._cache[key] = val
         return val
 
-    def value_at(self, index: int, level: int = 0) -> float:
-        """W(index * dt_base * 2^-level), summing increments from zero."""
-        return sum(self.increment(i, level) for i in range(index))
-
 
 # --- geometric Brownian motion lab ------------------------------------------
 
@@ -222,10 +226,6 @@ class GbmSpec:
     def __post_init__(self):
         if self.f0 <= 0:
             raise ValueError("f0 must be positive")
-
-    @property
-    def decays(self) -> bool:
-        return gbm_decay_criterion(self)
 
 
 def gbm_exact(spec: GbmSpec, W_t: float, t: float):
@@ -334,14 +334,6 @@ class MartingaleDiagnostics:
             self.record = candidate
         return self
 
-    def snapshot(self) -> tuple[float, float, float]:
-        return (self.m, self.qv, self.record)
-
-
-def track_martingale(diag: MartingaleDiagnostics, dM: float, d_qv: float) -> MartingaleDiagnostics:
-    """Accumulate one (dM, d<M>) increment into the diagnostics."""
-    return diag.update(dM, d_qv)
-
 
 def revuz_yor_bound(x: float, y: float) -> float:
     """exp(-x^2 / (2y)): tail bound for sup of a local martingale with <Y> <= y."""
@@ -366,15 +358,15 @@ class AdvisedNoise:
         return NoiseSpec.for_case(self.theta, self.alpha, self.case_label)
 
 
-def theta_advisor(
-    case: str,
-    constants,
-    epsilon: float,
-    level: float = 2.0,
-    offset: float = 1.0,
-    alpha_margin: float = 0.25,
-    theta_margin: float = 0.05,
-) -> AdvisedNoise:
+#: the envelope offset C of case I, the margin of 2*alpha over the exponent
+#: bound of cases I and II, and the relative margin of theta over the strict
+#: bound of case III
+_ADVISOR_OFFSET = 1.0
+_ALPHA_MARGIN = 0.25
+_THETA_MARGIN = 0.05
+
+
+def theta_advisor(case: str, constants, epsilon: float, level: float = 2.0) -> AdvisedNoise:
     """Smallest noise strength satisfying the case's sufficient condition.
 
     * case I: needs ``2*alpha > gamma1``; theta is the smallest value making
@@ -402,27 +394,27 @@ def theta_advisor(
 
     if case == "I":
         gamma1 = float(constants.gamma1)
-        alpha = gamma1 / 2.0 + alpha_margin
-        denom = (1.0 - 2.0 * epsilon) * level**4 - offset * level**2
+        alpha = gamma1 / 2.0 + _ALPHA_MARGIN
+        denom = (1.0 - 2.0 * epsilon) * level**4 - _ADVISOR_OFFSET * level**2
         if denom <= 0:
             raise ValueError(
-                f"reference level {level} too small for offset {offset}: "
+                f"reference level {level} too small for offset {_ADVISOR_OFFSET}: "
                 f"need level^2 > C/(1-2*eps)"
             )
-        theta = math.sqrt(2.0 * C1 * (offset + level**2) / denom)
+        theta = math.sqrt(2.0 * C1 * (_ADVISOR_OFFSET + level**2) / denom)
         ineq = (
-            f"theta^2*((1-2*{epsilon})*{level}^4 - {offset}*{level}^2) >= "
-            f"2*{C1}*({offset} + {level}^2) and 2*alpha > gamma1 = {gamma1}"
+            f"theta^2*((1-2*{epsilon})*{level}^4 - {_ADVISOR_OFFSET}*{level}^2) >= "
+            f"2*{C1}*({_ADVISOR_OFFSET} + {level}^2) and 2*alpha > gamma1 = {gamma1}"
         )
     elif case == "II":
         gamma1 = float(constants.gamma1)
-        alpha = max(0.0, (gamma1 - 2.0) / 2.0 + alpha_margin)
+        alpha = max(0.0, (gamma1 - 2.0) / 2.0 + _ALPHA_MARGIN)
         theta = 2.0 * C1 / (0.5 - epsilon)
         ineq = f"theta = 2*C1/(1/2-eps) = 2*{C1}/{0.5 - epsilon} and 2*alpha > gamma1-2"
     elif case == "III":
         gamma13 = float(constants.gamma13)
         alpha = gamma13 / 2.0
-        theta = 0.0 if C1 == 0.0 else math.sqrt(C1 / (1.0 - epsilon)) * (1.0 + theta_margin)
+        theta = 0.0 if C1 == 0.0 else math.sqrt(C1 / (1.0 - epsilon)) * (1.0 + _THETA_MARGIN)
         ineq = f"2*{C1} - 2*(1-{epsilon})*theta^2 < 0 and alpha = gamma13/2 = {alpha}"
     else:
         raise ValueError(f"case must be I, II or III, got {case!r}")

@@ -112,7 +112,6 @@ class _GridCache:
                 "kinf": kinf,
                 "weight": 1.0 + ksq,
                 "reverse": rev,
-                "dealias_mask": kinf <= two_thirds_cutoff(n),
                 # coefficient shapes of one component: full and half layout
                 "layouts": ((n,) * dim, (n,) * (dim - 1) + (n // 2 + 1,)),
                 "weight_powers": {},
@@ -305,10 +304,6 @@ class TorusGrid:
     @property
     def kinf(self) -> np.ndarray:
         return self._arrays["kinf"]
-
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        return self._arrays["dealias_mask"]
 
     @property
     def dealias_cutoff(self) -> int:
@@ -528,11 +523,6 @@ class SpaceLadder:
                 f"s_F0 = m*s_F1 + (1-m)*s_G (expected m={m})"
             )
 
-    def exponent(self, space: str) -> float:
-        if space not in LADDER_SPACES:
-            raise ValueError(f"unknown ladder space {space!r}")
-        return self.exponents[LADDER_SPACES.index(space)]
-
     def norms(self, f: "SpectralField") -> tuple[float, float, float, float]:
         """The (G, F0, F1, D) norms of ``f`` (either layout) from one power spectrum.
 
@@ -593,21 +583,15 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
 
 def inner_product(a: SpectralField, b: SpectralField, s: float) -> float:
-    """Real H^s inner product; ``inner_product(a, a, s) == sobolev_norm(a, s)**2``."""
+    """Real H^s inner product of two full-layout fields.
+
+    ``inner_product(a, a, s)`` and ``sobolev_norm(a, s)**2`` agree only to
+    rounding: this sums the full array, the norm sums the half spectrum with
+    mirror weights, in another order.
+    """
     a._check_compatible(b)
     w = a.grid.sobolev_weight(s)
     return float(np.sum(w * (a.coeffs.real * b.coeffs.real + a.coeffs.imag * b.coeffs.imag)))
-
-
-def duality_pairing(a: SpectralField, b: SpectralField, ladder: SpaceLadder, i: int = 0) -> float:
-    """The (D, G) duality pairing, defined as the F_i inner product.
-
-    This is deliberately the same code path as :func:`inner_product` so the
-    two agree bitwise.
-    """
-    if i not in (0, 1):
-        raise ValueError("i selects F0 (0) or F1 (1)")
-    return inner_product(a, b, ladder.s_F0 if i == 0 else ladder.s_F1)
 
 
 def galerkin_project(f: SpectralField, p: GalerkinProjector) -> SpectralField:
@@ -616,8 +600,8 @@ def galerkin_project(f: SpectralField, p: GalerkinProjector) -> SpectralField:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero modes with ``|k|_inf > (n - 1) // 3``."""
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
+    """2/3-rule truncation of either layout: zero modes with ``|k|_inf > (n - 1) // 3``."""
+    return galerkin_project(f, GalerkinProjector(two_thirds_cutoff(f.grid.n)))
 
 
 def interpolation_check(f: SpectralField, ladder: SpaceLadder) -> tuple[float, float]:

@@ -67,6 +67,20 @@ def test_config_cutoff_limit_is_alias_free():
         parse_config(config(8))
 
 
+def test_config_rejects_empty_cutoff_list(tmp_path):
+    # an ensemble needs a cutoff to run; without one the config is refused
+    # before any path starts
+    text = json.dumps(
+        {"model": {"kind": "Burgers1D", "resolution": 32}, "ensemble": {"d_list": []}}
+    )
+    with pytest.raises(ConfigError, match=r"ensemble\.d_list"):
+        parse_config(text)
+    path = tmp_path / "empty.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit, match=r"ensemble\.d_list"):
+        main(["ensemble", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+
+
 def test_config_rejects_milstein_scheme():
     # the scalar Milstein step needs the diffusion derivative in closed form;
     # no field run can take it, so the config refuses it up front

@@ -1,7 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from stochtame.experiments import _aldous_increments
+from stochtame import experiments
+from stochtame.cli import main
+from stochtame.experiments import _aldous_increments, mann_kendall_pvalue
 from stochtame.integrators import StepperConfig, integrate_path
 from stochtame.models import DriftOperator
 from stochtame.noise import NoiseSpec, WienerPath
@@ -51,3 +56,87 @@ def test_aldous_increments_match_loop_oracle(seed, use_hitting):
     assert all(want[d] > 0.0 for d in want)
     for d in want:
         assert got[d] == pytest.approx(want[d], rel=1e-12)
+
+
+class TestMannKendall:
+    def test_exact_permutation_p(self):
+        # four increasing values: S = 6 is attained by 1 of the 4! orders
+        assert mann_kendall_pvalue([0.1, 0.2, 0.3, 0.4]) == 1 / 24
+        # decreasing: every order has S >= -6
+        assert mann_kendall_pvalue([4.0, 3.0, 2.0, 1.0]) == 1.0
+
+    def test_tied_multiset(self):
+        # {1, 1, 2} has three distinct orders with S = 2, 0, -2
+        assert mann_kendall_pvalue([1.0, 1.0, 2.0]) == 1 / 3
+        assert mann_kendall_pvalue([1.0, 2.0, 1.0]) == 2 / 3
+        # {1, 2, 2, 3}: 12 distinct orders, only the sorted one reaches S = 5
+        assert mann_kendall_pvalue([1.0, 2.0, 2.0, 3.0]) == 1 / 12
+
+    def test_no_trend_evidence(self):
+        assert mann_kendall_pvalue([0.3] * 5) == 1.0
+        assert mann_kendall_pvalue([0.3] * 12) == 1.0
+        assert mann_kendall_pvalue([0.3]) == 1.0
+
+    def test_normal_branch_with_tie_correction(self):
+        # n = 9 with one tied pair: S = 36 - 1 = 35, and the variance
+        # (9*8*23 - 2*1*9) / 18 = 91; continuity-corrected z = 34 / sqrt(91)
+        p = mann_kendall_pvalue([1, 2, 3, 4, 5, 6, 7, 8, 8])
+        assert p == pytest.approx(0.5 * math.erfc(34 / math.sqrt(91) / math.sqrt(2)), rel=1e-9)
+        # decreasing, no ties: S = -36, variance 92, z = -35 / sqrt(92)
+        p = mann_kendall_pvalue(range(9, 0, -1))
+        assert p == pytest.approx(0.5 * math.erfc(-35 / math.sqrt(92) / math.sqrt(2)), rel=1e-12)
+
+
+def _ensemble_config(tmp_path, control: bool):
+    """A small `stochtame ensemble` config: Burgers paths with increment
+    windows, or shallow-water paths under the switching control."""
+    if control:
+        config = {
+            "model": {
+                "kind": "RSW_Inviscid",
+                "resolution": 16,
+                "initial": {"kind": "rest_height", "amplitude": 0.4, "space": "D", "seed": 97},
+            },
+            "noise": {"theta": 2.0, "alpha": 0.5, "case": "II"},
+            "stepper": {"scheme": "EulerMaruyama", "dt": 2e-3, "t_end": 0.05, "stiff_cap": 0.1},
+            "control": {"enabled": True, "K": 1.0, "C": 1.0},
+            "ensemble": {"base_seed": 5, "d_list": [4, 5], "T": 0.05},
+        }
+    else:
+        config = {
+            "model": {"kind": "Burgers1D", "resolution": 64, "initial": {"kind": "sine"}},
+            "noise": {"theta": 1.0, "alpha": 1.4, "case": "I"},
+            "stepper": {"dt": 1e-3, "t_end": 0.1},
+            "ensemble": {"base_seed": 11, "d_list": [8, 16], "T": 0.1, "delta_grid": [0.01, 0.04]},
+        }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("control", [False, True])
+def test_process_pool_matches_serial_run(tmp_path, monkeypatch, control):
+    # the same outcomes, path by path, and the same table bytes with paths
+    # spread over two worker processes as in one process
+    path = _ensemble_config(tmp_path, control)
+    stats = {}
+    run = experiments.run_ensemble
+
+    def keep(cfg, jobs=1):
+        stats[jobs] = run(cfg, jobs)
+        return stats[jobs]
+
+    monkeypatch.setattr(experiments, "run_ensemble", keep)
+    for jobs in (1, 2):
+        argv = ["ensemble", "--config", str(path), "--paths", "3", "--jobs", str(jobs)]
+        assert main(argv + ["--out", str(tmp_path / f"out{jobs}"), "--quiet"]) == 0
+    assert stats[1] == stats[2]
+    assert all(len(paths) == 3 for paths in stats[1].by_d.values())
+    if control:
+        assert any(p.n_switch_pairs > 0 for paths in stats[1].by_d.values() for p in paths)
+    else:
+        assert any(p.aldous for paths in stats[1].by_d.values() for p in paths)
+    serial = sorted(p.name for p in (tmp_path / "out1").iterdir())
+    assert serial == sorted(p.name for p in (tmp_path / "out2").iterdir())
+    for name in serial:
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()

@@ -243,7 +243,7 @@ class TestDriftOperator:
         # exact algebra: adding nu shifts the F0 self-pairing by -nu * D(a)
         grid = TorusGrid(2, 32)
         base = DriftOperator("Vorticity2D")
-        viscous = base.with_viscosity(0.8)
+        viscous = DriftOperator("Vorticity2D", ModelParams(nu=0.8), base.ladder)
         lad = viscous.ladder
         for seed in range(4):
             a = dealias(random_field(grid, 1, 4.5, 1.0, seed, zero_mean=True))

@@ -19,7 +19,6 @@ from stochtame.noise import (
     revuz_yor_bound,
     scale_function,
     theta_advisor,
-    track_martingale,
 )
 from stochtame.spectral import SpaceLadder, SpectralField, TorusGrid, random_field, sobolev_norm
 
@@ -229,12 +228,12 @@ class TestWienerPath:
 class TestMartingaleDiagnostics:
     def test_zero_increments_unchanged(self):
         d = MartingaleDiagnostics(0.25)
-        track_martingale(d, 0.0, 0.0)
-        assert d.snapshot() == (0.0, 0.0, 0.0)
+        d.update(0.0, 0.0)
+        assert (d.m, d.qv, d.record) == (0.0, 0.0, 0.0)
 
     def test_single_increment_record(self):
         d = MartingaleDiagnostics(0.25)
-        track_martingale(d, 1.0, 0.0)
+        d.update(1.0, 0.0)
         assert d.record == 1.0
 
     def test_record_monotone_and_qv_nonnegative(self):
@@ -242,11 +241,11 @@ class TestMartingaleDiagnostics:
         rng = np.random.default_rng(0)
         last = 0.0
         for _ in range(100):
-            track_martingale(d, float(rng.normal()), float(rng.uniform(0, 0.1)))
+            d.update(float(rng.normal()), float(rng.uniform(0, 0.1)))
             assert d.record >= last
             last = d.record
         with pytest.raises(ValueError):
-            track_martingale(d, 0.0, -1.0)
+            d.update(0.0, -1.0)
 
     def test_exp_law_small_sample(self):
         # E(1) for Brownian integrand ~ Exp(1); KS at the 1% level on a
@@ -272,7 +271,7 @@ class TestMartingaleDiagnostics:
         for p in range(4):
             d = MartingaleDiagnostics(eps)
             for s in range(steps):
-                track_martingale(d, float(dw[s, p]), dt)
+                d.update(float(dw[s, p]), dt)
             assert d.record == pytest.approx(rec[p], rel=1e-12, abs=1e-12)
             assert d.compensated == pytest.approx(z[p], rel=1e-12, abs=1e-12)
 

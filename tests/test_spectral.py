@@ -13,7 +13,6 @@ from stochtame.spectral import (
     SpectralField,
     TorusGrid,
     dealias,
-    duality_pairing,
     galerkin_project,
     inner_product,
     interpolation_check,
@@ -179,13 +178,6 @@ class TestInnerProduct:
         with pytest.raises(GridMismatchError):
             inner_product(a, b, 0.0)
 
-    def test_duality_pairing_is_same_code_path(self, grid):
-        lad = SpaceLadder(0.0, 1.0, 3.0, 4.0)
-        a = random_field(grid, 1, 4.5, 1.0, 3)
-        b = random_field(grid, 1, 4.5, 1.0, 4)
-        assert duality_pairing(a, b, lad, 0) == inner_product(a, b, 1.0)
-        assert duality_pairing(a, b, lad, 1) == inner_product(a, b, 3.0)
-
 
 class TestProjection:
     def test_idempotent_and_fixed_point(self, grid):
@@ -234,6 +226,19 @@ class TestDealias:
             SpectralField.from_physical(grid, 0.5 * (np.cos(x) - np.cos(7 * x)))
         )
         assert np.allclose(prod.coeffs, expected.coeffs, atol=1e-15)
+
+    @pytest.mark.parametrize("dim, n, components", [(1, 64, 1), (2, 16, 2), (3, 8, 3)])
+    def test_half_layout_matches_full(self, dim, n, components):
+        grid = TorusGrid(dim, n)
+        f = random_field(grid, components, 2.0, 1.0, 5)
+        full = dealias(f)
+        # the 2/3 rule as a mask over the full array, multiplied in
+        kept = grid.kinf <= (n - 1) // 3
+        assert full.coeffs.tobytes() == (f.coeffs * kept).tobytes()
+        half = dealias(f.as_half())
+        assert half.is_half
+        # equal values; the mirror conjugates masked modes, so a zero's sign may differ
+        assert np.array_equal(half.as_full().coeffs, full.coeffs)
 
 
 class TestLadder:
