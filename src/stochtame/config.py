@@ -315,7 +315,7 @@ class InitialBuilder:
         if init.kind == "sine":
             values = np.zeros((components,) + (grid.n,) * grid.dim)
             values[0] = init.amplitude * np.sin(grid.coordinates()[0])
-            return SpectralField.from_physical(grid, values)
+            return SpectralField(grid, grid.half.from_physical(values))
         if init.kind == "random":
             return random_state(self.kind, grid, init.decay_exponent, init.amplitude, init.seed)
         if init.kind == "rest_height":

@@ -273,15 +273,13 @@ def _aldous_increments(record, delta_grid, seed, use_hitting: bool, ladder):
     # X_tau are computed in stacks of _WINDOW_CHUNK to bound the temporaries
     ends = [int(np.searchsorted(times, t0 + delta + 1e-12, side="right")) for delta in delta_grid]
     last = max(ends)
-    weight = ref.grid.sobolev_weight(ladder.s_G)
+    weight = ref.grid.half.weight(ladder.s_G, ref.components)
     dist = [np.zeros(1)]  # 0 stands for the empty window
     for lo in range(idx + 1, last, _WINDOW_CHUNK):
         diff = np.stack([f.coeffs for _, f in snaps[lo : min(lo + _WINDOW_CHUNK, last)]])
         diff -= ref.coeffs
-        power = np.square(diff.real)
-        power += np.square(diff.imag)
-        power *= weight
-        dist.append(np.sqrt(power.reshape(len(diff), -1).sum(axis=1)))
+        power = np.square(diff.view(np.float64)).reshape(len(diff), -1)
+        dist.append(np.sqrt(power @ weight))
     running = np.maximum.accumulate(np.concatenate(dist))
     return {float(delta): float(running[end - idx - 1]) for delta, end in zip(delta_grid, ends)}
 

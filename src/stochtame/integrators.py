@@ -31,15 +31,13 @@ cap (``StepperConfig.stiff_cap``) bounds this quantity by halving the step;
 
 The loop holds its state as the non-redundant half spectrum (the
 :class:`~stochtame.spectral.HalfSpectrum` layout), zero outside the Galerkin
-cutoff.  The cutoff is one multiply by a cached half mask; the drift is
-called on the half and returns the half; the four ladder norms of a trial
-state and the G norm of its drift are weighted dot products over the half,
-each stored mode counted once per mirror image.  Full coefficient arrays are
-built only for the record's public fields: ``final_state``, and each
-snapshot, mirrored when it is taken.  The norms agree with sums over the
-full array only to rounding (a few ulps a sum), because the half sum adds
-the terms in another order; a path therefore matches the one stepped on full
-arrays to rounding, not bit for bit.
+cutoff, as every computation of the program does.  A full initial state is
+read through its half.  The cutoff is one multiply by a cached half mask;
+the drift is called on the half and returns the half; the four ladder norms
+of a trial state and the G norm of its drift are weighted dot products over
+the half, each stored mode counted once per mirror image.  Snapshots are
+kept as halves.  The one full array a path makes is its ``final_state``,
+the record's public field, mirrored from the last half.
 
 A path terminates with a blow-up record when the F0 norm crosses the
 threshold or when adaptive halving hits ``dt_min`` (the discrete counterpart
@@ -118,8 +116,9 @@ class TrajectoryRecord:
     (time, reason) for the blow-up statuses.  Rows are immutable once the
     record is finalised.  ``sup_norms`` holds the maxima of the (G, F0, F1, D)
     norms over every accepted state, saved as a row or not, so they do not
-    depend on the save stride; ``snapshot_norm_F0`` holds the F0 norm of each
-    snapshot.
+    depend on the save stride; ``snapshots`` hold halves and
+    ``snapshot_norm_F0`` the F0 norm of each; ``final_state`` is the full
+    layout, exactly Hermitian.
 
     The step accounting: ``trials`` counts trial steps; ``rejections`` counts
     the rejected ones by cause ("non_finite", "stiffness", "growth",
@@ -223,7 +222,7 @@ class _RecordBuilder:
 
     def snap(self, t, X: SpectralField, norm_F0: float):
         if self.snapshots is not None:
-            self.snapshots.append((t, X.as_full()))
+            self.snapshots.append((t, X))
             self.snapshot_norms.append(norm_F0)
 
     def build(self, status, blowup, diagnostics, X, drift_evals) -> TrajectoryRecord:
@@ -276,7 +275,7 @@ class _CountingDrift:
 def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     # scale-free stiffness: relative drift displacement and relative noise
     # quadratic variation per step, so spikes refine at bounded cost
-    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X), ladder)
+    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X.grid), ladder)
     norms = cache.norms()
     stiffness = dt * cache.drift_norm_G() / max(norms[0], 1e-300)
     out = cache.drift().coeffs * dt
@@ -289,7 +288,7 @@ def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
 
 
 def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
-    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X), ladder)
+    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X.grid), ladder)
     drift_size = dt * cache.drift_norm_G()
     out = cache.drift().coeffs * (dt / (1.0 + drift_size))
     out += X.coeffs
@@ -306,8 +305,8 @@ def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
 class _StateCache:
     """Per-state memo of the projected drift, its G norm and the ladder norms.
 
-    The drift is projected by one multiply with the cached mask of the
-    state's layout (:meth:`GalerkinProjector.mask`).
+    The drift is projected by one multiply with the cached half mask
+    (:meth:`GalerkinProjector.mask`).
 
     A trial step that gets halved retries from the same state; caching makes
     the retry cost O(vector ops) instead of a fresh drift evaluation.
@@ -354,11 +353,10 @@ def rk4_deterministic_step(
 ) -> SpectralField:
     """Classical 4-stage step for the deterministic phase dX = A_d(X) dt.
 
-    The step keeps the layout of ``X``; ``k1``, when given, is the projected
-    drift of ``X`` in that layout.
+    ``X`` is a half; ``k1``, when given, is its projected drift.
     """
     grid = X.grid
-    mask = projector.mask(X)
+    mask = projector.mask(grid)
 
     def stage(k, h):
         y = k * h
@@ -413,9 +411,9 @@ def integrate_path(
     """Integrate one path up to the horizon or blow-up.
 
     The initial state is projected to the Galerkin cutoff (default: the 2/3
-    dealiasing cutoff of the grid, the largest closure-exact choice).  It may
-    come in either layout; a full one is read through its half, as the real
-    field it stands for.  The record stores per-row norms in all four ladder
+    dealiasing cutoff of the grid, the largest closure-exact choice).  A
+    full one is read through its half, as the real field it stands for.  The
+    record stores per-row norms in all four ladder
     spaces, the running integral of ||X||_F1^2, the regime label, and the raw
     martingale pair (M_t, <M>_t) accumulated from 2<X, B(X)> dW in the case's
     envelope space.
@@ -468,9 +466,8 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     A = _CountingDrift(A)
 
     projector = GalerkinProjector(cutoff if cutoff is not None else X0.grid.dealias_cutoff)
-    X = X0.as_half()
-    mask = projector.mask(X)
-    X = SpectralField(X.grid, X.coeffs * mask)
+    mask = projector.mask(X0.grid)
+    X = SpectralField(X0.grid, X0.as_half().coeffs * mask)
     cache = _StateCache(X, A, mask, ladder)
     n0 = cache.norms()[1]
     threshold = (

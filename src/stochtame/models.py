@@ -24,11 +24,11 @@ enstrophy / energy conservation tests rely on.  Each drift makes one real-FFT
 round trip: the fields and derivatives it needs are gathered into one stack of
 half spectra and inverted together, the products formed on the grid are
 transformed forward together, and the linear terms are added on the half
-spectrum.  A drift keeps the layout of its input: it returns the half for a
-half-layout field (the stepping loop's state), and for a full field fills the
-full array by mirroring the half (``fhat_{-k} = conj(fhat_k)``, self-conjugate
-modes real), so that output is exactly Hermitian whatever the rounding of the
-transforms.
+spectrum.  Every function here takes and returns halves (the layout rule of
+:mod:`stochtame.spectral`).  Only ``DriftOperator.__call__`` also takes a
+full field: it reads the field's half and mirrors the drift back to the full
+layout (``fhat_{-k} = conj(fhat_k)``, self-conjugate modes real), so that
+output is exactly Hermitian whatever the rounding of the transforms.
 
 Shallow water note: the momentum state is used directly as the advected
 velocity.  A rotation vector potential with ``curl R = f zhat`` and zero
@@ -62,8 +62,9 @@ class ModelParams:
     ``nu`` is the (momentum) viscosity, ``eta`` the height diffusivity of the
     shallow water model, ``f_coriolis`` the rotation rate, ``rossby`` and
     ``froude`` the dimensionless numbers entering the pressure, ``topography``
-    an optional band-limited bottom profile and ``epsilon_sobolev`` the free
-    exponent offset of the inviscid-vorticity ladder (F0 = H^(3/2+eps)).
+    an optional band-limited bottom profile, a half, and ``epsilon_sobolev``
+    the free exponent offset of the inviscid-vorticity ladder (F0 =
+    H^(3/2+eps)).
     """
 
     nu: float = 0.0
@@ -89,12 +90,6 @@ def _dot_grad(vel: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return sum((vel[a] * grads[a] for a in range(1, len(vel))), vel[0] * grads[0])
 
 
-def _in_layout(X: SpectralField, half: np.ndarray) -> SpectralField:
-    """A drift's half-spectrum output in the layout of its input ``X``:
-    mirrored to the full array only when ``X`` is full."""
-    return SpectralField(X.grid, half if X.is_half else X.grid.half.to_full(half))
-
-
 def _velocity_and_gradients(hs, vel: np.ndarray, f: np.ndarray):
     """Dealiased grid values of ``vel`` and ``grads[a, c] = d_a f_c``, one inverse transform."""
     dim = len(hs.axes)
@@ -109,41 +104,27 @@ def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
     the retained output modes carry the exact convolution.
     """
     hs = f.grid.half
-    v, grads = _velocity_and_gradients(hs, hs.take(vel.coeffs), hs.take(f.coeffs))
-    return _in_layout(f, hs.to_spectral(_dot_grad(v, grads)))
+    v, grads = _velocity_and_gradients(hs, vel.coeffs, f.coeffs)
+    return SpectralField(f.grid, hs.to_spectral(_dot_grad(v, grads)))
 
 
 def divergence(f: SpectralField) -> SpectralField:
     grid = f.grid
     if f.components != grid.dim:
         raise GridMismatchError("divergence needs one component per spatial axis")
-    out = np.zeros((1,) + (grid.n,) * grid.dim, dtype=np.complex128)
-    for a in range(grid.dim):
-        out[0] += 1j * grid.k_axes[a] * f.coeffs[a]
-    return SpectralField(grid, out)
-
-
-def gradient(f: SpectralField) -> SpectralField:
-    """Gradient of a scalar field, one output component per axis."""
-    grid = f.grid
-    if f.components != 1:
-        raise GridMismatchError("gradient expects a scalar field")
-    out = np.concatenate([1j * grid.k_axes[a] * f.coeffs for a in range(grid.dim)], axis=0)
-    return SpectralField(grid, out)
+    return SpectralField(grid, sum(ik * c for ik, c in zip(grid.half.ik, f.coeffs)))
 
 
 def curl(f: SpectralField) -> SpectralField:
     """Curl: scalar in 2D (dx u2 - dy u1), vector in 3D."""
     grid = f.grid
-    k = grid.k_axes
+    ik, c = grid.half.ik, f.coeffs
     if grid.dim == 2 and f.components == 2:
-        out = 1j * k[0] * f.coeffs[1:2] - 1j * k[1] * f.coeffs[0:1]
-        return SpectralField(grid, out)
+        return SpectralField(grid, ik[0] * c[1] - ik[1] * c[0])
     if grid.dim == 3 and f.components == 3:
-        cx = 1j * k[1] * f.coeffs[2] - 1j * k[2] * f.coeffs[1]
-        cy = 1j * k[2] * f.coeffs[0] - 1j * k[0] * f.coeffs[2]
-        cz = 1j * k[0] * f.coeffs[1] - 1j * k[1] * f.coeffs[0]
-        return SpectralField(grid, np.stack([cx, cy, cz]))
+        return SpectralField(
+            grid, np.stack([ik[a] * c[b] - ik[b] * c[a] for a, b in ((1, 2), (2, 0), (0, 1))])
+        )
     raise GridMismatchError("curl defined for 2D 2-component or 3D 3-component fields")
 
 
@@ -161,21 +142,17 @@ def biot_savart(omega: SpectralField) -> SpectralField:
     and the mean of u is zero.  A 3D input whose divergence is not negligible
     relative to its size is rejected.
     """
-    grid = omega.grid
-    return SpectralField(grid, _biot_savart(omega.coeffs, grid.k_axes, grid.ksq))
-
-
-def _biot_savart(w: np.ndarray, k, ksq: np.ndarray) -> np.ndarray:
-    """:func:`biot_savart` on a full or half layout (zero mode at index 0)."""
-    zero = (0,) * len(k)
-    ksq = ksq.copy()
+    grid, w = omega.grid, omega.coeffs
+    k = grid.half.k_axes
+    zero = (0,) * grid.dim
+    ksq = grid.half.ksq.copy()
     ksq[zero] = 1.0  # avoid 0/0; the k=0 mode is zeroed below
-    if len(k) == 2:
+    if grid.dim == 2:
         if len(w) != 1:
             raise GridMismatchError("2D vorticity must be scalar")
         psi = -w[0] / ksq  # Lap psi = omega
         u = np.stack([-1j * k[1] * psi, 1j * k[0] * psi])
-    elif len(k) == 3:
+    elif grid.dim == 3:
         if len(w) != 3:
             raise GridMismatchError("3D vorticity must have three components")
         scale = float(np.max(np.abs(w))) or 1.0
@@ -187,7 +164,7 @@ def _biot_savart(w: np.ndarray, k, ksq: np.ndarray) -> np.ndarray:
     else:
         raise GridMismatchError("Biot-Savart inversion is 2D or 3D")
     u[(slice(None),) + zero] = 0.0
-    return u
+    return SpectralField(grid, u)
 
 
 def _leray_project(f: SpectralField) -> SpectralField:
@@ -200,13 +177,13 @@ def _leray_project(f: SpectralField) -> SpectralField:
     conjugate symmetry.  Zeroing those modes keeps it Hermitian, and divergence
     free, since the divergence acts mode by mode.
     """
-    grid = f.grid
-    off_nyquist = grid.kinf < grid.nyquist
-    return SpectralField(grid, _leray(f.coeffs, grid.k_axes, grid.ksq) * off_nyquist)
+    hs = f.grid.half
+    return SpectralField(f.grid, _leray(f.coeffs, hs) * (hs.kinf < f.grid.nyquist))
 
 
-def _leray(f: np.ndarray, k, ksq: np.ndarray) -> np.ndarray:
-    ksq = ksq.copy()
+def _leray(f: np.ndarray, hs) -> np.ndarray:
+    k = hs.k_axes
+    ksq = hs.ksq.copy()
     ksq[(0,) * len(k)] = 1.0
     kdot = sum(k[a] * f[a] for a in range(len(k))) / ksq
     return np.stack([f[a] - k[a] * kdot for a in range(len(k))])
@@ -218,12 +195,11 @@ def _leray(f: np.ndarray, k, ksq: np.ndarray) -> np.ndarray:
 def burgers_drift(u: SpectralField, nu: float = 0.0) -> SpectralField:
     """-(u.grad)u + nu*Lap u with exact spectral derivatives."""
     hs = u.grid.half
-    uh = hs.take(u.coeffs)
-    vel, grads = _velocity_and_gradients(hs, uh, uh)
+    vel, grads = _velocity_and_gradients(hs, u.coeffs, u.coeffs)
     out = -hs.to_spectral(_dot_grad(vel, grads))
     if nu > 0.0:
-        out += nu * (-hs.ksq * uh)
-    return _in_layout(u, out)
+        out += nu * (-hs.ksq * u.coeffs)
+    return SpectralField(u.grid, out)
 
 
 def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
@@ -234,8 +210,8 @@ def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
     """
     grid = omega.grid
     hs = grid.half
-    wh = hs.take(omega.coeffs)
-    uh = _biot_savart(wh, hs.k_axes, hs.ksq)
+    wh = omega.coeffs
+    uh = biot_savart(omega).coeffs
     if grid.dim == 2:
         vel, grads = _velocity_and_gradients(hs, uh, wh)
         out = -hs.to_spectral(_dot_grad(vel, grads))
@@ -245,10 +221,10 @@ def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
         phys = hs.to_physical(np.concatenate(stack))
         grads = phys[6:].reshape((2, 3, 3) + phys.shape[1:])
         nonlinear = _dot_grad(phys[0:3], grads[0]) - _dot_grad(phys[3:6], grads[1])
-        out = _leray(-hs.to_spectral(nonlinear), hs.k_axes, hs.ksq)
+        out = _leray(-hs.to_spectral(nonlinear), hs)
     if nu > 0.0:
         out += nu * (-hs.ksq * wh)
-    return _in_layout(omega, out)
+    return SpectralField(grid, out)
 
 
 def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> SpectralField:
@@ -261,7 +237,7 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
     if state.components != 3:
         raise GridMismatchError("shallow water state must be (v1, v2, h)")
     hs = state.grid.half
-    sh = hs.take(state.coeffs)
+    sh = state.coeffs
     u, h = sh[0:2], sh[2]
 
     phys = hs.to_physical(np.concatenate([hs.dealiased(sh), hs.gradient(u)]))
@@ -271,7 +247,7 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
 
     f = params.f_coriolis
     zcross = np.stack([-f * u[1], f * u[0]])
-    b = 0.0 if params.topography is None else hs.take(params.topography.coeffs[0])
+    b = 0.0 if params.topography is None else params.topography.coeffs[0]
     p = (h - b) / (params.rossby * params.froude)
     mom = -adv - zcross - np.stack([ik * p for ik in hs.ik])
     hgt = -(hs.ik[0] * flux[0] + hs.ik[1] * flux[1])
@@ -279,7 +255,7 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
     if viscous:
         mom += params.nu * (-hs.ksq * u)
         hgt += params.eta * (-hs.ksq * h)
-    return _in_layout(state, np.concatenate([mom, hgt[np.newaxis]]))
+    return SpectralField(state.grid, np.concatenate([mom, hgt[np.newaxis]]))
 
 
 class FourierMultiplierDrift:
@@ -296,8 +272,7 @@ class FourierMultiplierDrift:
         self.kind = "FourierMultiplier"
 
     def __call__(self, X: SpectralField) -> SpectralField:
-        ksq = X.grid.half.ksq if X.is_half else X.grid.ksq
-        return SpectralField(X.grid, self.symbol(ksq) * X.coeffs)
+        return SpectralField(X.grid, self.symbol(X.grid.half.ksq) * X.coeffs)
 
     def check_state(self, X: SpectralField) -> list[str]:
         return []
@@ -308,7 +283,7 @@ def _no_warnings(X: SpectralField) -> list[str]:
 
 
 def _height_warnings(X: SpectralField) -> list[str]:
-    h_phys = X.grid.half.to_physical(X.grid.half.take(X.coeffs[2]))
+    h_phys = X.grid.half.to_physical(X.coeffs[2])
     return ["height_nonpositive"] if float(h_phys.min()) <= 0.0 else []
 
 
@@ -327,8 +302,8 @@ class ModelKind:
     """The facts of one model kind.
 
     ``drift(X, params)`` is its tendency, ``ladder(params)`` its default
-    ladder and ``check_state(X)`` its state warnings; the drift and the check
-    take either layout of a field, and the drift returns its input's layout.
+    ladder and ``check_state(X)`` its state warnings; both take halves, and
+    the drift returns a half.
     A random state of the kind has zero mean when ``zero_mean`` holds and is
     Leray-projected when ``leray`` does.  ``initial_kinds`` are the initial
     states a config may ask for: a sine in the first component is not
@@ -436,13 +411,15 @@ class DriftOperator:
         return CATALOGUE[self.kind].components
 
     def __call__(self, X: SpectralField) -> SpectralField:
+        """The drift of ``X``: a half, or for a full ``X`` the full layout."""
         facts = CATALOGUE[self.kind]
         if X.grid.dim != facts.dim or X.components != facts.components:
             raise GridMismatchError(
                 f"{self.kind} expects dim={facts.dim}, components={facts.components}; "
                 f"got dim={X.grid.dim}, components={X.components}"
             )
-        return facts.drift(X, self.params)
+        out = facts.drift(X.as_half(), self.params)
+        return out if X.is_half else out.as_full()
 
     def check_state(self, X: SpectralField) -> list[str]:
         """Model-specific state warnings, recorded on the trajectory."""
@@ -452,11 +429,13 @@ class DriftOperator:
 def dissipation_term(a: SpectralField, s: float) -> float:
     """The exact H^s pairing deficit of the Laplacian: -<a, Lap a>_{H^s} >= 0.
 
-    Equals ``sum_k (1+|k|^2)^s |k|^2 |ahat_k|^2``; adding viscosity ``nu``
+    Equals ``sum_k (1+|k|^2)^s |k|^2 |ahat_k|^2``, summed over the half as
+    :func:`~stochtame.spectral.inner_product` sums; adding viscosity ``nu``
     to any drift changes the H^s self-pairing by exactly ``-nu`` times this.
     """
-    w = a.grid.sobolev_weight(s) * a.grid.ksq
-    return float(np.sum(w * (a.coeffs.real**2 + a.coeffs.imag**2)))
+    hs = a.grid.half
+    power = hs.power(a.coeffs).reshape(len(a.coeffs), -1, 2) * hs.ksq.reshape(-1, 1)
+    return float(np.dot(hs.weight(s, len(a.coeffs)), power.reshape(-1)))
 
 
 # --- assumption audits -------------------------------------------------------

@@ -16,43 +16,41 @@ exactly 1 whenever the exponent relation ``s_F0 = m*s_F1 + (1-m)*s_G`` does
 checks.
 
 Real-valued fields are Hermitian-symmetric (``fhat_{-k} = conj(fhat_k)``), so
-a field has two layouts (:class:`SpectralField`).  The full layout holds every
-mode.  The half layout holds the non-redundant half, the modes
-``0 <= k_last <= n/2`` of the last axis (the numpy ``rfftn`` layout,
-:class:`HalfSpectrum`).  The stepping loop of :mod:`stochtame.integrators`
-holds its state as a half; full arrays are built by mirroring
-(:meth:`HalfSpectrum.to_full`) only at the public boundary: a drift of a full
-field, and the final state and snapshots of a trajectory record.  Mirrored
-arrays are exactly Hermitian, with real self-conjugate modes.  In 2D and 3D
-the planes ``k_last = 0`` and ``k_last = n/2`` of a half store both ``k`` and
-``-k``; a stepped half keeps them conjugate only to rounding, and the mirror
-reads one of each pair.
+the program computes on the non-redundant half of the spectrum only: the
+modes ``0 <= k_last <= n/2`` of the last axis (the numpy ``rfftn`` layout,
+:class:`HalfSpectrum`).  Every operation of this module and of
+:mod:`stochtame.models` takes and returns halves.  The full layout, every
+mode in fft order, is a boundary format.  A full field enters a computation
+only through :meth:`SpectralField.as_half`, a view, at the entry of
+``DriftOperator.__call__``, :func:`galerkin_project` and the stepping loop.
+It is made only by :meth:`HalfSpectrum.to_full`, for
+:meth:`SpectralField.from_physical`, a trajectory's ``final_state`` and the
+results handed back to a full-layout caller.  Mirrored arrays are exactly
+Hermitian, with real self-conjugate modes.  In 2D and 3D the planes
+``k_last = 0`` and ``k_last = n/2`` of a half store both ``k`` and ``-k``; a
+stepped half keeps them conjugate only to rounding, and the mirror reads one
+of each pair.
 
-Sobolev norms are weighted sums over the stored modes of the half: each mode
-is counted once per mirror image, that is twice off the planes
-``k_last = 0, n/2`` and once on them, where ``-k`` is stored too.  The power
-(:meth:`HalfSpectrum.power`) is the squared real and imaginary parts of every
-component at the stored modes; of a full array it is the mean of each mode's
-squares and its mirror image's, which are the same bits when the array is
-Hermitian.  ``||f||_{H^s}^2`` is one dot product of the power with the cached
-weight, and :meth:`SpaceLadder.norms` forms the power once and takes one dot
-product per ladder space, with the same arithmetic as :func:`sobolev_norm`, so
-the two agree bit for bit.  A Hermitian field's norms are also bit for bit the
-same in either layout.  They agree with the plain sum over the full array
-only to rounding (a few ulps): the half sum adds each off-plane mode once
-with weight 2, where the full sum adds it twice, in another order.
-Finiteness is read off the weighted sum instead of scanning the
-coefficients: every square is >= 0 and every weight is > 0, so a NaN or Inf
-coefficient makes the sum NaN or Inf, and a sum of finite coefficients is
-finite unless it overflows.  Only a non-finite sum is followed by an
-``isfinite`` scan, which tells an overflow (the norm is inf) from a
-non-finite field (:class:`NonFiniteFieldError`).
+Sobolev norms and pairings are weighted sums over the stored modes of the
+half: each mode is counted once per mirror image, that is twice off the
+planes ``k_last = 0, n/2`` and once on them, where ``-k`` is stored too.  The
+power (:meth:`HalfSpectrum.power`) is the squared real and imaginary parts of
+every component at the stored modes.  ``||f||_{H^s}^2`` is one dot product of
+the power with the cached weight, and :meth:`SpaceLadder.norms` forms the
+power once and takes one dot product per ladder space, with the same
+arithmetic as :func:`sobolev_norm`, so the two agree bit for bit.  They agree
+with the plain sum over the full array only to rounding (a few ulps): the
+half sum adds each off-plane mode once with weight 2, where the full sum adds
+it twice, in another order.  Finiteness is read off the weighted sum instead
+of scanning the coefficients: every square is >= 0 and every weight is > 0,
+so a NaN or Inf coefficient makes the sum NaN or Inf, and a sum of finite
+coefficients is finite unless it overflows.  Only a non-finite sum is
+followed by an ``isfinite`` scan, which tells an overflow (the norm is inf)
+from a non-finite field (:class:`NonFiniteFieldError`).
 
-The quadratic drifts of :mod:`stochtame.models` work on the half spectrum and
-return a half, mirrored only for a full input.  The 2/3 rule keeps the modes
-``|k|_inf <= (n - 1) // 3`` (:func:`two_thirds_cutoff`): a product of two
-kept modes has ``|k|_inf <= 2d`` and aliases onto a kept mode only when
-``3d >= n``.
+The 2/3 rule keeps the modes ``|k|_inf <= (n - 1) // 3``
+(:func:`two_thirds_cutoff`): a product of two kept modes has
+``|k|_inf <= 2d`` and aliases onto a kept mode only when ``3d >= n``.
 """
 
 from __future__ import annotations
@@ -88,38 +86,6 @@ def two_thirds_cutoff(n: int) -> int:
     return (n - 1) // 3
 
 
-class _GridCache:
-    """Shared per-(dim, n) wavenumber arrays, built once."""
-
-    _store: dict[tuple[int, int], dict] = {}
-
-    @classmethod
-    def get(cls, dim: int, n: int) -> dict:
-        key = (dim, n)
-        if key not in cls._store:
-            k1 = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, fft order
-            axes = []
-            for a in range(dim):
-                shape = [1] * dim
-                shape[a] = n
-                axes.append(k1.reshape(shape))
-            ksq = sum(ka**2 for ka in axes)
-            kinf = np.maximum.reduce([np.broadcast_to(np.abs(ka), ksq.shape) for ka in axes])
-            rev = np.ix_(*[(-np.arange(n)) % n for _ in range(dim)])
-            cls._store[key] = {
-                "axes": tuple(axes),
-                "ksq": ksq,
-                "kinf": kinf,
-                "weight": 1.0 + ksq,
-                "reverse": rev,
-                # coefficient shapes of one component: full and half layout
-                "layouts": ((n,) * dim, (n,) * (dim - 1) + (n // 2 + 1,)),
-                "weight_powers": {},
-                "project_masks": {},
-            }
-        return cls._store[key]
-
-
 class HalfSpectrum:
     """The non-redundant half of a real field's spectrum on one grid.
 
@@ -146,6 +112,8 @@ class HalfSpectrum:
         self.n = n
         self.m = m
         self.kept = kept
+        # coefficient shapes of one component: the full and the half layout
+        self.layouts = ((n,) * dim, kinf.shape)
         self.axes = tuple(range(-dim, 0))
         self.k_axes = tuple(axes)
         self.ik = tuple(1j * ka for ka in axes)
@@ -168,10 +136,6 @@ class HalfSpectrum:
         images = np.full(m, 2.0)
         images[0] = images[-1] = 1.0
         self._images = np.broadcast_to(images, kinf.shape).ravel()
-        # flat full-array indices of every stored mode k and of -k
-        half = np.indices(kinf.shape).reshape(dim, -1)
-        self._full_index = np.ravel_multi_index(half, (n,) * dim)
-        self._mirror_index = np.ravel_multi_index((-half) % n, (n,) * dim)
 
         # Every full mode k is read from its half-spectrum representative:
         # itself when 0 < k_last < n/2, else -k (conjugated) when k_last >
@@ -190,9 +154,9 @@ class HalfSpectrum:
         self._mirror_src = np.where(direct, src, src + n ** (dim - 1) * m)
         self._self_conjugate = np.flatnonzero((full == neg).all(axis=0))
 
-    def take(self, coeffs: np.ndarray) -> np.ndarray:
-        """The half of a full coefficient array (a view); a half array itself."""
-        return coeffs[..., : self.m]
+    def from_physical(self, values: np.ndarray) -> np.ndarray:
+        """Half spectra of a stack of real grid arrays (not dealiased)."""
+        return np.fft.rfftn(values, axes=self.axes) / self.n ** len(self.axes)
 
     def weight(self, s: float, components: int) -> np.ndarray:
         """The weights of :meth:`power`: ``(1+|k|^2)^s`` times the mirror
@@ -218,23 +182,10 @@ class HalfSpectrum:
         return self._project_masks[cutoff]
 
     def power(self, coeffs: np.ndarray) -> np.ndarray:
-        """The squared real and imaginary parts at the stored modes, flattened.
-
-        ``coeffs`` is a half or a full array of shape (components, ...).  Of
-        a full array each stored mode gets the mean of its own squares and
-        its mirror image's; these are its own squares bit for bit when the
-        array is Hermitian, and the :meth:`weight` sums then equal the full
-        sums for any array.
-        """
+        """The squared real and imaginary parts of a half array of shape
+        (components, ...), flattened in the order of :meth:`weight`."""
         v = np.ascontiguousarray(coeffs).view(np.float64)
-        q = v * v
-        if coeffs.shape[-1] == self.m:
-            return q.reshape(-1)
-        q = q.reshape(len(q), -1, 2)
-        own = np.take(q, self._full_index, axis=1)
-        with np.errstate(invalid="ignore"):  # inf - inf of an Inf coefficient: NaN
-            own += 0.5 * (np.take(q, self._mirror_index, axis=1) - own)
-        return own.reshape(-1)
+        return (v * v).reshape(-1)
 
     def dealiased(self, half: np.ndarray) -> np.ndarray:
         """2/3-rule truncation, on the kept columns."""
@@ -274,6 +225,12 @@ class HalfSpectrum:
         return full.reshape(lead + (self.n,) * len(self.axes))
 
 
+@functools.cache
+def _half_spectrum(dim: int, n: int) -> HalfSpectrum:
+    """One :class:`HalfSpectrum` per (dim, n), shared by every grid."""
+    return HalfSpectrum(dim, n)
+
+
 class TorusGrid:
     """Uniform collocation grid on ``[0, 2*pi)^dim`` with n modes per axis.
 
@@ -281,7 +238,7 @@ class TorusGrid:
     dealiasing rule both need it).
     """
 
-    __slots__ = ("dim", "n", "_arrays")
+    __slots__ = ("dim", "n", "half")
 
     def __init__(self, dim: int, n: int):
         if dim not in (1, 2, 3):
@@ -290,20 +247,8 @@ class TorusGrid:
             raise ValueError(f"n_per_axis must be even and >= 4, got {n}")
         self.dim = dim
         self.n = n
-        self._arrays = _GridCache.get(dim, n)
-
-    # wavenumber helpers -------------------------------------------------
-    @property
-    def k_axes(self) -> tuple[np.ndarray, ...]:
-        return self._arrays["axes"]
-
-    @property
-    def ksq(self) -> np.ndarray:
-        return self._arrays["ksq"]
-
-    @property
-    def kinf(self) -> np.ndarray:
-        return self._arrays["kinf"]
+        #: wavenumbers, masks, weights and transforms of the half spectrum
+        self.half = _half_spectrum(dim, n)
 
     @property
     def dealias_cutoff(self) -> int:
@@ -312,38 +257,6 @@ class TorusGrid:
     @property
     def nyquist(self) -> int:
         return self.n // 2
-
-    @property
-    def mode_count(self) -> int:
-        return self.n**self.dim
-
-    def sobolev_weight(self, s: float) -> np.ndarray:
-        """(1+|k|^2)^s, cached per exponent."""
-        powers = self._arrays["weight_powers"]
-        key = float(s)
-        if key not in powers:
-            powers[key] = self._arrays["weight"] ** key
-        return powers[key]
-
-    def projection_mask(self, cutoff: int) -> np.ndarray:
-        """``|k|_inf <= cutoff`` as a complex 0/1 array, cached per cutoff.
-
-        Complex, so that masking complex coefficients needs no cast per call.
-        """
-        masks = self._arrays["project_masks"]
-        if cutoff not in masks:
-            masks[cutoff] = (self.kinf <= cutoff).astype(np.complex128)
-        return masks[cutoff]
-
-    def reverse_index(self):
-        return self._arrays["reverse"]
-
-    @property
-    def half(self) -> HalfSpectrum:
-        """Half-spectrum wavenumbers, mask, mirror index and transforms (built once)."""
-        if "half" not in self._arrays:
-            self._arrays["half"] = HalfSpectrum(self.dim, self.n)
-        return self._arrays["half"]
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Collocation point coordinate arrays (sparse meshgrid)."""
@@ -363,12 +276,14 @@ class TorusGrid:
 class SpectralField:
     """A real field on the torus stored as complex Fourier coefficients.
 
-    ``coeffs`` has shape ``(components, n, ..., n)`` with ``dim`` spatial axes
-    in numpy fft ordering (the full layout), or ``(components, n, ..., m)``
-    with ``m = n/2 + 1``, the non-redundant half of a Hermitian array (the
-    :class:`HalfSpectrum` layout).  Norms, the Galerkin projection, the
-    arithmetic and the drifts of :mod:`stochtame.models` take either layout
-    and keep it; :meth:`as_full` and :meth:`as_half` convert.
+    ``coeffs`` has shape ``(components, n, ..., m)`` with ``dim`` spatial
+    axes and ``m = n/2 + 1``: the non-redundant half of a Hermitian array
+    (the :class:`HalfSpectrum` layout), which every computation takes and
+    returns.  Only the boundary holds the full layout, ``(components, n,
+    ..., n)`` in numpy fft order: :meth:`from_physical` makes it,
+    :meth:`as_full` mirrors a half into it, and :meth:`as_half` reads a full
+    field as the real field it stands for, at the entry of the operations
+    that take one (see the module docstring).
     """
 
     __slots__ = ("grid", "coeffs")
@@ -377,7 +292,7 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
-        if coeffs.shape[1:] not in grid._arrays["layouts"]:
+        if coeffs.shape[1:] not in grid.half.layouts:
             raise GridMismatchError(
                 f"coefficient shape {coeffs.shape} incompatible with {grid!r}"
             )
@@ -387,34 +302,34 @@ class SpectralField:
     # constructors -------------------------------------------------------
     @classmethod
     def zeros(cls, grid: TorusGrid, components: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((components,) + (grid.n,) * grid.dim, dtype=np.complex128))
+        return cls(grid, np.zeros((components,) + grid.half.layouts[1], dtype=np.complex128))
 
     @classmethod
     def from_physical(cls, grid: TorusGrid, values: np.ndarray) -> "SpectralField":
+        """The full layout of real grid values, exactly Hermitian."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == grid.dim:
             values = values[np.newaxis]
-        spatial = tuple(range(1, grid.dim + 1))
-        coeffs = np.fft.fftn(values, axes=spatial) / grid.mode_count
-        return cls(grid, coeffs)
+        return cls(grid, grid.half.to_full(grid.half.from_physical(values)))
 
     @classmethod
     def from_modes(
         cls, grid: TorusGrid, modes: Iterable[tuple[tuple[int, ...], int, complex]]
     ) -> "SpectralField":
-        """Build a field from (wavevector, component, coefficient) triples.
+        """Build a half from (wavevector, component, coefficient) triples.
 
-        The conjugate partner at ``-k`` is filled in automatically.
+        The conjugate partner at ``-k`` is filled in automatically; each of
+        ``k`` and ``-k`` is stored where the half holds it.
         """
         entries = list(modes)
         ncomp = max(c for _, c, _ in entries) + 1 if entries else 1
         f = cls.zeros(grid, ncomp)
         for k, comp, val in entries:
             k = tuple(int(ki) for ki in (k if isinstance(k, tuple) else (k,)))
-            idx = tuple(ki % grid.n for ki in k)
-            ridx = tuple((-ki) % grid.n for ki in k)
-            f.coeffs[(comp,) + idx] = val
-            f.coeffs[(comp,) + ridx] = np.conj(val)
+            for kk, v in ((k, val), (tuple(-ki for ki in k), np.conj(val))):
+                idx = tuple(ki % grid.n for ki in kk)
+                if idx[-1] < grid.half.m:
+                    f.coeffs[(comp,) + idx] = v
         return f
 
     # basic queries --------------------------------------------------------
@@ -424,7 +339,7 @@ class SpectralField:
 
     @property
     def is_half(self) -> bool:
-        """True for the half layout."""
+        """True for the half layout; False for the full boundary layout."""
         return self.coeffs.shape[-1] != self.grid.n
 
     def as_full(self) -> "SpectralField":
@@ -434,8 +349,10 @@ class SpectralField:
         return SpectralField(self.grid, self.grid.half.to_full(self.coeffs))
 
     def as_half(self) -> "SpectralField":
-        """The field in the half layout (a view of a full field's coefficients)."""
-        return SpectralField(self.grid, self.grid.half.take(self.coeffs))
+        """The field in the half layout: itself, or a view of a full field's half."""
+        if self.is_half:
+            return self
+        return SpectralField(self.grid, self.coeffs[..., : self.grid.half.m])
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.coeffs).all())
@@ -444,22 +361,8 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self) -> np.ndarray:
-        if self.is_half:
-            return self.grid.half.to_physical(self.coeffs)
-        spatial = tuple(range(1, self.grid.dim + 1))
-        return np.real(np.fft.ifftn(self.coeffs, axes=spatial)) * self.grid.mode_count
-
-    def hermitian_defect(self) -> float:
-        """Largest ``|fhat_k - conj(fhat_{-k})|`` of a full-layout field."""
-        rev = self.grid.reverse_index()
-        mirrored = np.conj(self.coeffs[(slice(None),) + rev])
-        return float(np.max(np.abs(self.coeffs - mirrored))) if self.coeffs.size else 0.0
-
-    def symmetrized(self) -> "SpectralField":
-        """Project a full-layout field onto the Hermitian-symmetric (real-field) subspace."""
-        rev = self.grid.reverse_index()
-        mirrored = np.conj(self.coeffs[(slice(None),) + rev])
-        return SpectralField(self.grid, 0.5 * (self.coeffs + mirrored))
+        """Grid values of a half."""
+        return self.grid.half.to_physical(self.coeffs)
 
     # arithmetic (value semantics) ----------------------------------------
     def _check_compatible(self, other: "SpectralField"):
@@ -524,7 +427,7 @@ class SpaceLadder:
             )
 
     def norms(self, f: "SpectralField") -> tuple[float, float, float, float]:
-        """The (G, F0, F1, D) norms of ``f`` (either layout) from one power spectrum.
+        """The (G, F0, F1, D) norms of a half ``f`` from one power spectrum.
 
         Each equals ``sobolev_norm(f, s)`` for its exponent bit for bit: the
         same dot product of the power with the same weights.  NaN or Inf
@@ -549,16 +452,13 @@ class GalerkinProjector:
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
-    def mask(self, f: SpectralField) -> np.ndarray:
-        """The cached complex 0/1 mask of the kept modes, in ``f``'s layout."""
-        grid = f.grid
+    def mask(self, grid: TorusGrid) -> np.ndarray:
+        """The cached complex 0/1 mask of the kept modes on the half of ``grid``."""
         if self.cutoff > grid.nyquist:
             raise ValueError(
                 f"cutoff {self.cutoff} exceeds the Nyquist limit {grid.nyquist} of {grid!r}"
             )
-        if f.is_half:
-            return grid.half.projection_mask(self.cutoff)
-        return grid.projection_mask(self.cutoff)
+        return grid.half.projection_mask(self.cutoff)
 
 
 def _check_finite(f: SpectralField) -> None:
@@ -570,8 +470,8 @@ def _check_finite(f: SpectralField) -> None:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm, ``sqrt(sum_k (1+|k|^2)^s |fhat_k|^2)`` over all components.
 
-    Summed over the stored modes of the half spectrum, each weighted by its
-    mirror images (:meth:`HalfSpectrum.power`), for either layout.  Raises
+    Summed over the stored modes of a half, each weighted by its mirror
+    images (:meth:`HalfSpectrum.power`).  Raises
     :class:`NonFiniteFieldError` on NaN/Inf coefficients; a finite field
     whose weighted sum overflows has norm inf.
     """
@@ -583,24 +483,25 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
 
 def inner_product(a: SpectralField, b: SpectralField, s: float) -> float:
-    """Real H^s inner product of two full-layout fields.
-
-    ``inner_product(a, a, s)`` and ``sobolev_norm(a, s)**2`` agree only to
-    rounding: this sums the full array, the norm sums the half spectrum with
-    mirror weights, in another order.
-    """
+    """Real H^s inner product of two halves, summed as :func:`sobolev_norm`
+    sums, so ``inner_product(a, a, s) == sobolev_norm(a, s)**2`` bit for bit."""
     a._check_compatible(b)
-    w = a.grid.sobolev_weight(s)
-    return float(np.sum(w * (a.coeffs.real * b.coeffs.real + a.coeffs.imag * b.coeffs.imag)))
+    va = np.ascontiguousarray(a.coeffs).view(np.float64)
+    vb = np.ascontiguousarray(b.coeffs).view(np.float64)
+    return float(np.dot(a.grid.half.weight(s, len(a.coeffs)), (va * vb).reshape(-1)))
 
 
 def galerkin_project(f: SpectralField, p: GalerkinProjector) -> SpectralField:
-    """Zero every coefficient with ``|k|_inf > cutoff``. Idempotent, norm contracting."""
-    return SpectralField(f.grid, f.coeffs * p.mask(f))
+    """Zero every coefficient with ``|k|_inf > cutoff``. Idempotent, norm contracting.
+
+    A full ``f`` is read through its half and its projection mirrored back.
+    """
+    out = SpectralField(f.grid, f.as_half().coeffs * p.mask(f.grid))
+    return out if f.is_half else out.as_full()
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """2/3-rule truncation of either layout: zero modes with ``|k|_inf > (n - 1) // 3``."""
+    """2/3-rule truncation: zero modes with ``|k|_inf > (n - 1) // 3``."""
     return galerkin_project(f, GalerkinProjector(two_thirds_cutoff(f.grid.n)))
 
 
@@ -624,10 +525,12 @@ def random_field(
     zero_mean: bool = False,
     ladder: SpaceLadder | None = None,
 ) -> SpectralField:
-    """Hermitian random field with ``|fhat_k| ~ amplitude * (1+|k|^2)^(-decay/2)``.
+    """Half of a random real field, ``|fhat_k| ~ amplitude * (1+|k|^2)^(-decay/2)``.
 
     Phases are seeded and uniform; the same seed always produces the same
-    field.  When a ladder is supplied the tail condition
+    field.  A phase is drawn for every mode of the full grid, and the
+    coefficient at k is the mean of the draw at k and the conjugate of the
+    draw at -k.  When a ladder is supplied the tail condition
     ``decay_exponent > dim/2 + s_D`` (coefficient-sum membership in D) is
     enforced.
     """
@@ -637,10 +540,14 @@ def random_field(
             f"need > dim/2 + s_D = {grid.dim / 2.0 + ladder.s_D}"
         )
     rng = np.random.default_rng(seed)
-    shape = (components,) + (grid.n,) * grid.dim
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    envelope = amplitude * (1.0 + grid.ksq) ** (-decay_exponent / 2.0)
-    f = SpectralField(grid, envelope * np.exp(1j * phases)).symmetrized()
+    hs = grid.half
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(components,) + (grid.n,) * grid.dim)
+    reverse = (-np.arange(grid.n)) % grid.n  # index of -k along one axis
+    mirror = np.ix_(*[reverse] * (grid.dim - 1), reverse[: hs.m])
+    envelope = amplitude * (1.0 + hs.ksq) ** (-decay_exponent / 2.0)
+    own = envelope * np.exp(1j * phases[..., : hs.m])
+    image = envelope * np.exp(1j * phases[(slice(None),) + mirror])
+    f = SpectralField(grid, 0.5 * (own + np.conj(image)))
     if zero_mean:
         f.coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
     return f
@@ -649,9 +556,10 @@ def random_field(
 # --- snapshot persistence -------------------------------------------------
 #
 # Layout (numpy .npz): "dim", "n_per_axis", "components" as scalar int arrays
-# and "coeffs" as the complex coefficient array with shape
-# (components, n, ..., n), or (components, n, ..., n/2 + 1) for a half,
-# spatial axes in numpy fft ordering (row-major).  Round trips are bit-exact.
+# and "coeffs" as the complex coefficient array as the field holds it: the
+# half (components, n, ..., n/2 + 1) of every computed field, or the full
+# boundary layout (components, n, ..., n), spatial axes in numpy fft ordering
+# (row-major).  Round trips are bit-exact.
 
 
 def save_field(path, f: SpectralField) -> None:

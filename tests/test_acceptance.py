@@ -1,0 +1,71 @@
+"""Acceptance criteria that run in seconds: each passes on the program and
+fails when the identity it checks is broken."""
+
+import numpy as np
+import pytest
+
+from stochtame import acceptance, experiments, models
+from stochtame.noise import GbmSpec
+from stochtame.spectral import SpectralField
+
+
+def test_ac1_decay_fraction_lies_in_its_binomial_band():
+    frac, p, band = acceptance.ac1_decay_clause()
+    assert p == pytest.approx(0.803, abs=5e-4) and band == pytest.approx(0.038, abs=5e-4)
+    assert abs(frac - p) <= band
+    for seed in range(3):
+        frac, p, band = acceptance.ac1_decay_clause(seed)
+        assert abs(frac - p) <= band
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        # the Ito term -b^2 T/2 dropped: log X_T = a T + b W_T
+        lambda spec: GbmSpec(spec.a + spec.b**2 / 2.0, spec.b, spec.f0),
+        # the noise at b = 1
+        lambda spec: GbmSpec(spec.a, 1.0, spec.f0),
+    ],
+)
+def test_ac1_decay_clause_rejects_a_wrong_sampler(monkeypatch, broken):
+    study = experiments.gbm_study
+    monkeypatch.setattr(
+        acceptance, "gbm_study", lambda specs, **kw: study([broken(s) for s in specs], **kw)
+    )
+    frac, p, band = acceptance.ac1_decay_clause()
+    assert frac < 0.05 and abs(frac - p) > band
+
+
+def test_ac7_passes():
+    result = acceptance.ac7_structural()
+    assert result.passed, result.details
+
+
+def test_ac7_rejects_a_broken_identity(monkeypatch):
+    biot_savart = models.biot_savart
+
+    def flipped(omega):
+        u = biot_savart(omega)
+        sign = np.ones((u.components,) + (1,) * omega.grid.dim)
+        sign[0] = -1.0
+        return SpectralField(u.grid, u.coeffs * sign)
+
+    monkeypatch.setattr(models, "biot_savart", flipped)
+    result = acceptance.ac7_structural()
+    assert not result.passed
+    assert any("biot-savart" in m for m in result.details["failures"])
+
+
+def test_ac7_rejects_a_projection_that_keeps_a_mode_beyond_the_cutoff(monkeypatch):
+    project = acceptance.galerkin_project
+
+    def leaky(f, p):
+        out = project(f, p)
+        kept = f.grid.half.kinf == p.cutoff + 1
+        out.coeffs[:, kept] = f.as_half().coeffs[:, kept]
+        return out
+
+    monkeypatch.setattr(acceptance, "galerkin_project", leaky)
+    result = acceptance.ac7_structural()
+    assert not result.passed
+    assert any("beyond its cutoff" in m for m in result.details["failures"])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from full_layout import hermitian_defect
 from stochtame.config import (
     ConfigError,
     InitialBuilder,
@@ -57,15 +58,16 @@ def test_every_kind_builds_grid_drift_and_initial_state(kind, initial):
     assert (grid.dim, grid.n) == (dim, RESOLUTION[dim])
     assert (drift.dim, drift.components) == (dim, CATALOGUE[kind].components)
     assert X.components == drift.components
-    out = drift(X)
-    assert out.coeffs.shape == X.coeffs.shape
-    assert out.hermitian_defect() == 0.0
+    assert X.is_half and drift(X).coeffs.shape == X.coeffs.shape
+    out = drift(X.as_full())
+    assert out.coeffs.shape == X.as_full().coeffs.shape
+    assert hermitian_defect(out) == 0.0
 
 
 @pytest.mark.parametrize("kind, initial", PAIRS)
 def test_initial_state_is_hermitian(kind, initial):
     _, _, X = _build(kind, initial)
-    assert X.hermitian_defect() <= 1e-14 * max(np.max(np.abs(X.coeffs)), 1.0)
+    assert hermitian_defect(X) <= 1e-14 * max(np.max(np.abs(X.coeffs)), 1.0)
 
 
 @pytest.mark.parametrize("kind", list(CATALOGUE))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from full_layout import hermitian_defect, kinf
 from stochtame import control, integrators
 from stochtame.control import (
     ControlEvent,
@@ -283,8 +284,8 @@ class TestSharedLoop:
 
 def test_shallow_water_control_fields_are_hermitian_and_projected():
     # a seeded inviscid shallow-water switching path: tau at t = 0, rho once
-    # the noise brings the norm down, RK4 after; its record's fields are
-    # mirrored from the half spectrum the loop steps
+    # the noise brings the norm down, RK4 after; its snapshots are the halves
+    # the loop steps, its final state their mirror
     grid = TorusGrid(2, 16)
     d = 4
     x0 = random_field(grid, 3, 6.5, 4.0, 97)
@@ -300,9 +301,11 @@ def test_shallow_water_control_fields_are_hermitian_and_projected():
     )
     assert rec.status == "completed"
     assert [e.kind for e in rec.events][:2] == ["tau", "rho"] and "D" in rec.regime
-    for field in [rec.final_state] + [f for _, f in rec.snapshots]:
-        assert not field.is_half and field.hermitian_defect() == 0.0
-        assert np.all(field.coeffs[:, grid.kinf > d] == 0.0)
+    final = rec.final_state
+    assert not final.is_half and hermitian_defect(final) == 0.0
+    assert np.all(final.coeffs[:, kinf(grid) > d] == 0.0)
+    for _, field in rec.snapshots:
+        assert field.is_half and np.all(field.coeffs[:, grid.half.kinf > d] == 0.0)
 
 
 class TestValidateSchedule:

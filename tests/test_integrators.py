@@ -9,6 +9,7 @@ from stochtame.integrators import (
     integrate_path,
     rk4_deterministic_step,
 )
+from full_layout import hermitian_defect, kinf
 from stochtame.models import DriftOperator, FourierMultiplierDrift
 from stochtame.noise import GbmSpec, NoiseSpec, WienerPath, gbm_exact
 from stochtame.spectral import (
@@ -32,7 +33,7 @@ def linear_drift(rate):
 
 
 def sine_field(grid, amplitude=1.0):
-    return SpectralField.from_physical(grid, amplitude * np.sin(grid.coordinates()[0]))
+    return SpectralField.from_physical(grid, amplitude * np.sin(grid.coordinates()[0])).as_half()
 
 
 class TestSteps:
@@ -94,7 +95,7 @@ class TestSteps:
         # cos x + cos y is steady for the inviscid vorticity flow
         grid = TorusGrid(2, 32)
         X, Y = grid.coordinates()
-        omega = SpectralField.from_physical(grid, np.cos(X) + np.cos(Y))
+        omega = SpectralField.from_physical(grid, np.cos(X) + np.cos(Y)).as_half()
         model = DriftOperator("Vorticity2D")
         proj = GalerkinProjector(grid.dealias_cutoff)
         state = omega
@@ -228,7 +229,7 @@ class TestIntegratePath:
         ladder = LADDER
         by_time = dict(zip(rec.times, range(rec.n_rows)))
         for t_snap, field in rec.snapshots:
-            assert np.max(np.abs(field.coeffs[:, grid.kinf > 8])) == 0.0
+            assert np.max(np.abs(field.coeffs[:, grid.half.kinf > 8])) == 0.0
             if t_snap in by_time:
                 i = by_time[t_snap]
                 recomputed = sobolev_norm(field, ladder.s_F0)
@@ -382,7 +383,8 @@ class TestIntegratePath:
         assert rec.drift_evals == rec.accepted_steps + 3 * rec.trials
 
     def test_public_fields_are_hermitian_and_projected(self):
-        # the loop steps the half spectrum; the record's fields are mirrored
+        # the loop steps the half spectrum and keeps its snapshots as halves;
+        # the final state is mirrored to the full layout
         grid = TorusGrid(1, 128)
         d = 16
         st = StepperConfig(dt=1e-3, t_end=0.2, field_stride=3)
@@ -391,10 +393,12 @@ class TestIntegratePath:
             sine_field(grid), DriftOperator("Burgers1D"), noise, st, WienerPath(6, 1e-3), cutoff=d
         )
         assert rec.status == "completed" and len(rec.snapshots) > 60
-        for field in [rec.final_state] + [f for _, f in rec.snapshots]:
-            assert not field.is_half and field.hermitian_defect() == 0.0
-            assert np.all(field.coeffs[:, grid.kinf > d] == 0.0)
-        assert sobolev_norm(rec.final_state, LADDER.s_G) > 0.0
+        final = rec.final_state
+        assert not final.is_half and hermitian_defect(final) == 0.0
+        assert np.all(final.coeffs[:, kinf(grid) > d] == 0.0)
+        for _, field in rec.snapshots:
+            assert field.is_half and np.all(field.coeffs[:, grid.half.kinf > d] == 0.0)
+        assert sobolev_norm(final.as_half(), LADDER.s_G) > 0.0
 
     def test_times_strictly_increasing_and_integral_monotone(self):
         grid = TorusGrid(1, 64)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stochtame.models
+from full_layout import hermitian_defect, kinf, ksq, wavenumbers
 from stochtame.models import (
     _leray_project,
     CATALOGUE,
@@ -34,12 +35,13 @@ from stochtame.spectral import (
 )
 
 
+def physical(grid, values):
+    """The half of real grid values."""
+    return SpectralField.from_physical(grid, values + np.zeros((grid.n,) * grid.dim)).as_half()
+
+
 def sine_field(grid, amplitude=1.0):
-    x = grid.coordinates()[0]
-    vals = amplitude * np.sin(x)
-    if grid.dim > 1:
-        vals = vals + np.zeros((grid.n,) * grid.dim)
-    return SpectralField.from_physical(grid, vals)
+    return physical(grid, amplitude * np.sin(grid.coordinates()[0]))
 
 
 class TestBurgers:
@@ -55,7 +57,7 @@ class TestBurgers:
         grid = TorusGrid(1, 64)
         u = sine_field(grid)
         out = burgers_drift(u, nu=0.0)
-        expected = SpectralField.from_physical(grid, -0.5 * np.sin(2 * grid.coordinates()[0]))
+        expected = physical(grid, -0.5 * np.sin(2 * grid.coordinates()[0]))
         assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-14
 
     def test_energy_pairing_quadrature_oracle(self):
@@ -89,7 +91,7 @@ class TestBiotSavart:
         # streamfunction psi = -sin x gives u = (0, -cos x)
         grid = TorusGrid(2, 32)
         X, _ = grid.coordinates()
-        omega = SpectralField.from_physical(grid, np.sin(X) + np.zeros((grid.n, grid.n)))
+        omega = physical(grid, np.sin(X))
         u = biot_savart(omega)
         uphys = u.to_physical()
         assert np.max(np.abs(uphys[0])) < 1e-13
@@ -131,18 +133,16 @@ class TestVorticity:
         # u = (0, -cos x) gives u . grad omega = 0; viscous part = -nu sin x
         grid = TorusGrid(2, 32)
         X, _ = grid.coordinates()
-        omega = SpectralField.from_physical(grid, np.sin(X) + np.zeros((grid.n, grid.n)))
+        omega = physical(grid, np.sin(X))
         out = vorticity_drift(omega, nu=0.7)
-        expected = SpectralField.from_physical(
-            grid, -0.7 * np.sin(X) + np.zeros((grid.n, grid.n))
-        )
+        expected = physical(grid, -0.7 * np.sin(X))
         assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-13
 
     def test_laplacian_eigenfunction_is_steady_euler(self):
         # omega = cos x + cos y has psi proportional to omega: Jacobian vanishes
         grid = TorusGrid(2, 32)
         X, Y = grid.coordinates()
-        omega = SpectralField.from_physical(grid, np.cos(X) + np.cos(Y))
+        omega = physical(grid, np.cos(X) + np.cos(Y))
         out = vorticity_drift(omega, nu=0.0)
         assert np.max(np.abs(out.coeffs)) < 1e-12
 
@@ -180,10 +180,10 @@ class TestRsw:
         grid = TorusGrid(2, 32)
         params = ModelParams(f_coriolis=1.3, rossby=0.8, froude=1.1)
         psi = random_field(grid, 1, 5.0, 0.3, 21, zero_mean=True)
-        k = grid.k_axes
+        k = grid.half.k_axes
         u_coeffs = np.stack([-1j * k[1] * psi.coeffs[0], 1j * k[0] * psi.coeffs[0]])
         # grad p = -f zhat x u => p_hat solves ik p = -f (-u2, u1)
-        ksq = grid.ksq.copy()
+        ksq = grid.half.ksq.copy()
         ksq[0, 0] = 1.0
         zc = np.stack([-u_coeffs[1], u_coeffs[0]])
         rhs = -params.f_coriolis * zc
@@ -236,8 +236,8 @@ class TestDriftOperator:
         model = DriftOperator("Burgers1D")
         u = galerkin_project(random_field(grid, 1, 3.5, 1.0, 31), GalerkinProjector(10))
         out = model(u).coeffs
-        assert np.max(np.abs(out[:, grid.kinf > grid.dealias_cutoff])) == 0.0
-        assert np.max(np.abs(out[:, grid.kinf > 20])) <= 1e-14 * np.max(np.abs(out))
+        assert np.max(np.abs(out[:, grid.half.kinf > grid.dealias_cutoff])) == 0.0
+        assert np.max(np.abs(out[:, grid.half.kinf > 20])) <= 1e-14 * np.max(np.abs(out))
 
     def test_viscosity_dissipation_decomposition(self):
         # exact algebra: adding nu shifts the F0 self-pairing by -nu * D(a)
@@ -306,33 +306,34 @@ def _convolve(a, b, grid, band):
 
 def _oracle_advection(vel, f, grid, band):
     """(vel . grad) f componentwise, by direct convolution."""
-    ik = [1j * ka for ka in grid.k_axes]
+    ik = [1j * ka for ka in wavenumbers(grid)]
     return np.stack(
         [sum(_convolve(vel[a], ik[a] * fc, grid, band) for a in range(grid.dim)) for fc in f]
     )
 
 
 def _oracle_drift(kind, X, params, band):
+    """The drift of a half ``X`` on the full layout, by direct convolution."""
     grid = X.grid
-    c, ksq = X.coeffs, grid.ksq
-    ik = [1j * ka for ka in grid.k_axes]
+    c, k2 = X.as_full().coeffs, ksq(grid)
+    ik = [1j * ka for ka in wavenumbers(grid)]
     if kind.startswith("Burgers"):
-        return -_oracle_advection(c, c, grid, band) - params.nu * ksq * c
+        return -_oracle_advection(c, c, grid, band) - params.nu * k2 * c
     if kind.startswith("Vorticity"):
-        u = biot_savart(X).coeffs
+        u = biot_savart(X).as_full().coeffs
         out = -_oracle_advection(u, c, grid, band)
         if grid.dim == 3:
-            out = _leray_project(SpectralField(grid, out + _oracle_advection(c, u, grid, band)))
-            out = out.coeffs
-        return out - params.nu * ksq * c
+            out = SpectralField(grid, out + _oracle_advection(c, u, grid, band)).as_half()
+            out = _leray_project(out).as_full().coeffs
+        return out - params.nu * k2 * c
     u, h = c[0:2], c[2]
-    b = 0.0 if params.topography is None else params.topography.coeffs[0]
+    b = 0.0 if params.topography is None else params.topography.as_full().coeffs[0]
     p = (h - b) / (params.rossby * params.froude)
     f = params.f_coriolis
     mom = -_oracle_advection(u, u, grid, band) - np.stack([-f * u[1], f * u[0]])
-    mom = mom - np.stack([ik[0] * p, ik[1] * p]) - params.nu * ksq * u
+    mom = mom - np.stack([ik[0] * p, ik[1] * p]) - params.nu * k2 * u
     flux = [_convolve(h, u[a], grid, band) for a in range(2)]
-    hgt = -(ik[0] * flux[0] + ik[1] * flux[1]) - params.eta * ksq * h
+    hgt = -(ik[0] * flux[0] + ik[1] * flux[1]) - params.eta * k2 * h
     return np.concatenate([mom, hgt[np.newaxis]])
 
 
@@ -371,7 +372,7 @@ def test_drift_matches_mode_convolution(kind):
     for seed in range(3):
         X = _band_limited_state(kind, seed, band)
         params = _params(kind, X.grid)
-        out = DriftOperator(kind, params)(X)
+        out = DriftOperator(kind, params)(X.as_full())
         expected = _oracle_drift(kind, X, params, band)
         scale = np.max(np.abs(expected))
         assert scale > 0.0
@@ -388,28 +389,27 @@ def test_burgers_drift_alias_free_when_three_divides_n(n):
     params = ModelParams(nu=0.25)
     for seed in range(3):
         X = galerkin_project(random_field(grid, 1, 1.0, 1.0, seed), GalerkinProjector(d))
-        out = DriftOperator("Burgers1D", params)(X).coeffs
+        out = DriftOperator("Burgers1D", params)(X).as_full().coeffs
         expected = _oracle_drift("Burgers1D", X, params, d)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
     # cos(n x / 3) is not a kept mode, so it contributes no drift
     x = grid.coordinates()[0]
     top = DriftOperator("Burgers1D")(SpectralField.from_physical(grid, np.cos(n // 3 * x)))
-    assert np.max(np.abs(top.coeffs[:, grid.kinf <= d])) <= 1e-14
+    assert np.max(np.abs(top.coeffs[:, kinf(grid) <= d])) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", QUADRATIC_KINDS)
 def test_drift_output_is_exactly_hermitian(kind):
-    # band-limited states, and raw ones whose Nyquist modes the spectral
-    # derivatives leave non-Hermitian
+    # the drift of a full state, of band-limited states and of raw ones
+    # whose Nyquist modes the spectral derivatives leave non-Hermitian
     for seed in range(3):
         X = _band_limited_state(kind, seed, 3)
-        assert X.hermitian_defect() == 0.0
         raw = random_field(X.grid, X.components, 2.0, 1.0, seed, zero_mean=True)
         if kind == "Vorticity3D":
             raw = _leray_project(raw)
-        for state in (X, raw):
+        for state in (X.as_full(), raw.as_full()):
             out = DriftOperator(kind, _params(kind, X.grid))(state)
-            assert out.hermitian_defect() == 0.0
+            assert not out.is_half and hermitian_defect(out) == 0.0
 
 
 @pytest.mark.parametrize("kind", ("Burgers2D", "RSW_Inviscid", "Vorticity2D", "Vorticity3D"))
@@ -420,8 +420,8 @@ def test_band_limited_closure_multidimensional(kind):
     X = _band_limited_state(kind, 7, band)
     grid = X.grid
     out = DriftOperator(kind, ModelParams())(X).coeffs
-    assert np.max(np.abs(out[:, grid.kinf > grid.dealias_cutoff])) == 0.0
-    assert np.max(np.abs(out[:, grid.kinf > 2 * band])) <= 1e-14 * np.max(np.abs(out))
+    assert np.max(np.abs(out[:, grid.half.kinf > grid.dealias_cutoff])) == 0.0
+    assert np.max(np.abs(out[:, grid.half.kinf > 2 * band])) <= 1e-14 * np.max(np.abs(out))
 
 
 @pytest.mark.parametrize("kind", list(CATALOGUE))
@@ -433,9 +433,9 @@ def test_half_drift_mirrored_is_the_full_drift(kind):
     A = DriftOperator(kind, _params(kind, grid))
     for seed in range(2):
         X = random_state(kind, grid, 2.0, 1.0, seed)
-        half = A(X.as_half())
+        half = A(X)
         assert half.is_half
-        assert np.array_equal(half.as_full().coeffs, A(X).coeffs)
+        assert np.array_equal(half.as_full().coeffs, A(X.as_full()).coeffs)
 
 
 def test_module_table_lists_the_catalogue():

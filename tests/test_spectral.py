@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from full_layout import hermitian_defect, kinf, ksq
 from stochtame.spectral import (
     GalerkinProjector,
     GridMismatchError,
@@ -68,7 +69,7 @@ class TestSobolevNorm:
         # independent oracle: trapezoidal quadrature of f^2 and f'^2
         x = grid.coordinates()[0]
         vals = np.sin(3 * x) + 0.25 * np.cos(5 * x)
-        f = SpectralField.from_physical(grid, vals)
+        f = SpectralField.from_physical(grid, vals).as_half()
         l2_sq = np.mean(vals**2)
         assert sobolev_norm(f, 0.0) ** 2 == pytest.approx(l2_sq, rel=1e-12)
 
@@ -125,33 +126,31 @@ class TestHalfLayout:
         # images there or elsewhere moves the sums
         grid = TorusGrid(dim, n)
         for seed in range(3):
-            f = random_field(grid, components, 1.0, 1.0, seed)
-            assert f.hermitian_defect() == 0.0 and np.min(np.abs(f.coeffs)) > 0.0
-            half = f.as_half()
+            half = random_field(grid, components, 1.0, 1.0, seed)
             assert half.is_half and half.coeffs.shape[-1] == n // 2 + 1
-            power = np.abs(f.coeffs) ** 2
+            full = half.as_full()
+            assert hermitian_defect(full) == 0.0 and np.min(np.abs(full.coeffs)) > 0.0
+            power = np.abs(full.coeffs) ** 2
             for s, got in zip(self.LADDER.exponents, self.LADDER.norms(half)):
-                want = math.sqrt(np.sum((1.0 + grid.ksq) ** s * power))
+                want = math.sqrt(np.sum((1.0 + ksq(grid)) ** s * power))
                 assert abs(got - want) <= 1e-14 * want
-                assert sobolev_norm(half, s) == got == sobolev_norm(f, s)
-
-    def test_full_layout_norm_of_a_non_hermitian_field_is_the_full_sum(self):
-        grid = TorusGrid(2, 8)
-        f = SpectralField(grid, random_field(grid, 2, 1.0, 1.0, 4).coeffs * (1.0 + 0.3j))
-        assert f.hermitian_defect() > 0.1
-        want = math.sqrt(np.sum((1.0 + grid.ksq) ** 2.0 * np.abs(f.coeffs) ** 2))
-        assert abs(sobolev_norm(f, 2.0) - want) <= 1e-14 * want
+                assert sobolev_norm(half, s) == got
 
     def test_layouts_round_trip(self):
         grid = TorusGrid(2, 8)
         f = random_field(grid, 3, 2.0, 1.0, 5)
-        assert np.array_equal(f.as_half().as_full().coeffs, f.coeffs)
-        assert np.allclose(f.as_half().to_physical(), f.to_physical(), atol=1e-14)
+        full = f.as_full()
+        assert np.array_equal(full.as_half().coeffs, f.coeffs)
+        assert full.as_full() is full and f.as_half() is f
+        values = np.real(np.fft.ifftn(full.coeffs, axes=(1, 2))) * grid.n**2
+        assert np.allclose(f.to_physical(), values, atol=1e-14)
         p = GalerkinProjector(2)
-        projected = galerkin_project(f.as_half(), p)
-        assert np.array_equal(projected.as_full().coeffs, galerkin_project(f, p).coeffs)
+        projected = galerkin_project(full, p)
+        assert not projected.is_half
+        assert np.array_equal(projected.coeffs, full.coeffs * (kinf(grid) <= 2))
+        assert np.array_equal(projected.as_half().coeffs, galerkin_project(f, p).coeffs)
         with pytest.raises(GridMismatchError):
-            f + f.as_half()
+            f + full
 
 
 class TestInnerProduct:
@@ -177,6 +176,26 @@ class TestInnerProduct:
         b = SpectralField.zeros(TorusGrid(1, 32))
         with pytest.raises(GridMismatchError):
             inner_product(a, b, 0.0)
+
+    @pytest.mark.parametrize("dim, n", [(1, 32), (2, 16)])
+    def test_half_pairings_are_the_field_pairings(self, dim, n):
+        # the half sums weight each stored mode by its mirror images; the
+        # oracle sums every mode of the full array
+        from stochtame.models import dissipation_term
+
+        grid = TorusGrid(dim, n)
+        a, b = (random_field(grid, 2, 2.0, 1.0, seed) for seed in (3, 4))
+        k2 = ksq(grid)
+        fa, fb = a.as_full().coeffs, b.as_full().coeffs
+        for s in (0.0, 1.5):
+            pair = inner_product(a.as_half(), b.as_half(), s)
+            assert pair == inner_product(a, b, s)
+            want = np.sum((1.0 + k2) ** s * (fa.conj() * fb).real)
+            assert abs(pair - want) <= 1e-14 * np.sum((1.0 + k2) ** s * np.abs(fa * fb))
+            dissipation = dissipation_term(a.as_half(), s)
+            assert dissipation == dissipation_term(a, s)
+            want = np.sum((1.0 + k2) ** s * k2 * np.abs(fa) ** 2)
+            assert abs(dissipation - want) <= 1e-14 * want
 
 
 class TestProjection:
@@ -231,14 +250,13 @@ class TestDealias:
     def test_half_layout_matches_full(self, dim, n, components):
         grid = TorusGrid(dim, n)
         f = random_field(grid, components, 2.0, 1.0, 5)
-        full = dealias(f)
-        # the 2/3 rule as a mask over the full array, multiplied in
-        kept = grid.kinf <= (n - 1) // 3
-        assert full.coeffs.tobytes() == (f.coeffs * kept).tobytes()
-        half = dealias(f.as_half())
+        half = dealias(f)
         assert half.is_half
-        # equal values; the mirror conjugates masked modes, so a zero's sign may differ
-        assert np.array_equal(half.as_full().coeffs, full.coeffs)
+        # the 2/3 rule as a mask over the full array, multiplied in; equal
+        # values, as the mirror conjugates masked modes, so a zero's sign may differ
+        kept = kinf(grid) <= (n - 1) // 3
+        assert np.array_equal(half.as_full().coeffs, f.as_full().coeffs * kept)
+        assert np.array_equal(dealias(f.as_full()).coeffs, half.as_full().coeffs)
 
 
 class TestLadder:
@@ -286,15 +304,15 @@ class TestRandomField:
         f = random_field(grid, 1, decay, 1.0, 17)
         k = np.abs(np.fft.fftfreq(grid.n, 1.0 / grid.n))
         mask = (k >= 2) & (k <= 60)
-        amp = np.abs(f.coeffs[0])[mask]
+        amp = np.abs(f.as_full().coeffs[0])[mask]
         w = (1.0 + k[mask] ** 2)
         slope, _ = np.polyfit(np.log(w), np.log(amp + 1e-300), 1)
         assert abs((-2 * slope) - decay) / decay < 0.05
 
     def test_hermitian_and_real(self, grid):
         f = random_field(grid, 1, 4.0, 1.0, 19)
-        assert f.hermitian_defect() < 1e-15
-        phys = np.fft.ifft(f.coeffs[0]) * grid.n
+        assert hermitian_defect(f) < 1e-15
+        phys = np.fft.ifft(f.as_full().coeffs[0]) * grid.n
         assert np.max(np.abs(phys.imag)) < 1e-12
 
     def test_tail_condition_checked(self, grid):
@@ -307,7 +325,7 @@ class TestRoundTrips:
     def test_physical_round_trip(self):
         grid = TorusGrid(2, 32)
         f = random_field(grid, 2, 4.0, 1.0, 23)
-        g = SpectralField.from_physical(grid, f.to_physical())
+        g = SpectralField.from_physical(grid, f.to_physical()).as_half()
         assert np.max(np.abs(f.coeffs - g.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_snapshot_bit_exact(self):
