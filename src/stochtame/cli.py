@@ -55,11 +55,14 @@ def _out_dir(args, cfg) -> Path:
 
 
 def _step_accounting(record) -> str:
-    """A path's trials, rejections by cause, finest level and drift evaluations."""
+    """A path's trials, rejections by cause, finest level, drift evaluations,
+    Wiener draws by level and wall time."""
     rejections = ",".join(f"{cause}:{n}" for cause, n in record.rejections.items())
+    draws = ",".join(f"{level}:{n}" for level, n in enumerate(record.wiener_draws))
     return (
         f"trials={record.trials} rejections={rejections} "
-        f"finest_level={record.finest_level} drift_evals={record.drift_evals}"
+        f"finest_level={record.finest_level} drift_evals={record.drift_evals} "
+        f"wiener_draws={draws} wall_s={record.wall_s:.4g}"
     )
 
 

@@ -32,12 +32,27 @@ cap (``StepperConfig.stiff_cap``) bounds this quantity by halving the step;
 The loop holds its state as the non-redundant half spectrum (the
 :class:`~stochtame.spectral.HalfSpectrum` layout), zero outside the Galerkin
 cutoff, as every computation of the program does.  A full initial state is
-read through its half.  The cutoff is one multiply by a cached half mask;
-the drift is called on the half and returns the half; the four ladder norms
-of a trial state and the G norm of its drift are weighted dot products over
-the half, each stored mode counted once per mirror image.  Snapshots are
-kept as halves.  The one full array a path makes is its ``final_state``,
-the record's public field, mirrored from the last half.
+read through its half.  One trial step makes only the array work its
+arithmetic needs, on the half arrays:
+
+* one Wiener increment, from a block of base increments drawn at once or
+  from the Brownian bridge of the current base interval
+  (:class:`~stochtame.noise.WienerPath`);
+* on the first trial from a state, its drift: one ``A(X)`` call (one
+  inverse and one forward real FFT, see :mod:`stochtame.models`) and one
+  multiply by the cached cutoff mask, then the drift's G norm, one dot
+  product with the power spectrum; a refined trial reuses both;
+* the scheme update, four array operations for a tamed or Euler-Maruyama
+  step, three more drift calls for an RK4 step;
+* the four ladder norms of the trial state, one ``np.vecdot`` of the
+  stacked weights with its power spectrum, which is also the finiteness
+  test (:func:`~stochtame.spectral.weighted_norms`).
+
+For a tamed Burgers path at n = 256 that is about 60-75 us a trial on a
+2-vCPU VM: about half of it the drift, of which the two FFT calls are
+most, and the rest the norms, the update and scalar bookkeeping on floats.
+Snapshots are kept as halves.  The one full array a path makes is its
+``final_state``, the record's public field, mirrored from the last half.
 
 A path terminates with a blow-up record when the F0 norm crosses the
 threshold or when adaptive halving hits ``dt_min`` (the discrete counterpart
@@ -49,6 +64,7 @@ status.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -60,7 +76,7 @@ from .spectral import (
     NonFiniteFieldError,
     SpaceLadder,
     SpectralField,
-    sobolev_norm,
+    weighted_norms,
 )
 
 SCHEMES = ("EulerMaruyama", "TamedEulerMaruyama", "RK4Deterministic")
@@ -128,7 +144,15 @@ class TrajectoryRecord:
     reached.  So ``trials == accepted_steps + rejected_steps``, and at save
     stride 1 ``accepted_steps == n_rows - 1``.  ``drift_evals`` counts the
     drift evaluations: one per state whose drift a trial reads (a refined
-    trial reuses it) and three more per RK4 trial.
+    trial reuses it) and three more per RK4 trial.  ``wiener_draws[l]``
+    counts the Wiener increments drawn at level l, one per stochastic trial
+    there, so on a plain stochastic path they sum to ``trials``.
+    ``wall_s`` is the wall time of the stepping loop, in seconds.
+
+    Snapshots are kept at the times ``j * field_stride * dt``, which lie on
+    every dyadic level, whenever an accepted step lands on one, so a path
+    keeps at most ``T / (field_stride * dt) + 1`` of them however finely it
+    was refined.
     """
 
     times: np.ndarray
@@ -156,6 +180,8 @@ class TrajectoryRecord:
     rejections: dict[str, int] = dataclass_field(default_factory=dict)
     level_steps: tuple[int, ...] = ()
     drift_evals: int = 0
+    wiener_draws: tuple[int, ...] = ()
+    wall_s: float = 0.0
 
     def __post_init__(self):
         for arr in (self.times, self.int_F1sq):
@@ -210,6 +236,7 @@ class _RecordBuilder:
         self.trials = 0
         self.rejections = dict.fromkeys(("non_finite", "stiffness", "growth", "crossing"), 0)
         self.level_steps = [0] * (max_level + 1)
+        self.wiener_draws = [0] * (max_level + 1)
         self.finest_level = 0
 
     def visit(self, norms):
@@ -225,7 +252,7 @@ class _RecordBuilder:
             self.snapshots.append((t, X))
             self.snapshot_norms.append(norm_F0)
 
-    def build(self, status, blowup, diagnostics, X, drift_evals) -> TrajectoryRecord:
+    def build(self, status, blowup, diagnostics, X, drift_evals, wall_s) -> TrajectoryRecord:
         """The record of a path that ended in the half-layout state ``X``."""
         data = np.asarray([r[:6] + r[7:] for r in self.rows], dtype=np.float64)
         regimes = np.asarray([r[6] for r in self.rows])
@@ -255,16 +282,23 @@ class _RecordBuilder:
             rejections=self.rejections,
             level_steps=tuple(self.level_steps[: self.finest_level + 1]),
             drift_evals=drift_evals,
+            wiener_draws=tuple(self.wiener_draws[: self.finest_level + 1]),
+            wall_s=wall_s,
         )
 
 
-class _CountingDrift:
-    """The drift as the stepping loop calls it, counting the evaluations."""
+class _LoopDrift:
+    """The drift as the stepping loop evaluates it, with the path's cutoff
+    mask and weight stacks, counting the evaluations.  Called, it is the
+    drift counted; the RK4 stages call it so."""
 
-    __slots__ = ("A", "calls")
+    __slots__ = ("A", "mask", "ladder_weights", "G_weights", "calls")
 
-    def __init__(self, A):
+    def __init__(self, A, mask, ladder: SpaceLadder, grid, components: int):
         self.A = A
+        self.mask = mask
+        self.ladder_weights = grid.half.weights(ladder.exponents, components)
+        self.G_weights = grid.half.weights((ladder.s_G,), components)
         self.calls = 0
 
     def __call__(self, X: SpectralField) -> SpectralField:
@@ -275,10 +309,10 @@ class _CountingDrift:
 def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
     # scale-free stiffness: relative drift displacement and relative noise
     # quadratic variation per step, so spikes refine at bounded cost
-    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X.grid), ladder)
-    norms = cache.norms()
+    cache = cache if cache is not None else _StateCache.of(X, A, projector, ladder)
+    norms = cache.norms
     stiffness = dt * cache.drift_norm_G() / max(norms[0], 1e-300)
-    out = cache.drift().coeffs * dt
+    out = cache.drift() * dt
     out += X.coeffs
     if B is not None and B.theta > 0.0:
         coeff = B.coefficient(norms)
@@ -288,13 +322,13 @@ def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
 
 
 def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
-    cache = cache if cache is not None else _StateCache(X, A, projector.mask(X.grid), ladder)
+    cache = cache if cache is not None else _StateCache.of(X, A, projector, ladder)
     drift_size = dt * cache.drift_norm_G()
-    out = cache.drift().coeffs * (dt / (1.0 + drift_size))
+    out = cache.drift() * (dt / (1.0 + drift_size))
     out += X.coeffs
     stiffness = drift_size
     if B is not None and B.theta > 0.0:
-        norms = cache.norms()
+        norms = cache.norms
         coeff = B.coefficient(norms)
         noise_size = dt * (coeff * norms[0]) ** 2
         stiffness = max(stiffness, noise_size)
@@ -303,49 +337,50 @@ def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
 
 
 class _StateCache:
-    """Per-state memo of the projected drift, its G norm and the ladder norms.
+    """A state of the loop with its ladder norms and its projected drift.
 
-    The drift is projected by one multiply with the cached half mask
-    (:meth:`GalerkinProjector.mask`).
+    The state's (G, F0, F1, D) norms are one :func:`weighted_norms` pass,
+    made when the state is a trial state, where it is also the finiteness
+    test: it raises :class:`NonFiniteFieldError` exactly when a coefficient
+    is NaN or Inf, because a sum of nonnegative powers with positive weights
+    is finite unless a term is not (or it overflowed, which the pass tells
+    apart by a scan).  An accepted trial state becomes the current state with
+    its norms, so the growth check, the saved row, the noise coefficient and
+    the next step all read the same four numbers.
 
-    A trial step that gets halved retries from the same state; caching makes
-    the retry cost O(vector ops) instead of a fresh drift evaluation.
-
-    The state's (G, F0, F1, D) norms are one :meth:`SpaceLadder.norms` pass,
-    made on first use.  The stepper makes it once per trial state, where it is
-    also the finiteness test: it raises :class:`NonFiniteFieldError` exactly
-    when a coefficient is NaN or Inf, because a sum of nonnegative powers with
-    positive weights is finite unless a term is not (or it overflowed, which
-    the pass tells apart by a scan).  An accepted trial state's cache becomes
-    the current state's cache, so the growth check, the saved row, the noise
-    coefficient and the next step all read the same four numbers.
+    The drift is evaluated on first use, projected by one multiply with the
+    cached half mask (:meth:`GalerkinProjector.mask`), and counted.  A trial
+    step that gets halved retries from the same state and reuses it and its
+    G norm.
     """
 
-    __slots__ = ("X", "A", "mask", "ladder", "_drift", "_drift_nG", "_norms")
+    __slots__ = ("X", "loop_drift", "norms", "_drift", "_drift_nG")
 
-    def __init__(self, X, A, mask, ladder):
+    def __init__(self, X, loop_drift: _LoopDrift, norms):
         self.X = X
-        self.A = A
-        self.mask = mask
-        self.ladder = ladder
+        self.loop_drift = loop_drift
+        self.norms = norms
         self._drift = None
         self._drift_nG = None
-        self._norms = None
 
-    def drift(self):
+    @classmethod
+    def of(cls, X, A, projector, ladder) -> "_StateCache":
+        """The cache of a state ``X`` outside the loop."""
+        d = _LoopDrift(A, projector.mask(X.grid), ladder, X.grid, len(X.coeffs))
+        return cls(X, d, tuple(weighted_norms(X.coeffs, d.ladder_weights)))
+
+    def drift(self) -> np.ndarray:
+        """The projected drift's half coefficients."""
         if self._drift is None:
-            self._drift = SpectralField(self.X.grid, self.A(self.X).coeffs * self.mask)
+            d = self.loop_drift
+            d.calls += 1
+            self._drift = d.A(self.X).coeffs * d.mask
         return self._drift
 
-    def drift_norm_G(self):
+    def drift_norm_G(self) -> float:
         if self._drift_nG is None:
-            self._drift_nG = sobolev_norm(self.drift(), self.ladder.s_G)
+            self._drift_nG = weighted_norms(self.drift(), self.loop_drift.G_weights)[0]
         return self._drift_nG
-
-    def norms(self) -> tuple[float, float, float, float]:
-        if self._norms is None:
-            self._norms = self.ladder.norms(self.X)
-        return self._norms
 
 
 def rk4_deterministic_step(
@@ -353,7 +388,7 @@ def rk4_deterministic_step(
 ) -> SpectralField:
     """Classical 4-stage step for the deterministic phase dX = A_d(X) dt.
 
-    ``X`` is a half; ``k1``, when given, is its projected drift.
+    ``X`` is a half; ``k1``, when given, is its projected drift's coefficients.
     """
     grid = X.grid
     mask = projector.mask(grid)
@@ -363,7 +398,7 @@ def rk4_deterministic_step(
         y += X.coeffs
         return A(SpectralField(grid, y)).coeffs * mask
 
-    k1 = A(X).coeffs * mask if k1 is None else k1.coeffs
+    k1 = A(X).coeffs * mask if k1 is None else k1
     k2 = stage(k1, 0.5 * dt)
     k3 = stage(k2, 0.5 * dt)
     k4 = stage(k3, dt)
@@ -390,7 +425,8 @@ def _single_step(scheme, X, A, B, dW, h, projector, ladder, cache=None):
     if scheme == "RK4Deterministic":
         if B is not None and B.theta > 0.0:
             raise ValueError("RK4Deterministic cannot carry a stochastic term")
-        out = rk4_deterministic_step(X, A, h, projector, k1=cache.drift() if cache else None)
+        k1 = cache.drift() if cache is not None else None
+        out = rk4_deterministic_step(X, A, h, projector, k1)
         return out, 0.0
     if scheme == "EulerMaruyama":
         return _em_step_with_stiffness(X, A, B, dW, h, projector, ladder, cache)
@@ -458,18 +494,20 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     regime is always saved, and a crossing step restarts the coarsening
     count.
     """
+    wall_start = time.perf_counter()
     ladder: SpaceLadder = A.ladder
     noise_on = B is not None and B.theta > 0.0
     if noise_on and wiener is None:
         raise ValueError("a WienerPath is required when the noise is active")
     check_state = getattr(A, "check_state", lambda X: ())
-    A = _CountingDrift(A)
 
-    projector = GalerkinProjector(cutoff if cutoff is not None else X0.grid.dealias_cutoff)
-    mask = projector.mask(X0.grid)
-    X = SpectralField(X0.grid, X0.as_half().coeffs * mask)
-    cache = _StateCache(X, A, mask, ladder)
-    n0 = cache.norms()[1]
+    grid = X0.grid
+    projector = GalerkinProjector(cutoff if cutoff is not None else grid.dealias_cutoff)
+    mask = projector.mask(grid)
+    X = SpectralField(grid, X0.as_half().coeffs * mask)
+    A = _LoopDrift(A, mask, ladder, grid, len(X.coeffs))
+    cache = _StateCache(X, A, tuple(weighted_norms(X.coeffs, A.ladder_weights)))
+    n0 = cache.norms[1]
     threshold = (
         stepper.blowup_threshold
         if stepper.blowup_threshold is not None
@@ -492,13 +530,15 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     label = ("S" if noise_on else "D") if switch is None else switch.regime
     int_f1 = 0.0
     t = 0.0
-    rec.visit(cache.norms())
-    rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, flags)
+    rec.visit(cache.norms)
+    rec.add(t, cache.norms, int_f1, label, diag.m, diag.qv, flags)
     rec.snap(t, X, n0)
 
     n_base = int(round(stepper.t_end / stepper.dt))
     if abs(n_base * stepper.dt - stepper.t_end) > 1e-9 * max(1.0, stepper.t_end):
         n_base = math.ceil(stepper.t_end / stepper.dt - 1e-12)
+    adapt, max_level, stiff_cap = stepper.adapt, stepper.max_level, stepper.stiff_cap
+    growth = 1.0 + stepper.growth_trigger
     status, blowup = "completed", None
     level = 0
     pos = 0
@@ -512,33 +552,37 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
         h = stepper.dt * 2.0**-level
         stochastic = noise_on if switch is None else switch.stochastic
         scheme = stepper.scheme if stochastic or switch is None else "RK4Deterministic"
-        dW = wiener.increment(pos, level) if stochastic else 0.0
+        if stochastic:
+            dW = wiener.increment(pos, level)
+            rec.wiener_draws[level] += 1
+        else:
+            dW = 0.0
         X_new, stiffness = _single_step(
             scheme, X, A, B if stochastic else None, dW, h, projector, ladder, cache
         )
 
         rec.trials += 1
-        trial = _StateCache(X_new, A, mask, ladder)
-        norms = cache.norms()
+        norms = cache.norms
         failure = None
         crossing = False
         try:
-            norm_new = trial.norms()[1]
+            norms_new = weighted_norms(X_new.coeffs, A.ladder_weights)
         except NonFiniteFieldError:
             refine, cause, failure = True, "non_finite", ("numeric_error", None)
         else:
+            norm_new = norms_new[1]
             crossing = switch is not None and switch.crosses(norm_new)
-            if stepper.adapt and stiffness > stepper.stiff_cap:
+            if adapt and stiffness > stiff_cap:
                 # deterministic unresolvable stiffness at the floor is the
                 # discrete signature of a blow-up
                 refine, cause, failure = True, "stiffness", ("blowup", (t, "dt_underflow"))
             else:
                 # sampled growth: refine while possible, accept at the floor;
                 # a crossing is bisected down to dt_min
-                grew = norm_new > (1.0 + stepper.growth_trigger) * max(norms[1], 1e-300)
+                grew = norm_new > growth * max(norms[1], 1e-300)
                 refine = grew or (crossing and h > stepper.resolved_dt_min)
                 cause = "growth" if grew else "crossing"
-        if refine and stepper.adapt and level < stepper.max_level:
+        if refine and adapt and level < max_level:
             rec.rejections[cause] += 1
             if crossing and bisect_from is None:
                 bisect_from = level
@@ -559,8 +603,8 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
             b_pair = 2.0 * B.coefficient(norms) * norms[env_idx] ** 2
             diag.update(b_pair * dW, b_pair**2 * h)
         X = X_new
-        cache = trial
-        rec.visit(cache.norms())
+        cache = _StateCache(X, A, norms_new)
+        rec.visit(norms_new)
         rec.level_steps[level] += 1
         pos += 1
         t = pos * h
@@ -575,8 +619,9 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
             bisect_from = None  # past the pre-bisection step: nothing crossed
 
         if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or label != before:
-            rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
-        if stepper.field_stride is not None and steps_done % stepper.field_stride == 0:
+            rec.add(t, norms_new, int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
+        # snapshots at the times j * field_stride * dt, which lie on every level
+        if rec.snapshots is not None and pos % (stepper.field_stride << level) == 0:
             rec.snap(t, X, norm_new)
 
         if norm_new >= threshold:
@@ -598,5 +643,5 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
             accepted_since_refine = 0
 
     if rec.rows[-1][0] != t:
-        rec.add(t, cache.norms(), int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
-    return rec.build(status, blowup, diag, X, A.calls)
+        rec.add(t, cache.norms, int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
+    return rec.build(status, blowup, diag, X, A.calls, time.perf_counter() - wall_start)

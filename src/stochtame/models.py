@@ -23,12 +23,15 @@ convolution exact on the retained modes; that exactness is what the
 enstrophy / energy conservation tests rely on.  Each drift makes one real-FFT
 round trip: the fields and derivatives it needs are gathered into one stack of
 half spectra and inverted together, the products formed on the grid are
-transformed forward together, and the linear terms are added on the half
-spectrum.  Every function here takes and returns halves (the layout rule of
-:mod:`stochtame.spectral`).  Only ``DriftOperator.__call__`` also takes a
-full field: it reads the field's half and mirrors the drift back to the full
-layout (``fhat_{-k} = conj(fhat_k)``, self-conjugate modes real), so that
-output is exactly Hermitian whatever the rounding of the transforms.
+transformed forward together into their tendencies (the sign, the
+normalisation and the 2/3 mask are one multiply,
+:meth:`~stochtame.spectral.HalfSpectrum.tendency`), and the linear terms are
+added on the half spectrum.  Every function here takes and returns halves
+(the layout rule of :mod:`stochtame.spectral`).  Only
+``DriftOperator.__call__`` also takes a full field: it reads the field's half
+and mirrors the drift back to the full layout (``fhat_{-k} = conj(fhat_k)``,
+self-conjugate modes real), so that output is exactly Hermitian whatever the
+rounding of the transforms.
 
 Shallow water note: the momentum state is used directly as the advected
 velocity.  A rotation vector potential with ``curl R = f zhat`` and zero
@@ -87,7 +90,10 @@ class ModelParams:
 
 def _dot_grad(vel: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Grid values of ``(vel . grad) f`` from ``vel[a]`` and ``grads[a] = d_a f``."""
-    return sum((vel[a] * grads[a] for a in range(1, len(vel))), vel[0] * grads[0])
+    out = vel[0] * grads[0]
+    for a in range(1, len(vel)):
+        out += vel[a] * grads[a]
+    return out
 
 
 def _velocity_and_gradients(hs, vel: np.ndarray, f: np.ndarray):
@@ -105,7 +111,7 @@ def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
     """
     hs = f.grid.half
     v, grads = _velocity_and_gradients(hs, vel.coeffs, f.coeffs)
-    return SpectralField(f.grid, hs.to_spectral(_dot_grad(v, grads)))
+    return SpectralField(f.grid, -hs.tendency(_dot_grad(v, grads)))
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -195,8 +201,8 @@ def _leray(f: np.ndarray, hs) -> np.ndarray:
 def burgers_drift(u: SpectralField, nu: float = 0.0) -> SpectralField:
     """-(u.grad)u + nu*Lap u with exact spectral derivatives."""
     hs = u.grid.half
-    vel, grads = _velocity_and_gradients(hs, u.coeffs, u.coeffs)
-    out = -hs.to_spectral(_dot_grad(vel, grads))
+    phys = hs.to_physical(hs.with_gradient(u.coeffs))  # u, d_0 u, d_1 u, ...
+    out = hs.tendency(_dot_grad(phys[0], phys[1:]))
     if nu > 0.0:
         out += nu * (-hs.ksq * u.coeffs)
     return SpectralField(u.grid, out)
@@ -214,14 +220,12 @@ def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
     uh = biot_savart(omega).coeffs
     if grid.dim == 2:
         vel, grads = _velocity_and_gradients(hs, uh, wh)
-        out = -hs.to_spectral(_dot_grad(vel, grads))
+        out = hs.tendency(_dot_grad(vel, grads))
     else:
-        # (u.grad)w and (w.grad)u share one round trip
-        stack = [hs.dealiased(uh), hs.dealiased(wh), hs.gradient(wh), hs.gradient(uh)]
-        phys = hs.to_physical(np.concatenate(stack))
-        grads = phys[6:].reshape((2, 3, 3) + phys.shape[1:])
-        nonlinear = _dot_grad(phys[0:3], grads[0]) - _dot_grad(phys[3:6], grads[1])
-        out = _leray(-hs.to_spectral(nonlinear), hs)
+        # (u.grad)w and (w.grad)u share one round trip: u, grad u, w, grad w
+        phys = hs.to_physical(np.concatenate([hs.with_gradient(uh), hs.with_gradient(wh)]))
+        nonlinear = _dot_grad(phys[0], phys[5:8]) - _dot_grad(phys[4], phys[1:4])
+        out = _leray(hs.tendency(nonlinear), hs)
     if nu > 0.0:
         out += nu * (-hs.ksq * wh)
     return SpectralField(grid, out)
@@ -242,15 +246,16 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
 
     phys = hs.to_physical(np.concatenate([hs.dealiased(sh), hs.gradient(u)]))
     vel, height, grads = phys[0:2], phys[2], phys[3:].reshape((2, 2) + phys.shape[1:])
-    products = hs.to_spectral(np.concatenate([_dot_grad(vel, grads), height * vel]))
+    # the tendencies -(u.grad)u and -h u
+    products = hs.tendency(np.concatenate([_dot_grad(vel, grads), height * vel]))
     adv, flux = products[0:2], products[2:]
 
     f = params.f_coriolis
     zcross = np.stack([-f * u[1], f * u[0]])
     b = 0.0 if params.topography is None else params.topography.coeffs[0]
     p = (h - b) / (params.rossby * params.froude)
-    mom = -adv - zcross - np.stack([ik * p for ik in hs.ik])
-    hgt = -(hs.ik[0] * flux[0] + hs.ik[1] * flux[1])
+    mom = adv - zcross - np.stack([ik * p for ik in hs.ik])
+    hgt = hs.ik[0] * flux[0] + hs.ik[1] * flux[1]
 
     if viscous:
         mom += params.nu * (-hs.ksq * u)
@@ -413,13 +418,14 @@ class DriftOperator:
     def __call__(self, X: SpectralField) -> SpectralField:
         """The drift of ``X``: a half, or for a full ``X`` the full layout."""
         facts = CATALOGUE[self.kind]
-        if X.grid.dim != facts.dim or X.components != facts.components:
+        if X.grid.dim != facts.dim or len(X.coeffs) != facts.components:
             raise GridMismatchError(
                 f"{self.kind} expects dim={facts.dim}, components={facts.components}; "
                 f"got dim={X.grid.dim}, components={X.components}"
             )
-        out = facts.drift(X.as_half(), self.params)
-        return out if X.is_half else out.as_full()
+        if X.is_half:
+            return facts.drift(X, self.params)
+        return facts.drift(X.as_half(), self.params).as_full()
 
     def check_state(self, X: SpectralField) -> list[str]:
         """Model-specific state warnings, recorded on the trajectory."""

@@ -134,15 +134,50 @@ def noise_coefficient(X: SpectralField, spec: NoiseSpec, ladder: SpaceLadder) ->
 # --- scalar Wiener path with dyadic bridge refinement -----------------------
 
 _MASK = (1 << 64) - 1
+_GOLDEN, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+#: the word that separates the second uniform of a Box-Muller pair from the first
+_SECOND = 0xD1B54A32D192ED03
+#: base increments drawn together, one vectorised hash pass each
+_BLOCK = 256
 
 
 def _mix(x: int) -> int:
     # splitmix64 finaliser: cheap, well-distributed counter hash
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x = (x + _GOLDEN) & _MASK
+    x = ((x ^ (x >> 30)) * _MUL1) & _MASK
+    x = ((x ^ (x >> 27)) * _MUL2) & _MASK
     return x ^ (x >> 31)
 
+
+def _mix_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix` of every word of a uint64 array (its arithmetic wraps)."""
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MUL1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MUL2)
+    return x ^ (x >> np.uint64(31))
+
+
+def _normal(h: int) -> float:
+    """The standard normal of the chained key hash ``h``: a Box-Muller draw
+    from the uniforms of ``h`` and ``h ^ _SECOND``."""
+    u1 = (_mix(h) >> 11) * 2.0**-53
+    u2 = (_mix(h ^ _SECOND) >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _normals(h: np.ndarray) -> np.ndarray:
+    """:func:`_normal` of every hash of a uint64 array, bit for bit.
+
+    The hashes and uniforms are numpy words and floats; the logarithm and
+    cosine are ``math``'s, element by element, because numpy's differ from
+    them in the last bit for some arguments.  The other operations are
+    single IEEE operations, the same in both.
+    """
+    u1 = (_mix_array(h) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u2 = (_mix_array(h ^ np.uint64(_SECOND)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    log = np.fromiter(map(math.log, (1.0 - u1).tolist()), np.float64, len(h))
+    cos = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, len(h))
+    return np.sqrt(-2.0 * log) * cos
 
 
 class WienerPath:
@@ -160,6 +195,17 @@ class WienerPath:
     an already-delivered increment, and identical seeds give identical paths.
     Children reconstruct their parent to within one float rounding per split
     (the split itself is deterministic, so repeated queries are bit-equal).
+
+    The key of a draw is hashed by chained splitmix64 words, a counter-based
+    generator, so draws can be made in any grouping without changing a bit.
+    Base increments are drawn in aligned blocks of ``_BLOCK`` base intervals,
+    one vectorised hash pass a block, and only the block of the last base
+    interval asked for is kept.  Bridge draws are made one split at a time,
+    each giving both children, and kept only for the base interval of the
+    last refined request: a path moves forward in time, so the values of a
+    passed interval are dropped, and asked for again they are drawn again,
+    bit for bit.  The memory of a path is therefore one block and the splits
+    of one base interval, however long or deeply refined the path is.
     """
 
     def __init__(self, seed: int, dt_base: float):
@@ -169,47 +215,60 @@ class WienerPath:
         self.dt_base = float(dt_base)
         self._sqrt_dt = math.sqrt(self.dt_base)
         self._seed_word = _mix(self.seed & _MASK)
-        self._cache: dict[tuple[int, int, int], float] = {}
-
-    def _noise(self, base: int, level: int, offset: int) -> float:
-        """Standard normal keyed by (seed, base, level, offset).
-
-        Counter-based: two chained splitmix64 words feed a Box-Muller pair,
-        so the value never depends on evaluation order.
-        """
-        h = self._seed_word
-        for word in (base, level, offset):
-            h = _mix(h ^ (word & _MASK))
-        u1 = (_mix(h) >> 11) * 2.0**-53
-        u2 = (_mix(h ^ 0xD1B54A32D192ED03) >> 11) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        return r * math.cos(2.0 * math.pi * u2)
+        self._draw_block(0)
+        self._bridge_base = -1
+        #: the bridge values (level, offset) of base interval _bridge_base
+        self._bridge: dict[tuple[int, int], float] = {}
+        #: the hashed words (seed, _bridge_base, level), one per level
+        self._level_words: dict[int, int] = {}
 
     def increment(self, index: int, level: int = 0) -> float:
+        if level == 0 and 0 <= index - self._block_start < _BLOCK:
+            return self._block[index - self._block_start]
         if level < 0 or index < 0:
             raise ValueError("index and level must be nonnegative")
         base = index >> level
-        offset = index - (base << level)
-        return self._value(base, level, offset)
-
-    def _value(self, base: int, level: int, offset: int) -> float:
-        key = (base, level, offset)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         if level == 0:
-            val = self._sqrt_dt * self._noise(base, 0, 0)
+            return self._base_increment(base)
+        if base != self._bridge_base:
+            self._bridge_base = base
+            self._bridge = {}
+            self._level_words = {}
+        return self._split(base, level, index - (base << level))
+
+    def _draw_block(self, start: int) -> None:
+        """Draw the base increments of the intervals ``start ... start + _BLOCK - 1``."""
+        bases = np.arange(_BLOCK, dtype=np.uint64) + np.uint64(start & _MASK)
+        # the words (base, 0, 0): level and offset 0 still mix
+        h = _mix_array(_mix_array(_mix_array(np.uint64(self._seed_word) ^ bases)))
+        self._block = (self._sqrt_dt * _normals(h)).tolist()
+        self._block_start = start
+
+    def _base_increment(self, base: int) -> float:
+        if not 0 <= base - self._block_start < _BLOCK:
+            self._draw_block(base - base % _BLOCK)
+        return self._block[base - self._block_start]
+
+    def _split(self, base: int, level: int, offset: int) -> float:
+        """The increment at ``offset`` of ``level`` inside base interval
+        ``base``, the one the bridge values are kept for."""
+        value = self._bridge.get((level, offset))
+        if value is not None:
+            return value
+        if level == 1:
+            parent = self._base_increment(base)
         else:
-            parent = self._value(base, level - 1, offset >> 1)
-            h_parent = self.dt_base * 2.0 ** -(level - 1)
-            xi = self._noise(base, level, offset | 1)  # one draw per split
-            half = 0.5 * parent + 0.5 * math.sqrt(h_parent) * xi
-            if offset & 1:
-                val = parent - half
-            else:
-                val = half
-        self._cache[key] = val
-        return val
+            parent = self._split(base, level - 1, offset >> 1)
+        word = self._level_words.get(level)
+        if word is None:
+            word = self._level_words[level] = _mix(_mix(self._seed_word ^ (base & _MASK)) ^ level)
+        xi = _normal(_mix(word ^ (offset | 1)))  # one draw per split
+        h_parent = self.dt_base * 2.0 ** -(level - 1)
+        half = 0.5 * parent + 0.5 * math.sqrt(h_parent) * xi
+        even = offset & ~1
+        self._bridge[(level, even)] = half
+        self._bridge[(level, even | 1)] = parent - half
+        return half if offset == even else parent - half
 
 
 # --- geometric Brownian motion lab ------------------------------------------

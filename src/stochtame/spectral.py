@@ -36,10 +36,11 @@ half: each mode is counted once per mirror image, that is twice off the
 planes ``k_last = 0, n/2`` and once on them, where ``-k`` is stored too.  The
 power (:meth:`HalfSpectrum.power`) is the squared real and imaginary parts of
 every component at the stored modes.  ``||f||_{H^s}^2`` is one dot product of
-the power with the cached weight, and :meth:`SpaceLadder.norms` forms the
-power once and takes one dot product per ladder space, with the same
-arithmetic as :func:`sobolev_norm`, so the two agree bit for bit.  They agree
-with the plain sum over the full array only to rounding (a few ulps): the
+the power with the cached weight.  :func:`weighted_norms` forms the power
+once and takes the dot products with a stack of weights in one
+``np.vecdot`` call, each row the same dot product as alone, so
+:meth:`SpaceLadder.norms` and :func:`sobolev_norm` agree bit for bit.  They
+agree with the plain sum over the full array only to rounding (a few ulps): the
 half sum adds each off-plane mode once with weight 2, where the full sum adds
 it twice, in another order.  Finiteness is read off the weighted sum instead
 of scanning the coefficients: every square is >= 0 and every weight is > 0,
@@ -115,6 +116,7 @@ class HalfSpectrum:
         # coefficient shapes of one component: the full and the half layout
         self.layouts = ((n,) * dim, kinf.shape)
         self.axes = tuple(range(-dim, 0))
+        self._lead_axes = self.axes[:-1]
         self.k_axes = tuple(axes)
         self.ik = tuple(1j * ka for ka in axes)
         self.ksq = sum(ka**2 for ka in axes)
@@ -123,12 +125,16 @@ class HalfSpectrum:
         self._mask = (kinf <= cutoff)[..., :kept].astype(np.complex128)
         # stacked on a leading axis, so that one multiply makes every derivative
         self._ik_dealiased = np.stack([ik[..., :kept] * self._mask for ik in self.ik])[:, None]
-        # the forward transforms are unnormalised and their 1/n per axis rides
-        # on the mask; for n a power of two that scaling is exact, so the result
-        # is bit for bit that of normalised transforms
-        self._spectral_mask = self._mask / n**dim
+        # and the field itself in front of them
+        self._with_gradient = np.concatenate([self._mask[None, None], self._ik_dealiased])
+        # the forward transforms are unnormalised; their 1/n per axis and the
+        # sign of a tendency ride on the mask, over every column of the half.
+        # For n a power of two that scaling is exact and a sign always is, so
+        # the result is bit for bit that of normalised transforms negated
+        self._tendency_mask = np.zeros(kinf.shape, dtype=np.complex128)
+        self._tendency_mask[..., :kept] = -self._mask / n**dim
         self._weights: dict[tuple[float, int], np.ndarray] = {}
-        self._ladder_weights: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._stacked_weights: dict[tuple, np.ndarray] = {}
         self._project_masks: dict[int, np.ndarray] = {}
 
         # each stored mode stands for itself and its mirror image -k, except
@@ -168,12 +174,15 @@ class HalfSpectrum:
             self._weights[key] = np.tile(np.repeat(w, 2), components)
         return self._weights[key]
 
-    def ladder_weights(self, exponents: tuple[float, ...], components: int):
-        """The :meth:`weight` arrays of several exponents; cached per tuple."""
+    def weights(self, exponents: tuple[float, ...], components: int) -> np.ndarray:
+        """The :meth:`weight` arrays of several exponents, stacked, as
+        :func:`weighted_norms` takes them; cached per tuple."""
         key = (exponents, components)
-        if key not in self._ladder_weights:
-            self._ladder_weights[key] = tuple(self.weight(s, components) for s in exponents)
-        return self._ladder_weights[key]
+        weights = self._stacked_weights.get(key)
+        if weights is None:
+            stack = np.stack([self.weight(s, components) for s in exponents])
+            weights = self._stacked_weights[key] = stack
+        return weights
 
     def projection_mask(self, cutoff: int) -> np.ndarray:
         """``|k|_inf <= cutoff`` on the half, as a complex 0/1 array; cached per cutoff."""
@@ -181,7 +190,8 @@ class HalfSpectrum:
             self._project_masks[cutoff] = (self.kinf <= cutoff).astype(np.complex128)
         return self._project_masks[cutoff]
 
-    def power(self, coeffs: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def power(coeffs: np.ndarray) -> np.ndarray:
         """The squared real and imaginary parts of a half array of shape
         (components, ...), flattened in the order of :meth:`weight`."""
         v = np.ascontiguousarray(coeffs).view(np.float64)
@@ -196,6 +206,11 @@ class HalfSpectrum:
         f = half[..., : self.kept]
         return (self._ik_dealiased * f).reshape((-1,) + f.shape[1:])
 
+    def with_gradient(self, half: np.ndarray) -> np.ndarray:
+        """The dealiased field and its derivatives, ``[f, d_0 f, d_1 f, ...]``
+        on a new leading axis, from one multiply."""
+        return self._with_gradient * half[..., : self.kept]
+
     def to_physical(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a stack of half spectra, one batched inverse transform.
 
@@ -203,18 +218,22 @@ class HalfSpectrum:
         the missing ones read as zero.
         """
         x = half
-        for axis in self.axes[:-1]:
+        for axis in self._lead_axes:
             x = np.fft.ifft(x, axis=axis, norm="forward")
         return np.fft.irfft(x, n=self.n, axis=-1, norm="forward")
 
-    def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """2/3-dealiased half spectra of a stack of real grid arrays."""
-        x = np.fft.rfft(values, axis=-1)[..., : self.kept]
-        for axis in self.axes[:-1]:
-            x = np.fft.fft(x, axis=axis)
-        out = np.zeros(x.shape[:-1] + (self.m,), dtype=np.complex128)
-        np.multiply(x, self._spectral_mask, out=out[..., : self.kept])
-        return out
+    def tendency(self, values: np.ndarray) -> np.ndarray:
+        """2/3-dealiased half spectra of minus a stack of real grid arrays:
+        the tendency -N of a nonlinear term N formed on the grid.
+
+        The leading axes are transformed on the kept columns only; the
+        normalisation, the sign and the mask are one multiply.
+        """
+        x = np.fft.rfft(values, axis=-1)
+        for axis in self._lead_axes:
+            x[..., : self.kept] = np.fft.fft(x[..., : self.kept], axis=axis)
+        x *= self._tendency_mask
+        return x
 
     def to_full(self, half: np.ndarray) -> np.ndarray:
         """The Hermitian full coefficient array of a stack of half spectra."""
@@ -429,17 +448,12 @@ class SpaceLadder:
     def norms(self, f: "SpectralField") -> tuple[float, float, float, float]:
         """The (G, F0, F1, D) norms of a half ``f`` from one power spectrum.
 
-        Each equals ``sobolev_norm(f, s)`` for its exponent bit for bit: the
-        same dot product of the power with the same weights.  NaN or Inf
-        coefficients raise :class:`NonFiniteFieldError` as there.
+        Each equals ``sobolev_norm(f, s)`` for its exponent bit for bit
+        (:func:`weighted_norms`).  NaN or Inf coefficients raise
+        :class:`NonFiniteFieldError` as there.
         """
-        hs = f.grid.half
-        power = hs.power(f.coeffs)
-        wg, w0, w1, wd = hs.ladder_weights(self.exponents, len(f.coeffs))
-        g, f0, f1, d = np.dot(wg, power), np.dot(w0, power), np.dot(w1, power), np.dot(wd, power)
-        if not math.isfinite(g + f0 + f1 + d):
-            _check_finite(f)
-        return math.sqrt(g), math.sqrt(f0), math.sqrt(f1), math.sqrt(d)
+        weights = f.grid.half.weights(self.exponents, len(f.coeffs))
+        return tuple(weighted_norms(f.coeffs, weights))
 
 
 @dataclass(frozen=True)
@@ -461,25 +475,30 @@ class GalerkinProjector:
         return grid.half.projection_mask(self.cutoff)
 
 
-def _check_finite(f: SpectralField) -> None:
-    """Raise for NaN/Inf coefficients; called only when a norm sum is not finite."""
-    if not f.is_finite():
+def weighted_norms(coeffs: np.ndarray, weights: np.ndarray) -> list[float]:
+    """The norms ``sqrt(w . power)`` of a half array, one per row ``w`` of
+    ``weights`` (:meth:`HalfSpectrum.weights`), from one power spectrum.
+
+    Each row is one ``np.vecdot`` dot product, the same sum whatever the
+    other rows are.  Raises :class:`NonFiniteFieldError` on NaN/Inf
+    coefficients, found by the finiteness of the sums (module docstring);
+    a finite array whose weighted sum overflows has norm inf.
+    """
+    sums = np.vecdot(weights, HalfSpectrum.power(coeffs)).tolist()
+    if not math.isfinite(sum(sums)) and not np.isfinite(coeffs).all():
         raise NonFiniteFieldError("field has non-finite coefficients")
+    return list(map(math.sqrt, sums))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm, ``sqrt(sum_k (1+|k|^2)^s |fhat_k|^2)`` over all components.
 
     Summed over the stored modes of a half, each weighted by its mirror
-    images (:meth:`HalfSpectrum.power`).  Raises
-    :class:`NonFiniteFieldError` on NaN/Inf coefficients; a finite field
-    whose weighted sum overflows has norm inf.
+    images (:meth:`HalfSpectrum.power`), as :func:`weighted_norms` sums.
+    Raises :class:`NonFiniteFieldError` on NaN/Inf coefficients; a finite
+    field whose weighted sum overflows has norm inf.
     """
-    hs = f.grid.half
-    sq = np.dot(hs.weight(s, len(f.coeffs)), hs.power(f.coeffs))
-    if not math.isfinite(sq):
-        _check_finite(f)
-    return math.sqrt(sq)
+    return weighted_norms(f.coeffs, f.grid.half.weights((s,), len(f.coeffs)))[0]
 
 
 def inner_product(a: SpectralField, b: SpectralField, s: float) -> float:

@@ -169,3 +169,33 @@ def test_path_commands_print_the_step_accounting(tmp_path, capsys, command):
     assert int(trials) == accepted + sum(map(int, rejections))
     assert int(rejections[1]) > 0 and int(rejections[2]) > 0 and int(finest) > 0
     assert int(evals) == accepted
+
+
+@pytest.mark.parametrize("command", ["simulate", "control"])
+def test_step_accounting_prints_wiener_draws_and_wall_time(tmp_path, capsys, command):
+    # the noise is on at every step of both runs (the control run starts above
+    # L_hi and stays there), so each trial draws one Wiener increment at its
+    # level: the draws by level sum to the trials, and a refined level draws
+    import re
+
+    config = {
+        "model": {"kind": "Burgers1D", "resolution": 64, "initial": {"amplitude": 3.0}},
+        "noise": {"theta": 0.5, "alpha": 1.0, "case": "I"},
+        "stepper": {"dt": 1e-3, "t_end": 0.05, "stiff_cap": 0.05, "growth_trigger": 0.05},
+        "control": {"enabled": command == "control", "K": 1.0, "C": 1.0},
+        "ensemble": {"d_list": [8]},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    pattern = r" trials=(\d+) .* finest_level=(\d+) .* wiener_draws=([\d:,]+) wall_s=(\S+) "
+    match = re.search(pattern, line)
+    assert match, line
+    trials, finest, draws, wall_s = match.groups()
+    by_level = [tuple(map(int, item.split(":"))) for item in draws.split(",")]
+    assert [level for level, _ in by_level] == list(range(int(finest) + 1))
+    assert sum(n for _, n in by_level) == int(trials)
+    assert all(n > 0 for _, n in by_level)
+    assert 0.0 < float(wall_s) < 60.0

@@ -19,6 +19,7 @@ from stochtame.spectral import (
     TorusGrid,
     random_field,
     sobolev_norm,
+    weighted_norms,
 )
 
 LADDER = SpaceLadder(0.0, 1.0, 2.0, 3.0)
@@ -242,11 +243,11 @@ class TestIntegratePath:
 
         calls = []
 
-        def counting_norm(f, s):
-            calls.append(s)
-            return sobolev_norm(f, s)
+        def counting_norm(coeffs, weights):
+            calls.extend([coeffs] * len(weights))
+            return weighted_norms(coeffs, weights)
 
-        monkeypatch.setattr(integrators, "sobolev_norm", counting_norm)
+        monkeypatch.setattr(integrators, "weighted_norms", counting_norm)
         grid = TorusGrid(1, 64)
         drift = DriftOperator("Burgers1D")
         noise = NoiseSpec(0.5, 1.4, "F0", "I")
@@ -266,31 +267,29 @@ class TestIntegratePath:
 
     def test_one_ladder_pass_per_trial_state(self, monkeypatch):
         # the trial state's four norms are one pass, reused by the growth
-        # check, the row and the next step; the only sobolev_norm call left
-        # is the drift's G norm, once per state whose drift is evaluated
+        # check, the row and the next step; the only other norm is the
+        # drift's G norm, once per state whose drift is evaluated
         import stochtame.integrators as integrators
 
         passes, norm_calls, trials = [], [], []
-        ladder_norms = SpaceLadder.norms
         single_step = integrators._single_step
+        grid = TorusGrid(1, 64)
+        drift = DriftOperator("Burgers1D")
+        ladder_weights = grid.half.weights(drift.ladder.exponents, 1)
 
-        def counting_pass(self, f):
-            passes.append(f)
-            return ladder_norms(self, f)
-
-        def counting_norm(f, s):
-            norm_calls.append(s)
-            return sobolev_norm(f, s)
+        def counting_norms(coeffs, weights):
+            if weights is ladder_weights:
+                passes.append(coeffs)
+            else:
+                norm_calls.append(weights)
+            return weighted_norms(coeffs, weights)
 
         def counting_step(*args):
             trials.append(args[1])
             return single_step(*args)
 
-        monkeypatch.setattr(SpaceLadder, "norms", counting_pass)
-        monkeypatch.setattr(integrators, "sobolev_norm", counting_norm)
+        monkeypatch.setattr(integrators, "weighted_norms", counting_norms)
         monkeypatch.setattr(integrators, "_single_step", counting_step)
-        grid = TorusGrid(1, 64)
-        drift = DriftOperator("Burgers1D")
         st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.3)
         noise = NoiseSpec(1.0, 1.4, "F0", "I")
         rec = integrate_path(sine_field(grid), drift, noise, st, WienerPath(1, 1e-3), seed=1)
@@ -299,7 +298,8 @@ class TestIntegratePath:
         assert len(passes) == len(trials) + 1  # the initial state, then each trial state
         assert len({id(f) for f in passes}) == len(passes)
         assert len(norm_calls) <= len(trials)
-        assert set(norm_calls) == {drift.ladder.s_G}
+        g_weights = grid.half.weights((drift.ladder.s_G,), 1)
+        assert norm_calls and all(np.array_equal(w, g_weights) for w in norm_calls)
 
     @pytest.mark.parametrize("scheme", ["TamedEulerMaruyama", "EulerMaruyama"])
     def test_sup_norms_cover_every_accepted_step(self, scheme):

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from stochtame.noise import (
     NoiseSpec,
     ScaleFunctionSpec,
     WienerPath,
+    _mix,
     gbm_decay_criterion,
     gbm_exact,
     gbm_scale_closed_form,
@@ -223,6 +226,65 @@ class TestWienerPath:
             assert abs(xs.mean()) < 3 * math.sqrt(h / 8000)
             assert abs(xs.var() - h) < 0.1 * h
             assert abs(np.corrcoef(xs[0::2], xs[1::2])[0, 1]) < 0.06
+
+
+class TestBlockDraws:
+    """Base increments are drawn in vectorised blocks, bridge values are kept
+    for one base interval at a time; neither may change a bit of any draw."""
+
+    SEEDS = (0, 1, 2**63 + 5, -1)
+    DT = 1e-3
+    # both sides of the first block boundaries and of 2^32
+    INDICES = (0, 1, 255, 256, 257, 511, 512, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 256)
+
+    @classmethod
+    def reference(cls, seed, index):
+        """sqrt(dt) times the Box-Muller normal of the words (index, 0, 0),
+        hashed one Python integer at a time."""
+        h = _mix(seed & (2**64 - 1))
+        for word in (index, 0, 0):
+            h = _mix(h ^ word)
+        u1 = (_mix(h) >> 11) * 2.0**-53
+        u2 = (_mix(h ^ 0xD1B54A32D192ED03) >> 11) * 2.0**-53
+        xi = math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+        return math.sqrt(cls.DT) * xi
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_base_increments_bit_for_bit(self, seed):
+        indices = list(self.INDICES) + list(range(240, 272))
+        for order in (indices, random.Random(seed % 101).sample(indices, len(indices))):
+            w = WienerPath(seed, self.DT)
+            assert [w.increment(i, 0) for i in order] == [self.reference(seed, i) for i in order]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_refined_increments_survive_the_dropped_bridge(self, seed):
+        # a path-like walk: each base interval refined to level 5 in order, so
+        # the bridge values of every interval but the last are dropped; asked
+        # for again, in shuffled order and on a fresh path, every value is the same
+        requests = [(i, level) for base in (0, 1, 255, 256, 2**32) for level in (0, 2, 5)
+                    for i in range(base << level, (base + 1) << level)]
+        w = WienerPath(seed, self.DT)
+        first = {r: w.increment(*r) for r in requests}
+        shuffled = random.Random(seed % 89).sample(requests, len(requests))
+        fresh = WienerPath(seed, self.DT)
+        assert all(w.increment(*r) == first[r] for r in shuffled)
+        assert all(fresh.increment(*r) == first[r] for r in shuffled)
+
+    def test_bridge_memory_stays_bounded(self):
+        # 3000 base intervals walked at level 4: a cache of every refined value
+        # would hold about 90000 of them
+        w = WienerPath(5, self.DT)
+        for i in range(16):
+            w.increment(i, 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(16, 3000 * 16):
+                w.increment(i, 4)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 200_000
 
 
 class TestMartingaleDiagnostics:
