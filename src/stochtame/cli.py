@@ -67,8 +67,7 @@ def _step_accounting(record) -> str:
 
 
 def cmd_simulate(args) -> int:
-    from .config import build_drift, build_grid, build_noise, build_stepper, config_hash
-    from .config import InitialBuilder
+    from .config import InitialBuilder, build_drift, build_grid, build_noise, config_hash
     from .integrators import integrate_path
     from .noise import WienerPath
     from .trajio import write_trajectory
@@ -76,13 +75,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
     drift = build_drift(cfg)
-    grid = build_grid(cfg)
-    noise = build_noise(cfg, drift)
-    stepper = build_stepper(cfg)
-    x0 = InitialBuilder(cfg.model)(grid)
-    wiener = WienerPath(seed, stepper.dt) if noise else None
+    noise = build_noise(cfg)
+    x0 = InitialBuilder(cfg.model)(build_grid(cfg))
+    wiener = WienerPath(seed, cfg.stepper.dt) if noise else None
     record = integrate_path(
-        x0, drift, noise, stepper, wiener, seed=seed, config_hash=config_hash(cfg)
+        x0, drift, noise, cfg.stepper, wiener,
+        seed=seed, config_hash=config_hash(cfg), save_stride=cfg.output.save_stride,
     )
     out = _out_dir(args, cfg) / "trajectory.csv"
     write_trajectory(out, record)
@@ -100,7 +98,6 @@ def cmd_control(args) -> int:
         build_grid,
         build_noise,
         build_schedule,
-        build_stepper,
         config_hash,
     )
     from .control import control_run, validate_schedule
@@ -112,15 +109,13 @@ def cmd_control(args) -> int:
         raise SystemExit("config has control.enabled = false")
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
     drift = build_drift(cfg)
-    grid = build_grid(cfg)
-    noise = build_noise(cfg, drift)
-    stepper = build_stepper(cfg)
+    noise = build_noise(cfg)
     sched = build_schedule(cfg)
-    x0 = InitialBuilder(cfg.model)(grid)
-    wiener = WienerPath(seed, stepper.dt) if noise else None
+    x0 = InitialBuilder(cfg.model)(build_grid(cfg))
+    wiener = WienerPath(seed, cfg.stepper.dt) if noise else None
     record = control_run(
-        x0, drift, noise, sched, stepper, wiener,
-        seed=seed, config_hash=config_hash(cfg),
+        x0, drift, noise, sched, cfg.stepper, wiener,
+        seed=seed, config_hash=config_hash(cfg), save_stride=cfg.output.save_stride,
     )
     report = validate_schedule(record, sched)
     out = _out_dir(args, cfg)
@@ -136,44 +131,20 @@ def cmd_control(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    import numpy as np
+    from dataclasses import replace
 
-    from .config import (
-        InitialBuilder,
-        build_drift,
-        build_grid,
-        build_noise,
-        build_schedule,
-        build_stepper,
-        config_hash,
-    )
-    from .experiments import EnsembleConfig, run_ensemble, uniform_control_report
+    from .config import build_noise, config_hash
+    from .experiments import run_ensemble, uniform_control_report
     from .trajio import ALDOUS_HEADER, UNIFORM_HEADER, write_keyvalue, write_table
 
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
-    drift = build_drift(cfg)
-    grid = build_grid(cfg)
-    noise = build_noise(cfg, drift)
-    stepper = build_stepper(cfg)
-    n_paths = args.paths or cfg.ensemble.n_paths
-    K_grid = cfg.ensemble.K_grid or tuple(float(x) for x in np.logspace(-2, 10, 49))
-    ens = EnsembleConfig(
-        grid=grid,
-        drift=drift,
-        initial=InitialBuilder(cfg.model),
-        stepper=stepper,
-        noise=noise,
-        n_paths=n_paths,
-        base_seed=seed,
-        d_list=cfg.ensemble.d_list,
-        K_grid=K_grid,
-        T=cfg.ensemble.T,
-        mode="control" if cfg.control.enabled else "plain",
-        schedule=build_schedule(cfg),
-        delta_grid=cfg.ensemble.delta_grid or None,
-    )
-    stats = run_ensemble(ens, jobs=args.jobs)
+    run = replace(cfg.ensemble, n_paths=args.paths or cfg.ensemble.n_paths, base_seed=seed)
+    noise = cfg.noise
+    if noise.advisor:  # audited at the config's own base seed, as simulate and control do
+        spec = build_noise(cfg)
+        noise = replace(noise, advisor=False, theta=spec.theta, alpha=spec.alpha)
+    stats = run_ensemble(replace(cfg, ensemble=run, noise=noise), jobs=args.jobs)
     h = config_hash(cfg)
     out = _out_dir(args, cfg)
     write_table(out / "uniform_control.csv", stats.sup_table("F0"), UNIFORM_HEADER, h, seed)
@@ -182,11 +153,11 @@ def cmd_ensemble(args) -> int:
     if len(cfg.ensemble.d_list) >= 2:
         rep = uniform_control_report(stats, cfg.ensemble.epsilon_target)
         summary.update(rep.as_dict())
-    if ens.delta_grid:
+    if stats.delta_grid:
         write_table(
             out / "aldous.csv", stats.aldous_table(cfg.ensemble.eta), ALDOUS_HEADER, h, seed
         )
-    for d in ens.d_list:
+    for d in cfg.ensemble.d_list:
         summary[f"numeric_failures_d{d}"] = stats.n_numeric_failures(d)
     write_keyvalue(out / "report.csv", summary, h, seed)
     if not args.quiet:

@@ -1,12 +1,25 @@
-"""Run configuration: a JSON document with strict validation.
+"""Run configuration: a JSON document, checked in full before any work starts.
 
 Sections: ``model`` (kind, resolution, parameters, ladder overrides, initial
 state), ``noise`` (theta/alpha/case or "advisor"), ``stepper``, ``control``,
-``ensemble`` and ``output``.  Unknown keys are rejected with their dotted
-location; cross-field rules (case vs declared initial space, initial kind vs
-model kind, Galerkin cutoffs vs resolution) are enforced at parse time.
-``serialize_config`` emits a canonical form whose parse returns an equal
-RunConfig, and ``config_hash`` stamps every output file for provenance.
+``ensemble`` and ``output``.  The ``stepper`` section is
+:class:`~stochtame.integrators.StepperConfig` itself, key for key; the others
+are the dataclasses below.  ``serialize_config`` emits a canonical form whose
+parse returns an equal RunConfig, and ``config_hash`` stamps every output
+file for provenance.
+
+:func:`parse_config` refuses every value a run would refuse, before any path
+or audit runs, with a :class:`ConfigError` naming the dotted key or section:
+
+* unknown keys, and values of the wrong JSON type for their field's
+  annotation (a float key takes an integer, no number key a boolean, a list
+  key a list of numbers, and only an optional key null);
+* what the runtime objects refuse: it builds the grid, the drift with its
+  parameters and ladder, the stepper (also to ``ensemble.T``), the
+  martingale record, the Galerkin projectors, the schedule when
+  ``control.enabled``, the noise spec and the initial state, and checks the
+  advisor's epsilon and level without running its audit;
+* the rules only the config states (:func:`validate_config`).
 
 The facts behind the rules are read, not restated: the case rule (which
 space a noise case needs the initial state in, and the noise norm it takes)
@@ -19,26 +32,34 @@ stride of every command.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .control import ControlSchedule
-from .integrators import SCHEMES, StepperConfig
+from .integrators import StepperConfig, check_scheme_carries
 from .models import (
     CATALOGUE,
-    MODEL_KINDS,
     DriftOperator,
     ModelParams,
     default_ladder,
+    model_kind,
     random_state,
 )
-from .noise import NOISE_CASES, NoiseSpec, advisor_constants, theta_advisor
+from .noise import (
+    MartingaleDiagnostics,
+    NoiseSpec,
+    advisor_constants,
+    check_advisor_inputs,
+    theta_advisor,
+)
 from .spectral import (
-    LADDER_SPACES,
+    GalerkinProjector,
     SpaceLadder,
     SpectralField,
     TorusGrid,
@@ -65,12 +86,12 @@ class InitialSection:
 class ModelSection:
     kind: str = "Burgers1D"
     resolution: int = 256
-    nu: float = 0.0
-    eta: float = 0.0
-    f_coriolis: float = 1.0
-    rossby: float = 1.0
-    froude: float = 1.0
-    epsilon_sobolev: float = 0.1
+    nu: float = ModelParams.nu  # the physical parameters default as ModelParams does
+    eta: float = ModelParams.eta
+    f_coriolis: float = ModelParams.f_coriolis
+    rossby: float = ModelParams.rossby
+    froude: float = ModelParams.froude
+    epsilon_sobolev: float = ModelParams.epsilon_sobolev
     ladder: tuple[float, float, float, float] | None = None
     initial: InitialSection = field(default_factory=InitialSection)
 
@@ -86,24 +107,15 @@ class NoiseSection:
 
 
 @dataclass(frozen=True)
-class StepperSection:
-    scheme: str = "TamedEulerMaruyama"
-    dt: float = 1e-3
-    t_end: float = 1.0
-    dt_min_exponent: int = 20  # dt_min = dt * 2**-exponent
-    adapt: bool = True
-    growth_trigger: float = 0.10
-    stiff_cap: float = 0.5
-    blowup_threshold: float | None = None
-    mart_epsilon: float = 0.25
-
-
-@dataclass(frozen=True)
 class ControlSection:
     enabled: bool = False
     K: float = 1.0
-    C: float = 1.0
-    max_stochastic_duration: float | None = None
+    C: float = ControlSchedule.C
+    max_stochastic_duration: float | None = ControlSchedule.max_stochastic_duration
+
+
+#: the uniform-control tables' squared-norm thresholds when ``ensemble.K_grid`` is empty
+DEFAULT_K_GRID = tuple(float(x) for x in np.logspace(-2, 10, 49))
 
 
 @dataclass(frozen=True)
@@ -111,10 +123,10 @@ class EnsembleSection:
     n_paths: int = 16
     base_seed: int = 0
     d_list: tuple[int, ...] = (8, 16)
-    K_grid: tuple[float, ...] = ()
-    T: float | None = None
+    K_grid: tuple[float, ...] = ()  # empty: DEFAULT_K_GRID
+    T: float | None = None  # the paths' horizon; unset: stepper.t_end
     epsilon_target: float = 0.1
-    delta_grid: tuple[float, ...] = ()
+    delta_grid: tuple[float, ...] = ()  # increment windows; empty: no Aldous table
     eta: float | None = None
 
 
@@ -123,119 +135,144 @@ class OutputSection:
     directory: str = "out"
     save_stride: int = 1
 
+    def __post_init__(self):
+        if self.save_stride < 1:
+            raise ValueError("save_stride must be >= 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
     noise: NoiseSection = field(default_factory=NoiseSection)
-    stepper: StepperSection = field(default_factory=StepperSection)
+    stepper: StepperConfig = field(default_factory=StepperConfig)
     control: ControlSection = field(default_factory=ControlSection)
     ensemble: EnsembleSection = field(default_factory=EnsembleSection)
     output: OutputSection = field(default_factory=OutputSection)
 
 
-_SECTION_TYPES = {
-    "model": ModelSection,
-    "noise": NoiseSection,
-    "stepper": StepperSection,
-    "control": ControlSection,
-    "ensemble": EnsembleSection,
-    "output": OutputSection,
-}
-
-_LIST_FIELDS = {"d_list", "K_grid", "delta_grid", "ladder"}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+_field_types = functools.cache(typing.get_type_hints)
 
 
-def _coerce_section(cls, data: dict, where: str):
-    defaults = cls()
+def _typed(value, hint, where: str):
+    """``value`` as a field annotated ``hint`` takes it from JSON: a list
+    becomes a tuple, and a value of another type is refused."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in options:
+        return None
+    hint = options[0]  # an optional field is annotated ``X | None``
+    if is_dataclass(hint):
+        return _coerce_section(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        elif len(items) != len(value):
+            raise ConfigError(f"{where} must hold {len(items)} entries")
+        return tuple(_typed(v, h, f"{where}[{i}]") for i, (v, h) in enumerate(zip(value, items)))
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or isinstance(value, bool) and hint is not bool:
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[hint]}, got {value!r}")
+    return value
+
+
+def _coerce_section(cls, data, where: str):
+    """The dataclass ``cls`` from the JSON object ``data`` at ``where``; the
+    errors of its constructor become ConfigErrors of ``where``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'top level'} must be an object")
+    hints = _field_types(cls)
+    keys = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key == "initial" and cls is ModelSection:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}.initial must be a table")
-            kwargs["initial"] = _coerce_section(InitialSection, value, f"{where}.initial")
-            continue
-        if not hasattr(defaults, key):
-            raise ConfigError(f"unknown key {where}.{key}")
-        if key in _LIST_FIELDS:
-            if value is not None and not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{where}.{key} must be a list")
-            value = tuple(value) if value is not None else None
-        kwargs[key] = value
-    return cls(**kwargs)
+        dotted = f"{where}.{key}" if where else key
+        if key not in keys:
+            raise ConfigError(f"unknown key {dotted}")
+        kwargs[key] = _typed(value, hints[key], dotted)
+    return _built(where, cls, **kwargs)
+
+
+def _built(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; its ValueError or TypeError becomes a
+    ConfigError of ``where``, dotted when the message opens with a key of
+    the section ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        msg = str(exc)
+        section = _field_types(RunConfig).get(where)
+        if section and msg.split(" ", 1)[0] in {f.name for f in fields(section)}:
+            raise ConfigError(f"{where}.{msg}") from None
+        raise ConfigError(f"{where}: {msg}") from None
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
+    """Parse a JSON configuration document and refuse what a run would
+    refuse (module docstring)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(data, dict):
-        raise ConfigError("top level must be an object")
-    sections = {}
-    for key, value in data.items():
-        if key not in _SECTION_TYPES:
-            raise ConfigError(f"unknown section {key!r}")
-        if not isinstance(value, dict):
-            raise ConfigError(f"section {key!r} must be an object")
-        sections[key] = _coerce_section(_SECTION_TYPES[key], value, key)
-    cfg = RunConfig(**sections)
+    cfg = _coerce_section(RunConfig, data, "")
     m = cfg.model
     if "kind" not in data.get("model", {}).get("initial", {}) and m.kind in CATALOGUE:
         initial = replace(m.initial, kind=CATALOGUE[m.kind].initial_kinds[0])
         cfg = replace(cfg, model=replace(m, initial=initial))
+
+    grid = _built("model", build_grid, cfg)
+    _built("model", build_drift, cfg)
+    _built("stepper.mart_epsilon", MartingaleDiagnostics, cfg.stepper.mart_epsilon)
+    _built("ensemble.T", build_ensemble_stepper, cfg)
+    for d in cfg.ensemble.d_list:
+        _built("ensemble.d_list", GalerkinProjector, d)
+    _built("control", build_schedule, cfg)
+    n = cfg.noise
+    _built("noise", NoiseSpec.for_case, n.theta, n.alpha, n.case)
+    _built("stepper", check_scheme_carries, cfg.stepper.scheme, n.theta > 0 or n.advisor)
+    if n.advisor:
+        _built("noise", check_advisor_inputs, n.case, n.advisor_epsilon, n.advisor_level)
     validate_config(cfg)
+    _built("model.initial", InitialBuilder(cfg.model), grid)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """The rules of a config that no runtime object states."""
     m = cfg.model
-    if m.kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {m.kind!r}")
-    if m.resolution < 4 or m.resolution % 2:
-        raise ConfigError("model.resolution must be even and >= 4")
     initial_kinds = CATALOGUE[m.kind].initial_kinds
     if m.initial.kind not in initial_kinds:
         raise ConfigError(
             f"model.initial.kind of {m.kind} must be one of {initial_kinds}, "
             f"got {m.initial.kind!r}"
         )
-    if m.initial.space not in LADDER_SPACES:
-        raise ConfigError(f"model.initial.space must be one of {LADDER_SPACES}")
-    if cfg.noise.case not in NOISE_CASES:
-        raise ConfigError("noise.case must be I, II or III")
-    if cfg.stepper.scheme not in SCHEMES:
-        raise ConfigError(f"stepper.scheme must be one of {SCHEMES}")
-    if cfg.stepper.dt <= 0:
-        raise ConfigError("stepper.dt must be positive")
+    spec = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
+    admitted = _built("model.initial.space", spec.admits_initial_space, m.initial.space)
+    if (cfg.noise.theta > 0 or cfg.noise.advisor) and not admitted:
+        raise ConfigError(
+            f"noise.case {cfg.noise.case} requires initial data in "
+            f"{spec.required_initial_space}; model.initial.space declares only "
+            f"{m.initial.space}"
+        )
 
-    if cfg.noise.theta > 0 or cfg.noise.advisor:
-        try:
-            spec = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from None
-        if not spec.admits_initial_space(m.initial.space):
-            raise ConfigError(
-                f"noise.case {cfg.noise.case} requires initial data in "
-                f"{spec.required_initial_space}; model.initial.space declares only "
-                f"{m.initial.space}"
-            )
-
-    if not cfg.ensemble.d_list:
+    e = cfg.ensemble
+    if not e.d_list:
         raise ConfigError("ensemble.d_list must hold at least one cutoff")
     cutoff_limit = two_thirds_cutoff(m.resolution)
-    for d in cfg.ensemble.d_list:
+    for d in e.d_list:
         if d > cutoff_limit:
             raise ConfigError(
                 f"ensemble.d_list entry {d} exceeds the dealiased closure limit "
                 f"(resolution - 1)//3 = {cutoff_limit}"
             )
-    if list(cfg.ensemble.d_list) != sorted(cfg.ensemble.d_list):
+    if list(e.d_list) != sorted(e.d_list):
         raise ConfigError("ensemble.d_list must be increasing")
-    if cfg.control.enabled and math.isfinite(cfg.control.K):
-        if math.exp(cfg.control.K) <= cfg.control.C:
-            raise ConfigError("control.K must satisfy exp(K) > C")
+    horizon = build_ensemble_stepper(cfg).t_end
+    if e.delta_grid and not 0 < min(e.delta_grid) <= max(e.delta_grid) <= horizon / 2.0:
+        raise ConfigError(
+            f"ensemble.delta_grid entries must lie in (0, T/2] for the horizon T = {horizon}"
+        )
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -259,37 +296,22 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def build_grid(cfg: RunConfig) -> TorusGrid:
-    return TorusGrid(CATALOGUE[cfg.model.kind].dim, cfg.model.resolution)
+    return TorusGrid(model_kind(cfg.model.kind).dim, cfg.model.resolution)
 
 
 def build_drift(cfg: RunConfig) -> DriftOperator:
     m = cfg.model
-    params = ModelParams(
-        nu=m.nu,
-        eta=m.eta,
-        f_coriolis=m.f_coriolis,
-        rossby=m.rossby,
-        froude=m.froude,
-        epsilon_sobolev=m.epsilon_sobolev,
-    )
+    # the section holds every ModelParams field but the topography
+    keys = [f.name for f in fields(ModelParams) if hasattr(m, f.name)]
+    params = ModelParams(**{key: getattr(m, key) for key in keys})
     ladder = SpaceLadder(*m.ladder) if m.ladder is not None else default_ladder(m.kind, params)
     return DriftOperator(m.kind, params, ladder)
 
 
-def build_stepper(cfg: RunConfig) -> StepperConfig:
-    s = cfg.stepper
-    return StepperConfig(
-        scheme=s.scheme,
-        dt=s.dt,
-        t_end=s.t_end,
-        dt_min=s.dt * 2.0**-s.dt_min_exponent,
-        adapt=s.adapt,
-        growth_trigger=s.growth_trigger,
-        stiff_cap=s.stiff_cap,
-        blowup_threshold=s.blowup_threshold,
-        save_stride=cfg.output.save_stride,
-        mart_epsilon=s.mart_epsilon,
-    )
+def build_ensemble_stepper(cfg: RunConfig) -> StepperConfig:
+    """The stepper of an ensemble path: the config's, to ``ensemble.T`` when set."""
+    T = cfg.ensemble.T
+    return cfg.stepper if T is None else replace(cfg.stepper, t_end=T)
 
 
 def build_schedule(cfg: RunConfig) -> ControlSchedule | None:
@@ -326,14 +348,13 @@ class InitialBuilder:
         raise ConfigError(f"unknown initial kind {init.kind!r}")
 
 
-def build_noise(cfg: RunConfig, drift: DriftOperator | None = None) -> NoiseSpec | None:
+def build_noise(cfg: RunConfig) -> NoiseSpec | None:
     n = cfg.noise
     if n.advisor:
         from .experiments import assumption_audit
 
-        drift = drift or build_drift(cfg)
-        constants, report = assumption_audit(drift, n_samples=200, seed=cfg.ensemble.base_seed)
-        constants = advisor_constants(n.case, constants, report)
+        audit = assumption_audit(build_drift(cfg), n_samples=200, seed=cfg.ensemble.base_seed)
+        constants = advisor_constants(n.case, *audit)
         return theta_advisor(n.case, constants, n.advisor_epsilon, level=n.advisor_level).spec()
     if n.theta == 0.0:
         return None

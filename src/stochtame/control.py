@@ -14,7 +14,7 @@ stochastically tamed equation on [tau_i, rho_i).  Paths are stepped by the
 adaptive loop of :mod:`stochtame.integrators` that also steps plain paths;
 this module supplies the phases: which steps carry the noise, the crossing
 rule and the events.  Crossings are localised by dyadic step bisection down
-to ``dt_min``; the driving noise refines through the Brownian bridge, so
+to the step floor; the driving noise refines through the Brownian bridge, so
 localisation never changes the path's law.  Once the crossing step is
 accepted the stepper climbs straight back to the step level that held before
 the bisection began, so a crossing costs one bisection and at most one
@@ -136,15 +136,20 @@ def control_run(
     cutoff: int | None = None,
     seed: int | None = None,
     config_hash: str = "",
+    save_stride: int = 1,
+    field_stride: int | None = None,
 ):
     """Run the switching strategy up to ``stepper.t_end``; returns a TrajectoryRecord.
 
     The deterministic phases use RK4; the stochastic phases use the stepper's
     scheme.  With ``theta = 0`` or ``K = inf`` this degenerates to a purely
-    deterministic integration.
+    deterministic integration.  The strides are those of
+    :func:`~stochtame.integrators.integrate_path`.
     """
     switch = _Switching(sched, B, stepper.mart_epsilon)
-    record = _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch)
+    record = _adaptive_loop(
+        X0, A, B, stepper, wiener, cutoff, seed, config_hash, save_stride, field_stride, switch
+    )
     if switch.regime == "S":
         switch.keep_residual()
     record.events = switch.events

@@ -10,15 +10,26 @@ order independent, so identical configurations produce identical statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 from scipy import stats as sps
 
 from ._backend import envelope_chunk, tamed_gbm_chunk
-from .control import ControlSchedule, control_run, validate_schedule
-from .integrators import StepperConfig, integrate_path
+from .config import (
+    DEFAULT_K_GRID,
+    InitialBuilder,
+    RunConfig,
+    build_drift,
+    build_ensemble_stepper,
+    build_grid,
+    build_noise,
+    build_schedule,
+)
+from .control import control_run, validate_schedule
+from .integrators import integrate_path
 from .models import (
     AssumptionConstants,
     DriftOperator,
@@ -33,6 +44,7 @@ from .noise import (
     WienerPath,
     advisor_constants,
     gbm_decay_criterion,
+    gbm_exact,
     theta_advisor,
 )
 from .spectral import (
@@ -90,51 +102,6 @@ def mann_kendall_pvalue(values) -> float:
 # --- ensembles ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """One Monte Carlo ensemble: model, noise, stepping and what to collect.
-
-    ``initial`` is a picklable callable ``grid -> SpectralField`` evaluated
-    once per path; paths differ only through their Wiener seeds
-    ``base_seed + index``.  ``d_list`` holds the Galerkin cutoffs (increasing);
-    ``K_grid`` the squared-norm thresholds of the uniform-control tables.
-    ``mode`` is "plain" (noise always on) or "control" (switching schedule).
-    ``delta_grid`` switches on field snapshots and stopping-time increment
-    collection for the Aldous table.
-    """
-
-    grid: TorusGrid
-    drift: DriftOperator
-    initial: object
-    stepper: StepperConfig
-    noise: NoiseSpec | None = None
-    n_paths: int = 100
-    base_seed: int = 0
-    d_list: tuple[int, ...] = (8,)
-    K_grid: tuple[float, ...] = tuple(float(x) for x in np.logspace(-1, 8, 28))
-    T: float | None = None  # default: stepper.t_end
-    mode: str = "plain"
-    schedule: ControlSchedule | None = None
-    delta_grid: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("plain", "control"):
-            raise ValueError("mode must be 'plain' or 'control'")
-        if self.mode == "control" and self.schedule is None:
-            raise ValueError("control mode needs a schedule")
-        if list(self.d_list) != sorted(self.d_list):
-            raise ValueError("d_list must be increasing")
-        if max(self.d_list) > self.grid.dealias_cutoff:
-            raise ValueError(
-                f"cutoffs {self.d_list} exceed the closure-exact limit "
-                f"(n - 1)//3 = {self.grid.dealias_cutoff}"
-            )
-        if self.delta_grid is not None:
-            horizon = self.T if self.T is not None else self.stepper.t_end
-            if max(self.delta_grid) > horizon / 2.0:
-                raise ValueError("increment windows must satisfy max(delta) <= T/2")
-
-
 @dataclass
 class PathOutcome:
     seed: int
@@ -157,7 +124,6 @@ class SummaryStats:
     by_d: dict
     K_grid: tuple
     delta_grid: tuple | None
-    epsilon: float
 
     def paths(self, d: int, completed_only: bool = False):
         out = self.by_d[d]
@@ -284,34 +250,32 @@ def _aldous_increments(record, delta_grid, seed, use_hitting: bool, ladder):
     return {float(delta): float(running[end - idx - 1]) for delta, end in zip(delta_grid, ends)}
 
 
-def _run_one_path(cfg: EnsembleConfig, d: int, index: int) -> PathOutcome:
-    seed = cfg.base_seed + index
-    X0 = cfg.initial(cfg.grid)
-    X0 = galerkin_project(X0, GalerkinProjector(d))
-    horizon = cfg.T if cfg.T is not None else cfg.stepper.t_end
-    stepper = replace(cfg.stepper, t_end=horizon)
-    if cfg.delta_grid is not None and stepper.field_stride is None:
-        stride = max(1, int(min(cfg.delta_grid) / stepper.dt / 2.0))
-        stepper = replace(stepper, field_stride=stride)
-    wiener = WienerPath(seed, stepper.dt) if cfg.noise and cfg.noise.theta > 0 else None
+def _run_one_path(cfg: RunConfig, noise: NoiseSpec | None, d: int, index: int) -> PathOutcome:
+    """Path ``index`` of ``cfg``'s ensemble at cutoff ``d``, run with ``noise``."""
+    seed = cfg.ensemble.base_seed + index
+    grid, drift = build_grid(cfg), build_drift(cfg)
+    X0 = galerkin_project(InitialBuilder(cfg.model)(grid), GalerkinProjector(d))
+    stepper = build_ensemble_stepper(cfg)
+    delta_grid = cfg.ensemble.delta_grid
+    field_stride = max(1, int(min(delta_grid) / stepper.dt / 2.0)) if delta_grid else None
+    wiener = WienerPath(seed, stepper.dt) if noise and noise.theta > 0 else None
+    strides = {"save_stride": cfg.output.save_stride, "field_stride": field_stride}
 
-    if cfg.mode == "plain":
-        rec = integrate_path(X0, cfg.drift, cfg.noise, stepper, wiener, cutoff=d, seed=seed)
+    schedule = build_schedule(cfg)
+    if schedule is None:
+        rec = integrate_path(X0, drift, noise, stepper, wiener, cutoff=d, seed=seed, **strides)
         schedule_passed, alpha, pairs = None, None, 0
     else:
-        rec = control_run(
-            X0, cfg.drift, cfg.noise, cfg.schedule, stepper, wiener,
-            cutoff=d, seed=seed,
-        )
-        report = validate_schedule(rec, cfg.schedule)
+        rec = control_run(X0, drift, noise, schedule, stepper, wiener, cutoff=d, seed=seed, **strides)
+        report = validate_schedule(rec, schedule)
         schedule_passed = bool(report.passed)
         alpha = report.alpha_dwell
         pairs = report.n_pairs
 
     aldous = None
-    if cfg.delta_grid is not None and rec.status == "completed":
+    if delta_grid and rec.status == "completed":
         aldous = _aldous_increments(
-            rec, cfg.delta_grid, seed, use_hitting=(index % 2 == 0), ladder=cfg.drift.ladder
+            rec, delta_grid, seed, use_hitting=(index % 2 == 0), ladder=drift.ladder
         )
     rec.snapshots = None  # free field memory before aggregation
     return PathOutcome(
@@ -329,42 +293,45 @@ def _run_one_path(cfg: EnsembleConfig, d: int, index: int) -> PathOutcome:
     )
 
 
-def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SummaryStats:
-    """Integrate every (cutoff, path) pair and aggregate order-independently.
+def run_ensemble(cfg: RunConfig, jobs: int = 1) -> SummaryStats:
+    """Integrate every (cutoff, path) pair of a parsed config's ensemble and
+    aggregate order-independently.
+
+    The noise is built once, with :func:`~stochtame.config.build_noise`.
+    Path ``j`` at cutoff ``d`` starts from the initial state projected to
+    ``d``, is driven by the Wiener path of seed ``ensemble.base_seed + j``
+    and runs the config's stepper (floor ``dt * 2**-dt_min_exponent``) to
+    ``ensemble.T``, else ``stepper.t_end``, under the switching schedule when
+    ``control.enabled``.  Its strides: a row every ``output.save_stride``
+    accepted steps, and with ``ensemble.delta_grid`` a snapshot every
+    ``min(delta_grid) / (2 dt)`` base steps.  The tables' thresholds are
+    ``ensemble.K_grid``, else :data:`~stochtame.config.DEFAULT_K_GRID`.
 
     Numeric failures of individual paths are recorded as a separate outcome
     category, never raised.  ``jobs > 1`` distributes paths over processes;
     the aggregation result does not depend on scheduling.
     """
-    tasks = [(d, j) for d in cfg.d_list for j in range(cfg.n_paths)]
-    outcomes: dict[int, list[PathOutcome]] = {d: [] for d in cfg.d_list}
+    e = cfg.ensemble
+    tasks = [(d, j) for d in e.d_list for j in range(e.n_paths)]
+    run = partial(_run_one_path, cfg, build_noise(cfg))
+    ds, js = [d for d, _ in tasks], [j for _, j in tasks]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_pool_worker, [(cfg, d, j) for d, j in tasks], chunksize=4)
-            for (d, _), res in zip(tasks, results):
-                outcomes[d].append(res)
+            results = list(pool.map(run, ds, js, chunksize=4))
     else:
-        for d, j in tasks:
-            outcomes[d].append(_run_one_path(cfg, d, j))
+        results = list(map(run, ds, js))
+    outcomes: dict[int, list[PathOutcome]] = {d: [] for d in e.d_list}
+    for d, res in zip(ds, results):
+        outcomes[d].append(res)
     for d in outcomes:
         outcomes[d].sort(key=lambda p: p.seed)
-    if cfg.delta_grid is not None:
-        delta_grid = tuple(float(x) for x in cfg.delta_grid)
-    else:
-        delta_grid = None
     return SummaryStats(
         by_d=outcomes,
-        K_grid=tuple(cfg.K_grid),
-        delta_grid=delta_grid,
-        epsilon=cfg.stepper.mart_epsilon,
+        K_grid=e.K_grid or DEFAULT_K_GRID,
+        delta_grid=tuple(map(float, e.delta_grid)) or None,
     )
-
-
-def _pool_worker(args):
-    cfg, d, j = args
-    return _run_one_path(cfg, d, j)
 
 
 # --- reports -------------------------------------------------------------------
@@ -494,25 +461,28 @@ def gbm_strong_error_order(
     n_paths: int,
     seed: int = 0,
 ) -> dict:
-    """Measured strong order of the tamed scheme under one dt halving.
+    """Measured strong order of the tamed scheme over the steps dt 2^-l,
+    l = 0..3.
 
-    The same Brownian paths drive both resolutions (fine increments sum to
-    the coarse ones) and the exact terminal value uses the same W_T, so the
-    comparison is pathwise.
+    The finest increments are drawn and each coarser level sums them
+    pairwise, so every level runs on the same Brownian paths, and the exact
+    terminal value uses each path's own W_T.  The order is the least-squares
+    slope of log2(mean relative terminal error) against the level: the
+    relative error keeps the lognormal tail paths from dominating the mean,
+    and four levels scatter less across seeds than one halving.
     """
+    levels = (0, 1, 2, 3)
+    h_fine = dt * 2.0**-levels[-1]
     rng = np.random.default_rng(seed)
-    n_coarse = int(round(T / dt))
-    dw_fine = rng.standard_normal((2 * n_coarse, n_paths)) * math.sqrt(dt / 2.0)
-    dw_coarse = dw_fine[0::2] + dw_fine[1::2]
-    w_T = dw_fine.sum(axis=0)
-    exact = np.asarray(spec.f0 * np.exp((spec.a - spec.b**2 / 2.0) * T + spec.b * w_T))
-
+    dw = rng.standard_normal((int(round(T / h_fine)), n_paths)) * math.sqrt(h_fine)
+    exact = gbm_exact(spec, dw.sum(axis=0), T)
     errors = {}
-    for label, dws, h in (("coarse", dw_coarse, dt), ("fine", dw_fine, dt / 2.0)):
+    for level in reversed(levels):
         x = np.full(n_paths, spec.f0, dtype=np.float64)
-        tamed_gbm_chunk(x, spec.a, spec.b, np.ascontiguousarray(dws), h)
-        errors[label] = float(np.mean(np.abs(x - exact)))
-    order = math.log2(errors["coarse"] / errors["fine"])
+        tamed_gbm_chunk(x, spec.a, spec.b, np.ascontiguousarray(dw), dt * 2.0**-level)
+        errors[level] = float(np.mean(np.abs(x - exact) / exact))
+        dw = dw[0::2] + dw[1::2]
+    order = -float(np.polyfit(levels, np.log2([errors[lv] for lv in levels]), 1)[0])
     return {"errors": errors, "order": order, "dt": dt, "n_paths": n_paths}
 
 

@@ -55,16 +55,17 @@ Snapshots are kept as halves.  The one full array a path makes is its
 ``final_state``, the record's public field, mirrored from the last half.
 
 A path terminates with a blow-up record when the F0 norm crosses the
-threshold or when adaptive halving hits ``dt_min`` (the discrete counterpart
-of a finite maximal existence time with exploding F0 norm).  Non-finite
-results that survive refinement terminate with a separate numeric-error
-status.
+threshold or when adaptive halving hits the step floor
+``dt * 2**-dt_min_exponent`` (the discrete counterpart of a finite maximal
+existence time with exploding F0 norm).  Non-finite results that survive
+refinement terminate with a separate numeric-error status.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -84,44 +85,45 @@ SCHEMES = ("EulerMaruyama", "TamedEulerMaruyama", "RK4Deterministic")
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Scheme selection, base step, horizon and blow-up thresholds.
+    """Scheme selection, base step, horizon and blow-up thresholds: the
+    ``stepper`` section of a run config, key for key.
 
-    ``dt_min`` defaults to ``dt * 2**-20``; ``blowup_threshold`` (on the F0
-    norm) defaults to ``1e8 * (1 + ||X0||_F0)`` at run start and must exceed
-    the initial norm.  A horizon that is not a whole number of base steps
-    (up to a relative 1e-9) is rounded up to the next one.
+    The step floor is ``dt * 2**-dt_min_exponent`` (``resolved_dt_min``), so
+    a path may halve its step ``dt_min_exponent`` times (``max_level``).
+    ``blowup_threshold`` (on the F0 norm) defaults to ``1e8 * (1 + ||X0||_F0)``
+    at run start and must exceed the initial norm.  A horizon that is not a
+    whole number of base steps (up to a relative 1e-9) is rounded up to the
+    next one.  The row and snapshot strides are :func:`integrate_path`'s.
     """
 
     scheme: str = "TamedEulerMaruyama"
     dt: float = 1e-3
     t_end: float = 1.0
-    dt_min: float | None = None
+    dt_min_exponent: int = 20
     adapt: bool = True
     growth_trigger: float = 0.10
     stiff_cap: float = 0.5
     blowup_threshold: float | None = None
-    save_stride: int = 1
-    field_stride: int | None = None
     mart_epsilon: float = 0.25
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.dt <= 0 or self.t_end < 0:
-            raise ValueError("dt must be positive and t_end nonnegative")
-        if self.dt_min is not None and not 0 < self.dt_min < self.dt:
-            raise ValueError("dt_min must satisfy 0 < dt_min < dt")
-        if self.save_stride < 1:
-            raise ValueError("save_stride must be >= 1")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        if self.t_end < 0:
+            raise ValueError("t_end must be nonnegative")
+        if self.dt_min_exponent < 1:
+            raise ValueError("dt_min_exponent must be >= 1")
 
     @property
     def resolved_dt_min(self) -> float:
-        return self.dt_min if self.dt_min is not None else self.dt * 2.0**-20
+        return self.dt * 2.0**-self.dt_min_exponent
 
     @property
     def max_level(self) -> int:
-        """Number of dyadic halvings available before dt_min is hit."""
-        return max(0, int(math.floor(math.log2(self.dt / self.resolved_dt_min) + 1e-12)))
+        """Number of dyadic halvings available before the floor is hit."""
+        return self.dt_min_exponent
 
 
 @dataclass
@@ -225,8 +227,12 @@ class TrajectoryRecord:
 
 
 class _RecordBuilder:
+    """A path's record in the making.  A row's eight float columns go into
+    one flat buffer, its regime and flags into two lists: about 80 bytes."""
+
     def __init__(self, seed, config_hash, keep_fields: bool, max_level: int):
-        self.rows = []
+        self.data = array("d")
+        self.regimes = []
         self.flags = []
         self.snapshots = [] if keep_fields else None
         self.snapshot_norms = [] if keep_fields else None
@@ -244,7 +250,8 @@ class _RecordBuilder:
         self.sup = tuple(map(max, self.sup, norms))
 
     def add(self, t, norms, int_f1sq, regime, m, qv, flags=""):
-        self.rows.append((t, *norms, int_f1sq, regime, m, qv))
+        self.data.fromlist([t, *norms, int_f1sq, m, qv])
+        self.regimes.append(regime)
         self.flags.append(flags)
 
     def snap(self, t, X: SpectralField, norm_F0: float):
@@ -254,8 +261,7 @@ class _RecordBuilder:
 
     def build(self, status, blowup, diagnostics, X, drift_evals, wall_s) -> TrajectoryRecord:
         """The record of a path that ended in the half-layout state ``X``."""
-        data = np.asarray([r[:6] + r[7:] for r in self.rows], dtype=np.float64)
-        regimes = np.asarray([r[6] for r in self.rows])
+        data = np.frombuffer(self.data).reshape(-1, 8)
         return TrajectoryRecord(
             times=data[:, 0],
             norm_G=data[:, 1],
@@ -263,7 +269,7 @@ class _RecordBuilder:
             norm_F1=data[:, 3],
             norm_D=data[:, 4],
             int_F1sq=data[:, 5],
-            regime=regimes,
+            regime=np.asarray(self.regimes),
             M=data[:, 6],
             QV=data[:, 7],
             flags=self.flags,
@@ -423,8 +429,6 @@ def _single_step(scheme, X, A, B, dW, h, projector, ladder, cache=None):
     the norm.
     """
     if scheme == "RK4Deterministic":
-        if B is not None and B.theta > 0.0:
-            raise ValueError("RK4Deterministic cannot carry a stochastic term")
         k1 = cache.drift() if cache is not None else None
         out = rk4_deterministic_step(X, A, h, projector, k1)
         return out, 0.0
@@ -443,6 +447,8 @@ def integrate_path(
     cutoff: int | None = None,
     seed: int | None = None,
     config_hash: str = "",
+    save_stride: int = 1,
+    field_stride: int | None = None,
 ) -> TrajectoryRecord:
     """Integrate one path up to the horizon or blow-up.
 
@@ -453,13 +459,25 @@ def integrate_path(
     spaces, the running integral of ||X||_F1^2, the regime label, and the raw
     martingale pair (M_t, <M>_t) accumulated from 2<X, B(X)> dW in the case's
     envelope space.
+
+    A row is saved every ``save_stride >= 1`` accepted steps and at the end;
+    with a ``field_stride`` a snapshot at the times ``j * field_stride * dt``.
+    The step floor is the stepper's ``dt * 2**-dt_min_exponent``.
     """
-    if B is not None and B.theta > 0.0 and stepper.scheme == "RK4Deterministic":
-        raise ValueError("RK4Deterministic is the deterministic-phase scheme")
-    return _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash)
+    return _adaptive_loop(
+        X0, A, B, stepper, wiener, cutoff, seed, config_hash, save_stride, field_stride
+    )
 
 
-def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=None):
+def check_scheme_carries(scheme: str, noise_on: bool) -> None:
+    """Raise ValueError when the noise is on and ``scheme`` is RK4, which cannot carry it."""
+    if noise_on and scheme == "RK4Deterministic":
+        raise ValueError("scheme RK4Deterministic is deterministic and cannot carry the noise")
+
+
+def _adaptive_loop(
+    X0, A, B, stepper, wiener, cutoff, seed, config_hash, save_stride, field_stride, switch=None
+):
     """The adaptive dyadic stepping loop of plain and switching paths.
 
     A trial step is refined (level + 1, the Wiener path split by its bridge)
@@ -479,7 +497,7 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     ``max_level - level_before`` steps.  The bisection's accepted halves and
     the climb tile the pre-bisection step with complementary binary digits,
     so together they take one step per level below it besides the crossing
-    step, and each halving of ``dt_min`` costs about one accepted step a
+    step, and each halving of the floor costs about one accepted step a
     crossing.  Any refinement during the climb ends it.  A bisection whose
     crossing vanishes on the finer steps lapses at the end of the
     pre-bisection step.
@@ -497,6 +515,7 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     wall_start = time.perf_counter()
     ladder: SpaceLadder = A.ladder
     noise_on = B is not None and B.theta > 0.0
+    check_scheme_carries(stepper.scheme, noise_on)
     if noise_on and wiener is None:
         raise ValueError("a WienerPath is required when the noise is active")
     check_state = getattr(A, "check_state", lambda X: ())
@@ -523,7 +542,7 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
     rec = _RecordBuilder(
         seed if seed is not None else (wiener.seed if wiener is not None else None),
         config_hash,
-        keep_fields=stepper.field_stride is not None,
+        keep_fields=field_stride is not None,
         max_level=stepper.max_level,
     )
     flags = "" if switch is None else switch.start(n0)
@@ -578,7 +597,7 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
                 refine, cause, failure = True, "stiffness", ("blowup", (t, "dt_underflow"))
             else:
                 # sampled growth: refine while possible, accept at the floor;
-                # a crossing is bisected down to dt_min
+                # a crossing is bisected down to the floor
                 grew = norm_new > growth * max(norms[1], 1e-300)
                 refine = grew or (crossing and h > stepper.resolved_dt_min)
                 cause = "growth" if grew else "crossing"
@@ -618,10 +637,10 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
         elif bisect_from is not None and pos % (1 << (level - bisect_from)) == 0:
             bisect_from = None  # past the pre-bisection step: nothing crossed
 
-        if steps_done % stepper.save_stride == 0 or pos == (n_base << level) or label != before:
+        if steps_done % save_stride == 0 or pos == (n_base << level) or label != before:
             rec.add(t, norms_new, int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
         # snapshots at the times j * field_stride * dt, which lie on every level
-        if rec.snapshots is not None and pos % (stepper.field_stride << level) == 0:
+        if rec.snapshots is not None and pos % (field_stride << level) == 0:
             rec.snap(t, X, norm_new)
 
         if norm_new >= threshold:
@@ -642,6 +661,6 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, config_hash, switch=
             pos >>= 1
             accepted_since_refine = 0
 
-    if rec.rows[-1][0] != t:
+    if rec.data[-8] != t:  # the last row's time
         rec.add(t, cache.norms, int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
     return rec.build(status, blowup, diag, X, A.calls, time.perf_counter() - wall_start)

@@ -112,7 +112,8 @@ class NoiseSpec:
     @classmethod
     def for_case(cls, theta: float, alpha: float, case: str) -> "NoiseSpec":
         """The spec of a noise case, with the noise norm the case takes."""
-        return cls(theta, alpha, NOISE_CASES[case].noise_space, case)
+        facts = NOISE_CASES.get(case)
+        return cls(theta, alpha, facts.noise_space if facts else "", case)
 
     @property
     def required_initial_space(self) -> str:
@@ -445,8 +446,7 @@ def theta_advisor(case: str, constants, epsilon: float, level: float = 2.0) -> A
     the case takes (:func:`advisor_constants`); C1 = 0 returns theta = 0 in
     every case.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2)")
+    check_advisor_inputs(case, epsilon, level)
     C1 = float(constants.C1)
     if C1 < 0:
         raise ValueError("C1 must be nonnegative")
@@ -455,11 +455,6 @@ def theta_advisor(case: str, constants, epsilon: float, level: float = 2.0) -> A
         gamma1 = float(constants.gamma1)
         alpha = gamma1 / 2.0 + _ALPHA_MARGIN
         denom = (1.0 - 2.0 * epsilon) * level**4 - _ADVISOR_OFFSET * level**2
-        if denom <= 0:
-            raise ValueError(
-                f"reference level {level} too small for offset {_ADVISOR_OFFSET}: "
-                f"need level^2 > C/(1-2*eps)"
-            )
         theta = math.sqrt(2.0 * C1 * (_ADVISOR_OFFSET + level**2) / denom)
         ineq = (
             f"theta^2*((1-2*{epsilon})*{level}^4 - {_ADVISOR_OFFSET}*{level}^2) >= "
@@ -470,14 +465,26 @@ def theta_advisor(case: str, constants, epsilon: float, level: float = 2.0) -> A
         alpha = max(0.0, (gamma1 - 2.0) / 2.0 + _ALPHA_MARGIN)
         theta = 2.0 * C1 / (0.5 - epsilon)
         ineq = f"theta = 2*C1/(1/2-eps) = 2*{C1}/{0.5 - epsilon} and 2*alpha > gamma1-2"
-    elif case == "III":
+    else:
         gamma13 = float(constants.gamma13)
         alpha = gamma13 / 2.0
         theta = 0.0 if C1 == 0.0 else math.sqrt(C1 / (1.0 - epsilon)) * (1.0 + _THETA_MARGIN)
         ineq = f"2*{C1} - 2*(1-{epsilon})*theta^2 < 0 and alpha = gamma13/2 = {alpha}"
-    else:
-        raise ValueError(f"case must be I, II or III, got {case!r}")
     return AdvisedNoise(theta=theta, alpha=alpha, case_label=case, inequality=ineq)
+
+
+def check_advisor_inputs(case: str, epsilon: float, level: float) -> None:
+    """Raise ValueError unless :func:`theta_advisor` can advise ``case`` at
+    ``epsilon`` and ``level``: the conditions that need no audited constant."""
+    if case not in NOISE_CASES:
+        raise ValueError(f"case must be I, II or III, got {case!r}")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2)")
+    if case == "I" and (1.0 - 2.0 * epsilon) * level**4 <= _ADVISOR_OFFSET * level**2:
+        raise ValueError(
+            f"reference level {level} too small for offset {_ADVISOR_OFFSET}: "
+            f"need level^2 > C/(1-2*eps)"
+        )
 
 
 def advisor_constants(case: str, constants, report: dict):

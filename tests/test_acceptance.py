@@ -36,6 +36,25 @@ def test_ac1_decay_clause_rejects_a_wrong_sampler(monkeypatch, broken):
     assert frac < 0.05 and abs(frac - p) > band
 
 
+@pytest.mark.parametrize("seed", [acceptance.SUITE_SEED + 1, 0, 1, 2])
+def test_ac1_order_lies_in_its_band(seed):
+    lo, hi = acceptance.AC1_ORDER_BAND
+    assert lo <= acceptance.ac1_order_clause(seed) <= hi
+
+
+def test_ac1_order_clause_rejects_a_kernel_without_the_noise_term(monkeypatch):
+    # the tamed drift step alone: its error against the GBM does not shrink
+    # with the step, and the fitted slope is near 0
+    def drift_only(x, a, b, dw, h):
+        for _ in range(dw.shape[0]):
+            m = a * x
+            x += h * m / (1.0 + h * np.abs(m))
+
+    monkeypatch.setattr(experiments, "tamed_gbm_chunk", drift_only)
+    lo, hi = acceptance.AC1_ORDER_BAND
+    assert not lo <= acceptance.ac1_order_clause() <= hi
+
+
 def test_ac7_passes():
     result = acceptance.ac7_structural()
     assert result.passed, result.details

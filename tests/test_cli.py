@@ -199,3 +199,28 @@ def test_step_accounting_prints_wiener_draws_and_wall_time(tmp_path, capsys, com
     assert sum(n for _, n in by_level) == int(trials)
     assert all(n > 0 for _, n in by_level)
     assert 0.0 < float(wall_s) < 60.0
+
+
+def test_refused_config_exits_with_one_line(tmp_path):
+    # stepper.stiff_cap "0.5" parsed and then raised a TypeError at the first
+    # trial step; the command now exits nonzero with one line on stderr
+    import subprocess
+    import sys
+
+    config = {
+        "model": {"kind": "Burgers1D", "resolution": 32},
+        "noise": {"theta": 0.5, "alpha": 1.0, "case": "I"},
+        "stepper": {"dt": 1e-3, "t_end": 0.01, "stiff_cap": "0.5"},
+        "ensemble": {"d_list": [8]},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-m", "stochtame.cli", *argv], capture_output=True, text=True
+    )
+    assert done.returncode != 0 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"invalid config {path}: stepper.stiff_cap must be a number, got '0.5'"
+    ]
+    assert not (tmp_path / "out").exists()

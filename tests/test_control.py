@@ -41,12 +41,13 @@ def growing_mode_run(dt_min_exponent=30, save_stride=5):
         scheme="EulerMaruyama",
         dt=1e-3,
         t_end=4.0,
-        dt_min=1e-3 * 2**-dt_min_exponent,
+        dt_min_exponent=dt_min_exponent,
         stiff_cap=0.02,
-        save_stride=save_stride,
     )
     wiener = WienerPath(3, 1e-3)
-    rec = control_run(sine_field(grid), growth, noise, GROWING_SCHED, st, wiener, seed=3)
+    rec = control_run(
+        sine_field(grid), growth, noise, GROWING_SCHED, st, wiener, seed=3, save_stride=save_stride
+    )
     return rec, st
 
 
@@ -148,10 +149,10 @@ class TestControlRun:
         sched = ControlSchedule(
             K=math.log(1.0 + 1.2**2) / 2.0, max_stochastic_duration=0.05
         )
-        st = StepperConfig(
-            scheme="EulerMaruyama", dt=1e-3, t_end=1.0, stiff_cap=0.05, save_stride=5
+        st = StepperConfig(scheme="EulerMaruyama", dt=1e-3, t_end=1.0, stiff_cap=0.05)
+        rec = control_run(
+            x0, growth, noise, sched, st, WienerPath(8, 1e-3), seed=8, save_stride=5
         )
-        rec = control_run(x0, growth, noise, sched, st, WienerPath(8, 1e-3), seed=8)
         assert any(e.kind == "escalate" for e in rec.events)
         esc = [e for e in rec.events if e.kind == "escalate"]
         assert esc[0].K == pytest.approx(2.0 * sched.K)
@@ -272,11 +273,11 @@ class TestSharedLoop:
 
         grid = TorusGrid(1, 32)
         growth = FlaggedGrowth(LADDER, lambda ksq: 1.0 + 0.0 * ksq)
-        st = StepperConfig(
-            scheme="RK4Deterministic", dt=1e-3, t_end=1.0, blowup_threshold=1.5, save_stride=1000
+        st = StepperConfig(scheme="RK4Deterministic", dt=1e-3, t_end=1.0, blowup_threshold=1.5)
+        rec = control_run(
+            sine_field(grid), growth, None, ControlSchedule(K=math.inf), st, None, save_stride=1000
         )
-        rec = control_run(sine_field(grid), growth, None, ControlSchedule(K=math.inf), st, None)
-        ref = integrate_path(sine_field(grid), growth, None, st)
+        ref = integrate_path(sine_field(grid), growth, None, st, save_stride=1000)
         for r in (rec, ref):
             assert r.status == "blowup" and r.blowup[1] == "norm_threshold"
             assert r.n_rows == 2 and r.flags == ["", "flagged"]
@@ -291,13 +292,12 @@ def test_shallow_water_control_fields_are_hermitian_and_projected():
     x0 = random_field(grid, 3, 6.5, 4.0, 97)
     x0.coeffs[2, 0, 0] = 1.0
     st = StepperConfig(
-        scheme="EulerMaruyama", dt=2e-3, t_end=0.1, stiff_cap=0.1, growth_trigger=1.0,
-        field_stride=1,
+        scheme="EulerMaruyama", dt=2e-3, t_end=0.1, stiff_cap=0.1, growth_trigger=1.0
     )
     noise = NoiseSpec(1.0, 1.0, "F1", "II")
     rec = control_run(
         x0, DriftOperator("RSW_Inviscid"), noise, ControlSchedule(K=1.0, C=1.0), st,
-        WienerPath(1, 2e-3), cutoff=d,
+        WienerPath(1, 2e-3), cutoff=d, field_stride=1,
     )
     assert rec.status == "completed"
     assert [e.kind for e in rec.events][:2] == ["tau", "rho"] and "D" in rec.regime

@@ -1,16 +1,31 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stochtame import experiments
 from stochtame.cli import main
+from stochtame.config import (
+    InitialBuilder,
+    build_drift,
+    build_grid,
+    build_schedule,
+    parse_config,
+)
+from stochtame.control import control_run, validate_schedule
 from stochtame.experiments import _aldous_increments, mann_kendall_pvalue
 from stochtame.integrators import StepperConfig, integrate_path
 from stochtame.models import DriftOperator
 from stochtame.noise import NoiseSpec, WienerPath
-from stochtame.spectral import SpectralField, TorusGrid, sobolev_norm
+from stochtame.spectral import (
+    GalerkinProjector,
+    SpectralField,
+    TorusGrid,
+    galerkin_project,
+    sobolev_norm,
+)
 
 DELTAS = (0.004, 0.01, 0.04, 0.1, 0.25)
 
@@ -46,9 +61,11 @@ def test_aldous_increments_match_loop_oracle(seed, use_hitting):
     grid = TorusGrid(1, 64)
     drift = DriftOperator("Burgers1D")
     x0 = SpectralField.from_physical(grid, np.sin(grid.coordinates()[0]))
-    st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.5, field_stride=2)
+    st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.5)
     noise = NoiseSpec(1.0, 1.4, "F0", "I")
-    rec = integrate_path(x0, drift, noise, st, WienerPath(seed, 1e-3), cutoff=16, seed=seed)
+    rec = integrate_path(
+        x0, drift, noise, st, WienerPath(seed, 1e-3), cutoff=16, seed=seed, field_stride=2
+    )
     assert rec.status == "completed" and len(rec.snapshots) > 200
     got = _aldous_increments(rec, DELTAS, seed, use_hitting, drift.ladder)
     want = aldous_oracle(rec, DELTAS, seed, use_hitting, drift.ladder)
@@ -140,3 +157,72 @@ def test_process_pool_matches_serial_run(tmp_path, monkeypatch, control):
     assert serial == sorted(p.name for p in (tmp_path / "out2").iterdir())
     for name in serial:
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+
+
+# the horizon ensemble.T differs from stepper.t_end, and the rows are saved
+# every third step, so that the ensemble's own choices show
+HAND_BUILT = {
+    "plain": {
+        "model": {"kind": "Burgers1D", "resolution": 64, "initial": {"kind": "sine"}},
+        "noise": {"theta": 1.0, "alpha": 1.4, "case": "I"},
+        "stepper": {"dt": 1e-3, "t_end": 1.0},
+        "ensemble": {
+            "base_seed": 11, "n_paths": 2, "d_list": [8, 16], "T": 0.1,
+            "delta_grid": [0.01, 0.04],
+        },
+        "output": {"save_stride": 3},
+    },
+    "switching": {
+        "model": {
+            "kind": "RSW_Inviscid",
+            "resolution": 16,
+            "initial": {"kind": "rest_height", "amplitude": 0.4, "space": "D", "seed": 97},
+        },
+        "noise": {"theta": 2.0, "alpha": 0.5, "case": "II"},
+        "stepper": {
+            "scheme": "EulerMaruyama", "dt": 2e-3, "t_end": 1.0, "stiff_cap": 0.1,
+            "growth_trigger": 1.0, "dt_min_exponent": 12,
+        },
+        "control": {"enabled": True, "K": 1.0, "C": 1.0},
+        "ensemble": {"base_seed": 5, "n_paths": 2, "d_list": [4, 5], "T": 0.05},
+        "output": {"save_stride": 3},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_run_ensemble_runs_the_paths_built_by_hand(name):
+    # each outcome is that of the path built as test_paths_kept builds one:
+    # the initial state projected to the cutoff, the Wiener path of seed
+    # base_seed + j, the stepper to the horizon T, snapshots every
+    # min(delta_grid) / (2 dt) = 5 steps
+    cfg = parse_config(json.dumps(HAND_BUILT[name]))
+    stats = experiments.run_ensemble(cfg)
+    grid, drift = build_grid(cfg), build_drift(cfg)
+    noise = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
+    stepper = replace(cfg.stepper, t_end=cfg.ensemble.T)
+    schedule = build_schedule(cfg)
+    field_stride = 5 if cfg.ensemble.delta_grid else None
+    for d in cfg.ensemble.d_list:
+        assert [p.seed for p in stats.by_d[d]] == [cfg.ensemble.base_seed + j for j in range(2)]
+        for j, outcome in enumerate(stats.by_d[d]):
+            x0 = galerkin_project(InitialBuilder(cfg.model)(grid), GalerkinProjector(d))
+            kw = dict(cutoff=d, seed=outcome.seed, save_stride=3, field_stride=field_stride)
+            wiener = WienerPath(outcome.seed, stepper.dt)
+            if schedule is None:
+                rec = integrate_path(x0, drift, noise, stepper, wiener, **kw)
+            else:
+                rec = control_run(x0, drift, noise, schedule, stepper, wiener, **kw)
+                report = validate_schedule(rec, schedule)
+                assert (outcome.schedule_passed, outcome.n_switch_pairs) == (
+                    report.passed, report.n_pairs
+                )
+            assert rec.times[-1] == pytest.approx(0.1 if schedule is None else 0.05)
+            assert outcome.status == rec.status == "completed"
+            assert outcome.sup_sq == rec.sup_norm_sq
+            assert outcome.int_f1sq == rec.int_F1sq[-1]
+            assert outcome.e_record == rec.diagnostics.record
+            if field_stride:
+                assert outcome.aldous == _aldous_increments(
+                    rec, cfg.ensemble.delta_grid, outcome.seed, j % 2 == 0, drift.ladder
+                )

@@ -179,10 +179,9 @@ class TestIntegratePath:
             dt=1e-3,
             t_end=2.0,
             blowup_threshold=10.0,
-            dt_min=1e-3 * 2**-12,
-            save_stride=10,
+            dt_min_exponent=12,
         )
-        rec = integrate_path(x0, DriftOperator("Burgers1D"), None, st)
+        rec = integrate_path(x0, DriftOperator("Burgers1D"), None, st, save_stride=10)
         assert rec.status == "blowup"
         assert rec.blowup is not None and 0.9 <= rec.blowup[0] <= 1.1
 
@@ -196,10 +195,9 @@ class TestIntegratePath:
                 dt=1e-3,
                 t_end=2.0,
                 blowup_threshold=thr,
-                dt_min=1e-3 * 2**-12,
-                save_stride=10,
+                dt_min_exponent=12,
             )
-            rec = integrate_path(x0, DriftOperator("Burgers1D"), None, st)
+            rec = integrate_path(x0, DriftOperator("Burgers1D"), None, st, save_stride=10)
             assert rec.status == "blowup"
             times.append(rec.blowup[0])
         assert times[0] <= times[1]
@@ -221,11 +219,10 @@ class TestIntegratePath:
         grid = TorusGrid(1, 64)
         x0 = random_field(grid, 1, 4.0, 1.0, 3)
         noise = NoiseSpec(0.4, 1.0, "F0", "I")
-        st = StepperConfig(
-            scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.2, field_stride=20, save_stride=20
-        )
+        st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.2)
         rec = integrate_path(
-            x0, heat_drift(), noise, st, WienerPath(9, 1e-3), cutoff=8, seed=9
+            x0, heat_drift(), noise, st, WienerPath(9, 1e-3), cutoff=8, seed=9,
+            save_stride=20, field_stride=20,
         )
         ladder = LADDER
         by_time = dict(zip(rec.times, range(rec.n_rows)))
@@ -251,10 +248,10 @@ class TestIntegratePath:
         grid = TorusGrid(1, 64)
         drift = DriftOperator("Burgers1D")
         noise = NoiseSpec(0.5, 1.4, "F0", "I")
-        st = StepperConfig(
-            scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.1, save_stride=1, field_stride=1
+        st = StepperConfig(scheme="TamedEulerMaruyama", dt=1e-3, t_end=0.1)
+        rec = integrate_path(
+            sine_field(grid), drift, noise, st, WienerPath(2, 1e-3), seed=2, field_stride=1
         )
-        rec = integrate_path(sine_field(grid), drift, noise, st, WienerPath(2, 1e-3), seed=2)
         steps = rec.n_rows - 1
         assert rec.status == "completed" and steps >= 100
         assert len(calls) <= 6 * steps
@@ -308,8 +305,10 @@ class TestIntegratePath:
         noise = NoiseSpec(1.0, 1.4, "F0", "I")
         sups = []
         for stride in (1, 5, 25):
-            st = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.3, save_stride=stride)
-            rec = integrate_path(sine_field(grid), drift, noise, st, WienerPath(1, 1e-3), seed=1)
+            st = StepperConfig(scheme=scheme, dt=1e-3, t_end=0.3)
+            rec = integrate_path(
+                sine_field(grid), drift, noise, st, WienerPath(1, 1e-3), seed=1, save_stride=stride
+            )
             assert rec.status == "completed"
             sups.append(rec.sup_norm_sq)
             if stride == 1:
@@ -387,10 +386,11 @@ class TestIntegratePath:
         # the final state is mirrored to the full layout
         grid = TorusGrid(1, 128)
         d = 16
-        st = StepperConfig(dt=1e-3, t_end=0.2, field_stride=3)
+        st = StepperConfig(dt=1e-3, t_end=0.2)
         noise = NoiseSpec(1.0, 1.4, "F0", "I")
         rec = integrate_path(
-            sine_field(grid), DriftOperator("Burgers1D"), noise, st, WienerPath(6, 1e-3), cutoff=d
+            sine_field(grid), DriftOperator("Burgers1D"), noise, st, WienerPath(6, 1e-3),
+            cutoff=d, field_stride=3,
         )
         assert rec.status == "completed" and len(rec.snapshots) > 60
         final = rec.final_state
@@ -416,13 +416,38 @@ class TestIntegratePath:
         with pytest.raises(ValueError):
             integrate_path(sine_field(grid), heat_drift(), noise, st, None)
 
+    def test_rows_cost_under_250_bytes_each(self):
+        # the traced peak of a path grows by the memory of its rows: one flat
+        # float buffer and two lists cost about 80 bytes a row, where a tuple
+        # a row, copied at the end, peaked at about 420
+        import tracemalloc
+
+        x0 = sine_field(TorusGrid(1, 8))
+        noise = NoiseSpec(0.2, 0.0, "F0", "I")
+        peaks, rows = [], []
+        for t_end in (1.0, 3.0):
+            st = StepperConfig(dt=1e-3, t_end=t_end)
+            tracemalloc.start()
+            try:
+                rec = integrate_path(x0, linear_drift(0.0), noise, st, WienerPath(1, 1e-3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rec.level_steps == (round(t_end / 1e-3),)
+            rows.append(rec.n_rows)
+        assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 250.0
+
+    def test_floor_is_an_exponent(self):
+        st = StepperConfig(dt=1e-3, dt_min_exponent=12)
+        assert st.max_level == 12 and st.resolved_dt_min == 1e-3 * 2.0**-12
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StepperConfig(scheme="Nope")
         with pytest.raises(ValueError, match="scheme must be one of"):
             StepperConfig(scheme="Milstein1D")
         with pytest.raises(ValueError):
-            StepperConfig(dt=1e-3, dt_min=2e-3)
+            StepperConfig(dt=1e-3, dt_min_exponent=0)
         with pytest.raises(ValueError):
             st = StepperConfig(dt=1e-3, t_end=0.1, blowup_threshold=0.1)
             grid = TorusGrid(1, 32)

@@ -15,7 +15,6 @@ state, its Galerkin projection, then the stepping loop.
 
 import json
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -24,7 +23,6 @@ from stochtame.config import (
     build_drift,
     build_grid,
     build_schedule,
-    build_stepper,
     parse_config,
 )
 from stochtame.control import control_run
@@ -148,17 +146,18 @@ PINNED = {
 }
 
 
-def _run(config, cutoff, seed, **stepper_changes):
+def _run(config, cutoff, seed, **strides):
     cfg = parse_config(json.dumps(config))
     drift, grid = build_drift(cfg), build_grid(cfg)
-    stepper = replace(build_stepper(cfg), **stepper_changes)
+    stepper = cfg.stepper
     noise = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
     x0 = galerkin_project(InitialBuilder(cfg.model)(grid), GalerkinProjector(cutoff))
     wiener = WienerPath(seed, stepper.dt)
     schedule = build_schedule(cfg)
+    kw = dict(cutoff=cutoff, seed=seed, save_stride=cfg.output.save_stride, **strides)
     if schedule is None:
-        return integrate_path(x0, drift, noise, stepper, wiener, cutoff=cutoff, seed=seed)
-    return control_run(x0, drift, noise, schedule, stepper, wiener, cutoff=cutoff, seed=seed)
+        return integrate_path(x0, drift, noise, stepper, wiener, **kw)
+    return control_run(x0, drift, noise, schedule, stepper, wiener, **kw)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
