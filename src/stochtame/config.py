@@ -19,7 +19,9 @@ or audit runs, with a :class:`ConfigError` naming the dotted key or section:
   martingale record, the Galerkin projectors, the schedule when
   ``control.enabled``, the noise spec and the initial state, and checks the
   advisor's epsilon and level without running its audit;
-* the rules only the config states (:func:`validate_config`).
+* the rules only the config states (:func:`validate_config`);
+* a ``stepper.blowup_threshold`` at or below the F0 norm of the initial
+  state at the dealias cutoff, the largest cutoff a command runs.
 
 The facts behind the rules are read, not restated: the case rule (which
 space a noise case needs the initial state in, and the noise norm it takes)
@@ -63,7 +65,9 @@ from .spectral import (
     SpaceLadder,
     SpectralField,
     TorusGrid,
+    dealias,
     random_field,
+    sobolev_norm,
     two_thirds_cutoff,
 )
 
@@ -222,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
         cfg = replace(cfg, model=replace(m, initial=initial))
 
     grid = _built("model", build_grid, cfg)
-    _built("model", build_drift, cfg)
+    drift = _built("model", build_drift, cfg)
     _built("stepper.mart_epsilon", MartingaleDiagnostics, cfg.stepper.mart_epsilon)
     _built("ensemble.T", build_ensemble_stepper, cfg)
     for d in cfg.ensemble.d_list:
@@ -234,7 +238,16 @@ def parse_config(text: str) -> RunConfig:
     if n.advisor:
         _built("noise", check_advisor_inputs, n.case, n.advisor_epsilon, n.advisor_level)
     validate_config(cfg)
-    _built("model.initial", InitialBuilder(cfg.model), grid)
+    X0 = _built("model.initial", InitialBuilder(cfg.model), grid)
+    threshold = cfg.stepper.blowup_threshold
+    if threshold is not None:
+        # every command projects X0 to a cutoff no larger than the dealias
+        # cutoff, and projection only lowers the norm
+        n0 = sobolev_norm(dealias(X0), drift.ladder.s_F0)
+        if threshold <= n0:
+            raise ConfigError(
+                f"stepper.blowup_threshold {threshold} must exceed the initial F0 norm {n0}"
+            )
     return cfg
 
 

@@ -26,19 +26,26 @@ half spectra and inverted together, the products formed on the grid are
 transformed forward together into their tendencies (the sign, the
 normalisation and the 2/3 mask are one multiply,
 :meth:`~stochtame.spectral.HalfSpectrum.tendency`), and the linear terms are
-added on the half spectrum.  Every function here takes and returns halves
-(the layout rule of :mod:`stochtame.spectral`).  Only
-``DriftOperator.__call__`` also takes a full field: it reads the field's half
-and mirrors the drift back to the full layout (``fhat_{-k} = conj(fhat_k)``,
-self-conjugate modes real), so that output is exactly Hermitian whatever the
-rounding of the transforms.
+added on the half spectrum.  A 1D Burgers drift transforms 2 + 1 fields (u
+and u_x in, u u_x out), a shallow-water drift 4 + 5 (below).  Every function
+here takes and returns halves (the layout rule of :mod:`stochtame.spectral`).
+Only ``DriftOperator.__call__`` also takes a full field: it reads the field's
+half and mirrors the drift back to the full layout (``fhat_{-k} =
+conj(fhat_k)``, self-conjugate modes real), so that output is exactly
+Hermitian whatever the rounding of the transforms.
 
 Shallow water note: the momentum state is used directly as the advected
 velocity.  A rotation vector potential with ``curl R = f zhat`` and zero
 gradient does not exist periodically, so the Coriolis force is applied in its
 standard form ``-f zhat x u`` and the change of variables is regarded as a
 diagnostic relabelling only.  The Rossby and Froude numbers enter through the
-pressure ``p = (h - b) / (rossby * froude)``.
+pressure ``p = (h - b) / (rossby * froude)``.  The advection is taken in
+vector-invariant form, ``(u.grad)u = grad(|u|^2/2) + zeta zhat x u`` with
+``zeta = d_0 u2 - d_1 u1``: the inverse transform makes ``[u1, u2, h,
+zeta]``, the forward one ``[zeta u2, zeta u1, |u|^2, h u1, h u2]``, and the
+Bernoulli term and the pressure share one gradient.  The pressure, the
+Coriolis force, the viscosity and the topography act on every mode; folding
+``f`` into the grid vorticity would cut the Coriolis force at 2/3.
 """
 
 from __future__ import annotations
@@ -231,12 +238,24 @@ def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
     return SpectralField(grid, out)
 
 
+#: the grid products of the shallow-water drift from its grid fields
+#: ``[u1, u2, h, zeta]``, pairwise: ``zeta u2, zeta u1, u1 u1, h u1, h u2`` and
+#: ``u2 u2``, which is added to ``u1 u1``
+_RSW_LEFT = np.array([3, 3, 0, 2, 2, 1])
+_RSW_RIGHT = np.array([1, 0, 0, 0, 1, 1])
+
+
 def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> SpectralField:
     """Rotating shallow water tendency for the state (v1, v2, h).
 
-    Momentum: ``-(u.grad)u - f zhat x u - grad p (+ gamma Lap u)`` with
+    Momentum: ``-(u.grad)u - f zhat x u - grad p (+ nu Lap u)`` with
     ``p = (h - b)/(rossby*froude)``; height: ``-div(h u) (+ eta Lap h)``.
     The height tendency has zero mean exactly (divergence on the torus).
+
+    The advection is taken in vector-invariant form,
+    ``grad(|u|^2/2) + zeta zhat x u``, exact for the dealiased inputs: 4 + 5
+    field transforms (module docstring), one gradient of ``|u|^2/2 + p``, and
+    the pressure, Coriolis force, viscosity and topography on every mode.
     """
     if state.components != 3:
         raise GridMismatchError("shallow water state must be (v1, v2, h)")
@@ -244,23 +263,26 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
     sh = state.coeffs
     u, h = sh[0:2], sh[2]
 
-    phys = hs.to_physical(np.concatenate([hs.dealiased(sh), hs.gradient(u)]))
-    vel, height, grads = phys[0:2], phys[2], phys[3:].reshape((2, 2) + phys.shape[1:])
-    # the tendencies -(u.grad)u and -h u
-    products = hs.tendency(np.concatenate([_dot_grad(vel, grads), height * vel]))
-    adv, flux = products[0:2], products[2:]
+    phys = hs.to_physical(hs.with_curl(sh))
+    products = phys[_RSW_LEFT] * phys[_RSW_RIGHT]
+    products[2] += products[5]
+    tend = hs.tendency(products[:5])  # minus the dealiased products
 
-    f = params.f_coriolis
-    zcross = np.stack([-f * u[1], f * u[0]])
     b = 0.0 if params.topography is None else params.topography.coeffs[0]
     p = (h - b) / (params.rossby * params.froude)
-    mom = adv - zcross - np.stack([ik * p for ik in hs.ik])
-    hgt = hs.ik[0] * flux[0] + hs.ik[1] * flux[1]
+    out = np.empty_like(sh)
+    np.multiply(hs.ik_stack, 0.5 * tend[2] - p, out=out[0:2])  # -grad(|u|^2/2 + p)
+    # -(zeta + f) zhat x u, with zeta u dealiased and f u on every mode
+    rot = params.f_coriolis * u[::-1] - tend[0:2]
+    out[0] += rot[0]
+    out[1] -= rot[1]
+    np.multiply(hs.ik[0], tend[3], out=out[2])  # -div(h u)
+    out[2] += hs.ik[1] * tend[4]
 
     if viscous:
-        mom += params.nu * (-hs.ksq * u)
-        hgt += params.eta * (-hs.ksq * h)
-    return SpectralField(state.grid, np.concatenate([mom, hgt[np.newaxis]]))
+        out[0:2] += params.nu * (-hs.ksq * u)
+        out[2] += params.eta * (-hs.ksq * h)
+    return SpectralField(state.grid, out)
 
 
 class FourierMultiplierDrift:

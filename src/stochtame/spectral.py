@@ -119,6 +119,8 @@ class HalfSpectrum:
         self._lead_axes = self.axes[:-1]
         self.k_axes = tuple(axes)
         self.ik = tuple(1j * ka for ka in axes)
+        # on every mode, stacked, so that one multiply makes a gradient
+        self.ik_stack = np.stack(np.broadcast_arrays(*self.ik))
         self.ksq = sum(ka**2 for ka in axes)
         self.kinf = kinf
         # complex, so that masking complex coefficients needs no cast per call
@@ -136,6 +138,7 @@ class HalfSpectrum:
         self._weights: dict[tuple[float, int], np.ndarray] = {}
         self._stacked_weights: dict[tuple, np.ndarray] = {}
         self._project_masks: dict[int, np.ndarray] = {}
+        self._with_curl: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         # each stored mode stands for itself and its mirror image -k, except
         # on the planes k_last = 0 and k_last = n/2, which store both
@@ -210,6 +213,21 @@ class HalfSpectrum:
         """The dealiased field and its derivatives, ``[f, d_0 f, d_1 f, ...]``
         on a new leading axis, from one multiply."""
         return self._with_gradient * half[..., : self.kept]
+
+    def with_curl(self, half: np.ndarray) -> np.ndarray:
+        """The dealiased stack ``[f_0, ..., f_last, d_0 f_1 - d_1 f_0]`` of a 2D
+        stack whose first two fields are a velocity: the fields and the
+        vorticity, from one multiply and one subtraction."""
+        c = len(half)
+        cached = self._with_curl.get(c)
+        if cached is None:
+            ik = self._ik_dealiased[:, 0]
+            rows = np.array(list(range(c)) + [1, 0])
+            cached = self._with_curl[c] = (np.stack([self._mask] * c + [ik[0], ik[1]]), rows)
+        multiplier, rows = cached
+        stack = multiplier * half[rows, ..., : self.kept]
+        stack[c] -= stack[c + 1]
+        return stack[: c + 1]
 
     def to_physical(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a stack of half spectra, one batched inverse transform.

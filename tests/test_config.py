@@ -168,6 +168,9 @@ REFUSED = [
     ({"noise.theta": -1}, "simulate", "noise.theta"),
     ({"noise.case": "IV"}, "simulate", "noise: case_label"),
     ({"model.initial": {"kind": "random", "seed": -1}}, "simulate", "model.initial"),
+    # the default initial state, sin x, has F0 = H^1 norm 1
+    ({"stepper.blowup_threshold": 0.1}, "simulate", "stepper.blowup_threshold 0.1 must"),
+    ({"stepper.blowup_threshold": 1}, "ensemble", "stepper.blowup_threshold 1 must"),
     # values of the wrong JSON type
     ({"stepper.stiff_cap": "0.5"}, "simulate", "stepper.stiff_cap must be a number"),
     ({"model.resolution": "64"}, "simulate", "model.resolution must be an integer"),

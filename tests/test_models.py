@@ -438,6 +438,57 @@ def test_half_drift_mirrored_is_the_full_drift(kind):
         assert np.array_equal(half.as_full().coeffs, A(X.as_full()).coeffs)
 
 
+@pytest.mark.parametrize("kind", ("RSW_Viscous", "RSW_Inviscid"))
+def test_rsw_drift_of_a_state_above_the_cutoff(kind):
+    # only the quadratic terms are cut at 2/3: pressure, Coriolis, topography
+    # and viscosity act on every mode.  Off the Nyquist planes, where the
+    # half and the full layout read the derivative of the -n/2 mode alike
+    grid = TorusGrid(2, 16)
+    band = grid.dealias_cutoff
+    off_nyquist = kinf(grid) < grid.nyquist
+    params = _params(kind, grid)
+    for seed in range(3):
+        X = random_field(grid, 3, 2.0, 1.0, seed)
+        X.coeffs[2, 0, 0] = 1.5
+        assert np.max(np.abs(X.as_full().coeffs[:, kinf(grid) > band])) > 0.0
+        out = DriftOperator(kind, params)(X).as_full().coeffs
+        expected = _oracle_drift(kind, X, params, band)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(out - expected)[:, off_nyquist]) <= 1e-13 * scale
+
+
+def _field_counts(monkeypatch, drift, X):
+    """The stacks a drift call transforms, each as its number of fields:
+    ``(inverse, forward)``."""
+    from stochtame.spectral import HalfSpectrum
+
+    counts = {"to_physical": [], "tendency": []}
+    for name in counts:
+        method = getattr(HalfSpectrum, name)
+
+        def spy(self, stack, name=name, method=method):
+            counts[name].append(int(np.prod(stack.shape[: -len(self.axes)])))
+            return method(self, stack)
+
+        monkeypatch.setattr(HalfSpectrum, name, spy)
+    drift(X)
+    return counts["to_physical"], counts["tendency"]
+
+
+@pytest.mark.parametrize("kind", ("RSW_Viscous", "RSW_Inviscid"))
+def test_rsw_drift_transforms_four_fields_in_and_five_out(monkeypatch, kind):
+    # [u1, u2, h, zeta] in; [zeta u2, zeta u1, |u|^2, h u1, h u2] out
+    grid = TorusGrid(2, 16)
+    X = random_state(kind, grid, 2.0, 1.0, 0)
+    assert _field_counts(monkeypatch, DriftOperator(kind, _params(kind, grid)), X) == ([4], [5])
+
+
+def test_burgers_1d_drift_transforms_two_fields_in_and_one_out(monkeypatch):
+    # [u, u_x] in; [u u_x] out
+    X = random_state("Burgers1D", TorusGrid(1, 32), 2.0, 1.0, 0)
+    assert _field_counts(monkeypatch, DriftOperator("Burgers1D"), X) == ([2], [1])
+
+
 def test_module_table_lists_the_catalogue():
     lines = stochtame.models.__doc__.splitlines()
     rules = [i for i, line in enumerate(lines) if line.startswith("====")]
