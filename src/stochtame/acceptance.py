@@ -18,10 +18,13 @@ Experimental design notes (the choices are fixed here, not tuned per run):
   inviscid pairing (noise norm F1) per the case table, which the control
   design leaves to configuration for inviscid models.
 * AC-5/AC-6 share one tamed-Burgers ensemble at cutoffs 8..64 plus a
-  switching shallow-water ensemble at 32^2 for the top-norm report.  Both
-  are run configs with the advised (theta, alpha) written in, run by
+  switching shallow-water ensemble at 32^2 for the top-norm report.
+* Every ensemble, AC-4's noisy arms and AC-5's, is a run config with the
+  advised (theta, alpha) written in, run by
   :func:`~stochtame.experiments.run_ensemble` as ``stochtame ensemble``
-  runs them.
+  runs it.  AC-4's noisy arms and AC-5's Burgers ensemble share one stepper
+  section.  AC-8 validates the schedules of AC-4's switching arm and, when
+  AC-5 ran, of its shallow-water ensemble.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .config import InitialBuilder, InitialSection, ModelSection, parse_config
-from .control import ControlSchedule, control_run, validate_schedule
 from .experiments import (
+    SummaryStats,
     assumption_audit,
     exp_law_study,
     gbm_strong_error_order,
@@ -81,7 +84,7 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        core = ", ".join(f"{k}={_fmt(v)}" for k, v in self.details.items() if not k.startswith("_"))
+        core = ", ".join(f"{k}={_fmt(v)}" for k, v in self.details.items())
         return f"{self.name} {status} ({self.runtime_s:.1f}s) {core}"
 
 
@@ -94,23 +97,39 @@ def _fmt(v):
 # --- shared Burgers experiment pieces ----------------------------------------
 
 
-def _initial(model: str, **initial) -> InitialBuilder:
-    """The config's initial-state factory for a model kind and initial section."""
-    return InitialBuilder(ModelSection(kind=model, initial=InitialSection(**initial)))
-
-
 def burgers_advised_noise(case: str, epsilon: float = 0.25, level: float = 1.45, seed: int = 11):
-    """Audit the inviscid Burgers drift and advise (theta, alpha) for a case.
+    """The (theta, alpha) advised for a case from an audit of the inviscid
+    Burgers drift.
 
     ``level`` = 1.45 is the smallest admissible envelope level (the formula
     needs level > sqrt(C/(1-2*eps)) = sqrt(2)), engaging the taming just
     above the unit initial norm scale.
     """
-    model = DriftOperator("Burgers1D")
-    constants, report = assumption_audit(model, n_samples=200, seed=seed)
-    constants = advisor_constants(case, constants, report)
-    advised = theta_advisor(case, constants, epsilon, level=level)
-    return advised, constants, report
+    audit = assumption_audit(DriftOperator("Burgers1D"), n_samples=200, seed=seed)
+    return theta_advisor(case, advisor_constants(case, *audit), epsilon, level=level)
+
+
+def _noisy_burgers(
+    advised, resolution, amplitude, ensemble, save_stride, **sections
+) -> SummaryStats:
+    """The ensemble of a tamed inviscid Burgers run config to T = 2 from a
+    sine of ``amplitude``, with the advised noise written in: AC-4's noisy
+    arms and AC-5's Burgers ensemble, which share this stepper section."""
+    config = {
+        "model": {
+            "kind": "Burgers1D", "resolution": resolution,
+            "initial": {"kind": "sine", "amplitude": amplitude},
+        },
+        "noise": {"theta": advised.theta, "alpha": advised.alpha, "case": advised.case_label},
+        "stepper": {
+            "scheme": "EulerMaruyama", "dt": 1e-3, "t_end": 2.0, "dt_min_exponent": 40,
+            "stiff_cap": 0.02,
+        },
+        "ensemble": {"T": 2.0, **ensemble},
+        "output": {"save_stride": save_stride},
+        **sections,
+    }
+    return run_ensemble(parse_config(json.dumps(config)))
 
 
 # --- the criteria -------------------------------------------------------------
@@ -231,11 +250,14 @@ def ac3_martingale_tail_bound(seed: int = SUITE_SEED) -> CriterionResult:
     )
 
 
-def ac4_blowup_vs_taming(seed: int = SUITE_SEED, n_paths: int = 200) -> CriterionResult:
-    """Blow-up of the deterministic Burgers flow vs survival under taming."""
+def ac4_blowup_vs_taming(
+    seed: int = SUITE_SEED, n_paths: int = 200
+) -> tuple[CriterionResult, SummaryStats]:
+    """Blow-up of the deterministic Burgers flow vs survival under taming;
+    the result and the switching arm's ensemble, whose schedules AC-8 checks."""
     t0 = time.time()
     grid = TorusGrid(1, 1024)
-    u0 = _initial("Burgers1D", kind="sine", amplitude=1.0)(grid)
+    u0 = InitialBuilder(ModelSection("Burgers1D", initial=InitialSection("sine")))(grid)
     model = DriftOperator("Burgers1D")
 
     # (a) deterministic blow-up inside the characteristics window
@@ -250,39 +272,26 @@ def ac4_blowup_vs_taming(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterio
     det_ok = det.status == "blowup" and det.blowup is not None and 0.9 <= det.blowup[0] <= 1.1
     blowup_time = det.blowup[0] if det.blowup else None
 
+    # the noisy arms run at the dealias cutoff of the grid
+    d = grid.dealias_cutoff
     # (b) always-on taming, case I advised at the smallest admissible level
-    advised, constants, _ = burgers_advised_noise("I", epsilon=0.25)
-    noise = advised.spec()
-    sto_stepper = StepperConfig(
-        scheme="EulerMaruyama", dt=1e-3, t_end=2.0, dt_min_exponent=40, stiff_cap=0.02
-    )
-    survived = 0
-    for j in range(n_paths):
-        wiener = WienerPath(seed + j, sto_stepper.dt)
-        rec = integrate_path(u0, model, noise, sto_stepper, wiener, seed=seed + j, save_stride=25)
-        survived += rec.status == "completed"
-    tamed_fraction = survived / n_paths
+    advised = burgers_advised_noise("I")
+    tamed = _noisy_burgers(
+        advised, 1024, 1.0, {"n_paths": n_paths, "base_seed": seed, "d_list": [d]}, 25
+    ).paths(d)
+    tamed_fraction = sum(p.status == "completed" for p in tamed) / n_paths
 
     # (c) switching control from half amplitude, compressible-inviscid pairing
-    u0_half = _initial("Burgers1D", kind="sine", amplitude=0.5)(grid)
-    advised2, _, _ = burgers_advised_noise("II", epsilon=0.25)
-    noise2 = advised2.spec()
-    sched = ControlSchedule(K=math.log(1.0 + 0.9**2) / 2.0, C=1.0)
-    control_results = []
-    paired = 0
-    completed = 0
-    for j in range(n_paths):
-        wiener = WienerPath(seed + 10_000 + j, sto_stepper.dt)
-        rec = control_run(
-            u0_half, model, noise2, sched, sto_stepper, wiener,
-            seed=seed + 10_000 + j, save_stride=25,
-        )
-        report = validate_schedule(rec, sched)
-        control_results.append((rec, report))
-        completed += rec.status == "completed"
-        paired += rec.status == "completed" and report.n_pairs >= 1
-    control_fraction = completed / n_paths
-    pair_fraction = paired / n_paths
+    advised2 = burgers_advised_noise("II")
+    control = _noisy_burgers(
+        advised2, 1024, 0.5, {"n_paths": n_paths, "base_seed": seed + 10_000, "d_list": [d]}, 25,
+        control={"enabled": True, "K": math.log(1.0 + 0.9**2) / 2.0, "C": 1.0},
+    )
+    switching = control.paths(d)
+    control_fraction = sum(p.status == "completed" for p in switching) / n_paths
+    pair_fraction = (
+        sum(p.status == "completed" and p.n_switch_pairs >= 1 for p in switching) / n_paths
+    )
 
     passed = (
         det_ok
@@ -304,31 +313,25 @@ def ac4_blowup_vs_taming(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterio
             "advised_alpha_I": advised.alpha,
             "advised_theta_II": advised2.theta,
             "advised_alpha_II": advised2.alpha,
-            "_control_results": control_results,
         },
     )
-    return result
+    return result, control
 
 
-def ac5_uniform_control(seed: int = SUITE_SEED, n_paths: int = 200) -> CriterionResult:
+def ac5_uniform_control(
+    seed: int = SUITE_SEED, n_paths: int = 200
+) -> tuple[CriterionResult, SummaryStats, SummaryStats]:
     """Cutoff-uniform norm control for tamed Burgers ensembles plus the
-    top-norm report for the switching shallow-water runs."""
+    top-norm report for the switching shallow-water runs; the result, the
+    Burgers ensemble AC-6 tabulates and the shallow-water ensemble whose
+    schedules AC-8 checks."""
     t0 = time.time()
-    advised, _, _ = burgers_advised_noise("I", epsilon=0.25)
-    burgers = {
-        "model": {"kind": "Burgers1D", "resolution": 256, "initial": {"kind": "sine"}},
-        "noise": {"theta": advised.theta, "alpha": advised.alpha, "case": "I"},
-        "stepper": {
-            "scheme": "EulerMaruyama", "dt": 1e-3, "t_end": 2.0, "dt_min_exponent": 40,
-            "stiff_cap": 0.02,
-        },
-        "ensemble": {
-            "n_paths": n_paths, "base_seed": seed, "d_list": [8, 16, 32, 64], "T": 2.0,
-            "delta_grid": [0.004, 0.01, 0.04, 0.1, 0.4],
-        },
-        "output": {"save_stride": 5},
+    advised = burgers_advised_noise("I")
+    ensemble = {
+        "n_paths": n_paths, "base_seed": seed, "d_list": [8, 16, 32, 64],
+        "delta_grid": [0.004, 0.01, 0.04, 0.1, 0.4],
     }
-    stats = run_ensemble(parse_config(json.dumps(burgers)))
+    stats = _noisy_burgers(advised, 256, 1.0, ensemble, 5)
     report = uniform_control_report(stats, epsilon_target=0.1)
     trend_ok = report.trend_pvalue is None or report.trend_pvalue > 0.05
 
@@ -357,7 +360,7 @@ def ac5_uniform_control(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterion
     rsw_d_report = uniform_control_report(rsw_stats, epsilon_target=0.1, space="D")
 
     passed = report.attained and trend_ok and rsw_d_report.K1 is not None
-    return CriterionResult(
+    result = CriterionResult(
         name="AC-5",
         passed=passed,
         runtime_s=time.time() - t0,
@@ -367,17 +370,15 @@ def ac5_uniform_control(seed: int = SUITE_SEED, n_paths: int = 200) -> Criterion
             "trend_pvalue": report.trend_pvalue,
             "per_d_at_K1": report.per_d_at_K1,
             "rsw_D_K1": rsw_d_report.K1,
-            "_burgers_stats": stats,
-            "_rsw_stats": rsw_stats,
         },
     )
+    return result, stats, rsw_stats
 
 
-def ac6_increment_statistics(stats=None, seed: int = SUITE_SEED) -> CriterionResult:
-    """Stopping-time increment table decreasing below target as delta -> 0."""
+def ac6_increment_statistics(stats: SummaryStats) -> CriterionResult:
+    """Stopping-time increment table of AC-5's Burgers ensemble decreasing
+    below target as delta -> 0."""
     t0 = time.time()
-    if stats is None:
-        stats = ac5_uniform_control(seed).details["_burgers_stats"]
     table = stats.aldous_table()
     delta_min = min(stats.delta_grid)
     small = [r for r in table if r["delta"] == delta_min]
@@ -530,32 +531,25 @@ def ac7_structural(seed: int = SUITE_SEED) -> CriterionResult:
     )
 
 
-def ac8_schedule_validity(control_results=None, rsw_stats=None, seed: int = SUITE_SEED) -> CriterionResult:
-    """Every switching run passes schedule validation with positive dwell."""
+def ac8_schedule_validity(control: SummaryStats, rsw: SummaryStats | None) -> CriterionResult:
+    """Every switching run passes schedule validation with positive dwell.
+
+    The runs are AC-4's switching arm and, when AC-5 ran, its shallow-water
+    ensemble.  The dwell is the switching arm's only: the shallow-water paths
+    start above L_hi and fire tau at t = 0, so their dwell is 0.
+    """
     t0 = time.time()
-    if control_results is None:
-        control_results = ac4_blowup_vs_taming(seed).details["_control_results"]
-    bad = 0
-    dwells = []
-    for rec, report in control_results:
-        if not report.passed:
-            bad += 1
-        if report.alpha_dwell is not None:
-            dwells.append(report.alpha_dwell)
+    runs = [p for d in control.by_d for p in control.paths(d)]
+    bad = sum(not p.schedule_passed for p in runs)
+    dwells = [p.alpha_dwell for p in runs if p.alpha_dwell is not None]
     dwell_ok = all(a > 0 for a in dwells)
-    rsw_ok = True
-    if rsw_stats is not None:
-        for d in rsw_stats.by_d:
-            for p in rsw_stats.paths(d):
-                if p.schedule_passed is False:
-                    rsw_ok = False
-    passed = bad == 0 and dwell_ok and rsw_ok
+    rsw_ok = rsw is None or all(p.schedule_passed for d in rsw.by_d for p in rsw.paths(d))
     return CriterionResult(
         name="AC-8",
-        passed=passed,
+        passed=bad == 0 and dwell_ok and rsw_ok,
         runtime_s=time.time() - t0,
         details={
-            "validated_runs": len(control_results),
+            "validated_runs": len(runs),
             "failures": bad,
             "min_dwell": min(dwells) if dwells else None,
             "rsw_schedules_ok": rsw_ok,
@@ -569,11 +563,12 @@ TRIVIAL_CRITERIA = ("AC-1", "AC-3", "AC-7")
 
 
 def run_acceptance(names=None, seed: int = SUITE_SEED, echo=print) -> list[CriterionResult]:
-    """Run the requested criteria (default: all), sharing artifacts between
-    AC-4/AC-8 and AC-5/AC-6; prints one line per criterion."""
+    """Run the requested criteria (default: all), handing AC-4's switching
+    ensemble to AC-8 and AC-5's ensembles to AC-6 and AC-8; prints one line
+    per criterion as it finishes."""
     names = tuple(names) if names else ALL_CRITERIA
     results = []
-    shared = {}
+    control = rsw = None
 
     def emit(res):
         results.append(res)
@@ -587,24 +582,17 @@ def run_acceptance(names=None, seed: int = SUITE_SEED, echo=print) -> list[Crite
     if "AC-3" in names:
         emit(ac3_martingale_tail_bound(seed))
     if "AC-4" in names or "AC-8" in names:
-        res4 = ac4_blowup_vs_taming(seed)
-        shared["control_results"] = res4.details.pop("_control_results")
+        res4, control = ac4_blowup_vs_taming(seed)
         if "AC-4" in names:
             emit(res4)
     if "AC-5" in names or "AC-6" in names:
-        res5 = ac5_uniform_control(seed)
-        shared["burgers_stats"] = res5.details.pop("_burgers_stats")
-        shared["rsw_stats"] = res5.details.pop("_rsw_stats")
+        res5, burgers, rsw = ac5_uniform_control(seed)
         if "AC-5" in names:
             emit(res5)
         if "AC-6" in names:
-            emit(ac6_increment_statistics(shared["burgers_stats"], seed))
+            emit(ac6_increment_statistics(burgers))
     if "AC-7" in names:
         emit(ac7_structural(seed))
     if "AC-8" in names:
-        emit(
-            ac8_schedule_validity(
-                shared.get("control_results"), shared.get("rsw_stats"), seed
-            )
-        )
+        emit(ac8_schedule_validity(control, rsw))
     return results

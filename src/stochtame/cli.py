@@ -6,16 +6,14 @@ constants), ``gbm`` and ``scalefn`` (the 1D laboratory) and ``verify``
 (structural/acceptance suites; nonzero exit on failure).
 
 Every subcommand that takes a seed resolves it one way: the ``--seed`` flag,
-else the ``STOCHTAME_SEED`` environment variable (an integer), else the
-subcommand's default: the config's ``ensemble.base_seed``, 0 for ``gbm`` and
-the suite seed for ``verify``.
+else the subcommand's default: the config's ``ensemble.base_seed``, 0 for
+``gbm`` and the suite seed for ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,15 +34,7 @@ def _load_config(path: str):
 
 
 def _resolve_seed(args, default: int) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("STOCHTAME_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"STOCHTAME_SEED must be an integer, got {env!r}")
-    return default
+    return default if args.seed is None else args.seed
 
 
 def _out_dir(args, cfg) -> Path:

@@ -121,9 +121,6 @@ class ValidationReport:
     n_pairs: int = 0
     residuals_finite: bool = True
 
-    def __bool__(self):
-        return self.passed
-
 
 def control_run(
     X0: SpectralField,
@@ -254,15 +251,17 @@ class _Switching:
             self._close(t, norm, norm)
 
 
-def validate_schedule(record, sched: ControlSchedule, tol: float | None = None) -> ValidationReport:
-    """Check the stopping-time ladder of a finalised control run.
+def validate_schedule(record, sched: ControlSchedule) -> ValidationReport:
+    """Check the stopping-time ladder of a finalised control run against its
+    schedule.
 
     Verifies alternation (tau first, escalations transparent), nondecreasing
-    times with ``rho_{i-1} <= tau_i <= rho_i``, that every crossing step
-    straddles its level (the parameter-free form of "within one-step
-    overshoot"; an explicit ``tol`` widens the bands instead), and reports the
-    minimal deterministic dwell ``alpha = min_i (tau_i - rho_{i-1})`` with
-    ``rho_{-1} = 0``.
+    times with ``rho_{i-1} <= tau_i <= rho_i``, that every event carries the
+    K in force and its levels ``sched.levels(K)`` (K starts at ``sched.K``
+    and doubles at each escalation), and that every crossing step straddles
+    its level (the parameter-free form of "within one-step overshoot"), and
+    reports the minimal deterministic dwell ``alpha = min_i (tau_i -
+    rho_{i-1})`` with ``rho_{-1} = 0``.
 
     Two events fire with no crossing step, at an instant where the stopping
     rule already holds, and need their norm on the stopped side of the level
@@ -299,6 +298,16 @@ def validate_schedule(record, sched: ControlSchedule, tol: float | None = None) 
                 failures.append(f"rho_{i} = {rho.time} precedes tau_{i} = {tau.time}")
             prev_rho = rho.time
 
+    K = sched.K
+    for e in record.events:
+        if e.kind == "escalate":
+            K = 2.0 * K
+        if e.K != K or (e.level_hi, e.level_lo) != sched.levels(K):
+            failures.append(
+                f"{e.kind}_{e.index} at t={e.time}: K {e.K} and levels "
+                f"({e.level_hi}, {e.level_lo}) are not the K in force {K} and its levels"
+            )
+
     escalations = {(e.index, e.time) for e in record.events if e.kind == "escalate"}
     for e in switching:
         lvl = e.level_hi if e.kind == "tau" else e.level_lo
@@ -306,12 +315,7 @@ def validate_schedule(record, sched: ControlSchedule, tol: float | None = None) 
             at_once = e.time == 0.0 and e.norm >= lvl
         else:
             at_once = (e.index, e.time) in escalations and e.norm <= lvl
-        if tol is not None:
-            ok = abs(e.norm - lvl) <= tol or at_once
-        else:
-            lo, hi = min(e.norm_before, e.norm), max(e.norm_before, e.norm)
-            ok = (lo <= lvl <= hi) or at_once
-        if not ok:
+        if not (min(e.norm_before, e.norm) <= lvl <= max(e.norm_before, e.norm) or at_once):
             failures.append(
                 f"{e.kind}_{e.index} at t={e.time}: norm {e.norm} does not bracket level {lvl}"
             )

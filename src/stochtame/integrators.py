@@ -32,8 +32,10 @@ cap (``StepperConfig.stiff_cap``) bounds this quantity by halving the step;
 The loop holds its state as the non-redundant half spectrum (the
 :class:`~stochtame.spectral.HalfSpectrum` layout), zero outside the Galerkin
 cutoff, as every computation of the program does.  A full initial state is
-read through its half.  One trial step makes only the array work its
-arithmetic needs, on the half arrays:
+read through its half.  Every trial step, of every scheme, is one call of
+``_single_step`` on the loop state (the state with its cached norms and
+drift), and it makes only the array work its arithmetic needs, on the half
+arrays:
 
 * one Wiener increment, from a block of base increments drawn at once or
   from the Brownian bridge of the current base interval
@@ -43,7 +45,8 @@ arithmetic needs, on the half arrays:
   multiply by the cached cutoff mask, then the drift's G norm, one dot
   product with the power spectrum; a refined trial reuses both;
 * the scheme update, four array operations for a tamed or Euler-Maruyama
-  step, three more drift calls for an RK4 step;
+  step, three more drift calls for an RK4 step, whose first stage is the
+  cached drift;
 * the four ladder norms of the trial state, one ``np.vecdot`` of the
   stacked weights with its power spectrum, which is also the finiteness
   test (:func:`~stochtame.spectral.weighted_norms`).
@@ -75,7 +78,6 @@ from .spectral import (
     LADDER_SPACES,
     GalerkinProjector,
     NonFiniteFieldError,
-    SpaceLadder,
     SpectralField,
     weighted_norms,
 )
@@ -88,8 +90,8 @@ class StepperConfig:
     """Scheme selection, base step, horizon and blow-up thresholds: the
     ``stepper`` section of a run config, key for key.
 
-    The step floor is ``dt * 2**-dt_min_exponent`` (``resolved_dt_min``), so
-    a path may halve its step ``dt_min_exponent`` times (``max_level``).
+    The step floor is ``dt * 2**-dt_min_exponent``: a path may halve its
+    step ``dt_min_exponent`` times.
     ``blowup_threshold`` (on the F0 norm) defaults to ``1e8 * (1 + ||X0||_F0)``
     at run start and must exceed the initial norm.  A horizon that is not a
     whole number of base steps (up to a relative 1e-9) is rounded up to the
@@ -115,15 +117,6 @@ class StepperConfig:
             raise ValueError("t_end must be nonnegative")
         if self.dt_min_exponent < 1:
             raise ValueError("dt_min_exponent must be >= 1")
-
-    @property
-    def resolved_dt_min(self) -> float:
-        return self.dt * 2.0**-self.dt_min_exponent
-
-    @property
-    def max_level(self) -> int:
-        """Number of dyadic halvings available before the floor is hit."""
-        return self.dt_min_exponent
 
 
 @dataclass
@@ -295,51 +288,21 @@ class _RecordBuilder:
 
 class _LoopDrift:
     """The drift as the stepping loop evaluates it, with the path's cutoff
-    mask and weight stacks, counting the evaluations.  Called, it is the
-    drift counted; the RK4 stages call it so."""
+    mask and weight stacks.  Every evaluation, of a loop state's drift or of
+    an RK4 stage, is one call of it, and it counts them."""
 
     __slots__ = ("A", "mask", "ladder_weights", "G_weights", "calls")
 
-    def __init__(self, A, mask, ladder: SpaceLadder, grid, components: int):
+    def __init__(self, A, mask, grid, components: int):
         self.A = A
         self.mask = mask
-        self.ladder_weights = grid.half.weights(ladder.exponents, components)
-        self.G_weights = grid.half.weights((ladder.s_G,), components)
+        self.ladder_weights = grid.half.weights(A.ladder.exponents, components)
+        self.G_weights = grid.half.weights((A.ladder.s_G,), components)
         self.calls = 0
 
     def __call__(self, X: SpectralField) -> SpectralField:
         self.calls += 1
         return self.A(X)
-
-
-def _em_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
-    # scale-free stiffness: relative drift displacement and relative noise
-    # quadratic variation per step, so spikes refine at bounded cost
-    cache = cache if cache is not None else _StateCache.of(X, A, projector, ladder)
-    norms = cache.norms
-    stiffness = dt * cache.drift_norm_G() / max(norms[0], 1e-300)
-    out = cache.drift() * dt
-    out += X.coeffs
-    if B is not None and B.theta > 0.0:
-        coeff = B.coefficient(norms)
-        stiffness = max(stiffness, dt * coeff * coeff)
-        out += X.coeffs * (dW * coeff)
-    return SpectralField(X.grid, out), stiffness
-
-
-def _tamed_step_with_stiffness(X, A, B, dW, dt, projector, ladder, cache=None):
-    cache = cache if cache is not None else _StateCache.of(X, A, projector, ladder)
-    drift_size = dt * cache.drift_norm_G()
-    out = cache.drift() * (dt / (1.0 + drift_size))
-    out += X.coeffs
-    stiffness = drift_size
-    if B is not None and B.theta > 0.0:
-        norms = cache.norms
-        coeff = B.coefficient(norms)
-        noise_size = dt * (coeff * norms[0]) ** 2
-        stiffness = max(stiffness, noise_size)
-        out += X.coeffs * (dW * coeff / (1.0 + noise_size))
-    return SpectralField(X.grid, out), stiffness
 
 
 class _StateCache:
@@ -354,10 +317,10 @@ class _StateCache:
     its norms, so the growth check, the saved row, the noise coefficient and
     the next step all read the same four numbers.
 
-    The drift is evaluated on first use, projected by one multiply with the
-    cached half mask (:meth:`GalerkinProjector.mask`), and counted.  A trial
-    step that gets halved retries from the same state and reuses it and its
-    G norm.
+    The drift is evaluated on first use, through the loop drift, and
+    projected by one multiply with the cached half mask
+    (:meth:`GalerkinProjector.mask`).  A trial step that gets halved retries
+    from the same state and reuses it and its G norm.
     """
 
     __slots__ = ("X", "loop_drift", "norms", "_drift", "_drift_nG")
@@ -369,18 +332,11 @@ class _StateCache:
         self._drift = None
         self._drift_nG = None
 
-    @classmethod
-    def of(cls, X, A, projector, ladder) -> "_StateCache":
-        """The cache of a state ``X`` outside the loop."""
-        d = _LoopDrift(A, projector.mask(X.grid), ladder, X.grid, len(X.coeffs))
-        return cls(X, d, tuple(weighted_norms(X.coeffs, d.ladder_weights)))
-
     def drift(self) -> np.ndarray:
         """The projected drift's half coefficients."""
         if self._drift is None:
             d = self.loop_drift
-            d.calls += 1
-            self._drift = d.A(self.X).coeffs * d.mask
+            self._drift = d(self.X).coeffs * d.mask
         return self._drift
 
     def drift_norm_G(self) -> float:
@@ -390,11 +346,11 @@ class _StateCache:
 
 
 def rk4_deterministic_step(
-    X: SpectralField, A, dt: float, projector: GalerkinProjector, k1=None
+    X: SpectralField, A, dt: float, projector: GalerkinProjector, k1: np.ndarray
 ) -> SpectralField:
     """Classical 4-stage step for the deterministic phase dX = A_d(X) dt.
 
-    ``X`` is a half; ``k1``, when given, is its projected drift's coefficients.
+    ``X`` is a half and ``k1`` its projected drift's coefficients.
     """
     grid = X.grid
     mask = projector.mask(grid)
@@ -404,7 +360,6 @@ def rk4_deterministic_step(
         y += X.coeffs
         return A(SpectralField(grid, y)).coeffs * mask
 
-    k1 = A(X).coeffs * mask if k1 is None else k1
     k2 = stage(k1, 0.5 * dt)
     k3 = stage(k2, 0.5 * dt)
     k4 = stage(k3, dt)
@@ -417,24 +372,38 @@ def rk4_deterministic_step(
     return SpectralField(grid, out)
 
 
-def _single_step(scheme, X, A, B, dW, h, projector, ladder, cache=None):
-    """One trial step; returns (X_new, stiffness).
+def _single_step(scheme, state: _StateCache, B, dW, h, projector):
+    """One trial step of size ``h`` from a loop state; returns (X_new, stiffness).
+
+    The step reads the state's cached drift, its G norm and the state's
+    ladder norms; an RK4 step takes the cached drift as its first stage and
+    evaluates three more.  ``B`` is the noise on a stochastic step and None
+    on a deterministic one.
 
     The stiffness indicator bounds the per-step size of the scheme: for the
     tamed scheme it is ``max(h*||A_d||_G, h*||B(X)||_G^2)`` (the taming
     denominators stay near 1 only while it is small), for plain EM the
-    scale-free ``max(h*||A_d||_G/||X||_G, h*(theta ||X||^alpha)^2)``.  The
-    adaptive loop halves the step whenever it exceeds the configured cap;
-    otherwise strong noise would be silently suppressed instead of taming
-    the norm.
+    scale-free ``max(h*||A_d||_G/||X||_G, h*(theta ||X||^alpha)^2)``, the
+    relative drift displacement and the relative noise quadratic variation
+    of one step, so spikes refine at bounded cost.  The adaptive loop halves
+    the step whenever it exceeds the configured cap; otherwise strong noise
+    would be silently suppressed instead of taming the norm.
     """
+    X = state.X
     if scheme == "RK4Deterministic":
-        k1 = cache.drift() if cache is not None else None
-        out = rk4_deterministic_step(X, A, h, projector, k1)
-        return out, 0.0
-    if scheme == "EulerMaruyama":
-        return _em_step_with_stiffness(X, A, B, dW, h, projector, ladder, cache)
-    return _tamed_step_with_stiffness(X, A, B, dW, h, projector, ladder, cache)
+        return rk4_deterministic_step(X, state.loop_drift, h, projector, state.drift()), 0.0
+    tamed = scheme == "TamedEulerMaruyama"
+    norms = state.norms
+    drift_size = h * state.drift_norm_G()
+    stiffness = drift_size if tamed else drift_size / max(norms[0], 1e-300)
+    out = state.drift() * (h / (1.0 + drift_size) if tamed else h)
+    out += X.coeffs
+    if B is not None:
+        coeff = B.coefficient(norms)
+        noise_size = h * (coeff * norms[0]) ** 2 if tamed else h * coeff * coeff
+        stiffness = max(stiffness, noise_size)
+        out += X.coeffs * (dW * coeff / (1.0 + noise_size) if tamed else dW * coeff)
+    return SpectralField(X.grid, out), stiffness
 
 
 def integrate_path(
@@ -494,11 +463,11 @@ def _adaptive_loop(
     four-step wait, until the pre-bisection level holds again; from there
     the four-calm-steps rule holds.  Each climb step after the first drops
     at least one level, so the climb costs at most
-    ``max_level - level_before`` steps.  The bisection's accepted halves and
-    the climb tile the pre-bisection step with complementary binary digits,
-    so together they take one step per level below it besides the crossing
-    step, and each halving of the floor costs about one accepted step a
-    crossing.  Any refinement during the climb ends it.  A bisection whose
+    ``dt_min_exponent - level_before`` steps.  The bisection's accepted
+    halves and the climb tile the pre-bisection step with complementary
+    binary digits, so together they take one step per level below it besides
+    the crossing step, and each halving of the floor costs about one
+    accepted step a crossing.  Any refinement during the climb ends it.  A bisection whose
     crossing vanishes on the finer steps lapses at the end of the
     pre-bisection step.
 
@@ -513,18 +482,17 @@ def _adaptive_loop(
     count.
     """
     wall_start = time.perf_counter()
-    ladder: SpaceLadder = A.ladder
     noise_on = B is not None and B.theta > 0.0
     check_scheme_carries(stepper.scheme, noise_on)
     if noise_on and wiener is None:
         raise ValueError("a WienerPath is required when the noise is active")
-    check_state = getattr(A, "check_state", lambda X: ())
+    check_state = A.check_state
 
     grid = X0.grid
     projector = GalerkinProjector(cutoff if cutoff is not None else grid.dealias_cutoff)
     mask = projector.mask(grid)
     X = SpectralField(grid, X0.as_half().coeffs * mask)
-    A = _LoopDrift(A, mask, ladder, grid, len(X.coeffs))
+    A = _LoopDrift(A, mask, grid, len(X.coeffs))
     cache = _StateCache(X, A, tuple(weighted_norms(X.coeffs, A.ladder_weights)))
     n0 = cache.norms[1]
     threshold = (
@@ -539,12 +507,8 @@ def _adaptive_loop(
     env_idx = LADDER_SPACES.index(env_space)
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
 
-    rec = _RecordBuilder(
-        seed if seed is not None else (wiener.seed if wiener is not None else None),
-        config_hash,
-        keep_fields=field_stride is not None,
-        max_level=stepper.max_level,
-    )
+    max_level = stepper.dt_min_exponent
+    rec = _RecordBuilder(seed, config_hash, field_stride is not None, max_level)
     flags = "" if switch is None else switch.start(n0)
     label = ("S" if noise_on else "D") if switch is None else switch.regime
     int_f1 = 0.0
@@ -556,7 +520,7 @@ def _adaptive_loop(
     n_base = int(round(stepper.t_end / stepper.dt))
     if abs(n_base * stepper.dt - stepper.t_end) > 1e-9 * max(1.0, stepper.t_end):
         n_base = math.ceil(stepper.t_end / stepper.dt - 1e-12)
-    adapt, max_level, stiff_cap = stepper.adapt, stepper.max_level, stepper.stiff_cap
+    adapt, stiff_cap = stepper.adapt, stepper.stiff_cap
     growth = 1.0 + stepper.growth_trigger
     status, blowup = "completed", None
     level = 0
@@ -577,7 +541,7 @@ def _adaptive_loop(
         else:
             dW = 0.0
         X_new, stiffness = _single_step(
-            scheme, X, A, B if stochastic else None, dW, h, projector, ladder, cache
+            scheme, cache, B if stochastic else None, dW, h, projector
         )
 
         rec.trials += 1
@@ -599,7 +563,7 @@ def _adaptive_loop(
                 # sampled growth: refine while possible, accept at the floor;
                 # a crossing is bisected down to the floor
                 grew = norm_new > growth * max(norms[1], 1e-300)
-                refine = grew or (crossing and h > stepper.resolved_dt_min)
+                refine = grew or (crossing and level < max_level)
                 cause = "growth" if grew else "crossing"
         if refine and adapt and level < max_level:
             rec.rejections[cause] += 1

@@ -112,16 +112,8 @@ def test_simulate_writes_every_save_stride_row(tmp_path):
     assert times == pytest.approx([0.0, 0.005, 0.01, 0.015, 0.02], abs=1e-15)
 
 
-@pytest.mark.parametrize("argv", [["gbm", "--paths", "10"], ["verify", "--suite", "trivial"]])
-def test_non_integer_seed_variable_is_a_clean_error(monkeypatch, argv):
-    monkeypatch.setenv("STOCHTAME_SEED", "seven")
-    with pytest.raises(SystemExit, match="STOCHTAME_SEED must be an integer, got 'seven'"):
-        main(argv + ["--quiet"])
-
-
-@pytest.mark.parametrize("env, flag, expected", [("0", None, 0), ("5", None, 5), ("5", "0", 0)])
-def test_verify_seed_resolution(monkeypatch, env, flag, expected):
-    # the seed variable means the same as the flag: 0 is seed 0, not the suite seed
+def test_verify_seed_resolution(monkeypatch):
+    # --seed 0 is seed 0, not the suite seed
     import stochtame.acceptance
 
     seen = []
@@ -130,10 +122,8 @@ def test_verify_seed_resolution(monkeypatch, env, flag, expected):
         "run_acceptance",
         lambda names, seed=None, echo=None: seen.append(seed) or [],
     )
-    monkeypatch.setenv("STOCHTAME_SEED", env)
-    argv = ["verify", "--suite", "trivial", "--quiet"] + (["--seed", flag] if flag else [])
-    assert main(argv) == 0
-    assert seen == [expected]
+    assert main(["verify", "--suite", "trivial", "--quiet", "--seed", "0"]) == 0
+    assert seen == [0]
 
 
 ACCOUNTING = (

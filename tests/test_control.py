@@ -167,15 +167,15 @@ class TestClimbBack:
     """A crossing costs one bisection: the stepper climbs straight back."""
 
     def test_climb_returns_to_the_pre_bisection_level(self, monkeypatch):
-        # after each accepted crossing, at most max_level - level_before
+        # after each accepted crossing, at most dt_min_exponent - level_before
         # accepted steps lie finer than the level its bisection began at;
         # a refine during the climb ends it
         trials = []  # [level, crosses] of each trial step
         single_step, crosses = integrators._single_step, control._Switching.crosses
 
-        def spy_step(scheme, X, A, B, dW, h, *rest):
+        def spy_step(scheme, state, B, dW, h, projector):
             trials.append([round(math.log2(1e-3 / h)), False])
-            return single_step(scheme, X, A, B, dW, h, *rest)
+            return single_step(scheme, state, B, dW, h, projector)
 
         def spy_crosses(self, norm):
             out = crosses(self, norm)
@@ -203,7 +203,7 @@ class TestClimbBack:
                 climb[1] += 1
         assert len(climbs) >= 10
         for before, steps in climbs:
-            assert steps <= st.max_level - before, climbs
+            assert steps <= st.dt_min_exponent - before, climbs
 
     def test_step_accounting_on_a_switching_path(self):
         rec, st = growing_mode_run(save_stride=1)
@@ -211,7 +211,7 @@ class TestClimbBack:
         assert rec.accepted_steps == rec.n_rows - 1
         assert rec.rejections["crossing"] > 0
         # every crossing is bisected down to the floor
-        assert rec.finest_level == st.max_level
+        assert rec.finest_level == st.dt_min_exponent
 
     def test_step_floor_costs_about_one_step_per_halving(self):
         # dt_min from dt 2^-12 to dt 2^-30: every crossing is bisected 18
@@ -283,13 +283,13 @@ class TestSharedLoop:
             assert r.n_rows == 2 and r.flags == ["", "flagged"]
 
 
-def test_shallow_water_control_fields_are_hermitian_and_projected():
-    # a seeded inviscid shallow-water switching path: tau at t = 0, rho once
-    # the noise brings the norm down, RK4 after; its snapshots are the halves
-    # the loop steps, its final state their mirror
-    grid = TorusGrid(2, 16)
-    d = 4
-    x0 = random_field(grid, 3, 6.5, 4.0, 97)
+SW_GRID, SW_CUTOFF = TorusGrid(2, 16), 4
+
+
+def shallow_water_switching_run(**strides):
+    """A seeded inviscid shallow-water switching path: tau at t = 0, rho once
+    the noise brings the norm down, RK4 after."""
+    x0 = random_field(SW_GRID, 3, 6.5, 4.0, 97)
     x0.coeffs[2, 0, 0] = 1.0
     st = StepperConfig(
         scheme="EulerMaruyama", dt=2e-3, t_end=0.1, stiff_cap=0.1, growth_trigger=1.0
@@ -297,15 +297,37 @@ def test_shallow_water_control_fields_are_hermitian_and_projected():
     noise = NoiseSpec(1.0, 1.0, "F1", "II")
     rec = control_run(
         x0, DriftOperator("RSW_Inviscid"), noise, ControlSchedule(K=1.0, C=1.0), st,
-        WienerPath(1, 2e-3), cutoff=d, field_stride=1,
+        WienerPath(1, 2e-3), cutoff=SW_CUTOFF, **strides,
     )
     assert rec.status == "completed"
-    assert [e.kind for e in rec.events][:2] == ["tau", "rho"] and "D" in rec.regime
+    assert [e.kind for e in rec.events][:2] == ["tau", "rho"] and rec.regime[-1] == "D"
+    return rec
+
+
+def test_shallow_water_control_fields_are_hermitian_and_projected():
+    # the snapshots of a switching path are the halves the loop steps, its
+    # final state their mirror
+    rec = shallow_water_switching_run(field_stride=1)
     final = rec.final_state
     assert not final.is_half and hermitian_defect(final) == 0.0
-    assert np.all(final.coeffs[:, kinf(grid) > d] == 0.0)
+    assert np.all(final.coeffs[:, kinf(SW_GRID) > SW_CUTOFF] == 0.0)
     for _, field in rec.snapshots:
-        assert field.is_half and np.all(field.coeffs[:, grid.half.kinf > d] == 0.0)
+        assert field.is_half and np.all(field.coeffs[:, SW_GRID.half.kinf > SW_CUTOFF] == 0.0)
+
+
+def test_drift_evals_count_every_drift_call_of_a_switching_path(monkeypatch):
+    # the record's count takes in the drifts of the loop states and the three
+    # later stages of each RK4 step alike
+    calls = []
+    call = DriftOperator.__call__
+
+    def counted(self, X):
+        calls.append(X)
+        return call(self, X)
+
+    monkeypatch.setattr(DriftOperator, "__call__", counted)
+    rec = shallow_water_switching_run()
+    assert rec.drift_evals == len(calls) > rec.trials
 
 
 class TestValidateSchedule:
@@ -360,8 +382,6 @@ class TestValidateSchedule:
         above = self.escalation_events(sched, 1.1 * lo2)
         report = validate_schedule(self.synthetic_record(above), sched)
         assert not report.passed and "bracket" in report.failures[0]
-        report = validate_schedule(self.synthetic_record(above), sched, tol=0.01 * lo2)
-        assert not report.passed
 
     def test_rho_away_from_escalation_must_bracket(self):
         sched = ControlSchedule(K=1.0)
@@ -379,7 +399,27 @@ class TestValidateSchedule:
         hi, lo = sched.levels()
         events = [ControlEvent("tau", 0, 1.0, hi * 0.5, hi * 0.4, hi, lo, sched.K)]
         report = validate_schedule(self.synthetic_record(events), sched)
-        assert not report.passed
-        # explicit tolerance widens the band instead
-        report2 = validate_schedule(self.synthetic_record(events), sched, tol=hi)
-        assert report2.passed
+        assert not report.passed and "bracket" in report.failures[0]
+
+    def test_events_carry_the_levels_of_the_k_in_force(self):
+        # a tau/rho pair that brackets the levels of K = 5 is valid under a
+        # K = 5 schedule and not under a K = 1 one
+        wrong = ControlSchedule(K=5.0)
+        hi, lo = wrong.levels()
+        events = [
+            ControlEvent("tau", 0, 0.1, hi + 0.01, hi - 0.01, hi, lo, wrong.K),
+            ControlEvent("rho", 0, 0.5, lo - 0.01, lo + 0.01, hi, lo, wrong.K),
+        ]
+        assert validate_schedule(self.synthetic_record(events), wrong).passed
+        report = validate_schedule(self.synthetic_record(events), ControlSchedule(K=1.0))
+        assert not report.passed and "not the K in force" in report.failures[0]
+        # an escalation doubles K: events that keep the old K and its levels fail
+        sched = ControlSchedule(K=1.0)
+        hi, lo = sched.levels()
+        stale = [
+            ControlEvent("tau", 0, 0.1, hi + 0.01, hi - 0.01, hi, lo, sched.K),
+            ControlEvent("escalate", 0, 0.5, 0.9 * lo, 0.9 * lo, hi, lo, sched.K),
+            ControlEvent("rho", 0, 0.5, 0.9 * lo, 0.9 * lo, hi, lo, sched.K),
+        ]
+        report = validate_schedule(self.synthetic_record(stale), sched)
+        assert not report.passed and len(report.failures) == 2

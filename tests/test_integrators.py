@@ -5,9 +5,10 @@ import pytest
 
 from stochtame.integrators import (
     StepperConfig,
+    _LoopDrift,
     _single_step,
+    _StateCache,
     integrate_path,
-    rk4_deterministic_step,
 )
 from full_layout import hermitian_defect, kinf
 from stochtame.models import DriftOperator, FourierMultiplierDrift
@@ -37,6 +38,18 @@ def sine_field(grid, amplitude=1.0):
     return SpectralField.from_physical(grid, amplitude * np.sin(grid.coordinates()[0])).as_half()
 
 
+def loop_state(X, A, projector):
+    """The stepping loop's state of a half ``X`` outside the loop: its ladder
+    norms and its projected drift, evaluated on first use."""
+    drift = _LoopDrift(A, projector.mask(X.grid), X.grid, len(X.coeffs))
+    return _StateCache(X, drift, tuple(weighted_norms(X.coeffs, drift.ladder_weights)))
+
+
+def one_step(scheme, X, A, B, dW, h, projector):
+    """``_single_step`` from the loop state of ``X``."""
+    return _single_step(scheme, loop_state(X, A, projector), B, dW, h, projector)
+
+
 class TestSteps:
     def setup_method(self):
         self.grid = TorusGrid(1, 32)
@@ -45,21 +58,19 @@ class TestSteps:
 
     def test_zero_drift_theta_zero_fixed_point(self):
         zero = linear_drift(0.0)
-        out, _ = _single_step("EulerMaruyama", self.X, zero, None, 0.0, 0.1, self.proj, LADDER)
+        out, _ = one_step("EulerMaruyama", self.X, zero, None, 0.0, 0.1, self.proj)
         assert np.array_equal(out.coeffs, self.X.coeffs)
 
     def test_scalar_linear_drift(self):
-        out, _ = _single_step(
-            "EulerMaruyama", self.X, linear_drift(1.0), None, 0.0, 0.01, self.proj, LADDER
-        )
+        out, _ = one_step("EulerMaruyama", self.X, linear_drift(1.0), None, 0.0, 0.01, self.proj)
         assert np.allclose(out.coeffs, 1.01 * self.X.coeffs, rtol=1e-14)
 
     def test_tamed_matches_em_for_small_increments(self):
         # difference is O(dt^2 ||A||^2) by the algebraic expansion
         dt = 1e-4
         drift = heat_drift()
-        a, _ = _single_step("EulerMaruyama", self.X, drift, None, 0.0, dt, self.proj, LADDER)
-        b, _ = _single_step("TamedEulerMaruyama", self.X, drift, None, 0.0, dt, self.proj, LADDER)
+        a, _ = one_step("EulerMaruyama", self.X, drift, None, 0.0, dt, self.proj)
+        b, _ = one_step("TamedEulerMaruyama", self.X, drift, None, 0.0, dt, self.proj)
         diff = np.max(np.abs(a.coeffs - b.coeffs))
         norm_a = sobolev_norm(drift(self.X), LADDER.s_G)
         assert diff <= dt**2 * norm_a**2 * 2
@@ -68,9 +79,7 @@ class TestSteps:
         # huge ||B||: increment magnitude <= |dW| / (dt ||B||_G)
         spec = NoiseSpec(theta=1e6, alpha=0.0, norm_space="F0", case_label="I")
         dt, dW = 1e-3, 0.37
-        out, _ = _single_step(
-            "TamedEulerMaruyama", self.X, linear_drift(0.0), spec, dW, dt, self.proj, LADDER
-        )
+        out, _ = one_step("TamedEulerMaruyama", self.X, linear_drift(0.0), spec, dW, dt, self.proj)
         incr = sobolev_norm(out - self.X, LADDER.s_G)
         bound = abs(dW) / (dt * spec.theta * sobolev_norm(self.X, LADDER.s_G))
         assert incr <= bound * (1 + 1e-12)
@@ -78,8 +87,8 @@ class TestSteps:
     def test_zero_field_fixed_point(self):
         zero_field = SpectralField.zeros(self.grid)
         spec = NoiseSpec(2.0, 1.0, "F0", "I")
-        out, _ = _single_step(
-            "TamedEulerMaruyama", zero_field, heat_drift(), spec, 0.5, 0.01, self.proj, LADDER
+        out, _ = one_step(
+            "TamedEulerMaruyama", zero_field, heat_drift(), spec, 0.5, 0.01, self.proj
         )
         assert np.max(np.abs(out.coeffs)) == 0.0
 
@@ -87,7 +96,7 @@ class TestSteps:
         # exact exponential oracle exp(-k^2 dt) per mode, error O(dt^5)
         drift = heat_drift()
         for dt in (0.1, 0.05):
-            out = rk4_deterministic_step(self.X, drift, dt, self.proj)
+            out, _ = one_step("RK4Deterministic", self.X, drift, None, 0.0, dt, self.proj)
             exact = math.exp(-dt) * self.X
             err = np.max(np.abs(out.coeffs - exact.coeffs))
             assert err <= dt**5 / 10.0
@@ -101,7 +110,7 @@ class TestSteps:
         proj = GalerkinProjector(grid.dealias_cutoff)
         state = omega
         for _ in range(1000):
-            state = rk4_deterministic_step(state, model, 1e-3, proj)
+            state, _ = one_step("RK4Deterministic", state, model, None, 0.0, 1e-3, proj)
         assert np.max(np.abs(state.coeffs - omega.coeffs)) <= 1e-10
 
 
@@ -281,9 +290,9 @@ class TestIntegratePath:
                 norm_calls.append(weights)
             return weighted_norms(coeffs, weights)
 
-        def counting_step(*args):
-            trials.append(args[1])
-            return single_step(*args)
+        def counting_step(scheme, state, B, dW, h, projector):
+            trials.append(state.X)
+            return single_step(scheme, state, B, dW, h, projector)
 
         monkeypatch.setattr(integrators, "weighted_norms", counting_norms)
         monkeypatch.setattr(integrators, "_single_step", counting_step)
@@ -326,6 +335,9 @@ class TestIntegratePath:
 
             def __call__(self, X):
                 return SpectralField(X.grid, np.full_like(X.coeffs, np.nan))
+
+            def check_state(self, X):
+                return []
 
         grid = TorusGrid(1, 32)
         st = StepperConfig(scheme="RK4Deterministic", dt=1e-2, t_end=0.1, adapt=False)
@@ -438,8 +450,12 @@ class TestIntegratePath:
         assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 250.0
 
     def test_floor_is_an_exponent(self):
-        st = StepperConfig(dt=1e-3, dt_min_exponent=12)
-        assert st.max_level == 12 and st.resolved_dt_min == 1e-3 * 2.0**-12
+        # a drift too stiff for every step above the floor: the path halves
+        # its step dt_min_exponent times and ends at the floor
+        st = StepperConfig(dt=1e-3, t_end=0.01, dt_min_exponent=12)
+        rec = integrate_path(sine_field(TorusGrid(1, 32)), linear_drift(1e9), None, st)
+        assert rec.status == "blowup" and rec.blowup == (0.0, "dt_underflow")
+        assert rec.finest_level == 12 and rec.trials == rec.rejections["stiffness"] == 13
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
