@@ -543,10 +543,11 @@ def ac8_schedule_validity(control: SummaryStats, rsw: SummaryStats | None) -> Cr
     bad = sum(not p.schedule_passed for p in runs)
     dwells = [p.alpha_dwell for p in runs if p.alpha_dwell is not None]
     dwell_ok = all(a > 0 for a in dwells)
-    rsw_ok = rsw is None or all(p.schedule_passed for d in rsw.by_d for p in rsw.paths(d))
+    # None when AC-5 ran no shallow-water ensemble: nothing was checked
+    rsw_ok = None if rsw is None else all(p.schedule_passed for d in rsw.by_d for p in rsw.paths(d))
     return CriterionResult(
         name="AC-8",
-        passed=bad == 0 and dwell_ok and rsw_ok,
+        passed=bad == 0 and dwell_ok and rsw_ok is not False,
         runtime_s=time.time() - t0,
         details={
             "validated_runs": len(runs),

@@ -40,9 +40,10 @@ arrays:
 * one Wiener increment, from a block of base increments drawn at once or
   from the Brownian bridge of the current base interval
   (:class:`~stochtame.noise.WienerPath`);
-* on the first trial from a state, its drift: one ``A(X)`` call (one
-  inverse and one forward real FFT, see :mod:`stochtame.models`) and one
-  multiply by the cached cutoff mask, then the drift's G norm, one dot
+* on the first trial from a state, its drift: one ``A(X, cutoff)`` call
+  on the path's Galerkin block (one batched transform each way through the
+  block's kernel, see :mod:`stochtame.spectral`), which lies in the block
+  as the state does, so nothing is masked; then the drift's G norm, one dot
   product with the power spectrum; a refined trial reuses both;
 * the scheme update, four array operations for a tamed or Euler-Maruyama
   step, three more drift calls for an RK4 step, whose first stage is the
@@ -51,9 +52,11 @@ arrays:
   stacked weights with its power spectrum, which is also the finiteness
   test (:func:`~stochtame.spectral.weighted_norms`).
 
-For a tamed Burgers path at n = 256 that is about 60-75 us a trial on a
-2-vCPU VM: about half of it the drift, of which the two FFT calls are
-most, and the rest the norms, the update and scalar bookkeeping on floats.
+For a tamed Burgers path at n = 256 and d = 16 that is about 40-70 us a
+trial on a 2-vCPU VM, whose speed swings that much from run to run: a
+little under half of it the drift, whose two transforms are dense matrix
+products, and the rest the norms, the update and scalar bookkeeping on
+floats.
 Snapshots are kept as halves.  The one full array a path makes is its
 ``final_state``, the record's public field, mirrored from the last half.
 
@@ -287,22 +290,27 @@ class _RecordBuilder:
 
 
 class _LoopDrift:
-    """The drift as the stepping loop evaluates it, with the path's cutoff
-    mask and weight stacks.  Every evaluation, of a loop state's drift or of
-    an RK4 stage, is one call of it, and it counts them."""
+    """The drift as the stepping loop evaluates it, on the path's cutoff,
+    with the path's weight stacks.  Every evaluation, of a loop state's drift
+    or of an RK4 stage, is one call of it, and it counts them.  The drift
+    ``A(X, cutoff)`` of a state in the block ``|k|_inf <= cutoff`` lies in
+    the block, so every stage and every step stays there unmasked."""
 
-    __slots__ = ("A", "mask", "ladder_weights", "G_weights", "calls")
+    __slots__ = ("A", "cutoff", "ladder_weights", "G_weights", "calls")
 
-    def __init__(self, A, mask, grid, components: int):
+    def __init__(self, A, cutoff: int, grid, components: int):
         self.A = A
-        self.mask = mask
+        self.cutoff = cutoff
         self.ladder_weights = grid.half.weights(A.ladder.exponents, components)
         self.G_weights = grid.half.weights((A.ladder.s_G,), components)
         self.calls = 0
 
     def __call__(self, X: SpectralField) -> SpectralField:
         self.calls += 1
-        return self.A(X)
+        return self.A(X, self.cutoff)
+
+    def check_state(self, X: SpectralField) -> list[str]:
+        return self.A.check_state(X, self.cutoff)
 
 
 class _StateCache:
@@ -317,10 +325,9 @@ class _StateCache:
     its norms, so the growth check, the saved row, the noise coefficient and
     the next step all read the same four numbers.
 
-    The drift is evaluated on first use, through the loop drift, and
-    projected by one multiply with the cached half mask
-    (:meth:`GalerkinProjector.mask`).  A trial step that gets halved retries
-    from the same state and reuses it and its G norm.
+    The drift is evaluated on first use, through the loop drift, on the
+    path's block.  A trial step that gets halved retries from the same state
+    and reuses it and its G norm.
     """
 
     __slots__ = ("X", "loop_drift", "norms", "_drift", "_drift_nG")
@@ -335,8 +342,7 @@ class _StateCache:
     def drift(self) -> np.ndarray:
         """The projected drift's half coefficients."""
         if self._drift is None:
-            d = self.loop_drift
-            self._drift = d(self.X).coeffs * d.mask
+            self._drift = self.loop_drift(self.X).coeffs
         return self._drift
 
     def drift_norm_G(self) -> float:
@@ -346,19 +352,19 @@ class _StateCache:
 
 
 def rk4_deterministic_step(
-    X: SpectralField, A, dt: float, projector: GalerkinProjector, k1: np.ndarray
+    X: SpectralField, A: _LoopDrift, dt: float, k1: np.ndarray
 ) -> SpectralField:
     """Classical 4-stage step for the deterministic phase dX = A_d(X) dt.
 
-    ``X`` is a half and ``k1`` its projected drift's coefficients.
+    ``X`` is a half in the loop drift's block and ``k1`` its drift's
+    coefficients; every stage stays in the block.
     """
     grid = X.grid
-    mask = projector.mask(grid)
 
     def stage(k, h):
         y = k * h
         y += X.coeffs
-        return A(SpectralField(grid, y)).coeffs * mask
+        return A(SpectralField(grid, y)).coeffs
 
     k2 = stage(k1, 0.5 * dt)
     k3 = stage(k2, 0.5 * dt)
@@ -372,7 +378,7 @@ def rk4_deterministic_step(
     return SpectralField(grid, out)
 
 
-def _single_step(scheme, state: _StateCache, B, dW, h, projector):
+def _single_step(scheme, state: _StateCache, B, dW, h):
     """One trial step of size ``h`` from a loop state; returns (X_new, stiffness).
 
     The step reads the state's cached drift, its G norm and the state's
@@ -391,7 +397,7 @@ def _single_step(scheme, state: _StateCache, B, dW, h, projector):
     """
     X = state.X
     if scheme == "RK4Deterministic":
-        return rk4_deterministic_step(X, state.loop_drift, h, projector, state.drift()), 0.0
+        return rk4_deterministic_step(X, state.loop_drift, h, state.drift()), 0.0
     tamed = scheme == "TamedEulerMaruyama"
     norms = state.norms
     drift_size = h * state.drift_norm_G()
@@ -486,13 +492,12 @@ def _adaptive_loop(
     check_scheme_carries(stepper.scheme, noise_on)
     if noise_on and wiener is None:
         raise ValueError("a WienerPath is required when the noise is active")
-    check_state = A.check_state
 
     grid = X0.grid
     projector = GalerkinProjector(cutoff if cutoff is not None else grid.dealias_cutoff)
-    mask = projector.mask(grid)
-    X = SpectralField(grid, X0.as_half().coeffs * mask)
-    A = _LoopDrift(A, mask, grid, len(X.coeffs))
+    X = SpectralField(grid, X0.as_half().coeffs * projector.mask(grid))
+    A = _LoopDrift(A, projector.cutoff, grid, len(X.coeffs))
+    check_state = A.check_state
     cache = _StateCache(X, A, tuple(weighted_norms(X.coeffs, A.ladder_weights)))
     n0 = cache.norms[1]
     threshold = (
@@ -540,9 +545,7 @@ def _adaptive_loop(
             rec.wiener_draws[level] += 1
         else:
             dW = 0.0
-        X_new, stiffness = _single_step(
-            scheme, cache, B if stochastic else None, dW, h, projector
-        )
+        X_new, stiffness = _single_step(scheme, cache, B if stochastic else None, dW, h)
 
         rec.trials += 1
         norms = cache.norms

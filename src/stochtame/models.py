@@ -18,17 +18,24 @@ Vorticity3D     3     3             -[(u.grad)w - (w.grad)u] (+ nu Lap w)
 
 The velocity in the vorticity models comes from the Biot-Savart inversion
 ``u = -curl Lap^-1 w`` (zero-mean, divergence free).  All quadratic terms are
-evaluated pseudo-spectrally with 2/3 dealiasing, which keeps the quadratic
-convolution exact on the retained modes; that exactness is what the
-enstrophy / energy conservation tests rely on.  Each drift makes one real-FFT
-round trip: the fields and derivatives it needs are gathered into one stack of
-half spectra and inverted together, the products formed on the grid are
-transformed forward together into their tendencies (the sign, the
-normalisation and the 2/3 mask are one multiply,
-:meth:`~stochtame.spectral.HalfSpectrum.tendency`), and the linear terms are
-added on the half spectrum.  A 1D Burgers drift transforms 2 + 1 fields (u
-and u_x in, u u_x out), a shallow-water drift 4 + 5 (below).  Every function
-here takes and returns halves (the layout rule of :mod:`stochtame.spectral`).
+evaluated pseudo-spectrally on a Galerkin block ``|k|_inf <= d``: the inputs
+are truncated to it and the products kept on it, on a grid that is alias-free
+for it, which keeps the quadratic convolution exact on the block; that
+exactness is what the enstrophy / energy conservation tests rely on.  A
+drift takes its block as ``cutoff`` (``DriftOperator.__call__(X, cutoff)``;
+None is the grid's 2/3 cutoff) and transforms through the block's kernel
+(:meth:`~stochtame.spectral.HalfSpectrum.kernel`), dense matrix products on
+small blocks and real FFTs on the model grid on large ones.  Each drift
+makes one round trip: the fields and derivatives it needs are gathered into
+one stack and taken to grid values together, the products formed on the
+grid are transformed back together into their tendencies, half spectra of
+the model grid that are zero outside the block (the kernel's ``tendency``),
+and the linear terms are added on the half spectrum.  A 1D Burgers drift
+transforms 2 + 1 fields (u and u_x in, u u_x out), a shallow-water drift
+4 + 5 (below), on either kernel.  The linear terms act on every mode of the
+state, so the drift of a state in the block lies in the block.  Every
+function here takes and returns halves (the layout rule of
+:mod:`stochtame.spectral`).
 Only ``DriftOperator.__call__`` also takes a full field: it reads the field's
 half and mirrors the drift back to the full layout (``fhat_{-k} =
 conj(fhat_k)``, self-conjugate modes real), so that output is exactly
@@ -103,10 +110,10 @@ def _dot_grad(vel: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return out
 
 
-def _velocity_and_gradients(hs, vel: np.ndarray, f: np.ndarray):
-    """Dealiased grid values of ``vel`` and ``grads[a, c] = d_a f_c``, one inverse transform."""
-    dim = len(hs.axes)
-    phys = hs.to_physical(np.concatenate([hs.dealiased(vel), hs.gradient(f)]))
+def _velocity_and_gradients(kernel, vel: np.ndarray, f: np.ndarray):
+    """Truncated grid values of ``vel`` and ``grads[a, c] = d_a f_c``, one inverse transform."""
+    dim = len(vel)
+    phys = kernel.to_physical(np.concatenate([kernel.dealiased(vel), kernel.gradient(f)]))
     return phys[:dim], phys[dim:].reshape((dim, len(f)) + phys.shape[1:])
 
 
@@ -116,9 +123,9 @@ def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
     Inputs are truncated by the 2/3 rule before the physical-space product, so
     the retained output modes carry the exact convolution.
     """
-    hs = f.grid.half
-    v, grads = _velocity_and_gradients(hs, vel.coeffs, f.coeffs)
-    return SpectralField(f.grid, -hs.tendency(_dot_grad(v, grads)))
+    kernel = f.grid.half.kernel()
+    v, grads = _velocity_and_gradients(kernel, vel.coeffs, f.coeffs)
+    return SpectralField(f.grid, -kernel.tendency(_dot_grad(v, grads)))
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -205,34 +212,41 @@ def _leray(f: np.ndarray, hs) -> np.ndarray:
 # --- the drifts -------------------------------------------------------------
 
 
-def burgers_drift(u: SpectralField, nu: float = 0.0) -> SpectralField:
-    """-(u.grad)u + nu*Lap u with exact spectral derivatives."""
+def burgers_drift(u: SpectralField, nu: float = 0.0, cutoff: int | None = None) -> SpectralField:
+    """-(u.grad)u + nu*Lap u with exact spectral derivatives, the product
+    on the block ``|k|_inf <= cutoff`` (default: the 2/3 cutoff)."""
     hs = u.grid.half
-    phys = hs.to_physical(hs.with_gradient(u.coeffs))  # u, d_0 u, d_1 u, ...
-    out = hs.tendency(_dot_grad(phys[0], phys[1:]))
+    kernel = hs.kernel(cutoff)
+    phys = kernel.to_physical(kernel.with_gradient(u.coeffs))  # u, d_0 u, d_1 u, ...
+    out = kernel.tendency(_dot_grad(phys[0], phys[1:]))
     if nu > 0.0:
         out += nu * (-hs.ksq * u.coeffs)
     return SpectralField(u.grid, out)
 
 
-def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
-    """-[(u.grad)w - (w.grad)u] + nu*Lap w, velocity via Biot-Savart.
+def vorticity_drift(
+    omega: SpectralField, nu: float = 0.0, cutoff: int | None = None
+) -> SpectralField:
+    """-[(u.grad)w - (w.grad)u] + nu*Lap w, velocity via Biot-Savart, the
+    products on the block ``|k|_inf <= cutoff`` (default: the 2/3 cutoff).
 
     The stretching term drops in 2D.  In 3D the output is re-projected onto
     divergence-free fields to stop rounding drift of ``div w``.
     """
     grid = omega.grid
     hs = grid.half
+    kernel = hs.kernel(cutoff)
     wh = omega.coeffs
     uh = biot_savart(omega).coeffs
     if grid.dim == 2:
-        vel, grads = _velocity_and_gradients(hs, uh, wh)
-        out = hs.tendency(_dot_grad(vel, grads))
+        vel, grads = _velocity_and_gradients(kernel, uh, wh)
+        out = kernel.tendency(_dot_grad(vel, grads))
     else:
         # (u.grad)w and (w.grad)u share one round trip: u, grad u, w, grad w
-        phys = hs.to_physical(np.concatenate([hs.with_gradient(uh), hs.with_gradient(wh)]))
+        stack = np.concatenate([kernel.with_gradient(uh), kernel.with_gradient(wh)])
+        phys = kernel.to_physical(stack)
         nonlinear = _dot_grad(phys[0], phys[5:8]) - _dot_grad(phys[4], phys[1:4])
-        out = _leray(hs.tendency(nonlinear), hs)
+        out = _leray(kernel.tendency(nonlinear), hs)
     if nu > 0.0:
         out += nu * (-hs.ksq * wh)
     return SpectralField(grid, out)
@@ -245,7 +259,9 @@ _RSW_LEFT = np.array([3, 3, 0, 2, 2, 1])
 _RSW_RIGHT = np.array([1, 0, 0, 0, 1, 1])
 
 
-def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> SpectralField:
+def rsw_drift(
+    state: SpectralField, params: ModelParams, viscous: bool, cutoff: int | None = None
+) -> SpectralField:
     """Rotating shallow water tendency for the state (v1, v2, h).
 
     Momentum: ``-(u.grad)u - f zhat x u - grad p (+ nu Lap u)`` with
@@ -256,28 +272,36 @@ def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> Spect
     ``grad(|u|^2/2) + zeta zhat x u``, exact for the dealiased inputs: 4 + 5
     field transforms (module docstring), one gradient of ``|u|^2/2 + p``, and
     the pressure, Coriolis force, viscosity and topography on every mode.
+    The products are formed on the block ``|k|_inf <= cutoff`` (default: the
+    2/3 cutoff); with a cutoff the topography is read on the block too, so
+    the drift of a state in that block lies in it.
     """
     if state.components != 3:
         raise GridMismatchError("shallow water state must be (v1, v2, h)")
     hs = state.grid.half
+    kernel = hs.kernel(cutoff)
     sh = state.coeffs
     u, h = sh[0:2], sh[2]
 
-    phys = hs.to_physical(hs.with_curl(sh))
+    phys = kernel.to_physical(kernel.with_curl(sh))
     products = phys[_RSW_LEFT] * phys[_RSW_RIGHT]
     products[2] += products[5]
-    tend = hs.tendency(products[:5])  # minus the dealiased products
+    tend = kernel.tendency(products[:5])  # minus the truncated products
 
-    b = 0.0 if params.topography is None else params.topography.coeffs[0]
-    p = (h - b) / (params.rossby * params.froude)
+    if params.topography is None:
+        p = h / (params.rossby * params.froude)
+    else:
+        b = params.topography.coeffs[0]
+        if cutoff is not None:
+            b = b * hs.projection_mask(cutoff)
+        p = (h - b) / (params.rossby * params.froude)
     out = np.empty_like(sh)
     np.multiply(hs.ik_stack, 0.5 * tend[2] - p, out=out[0:2])  # -grad(|u|^2/2 + p)
     # -(zeta + f) zhat x u, with zeta u dealiased and f u on every mode
     rot = params.f_coriolis * u[::-1] - tend[0:2]
     out[0] += rot[0]
     out[1] -= rot[1]
-    np.multiply(hs.ik[0], tend[3], out=out[2])  # -div(h u)
-    out[2] += hs.ik[1] * tend[4]
+    np.sum(hs.ik_stack * tend[3:5], axis=0, out=out[2])  # -div(h u)
 
     if viscous:
         out[0:2] += params.nu * (-hs.ksq * u)
@@ -298,19 +322,24 @@ class FourierMultiplierDrift:
         self.symbol = symbol
         self.kind = "FourierMultiplier"
 
-    def __call__(self, X: SpectralField) -> SpectralField:
+    def __call__(self, X: SpectralField, cutoff: int | None = None) -> SpectralField:
+        """``symbol * X``, mode by mode, so it lies in every block ``X`` lies in."""
         return SpectralField(X.grid, self.symbol(X.grid.half.ksq) * X.coeffs)
 
-    def check_state(self, X: SpectralField) -> list[str]:
+    def check_state(self, X: SpectralField, cutoff: int | None = None) -> list[str]:
         return []
 
 
-def _no_warnings(X: SpectralField) -> list[str]:
+def _no_warnings(X: SpectralField, cutoff: int | None = None) -> list[str]:
     return []
 
 
-def _height_warnings(X: SpectralField) -> list[str]:
-    h_phys = X.grid.half.to_physical(X.coeffs[2])
+def _height_warnings(X: SpectralField, cutoff: int | None = None) -> list[str]:
+    """The flag of a height that is not positive at a point of the model
+    grid; with a cutoff, of a state in that block, through its kernel."""
+    hs = X.grid.half
+    h = X.coeffs[2]
+    h_phys = hs.to_physical(h) if cutoff is None else hs.kernel(cutoff).grid_values(h)
     return ["height_nonpositive"] if float(h_phys.min()) <= 0.0 else []
 
 
@@ -328,8 +357,9 @@ def _vorticity_ladder(params: ModelParams) -> SpaceLadder:
 class ModelKind:
     """The facts of one model kind.
 
-    ``drift(X, params)`` is its tendency, ``ladder(params)`` its default
-    ladder and ``check_state(X)`` its state warnings; both take halves, and
+    ``drift(X, params, cutoff)`` is its tendency on the block ``|k|_inf <=
+    cutoff`` (None: the 2/3 cutoff), ``ladder(params)`` its default ladder
+    and ``check_state(X, cutoff)`` its state warnings; both take halves, and
     the drift returns a half.
     A random state of the kind has zero mean when ``zero_mean`` holds and is
     Leray-projected when ``leray`` does.  ``initial_kinds`` are the initial
@@ -339,9 +369,9 @@ class ModelKind:
 
     dim: int
     components: int
-    drift: Callable[[SpectralField, ModelParams], SpectralField]
+    drift: Callable[[SpectralField, ModelParams, int | None], SpectralField]
     ladder: Callable[[ModelParams], SpaceLadder]
-    check_state: Callable[[SpectralField], list[str]] = _no_warnings
+    check_state: Callable[[SpectralField, int | None], list[str]] = _no_warnings
     zero_mean: bool = False
     leray: bool = False
     initial_kinds: tuple[str, ...] = ("sine", "random")
@@ -351,12 +381,12 @@ _LADDER_0134 = _fixed_ladder(0.0, 1.0, 3.0, 4.0)
 _RSW_INITIAL = ("sine", "random", "rest_height")
 
 CATALOGUE = {
-    "Burgers1D": ModelKind(1, 1, lambda X, p: burgers_drift(X, p.nu), _LADDER_0134),
-    "Burgers2D": ModelKind(2, 2, lambda X, p: burgers_drift(X, p.nu), _LADDER_0134),
+    "Burgers1D": ModelKind(1, 1, lambda X, p, d: burgers_drift(X, p.nu, d), _LADDER_0134),
+    "Burgers2D": ModelKind(2, 2, lambda X, p, d: burgers_drift(X, p.nu, d), _LADDER_0134),
     "RSW_Viscous": ModelKind(
         2,
         3,
-        lambda X, p: rsw_drift(X, p, viscous=True),
+        lambda X, p, d: rsw_drift(X, p, True, d),
         _fixed_ladder(0.0, 1.0, 2.0, 3.0),
         _height_warnings,
         initial_kinds=_RSW_INITIAL,
@@ -364,18 +394,18 @@ CATALOGUE = {
     "RSW_Inviscid": ModelKind(
         2,
         3,
-        lambda X, p: rsw_drift(X, p, viscous=False),
+        lambda X, p, d: rsw_drift(X, p, False, d),
         _LADDER_0134,
         _height_warnings,
         initial_kinds=_RSW_INITIAL,
     ),
     "Vorticity2D": ModelKind(
-        2, 1, lambda X, p: vorticity_drift(X, p.nu), _vorticity_ladder, zero_mean=True
+        2, 1, lambda X, p, d: vorticity_drift(X, p.nu, d), _vorticity_ladder, zero_mean=True
     ),
     "Vorticity3D": ModelKind(
         3,
         3,
-        lambda X, p: vorticity_drift(X, p.nu),
+        lambda X, p, d: vorticity_drift(X, p.nu, d),
         _vorticity_ladder,
         zero_mean=True,
         leray=True,
@@ -437,8 +467,14 @@ class DriftOperator:
     def components(self) -> int:
         return CATALOGUE[self.kind].components
 
-    def __call__(self, X: SpectralField) -> SpectralField:
-        """The drift of ``X``: a half, or for a full ``X`` the full layout."""
+    def __call__(self, X: SpectralField, cutoff: int | None = None) -> SpectralField:
+        """The drift of ``X``: a half, or for a full ``X`` the full layout.
+
+        Without a cutoff the quadratic terms are formed at the grid's 2/3
+        cutoff and the linear terms act on every mode.  With one, ``X`` is
+        taken to lie in the block ``|k|_inf <= cutoff`` and the drift is the
+        projected ``A_d(X)``, which lies there too.
+        """
         facts = CATALOGUE[self.kind]
         if X.grid.dim != facts.dim or len(X.coeffs) != facts.components:
             raise GridMismatchError(
@@ -446,12 +482,13 @@ class DriftOperator:
                 f"got dim={X.grid.dim}, components={X.components}"
             )
         if X.is_half:
-            return facts.drift(X, self.params)
-        return facts.drift(X.as_half(), self.params).as_full()
+            return facts.drift(X, self.params, cutoff)
+        return facts.drift(X.as_half(), self.params, cutoff).as_full()
 
-    def check_state(self, X: SpectralField) -> list[str]:
-        """Model-specific state warnings, recorded on the trajectory."""
-        return CATALOGUE[self.kind].check_state(X)
+    def check_state(self, X: SpectralField, cutoff: int | None = None) -> list[str]:
+        """Model-specific state warnings, recorded on the trajectory; with a
+        cutoff, of a state in that block."""
+        return CATALOGUE[self.kind].check_state(X, cutoff)
 
 
 def dissipation_term(a: SpectralField, s: float) -> float:

@@ -52,6 +52,50 @@ from a non-finite field (:class:`NonFiniteFieldError`).
 The 2/3 rule keeps the modes ``|k|_inf <= (n - 1) // 3``
 (:func:`two_thirds_cutoff`): a product of two kept modes has
 ``|k|_inf <= 2d`` and aliases onto a kept mode only when ``3d >= n``.
+
+The drifts form their quadratic terms through a kernel of the Galerkin
+block ``|k|_inf <= d`` (:meth:`HalfSpectrum.kernel`), cached per cutoff on
+the grid's half spectrum.  A kernel reads the block of the fields, makes
+their derivatives there, transforms them to grid values in one batched call,
+and the products formed on the grid back to half spectra of the model grid,
+zero outside the block, in another.  The same condition makes any grid of
+``M > 3d`` points per axis alias-free for the block (Orszag, J. Atmos. Sci.
+28, 1971), so two kernels compute the same products up to rounding:
+
+* :class:`DenseKernel` on ``M = 3d + 1`` points: one ``np.matmul`` of a
+  real DFT matrix per axis for all fields at once, built from the exact
+  integer phases ``k j mod M``;
+* :class:`FFTKernel` on the model grid's ``n`` points: pocketfft real FFTs,
+  the leading axes on the block's ``d + 1`` columns only.
+
+The dense kernel's work grows like ``d^(dim + 1)`` and does not depend on
+``n``; the FFT's like ``n^dim log n`` plus a fixed cost per call.  A block
+gets the dense kernel while :func:`dense_work_ratio`, the dense
+multiply-adds over ``n^dim log2 n^dim``, is at most
+:data:`DENSE_WORK_RATIO_LIMIT`.  The limit comes from this interleaved
+timing of whole drift calls (2-vCPU VM, one BLAS thread, medians of nine
+alternating rounds):
+
+======  ====  ===  =====  ========  ======  ========================
+kind    grid  d    ratio  dense us  FFT us  FFT/dense (range)
+======  ====  ===  =====  ========  ======  ========================
+B1D     256   8    0.22   28        41      1.48 (1.41-1.59)
+B1D     256   32   3.13   31        41      1.31 (1.28-1.35)
+B1D     256   48   6.94   36        41      1.15 (1.07-1.21)
+B1D     256   64   12.25  29        25      0.89 (0.79-1.04)
+B1D     1024  64   2.45   25        36      1.46 (1.40-2.31)
+B1D     1024  128  9.70   71        38      0.55 (0.35-0.64)
+B1D     1024  341  68.40  1015      58      0.06 (0.04-0.07)
+RSW     32^2  8    3.57   130       219     1.66 (1.61-1.75)
+RSW     32^2  10   6.74   104       147     1.37 (1.13-1.51)
+RSW     64^2  16   5.46   378       605     1.60 (1.32-2.17)
+RSW     64^2  21   12.09  470       437     0.91 (0.80-1.21)
+V3D     16^3  5    5.30   1243      2059    1.67 (1.47-2.19)
+======  ====  ===  =====  ========  ======  ========================
+
+(B1D: Burgers1D, RSW: RSW_Inviscid, V3D: Vorticity3D; "ratio" is
+:func:`dense_work_ratio`.)  The dense kernel wins up to a ratio of 6.94
+and loses from 9.70, so the limit is 8.
 """
 
 from __future__ import annotations
@@ -91,17 +135,14 @@ class HalfSpectrum:
     """The non-redundant half of a real field's spectrum on one grid.
 
     Half arrays hold the modes ``0 <= k_last <= n/2`` of the last spatial axis
-    (the numpy ``rfftn`` layout); leading axes are batch axes.  Dealiased
-    arrays keep only the columns ``k_last <= (n - 1) // 3`` that the 2/3 rule can leave
-    nonzero, so the transforms skip the columns that are zero anyway.  The
+    (the numpy ``rfftn`` layout); leading axes are batch axes.  The
     transforms use the module's normalisation, and :meth:`to_full` rebuilds
-    the full coefficient array as an exactly Hermitian one.
+    the full coefficient array as an exactly Hermitian one.  The drifts
+    transform through :meth:`kernel`, one per Galerkin block.
     """
 
     def __init__(self, dim: int, n: int):
         m = n // 2 + 1
-        cutoff = two_thirds_cutoff(n)
-        kept = cutoff + 1
         k1 = np.fft.fftfreq(n, d=1.0 / n)
         axes = []
         for a in range(dim):
@@ -112,7 +153,7 @@ class HalfSpectrum:
         kinf = functools.reduce(np.maximum, [np.abs(ka) for ka in axes])
         self.n = n
         self.m = m
-        self.kept = kept
+        self.dealias_cutoff = two_thirds_cutoff(n)
         # coefficient shapes of one component: the full and the half layout
         self.layouts = ((n,) * dim, kinf.shape)
         self.axes = tuple(range(-dim, 0))
@@ -123,22 +164,10 @@ class HalfSpectrum:
         self.ik_stack = np.stack(np.broadcast_arrays(*self.ik))
         self.ksq = sum(ka**2 for ka in axes)
         self.kinf = kinf
-        # complex, so that masking complex coefficients needs no cast per call
-        self._mask = (kinf <= cutoff)[..., :kept].astype(np.complex128)
-        # stacked on a leading axis, so that one multiply makes every derivative
-        self._ik_dealiased = np.stack([ik[..., :kept] * self._mask for ik in self.ik])[:, None]
-        # and the field itself in front of them
-        self._with_gradient = np.concatenate([self._mask[None, None], self._ik_dealiased])
-        # the forward transforms are unnormalised; their 1/n per axis and the
-        # sign of a tendency ride on the mask, over every column of the half.
-        # For n a power of two that scaling is exact and a sign always is, so
-        # the result is bit for bit that of normalised transforms negated
-        self._tendency_mask = np.zeros(kinf.shape, dtype=np.complex128)
-        self._tendency_mask[..., :kept] = -self._mask / n**dim
         self._weights: dict[tuple[float, int], np.ndarray] = {}
         self._stacked_weights: dict[tuple, np.ndarray] = {}
         self._project_masks: dict[int, np.ndarray] = {}
-        self._with_curl: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._kernels: dict[int, DenseKernel | FFTKernel] = {}
 
         # each stored mode stands for itself and its mirror image -k, except
         # on the planes k_last = 0 and k_last = n/2, which store both
@@ -193,6 +222,26 @@ class HalfSpectrum:
             self._project_masks[cutoff] = (self.kinf <= cutoff).astype(np.complex128)
         return self._project_masks[cutoff]
 
+    def kernel(self, cutoff: int | None = None) -> "DenseKernel | FFTKernel":
+        """The drift transforms of the Galerkin block ``|k|_inf <= cutoff``
+        (default: the 2/3 cutoff); cached per cutoff.
+
+        The block gets the :class:`DenseKernel` when its
+        :func:`dense_work_ratio` is at most :data:`DENSE_WORK_RATIO_LIMIT`,
+        else the :class:`FFTKernel`.  A cutoff above the 2/3 cutoff always
+        gets the FFT kernel, which forms the quadratic terms at the 2/3 cutoff.
+        """
+        d = self.dealias_cutoff if cutoff is None else cutoff
+        kernel = self._kernels.get(d)
+        if kernel is None:
+            ratio = dense_work_ratio(len(self.axes), self.n, d)
+            if d <= self.dealias_cutoff and ratio <= DENSE_WORK_RATIO_LIMIT:
+                kernel = DenseKernel(self, d)
+            else:
+                kernel = FFTKernel(self, min(d, self.dealias_cutoff))
+            self._kernels[d] = kernel
+        return kernel
+
     @staticmethod
     def power(coeffs: np.ndarray) -> np.ndarray:
         """The squared real and imaginary parts of a half array of shape
@@ -200,58 +249,16 @@ class HalfSpectrum:
         v = np.ascontiguousarray(coeffs).view(np.float64)
         return (v * v).reshape(-1)
 
-    def dealiased(self, half: np.ndarray) -> np.ndarray:
-        """2/3-rule truncation, on the kept columns."""
-        return half[..., : self.kept] * self._mask
-
-    def gradient(self, half: np.ndarray) -> np.ndarray:
-        """Dealiased derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
-        f = half[..., : self.kept]
-        return (self._ik_dealiased * f).reshape((-1,) + f.shape[1:])
-
-    def with_gradient(self, half: np.ndarray) -> np.ndarray:
-        """The dealiased field and its derivatives, ``[f, d_0 f, d_1 f, ...]``
-        on a new leading axis, from one multiply."""
-        return self._with_gradient * half[..., : self.kept]
-
-    def with_curl(self, half: np.ndarray) -> np.ndarray:
-        """The dealiased stack ``[f_0, ..., f_last, d_0 f_1 - d_1 f_0]`` of a 2D
-        stack whose first two fields are a velocity: the fields and the
-        vorticity, from one multiply and one subtraction."""
-        c = len(half)
-        cached = self._with_curl.get(c)
-        if cached is None:
-            ik = self._ik_dealiased[:, 0]
-            rows = np.array(list(range(c)) + [1, 0])
-            cached = self._with_curl[c] = (np.stack([self._mask] * c + [ik[0], ik[1]]), rows)
-        multiplier, rows = cached
-        stack = multiplier * half[rows, ..., : self.kept]
-        stack[c] -= stack[c + 1]
-        return stack[: c + 1]
-
     def to_physical(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a stack of half spectra, one batched inverse transform.
 
-        The stack may hold only the first columns (as :meth:`dealiased` gives);
-        the missing ones read as zero.
+        The stack may hold only the first columns (as the FFT kernel reads
+        them); the missing ones read as zero.
         """
         x = half
         for axis in self._lead_axes:
             x = np.fft.ifft(x, axis=axis, norm="forward")
         return np.fft.irfft(x, n=self.n, axis=-1, norm="forward")
-
-    def tendency(self, values: np.ndarray) -> np.ndarray:
-        """2/3-dealiased half spectra of minus a stack of real grid arrays:
-        the tendency -N of a nonlinear term N formed on the grid.
-
-        The leading axes are transformed on the kept columns only; the
-        normalisation, the sign and the mask are one multiply.
-        """
-        x = np.fft.rfft(values, axis=-1)
-        for axis in self._lead_axes:
-            x[..., : self.kept] = np.fft.fft(x[..., : self.kept], axis=axis)
-        x *= self._tendency_mask
-        return x
 
     def to_full(self, half: np.ndarray) -> np.ndarray:
         """The Hermitian full coefficient array of a stack of half spectra."""
@@ -260,6 +267,228 @@ class HalfSpectrum:
         full = np.concatenate([flat, flat.conj()], axis=-1).take(self._mirror_src, axis=-1)
         full.imag[..., self._self_conjugate] = 0.0
         return full.reshape(lead + (self.n,) * len(self.axes))
+
+
+#: the largest :func:`dense_work_ratio` of a block on the dense kernel;
+#: above it the FFT kernel is the faster (the crossover table of the module
+#: docstring)
+DENSE_WORK_RATIO_LIMIT = 8.0
+
+
+def dense_work_ratio(dim: int, n: int, cutoff: int) -> float:
+    """The multiply-adds of one field's dense inverse transform on the block
+    ``|k|_inf <= cutoff`` over the ``N log2 N`` of an FFT of the ``N =
+    n^dim`` model-grid points.
+
+    The dense work is the real matrix product of each axis, from the
+    block's ``2d + 1`` (leading axes) and ``d + 1`` (last axis) complex
+    modes to ``M = 3d + 1`` points, the last axis first; the forward
+    transform costs about as much.
+    """
+    lead, last, points = 2 * cutoff + 1, cutoff + 1, 3 * cutoff + 1
+    if dim == 1:
+        work = 2 * last * points
+    else:
+        work = lead ** (dim - 1) * 2 * last * 2 * points
+        for a in range(dim - 1, 0, -1):
+            out = points if a == 1 else 2 * points
+            work += lead ** (a - 1) * out * 2 * lead * points ** (dim - a)
+    return work / (n**dim * math.log2(n**dim))
+
+
+def _inverse_dft(modes: np.ndarray, points: int) -> np.ndarray:
+    """The real matrix of ``y_j = sum_k c_k exp(i k x_j)`` from the complex
+    coefficients at ``modes`` to ``points`` equispaced values.
+
+    Rows are (real part, imaginary part) by point, the real parts first;
+    columns are mode by (real part, imaginary part), interleaved as a complex
+    array's float view.  Each angle is ``2 pi (k j mod points) / points``
+    from the exact integer phase.
+    """
+    theta = (2.0 * np.pi / points) * (np.outer(np.arange(points), modes) % points)
+    cos, sin = np.cos(theta), np.sin(theta)
+    w = np.empty((2, points, len(modes), 2))
+    w[0, ..., 0], w[0, ..., 1] = cos, -sin
+    w[1, ..., 0], w[1, ..., 1] = sin, cos
+    return w.reshape(2 * points, 2 * len(modes))
+
+
+class _Kernel:
+    """The drift-facing transforms of the Galerkin block ``|k|_inf <= cutoff``.
+
+    A kernel reads the block of a stack of half spectra (:meth:`read`, its
+    own layout), forms fields and derivatives there, takes them to grid
+    values (:meth:`to_physical`) and the products formed on the grid back to
+    half spectra of the model grid, zero outside the block
+    (:meth:`tendency`).  A subclass sets its layout by the index
+    ``self.index`` into a half, and its transforms.
+    """
+
+    def __init__(self, hs: HalfSpectrum, cutoff: int, index: tuple):
+        self.hs = hs
+        self.cutoff = cutoff
+        self.index = index
+        # complex, so that masking complex coefficients needs no cast per call
+        self.mask = (hs.kinf[index] <= cutoff).astype(np.complex128)
+        # stacked on a leading axis, so that one multiply makes every derivative
+        self._ik = (hs.ik_stack[(slice(None),) + index] * self.mask)[:, None]
+        # and the field itself in front of them
+        self._with_gradient = np.concatenate([self.mask[None, None], self._ik])
+        self._with_curl: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def read(self, half: np.ndarray) -> np.ndarray:
+        """The block of a stack of half spectra, in the kernel's layout."""
+        return half[self.index]
+
+    def dealiased(self, half: np.ndarray) -> np.ndarray:
+        """Truncation to the block."""
+        return self.read(half) * self.mask
+
+    def gradient(self, half: np.ndarray) -> np.ndarray:
+        """Truncated derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
+        f = self.read(half)
+        return (self._ik * f).reshape((-1,) + f.shape[1:])
+
+    def with_gradient(self, half: np.ndarray) -> np.ndarray:
+        """The truncated field and its derivatives, ``[f, d_0 f, d_1 f, ...]``
+        on a new leading axis, from one multiply."""
+        return self._with_gradient * self.read(half)
+
+    def with_curl(self, half: np.ndarray) -> np.ndarray:
+        """The truncated stack ``[f_0, ..., f_last, d_0 f_1 - d_1 f_0]`` of a
+        2D stack whose first two fields are a velocity: the fields and the
+        vorticity, from one multiply and one subtraction."""
+        c = len(half)
+        cached = self._with_curl.get(c)
+        if cached is None:
+            ik = self._ik[:, 0]
+            rows = np.array(list(range(c)) + [1, 0])
+            cached = self._with_curl[c] = (np.stack([self.mask] * c + [ik[0], ik[1]]), rows)
+        multiplier, rows = cached
+        stack = multiplier * self.read(half)[rows]
+        stack[c] -= stack[c + 1]
+        return stack[: c + 1]
+
+
+class FFTKernel(_Kernel):
+    """The block's transforms as pocketfft real FFTs on the model grid.
+
+    Its layout is the first ``cutoff + 1`` columns of the half, where the
+    block lies.  The leading axes of the forward transform run on those
+    columns only; its normalisation, the sign of a tendency and the mask are
+    one multiply.
+    """
+
+    def __init__(self, hs: HalfSpectrum, cutoff: int):
+        super().__init__(hs, cutoff, (Ellipsis, slice(None, cutoff + 1)))
+        # the forward transforms are unnormalised; their 1/n per axis and the
+        # sign of a tendency ride on the mask, over every column of the half.
+        # For n a power of two that scaling is exact and a sign always is, so
+        # the result is bit for bit that of normalised transforms negated
+        self._tendency_mask = np.zeros(hs.kinf.shape, dtype=np.complex128)
+        self._tendency_mask[self.index] = -self.mask / hs.n ** len(hs.axes)
+
+    def to_physical(self, stack: np.ndarray) -> np.ndarray:
+        """Model-grid values of a stack in the kernel's layout."""
+        return self.hs.to_physical(stack)
+
+    def tendency(self, values: np.ndarray) -> np.ndarray:
+        """Half spectra of minus a stack of real model-grid arrays, truncated
+        to the block: the tendency -N of a nonlinear term N formed on the grid."""
+        x = np.fft.rfft(values, axis=-1)
+        for axis in self.hs._lead_axes:
+            x[self.index] = np.fft.fft(x[self.index], axis=axis)
+        x *= self._tendency_mask
+        return x
+
+    def grid_values(self, half: np.ndarray) -> np.ndarray:
+        """Model-grid values of a stack of half spectra."""
+        return self.hs.to_physical(half)
+
+
+class DenseKernel(_Kernel):
+    """The block's transforms as dense real matrix products.
+
+    The block holds ``2d + 1`` modes on each leading axis and ``d + 1`` on
+    the last; its layout is those modes, gathered, the leading ones in fft
+    order.  Its grid has ``points`` per axis, by default ``M = 3d + 1``:
+    a product of two block fields has ``|k|_inf <= 2d`` and aliases onto the
+    block only when ``3d >= M``, so the tendency is exact (Orszag's
+    alias-free condition).  Each axis is one ``np.matmul`` over every field,
+    of a real matrix of :func:`_inverse_dft` or its transpose.  The complex
+    values between two axes are kept as an axis of two (real, imaginary)
+    next to the modes or points of the axis to transform next, so that each
+    product contracts two adjacent axes and every reshape is free.
+    """
+
+    def __init__(self, hs: HalfSpectrum, cutoff: int, points: int | None = None):
+        n, dim = hs.n, len(hs.axes)
+        lead = np.r_[0 : cutoff + 1, -cutoff:0]  # fft order
+        rows = np.ix_(*[lead % n] * (dim - 1))
+        super().__init__(hs, cutoff, (Ellipsis,) + rows + (slice(None, cutoff + 1),))
+        M = 3 * cutoff + 1 if points is None else points
+        self.points = M
+        self.block = self.mask.shape
+        # the block's positions in a flattened half, for one np.take
+        mesh = np.ix_(*[lead % n] * (dim - 1), np.arange(cutoff + 1))
+        self._flat = np.ravel_multi_index(mesh, hs.kinf.shape).ravel()
+        self._model_grid = None
+        w_lead = _inverse_dft(lead, M)
+        w_last = _inverse_dft(np.arange(cutoff + 1), M)
+        # a mode off the plane k_last = 0 stands for itself and its mirror
+        # image; the real part of their sum is twice its own
+        images = np.full((1, cutoff + 1, 1), 2.0)
+        images[0, 0] = 1.0
+        last = (w_last.reshape(2 * M, cutoff + 1, 2) * images).reshape(2 * M, -1).T
+        # the forward transforms carry the normalisation and the sign of a tendency
+        forward_last = -w_last / M**dim
+        if dim == 1:
+            # real values only
+            self._inverse = [last[:, :M].copy()]
+            self._forward = [forward_last[:M].copy()]
+        else:
+            # inverse: the last axis to (real, imaginary) parts by point, then
+            # the leading axes from the innermost, the outermost to real values;
+            # forward: the reverse
+            inner = [w_lead] * (dim - 2)
+            self._inverse = [last.copy()] + inner + [w_lead[:M].copy()]
+            self._forward = [w_lead[:M].T.copy()] + [w.T.copy() for w in inner] + [forward_last]
+
+    def read(self, half: np.ndarray) -> np.ndarray:
+        """The block of a stack of half spectra, gathered."""
+        batch = half.shape[: -len(self.block)]
+        flat = np.take(half.reshape(batch + (-1,)), self._flat, axis=-1)
+        return flat.reshape(batch + self.block)
+
+    def to_physical(self, stack: np.ndarray) -> np.ndarray:
+        """Grid values, ``points`` per axis, of a stack in the kernel's layout."""
+        M, dim = self.points, len(self.block)
+        first, *lead = self._inverse
+        x = stack.view(np.float64).reshape(-1, len(first)) @ first
+        for a, w in enumerate(lead):
+            x = np.matmul(w, x.reshape(-1, w.shape[1], M ** (a + 1)))
+        return x.reshape(stack.shape[:-dim] + (M,) * dim)
+
+    def tendency(self, values: np.ndarray) -> np.ndarray:
+        """Half spectra of minus a stack of real grid arrays, ``points`` per
+        axis, on the block and zero elsewhere: the tendency -N of a
+        nonlinear term N formed on the grid."""
+        M, dim = self.points, len(self.block)
+        batch = values.shape[:-dim]
+        *lead, last = self._forward
+        x = values
+        for a, w in enumerate(lead):
+            x = np.matmul(w, x.reshape(-1, w.shape[1], M ** (dim - 1 - a)))
+        x = x.reshape(-1, len(last)) @ last
+        out = np.zeros(batch + self.hs.kinf.shape, dtype=np.complex128)
+        out[self.index] = x.view(np.complex128).reshape(batch + self.block)
+        return out
+
+    def grid_values(self, half: np.ndarray) -> np.ndarray:
+        """Model-grid values of a stack of half spectra on the block."""
+        if self._model_grid is None:
+            self._model_grid = DenseKernel(self.hs, self.cutoff, self.hs.n)
+        return self._model_grid.to_physical(self._model_grid.read(half))
 
 
 @functools.cache

@@ -88,3 +88,18 @@ def test_ac7_rejects_a_projection_that_keeps_a_mode_beyond_the_cutoff(monkeypatc
     result = acceptance.ac7_structural()
     assert not result.passed
     assert any("beyond its cutoff" in m for m in result.details["failures"])
+
+
+def test_ac8_without_a_shallow_water_ensemble_claims_no_check_of_it():
+    # AC-5 ran no shallow-water ensemble: its schedules were not checked, so
+    # the criterion reports None for them, not True, and passes on the
+    # switching arm alone
+    class NoRuns:
+        by_d = ()
+
+        def paths(self, d):
+            return []
+
+    result = acceptance.ac8_schedule_validity(NoRuns(), None)
+    assert result.passed
+    assert result.details["rsw_schedules_ok"] is None

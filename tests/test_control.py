@@ -173,9 +173,9 @@ class TestClimbBack:
         trials = []  # [level, crosses] of each trial step
         single_step, crosses = integrators._single_step, control._Switching.crosses
 
-        def spy_step(scheme, state, B, dW, h, projector):
+        def spy_step(scheme, state, B, dW, h):
             trials.append([round(math.log2(1e-3 / h)), False])
-            return single_step(scheme, state, B, dW, h, projector)
+            return single_step(scheme, state, B, dW, h)
 
         def spy_crosses(self, norm):
             out = crosses(self, norm)
@@ -268,7 +268,7 @@ class TestSharedLoop:
         # a blow-up between saved rows closes the record with a row that
         # carries the model's state flags, as every saved row does
         class FlaggedGrowth(FourierMultiplierDrift):
-            def check_state(self, X):
+            def check_state(self, X, cutoff=None):
                 return ["flagged"]
 
         grid = TorusGrid(1, 32)
@@ -321,9 +321,9 @@ def test_drift_evals_count_every_drift_call_of_a_switching_path(monkeypatch):
     calls = []
     call = DriftOperator.__call__
 
-    def counted(self, X):
+    def counted(self, X, cutoff=None):
         calls.append(X)
-        return call(self, X)
+        return call(self, X, cutoff)
 
     monkeypatch.setattr(DriftOperator, "__call__", counted)
     rec = shallow_water_switching_run()

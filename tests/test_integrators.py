@@ -41,13 +41,13 @@ def sine_field(grid, amplitude=1.0):
 def loop_state(X, A, projector):
     """The stepping loop's state of a half ``X`` outside the loop: its ladder
     norms and its projected drift, evaluated on first use."""
-    drift = _LoopDrift(A, projector.mask(X.grid), X.grid, len(X.coeffs))
+    drift = _LoopDrift(A, projector.cutoff, X.grid, len(X.coeffs))
     return _StateCache(X, drift, tuple(weighted_norms(X.coeffs, drift.ladder_weights)))
 
 
 def one_step(scheme, X, A, B, dW, h, projector):
     """``_single_step`` from the loop state of ``X``."""
-    return _single_step(scheme, loop_state(X, A, projector), B, dW, h, projector)
+    return _single_step(scheme, loop_state(X, A, projector), B, dW, h)
 
 
 class TestSteps:
@@ -290,9 +290,9 @@ class TestIntegratePath:
                 norm_calls.append(weights)
             return weighted_norms(coeffs, weights)
 
-        def counting_step(scheme, state, B, dW, h, projector):
+        def counting_step(scheme, state, B, dW, h):
             trials.append(state.X)
-            return single_step(scheme, state, B, dW, h, projector)
+            return single_step(scheme, state, B, dW, h)
 
         monkeypatch.setattr(integrators, "weighted_norms", counting_norms)
         monkeypatch.setattr(integrators, "_single_step", counting_step)
@@ -333,10 +333,10 @@ class TestIntegratePath:
         class NanDrift:
             ladder = LADDER
 
-            def __call__(self, X):
+            def __call__(self, X, cutoff=None):
                 return SpectralField(X.grid, np.full_like(X.coeffs, np.nan))
 
-            def check_state(self, X):
+            def check_state(self, X, cutoff=None):
                 return []
 
         grid = TorusGrid(1, 32)
@@ -373,9 +373,9 @@ class TestIntegratePath:
         calls = []
 
         class CountedHeat(FourierMultiplierDrift):
-            def __call__(self, X):
+            def __call__(self, X, cutoff=None):
                 calls.append(X)
-                return super().__call__(X)
+                return super().__call__(X, cutoff)
 
         grid = TorusGrid(1, 32)
         x = grid.coordinates()[0]

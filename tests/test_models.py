@@ -23,6 +23,8 @@ from stochtame.models import (
     vorticity_drift,
 )
 from stochtame.spectral import (
+    DenseKernel,
+    FFTKernel,
     SpaceLadder,
     SpectralField,
     TorusGrid,
@@ -33,6 +35,10 @@ from stochtame.spectral import (
     random_field,
     sobolev_norm,
 )
+
+
+#: both drift kernels, to parametrize over
+KERNELS = pytest.mark.parametrize("kernel_class", (DenseKernel, FFTKernel), ids=("dense", "fft"))
 
 
 def physical(grid, values):
@@ -289,50 +295,54 @@ def test_fourier_multiplier_linear_drift():
 # --- parity with a direct Fourier-mode convolution ----------------------------
 
 
-def _convolve(a, b, grid, band):
+def _convolve(a, b, grid, band, cutoff=None):
     """Coefficients of the product of two scalar fields supported on
     ``|k|_inf <= band``, summed mode pair by mode pair and kept on the
-    2/3-rule modes ``|k|_inf <= n // 3``."""
+    modes ``|k|_inf <= cutoff``, by default the 2/3-rule modes."""
     n = grid.n
     modes = np.argwhere(np.ones((2 * band + 1,) * grid.dim)) - band
     idx = tuple((modes % n).T)
     k = modes[:, None, :] + modes[None, :, :]
     vals = a[idx][:, None] * b[idx][None, :]
-    keep = np.abs(k).max(axis=-1) <= grid.dealias_cutoff
+    keep = np.abs(k).max(axis=-1) <= (grid.dealias_cutoff if cutoff is None else cutoff)
     out = np.zeros((n,) * grid.dim, dtype=complex)
     np.add.at(out, tuple((k[keep] % n).T), vals[keep])
     return out
 
 
-def _oracle_advection(vel, f, grid, band):
+def _oracle_advection(vel, f, grid, band, cutoff=None):
     """(vel . grad) f componentwise, by direct convolution."""
     ik = [1j * ka for ka in wavenumbers(grid)]
     return np.stack(
-        [sum(_convolve(vel[a], ik[a] * fc, grid, band) for a in range(grid.dim)) for fc in f]
+        [
+            sum(_convolve(vel[a], ik[a] * fc, grid, band, cutoff) for a in range(grid.dim))
+            for fc in f
+        ]
     )
 
 
-def _oracle_drift(kind, X, params, band):
-    """The drift of a half ``X`` on the full layout, by direct convolution."""
+def _oracle_drift(kind, X, params, band, cutoff=None):
+    """The drift of a half ``X`` on the full layout, by direct convolution,
+    its products kept on ``|k|_inf <= cutoff`` (default: the 2/3 cutoff)."""
     grid = X.grid
     c, k2 = X.as_full().coeffs, ksq(grid)
     ik = [1j * ka for ka in wavenumbers(grid)]
     if kind.startswith("Burgers"):
-        return -_oracle_advection(c, c, grid, band) - params.nu * k2 * c
+        return -_oracle_advection(c, c, grid, band, cutoff) - params.nu * k2 * c
     if kind.startswith("Vorticity"):
         u = biot_savart(X).as_full().coeffs
-        out = -_oracle_advection(u, c, grid, band)
+        out = -_oracle_advection(u, c, grid, band, cutoff)
         if grid.dim == 3:
-            out = SpectralField(grid, out + _oracle_advection(c, u, grid, band)).as_half()
+            out = SpectralField(grid, out + _oracle_advection(c, u, grid, band, cutoff)).as_half()
             out = _leray_project(out).as_full().coeffs
         return out - params.nu * k2 * c
     u, h = c[0:2], c[2]
     b = 0.0 if params.topography is None else params.topography.as_full().coeffs[0]
     p = (h - b) / (params.rossby * params.froude)
     f = params.f_coriolis
-    mom = -_oracle_advection(u, u, grid, band) - np.stack([-f * u[1], f * u[0]])
+    mom = -_oracle_advection(u, u, grid, band, cutoff) - np.stack([-f * u[1], f * u[0]])
     mom = mom - np.stack([ik[0] * p, ik[1] * p]) - params.nu * k2 * u
-    flux = [_convolve(h, u[a], grid, band) for a in range(2)]
+    flux = [_convolve(h, u[a], grid, band, cutoff) for a in range(2)]
     hgt = -(ik[0] * flux[0] + ik[1] * flux[1]) - params.eta * k2 * h
     return np.concatenate([mom, hgt[np.newaxis]])
 
@@ -457,36 +467,48 @@ def test_rsw_drift_of_a_state_above_the_cutoff(kind):
         assert np.max(np.abs(out - expected)[:, off_nyquist]) <= 1e-13 * scale
 
 
-def _field_counts(monkeypatch, drift, X):
-    """The stacks a drift call transforms, each as its number of fields:
-    ``(inverse, forward)``."""
+def force_kernel(monkeypatch, kernel_class):
+    """Make every drift compute on ``kernel_class`` at its cutoff."""
     from stochtame.spectral import HalfSpectrum
 
+    def kernel(self, cutoff=None):
+        return kernel_class(self, self.dealias_cutoff if cutoff is None else cutoff)
+
+    monkeypatch.setattr(HalfSpectrum, "kernel", kernel)
+
+
+def _field_counts(monkeypatch, kernel_class, drift, X):
+    """The stacks a drift call transforms on ``kernel_class``, each as its
+    number of fields: ``(inverse, forward)``."""
+    force_kernel(monkeypatch, kernel_class)
     counts = {"to_physical": [], "tendency": []}
     for name in counts:
-        method = getattr(HalfSpectrum, name)
+        method = getattr(kernel_class, name)
 
         def spy(self, stack, name=name, method=method):
-            counts[name].append(int(np.prod(stack.shape[: -len(self.axes)])))
+            counts[name].append(int(np.prod(stack.shape[: -len(self.hs.axes)])))
             return method(self, stack)
 
-        monkeypatch.setattr(HalfSpectrum, name, spy)
+        monkeypatch.setattr(kernel_class, name, spy)
     drift(X)
     return counts["to_physical"], counts["tendency"]
 
 
+@KERNELS
 @pytest.mark.parametrize("kind", ("RSW_Viscous", "RSW_Inviscid"))
-def test_rsw_drift_transforms_four_fields_in_and_five_out(monkeypatch, kind):
+def test_rsw_drift_transforms_four_fields_in_and_five_out(monkeypatch, kind, kernel_class):
     # [u1, u2, h, zeta] in; [zeta u2, zeta u1, |u|^2, h u1, h u2] out
     grid = TorusGrid(2, 16)
     X = random_state(kind, grid, 2.0, 1.0, 0)
-    assert _field_counts(monkeypatch, DriftOperator(kind, _params(kind, grid)), X) == ([4], [5])
+    drift = DriftOperator(kind, _params(kind, grid))
+    assert _field_counts(monkeypatch, kernel_class, drift, X) == ([4], [5])
 
 
-def test_burgers_1d_drift_transforms_two_fields_in_and_one_out(monkeypatch):
+@KERNELS
+def test_burgers_1d_drift_transforms_two_fields_in_and_one_out(monkeypatch, kernel_class):
     # [u, u_x] in; [u u_x] out
     X = random_state("Burgers1D", TorusGrid(1, 32), 2.0, 1.0, 0)
-    assert _field_counts(monkeypatch, DriftOperator("Burgers1D"), X) == ([2], [1])
+    assert _field_counts(monkeypatch, kernel_class, DriftOperator("Burgers1D"), X) == ([2], [1])
 
 
 def test_module_table_lists_the_catalogue():
