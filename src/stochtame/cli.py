@@ -125,7 +125,13 @@ def cmd_ensemble(args) -> int:
 
     from .config import build_noise, config_hash
     from .experiments import run_ensemble, uniform_control_report
-    from .trajio import ALDOUS_HEADER, UNIFORM_HEADER, write_keyvalue, write_table
+    from .trajio import (
+        ALDOUS_HEADER,
+        PATHS_HEADER,
+        UNIFORM_HEADER,
+        write_keyvalue,
+        write_table,
+    )
 
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
@@ -150,6 +156,7 @@ def cmd_ensemble(args) -> int:
     for d in cfg.ensemble.d_list:
         summary[f"numeric_failures_d{d}"] = stats.n_numeric_failures(d)
     write_keyvalue(out / "report.csv", summary, h, seed)
+    write_table(out / "paths.csv", stats.path_table(), PATHS_HEADER, h, seed)
     if not args.quiet:
         print(json.dumps({k: v for k, v in summary.items()}, default=str, indent=2))
         print(f"wrote tables under {out}")

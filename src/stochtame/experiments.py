@@ -10,7 +10,7 @@ order independent, so identical configurations produce identical statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
 
@@ -104,6 +104,12 @@ def mann_kendall_pvalue(values) -> float:
 
 @dataclass
 class PathOutcome:
+    """What one path of an ensemble leaves for the tables: its statistics
+    and, from its record, its fate and its step accounting (``trials``,
+    ``rejections`` by cause, ``accepted_steps``, ``finest_level``,
+    ``drift_evals``, the Wiener increments drawn and the loop's ``wall_s``).
+    Two outcomes compare equal whatever their wall times."""
+
     seed: int
     status: str
     sup_sq: dict
@@ -115,6 +121,14 @@ class PathOutcome:
     alpha_dwell: float | None = None
     n_switch_pairs: int = 0
     flags: str = ""
+    blowup_reason: str = ""
+    accepted_steps: int = 0
+    trials: int = 0
+    rejections: dict = field(default_factory=dict)
+    finest_level: int = 0
+    drift_evals: int = 0
+    wiener_draws: int = 0
+    wall_s: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -133,6 +147,27 @@ class SummaryStats:
 
     def n_numeric_failures(self, d: int) -> int:
         return sum(1 for p in self.by_d[d] if p.status == "numeric_error")
+
+    def path_table(self):
+        """One row per path, by cutoff and seed: its fate and its step
+        accounting (the columns of :data:`~stochtame.trajio.PATHS_HEADER`)."""
+        return [
+            {
+                "d": d,
+                "seed": p.seed,
+                "status": p.status,
+                "blowup_reason": p.blowup_reason,
+                "accepted_steps": p.accepted_steps,
+                "trials": p.trials,
+                **{f"rejected_{cause}": n for cause, n in p.rejections.items()},
+                "finest_level": p.finest_level,
+                "drift_evals": p.drift_evals,
+                "wiener_draws": p.wiener_draws,
+                "wall_s": p.wall_s,
+            }
+            for d in sorted(self.by_d)
+            for p in self.by_d[d]
+        ]
 
     # tables -----------------------------------------------------------------
     def sup_table(self, space: str = "F0"):
@@ -239,7 +274,7 @@ def _aldous_increments(record, delta_grid, seed, use_hitting: bool, ladder):
     # X_tau are computed in stacks of _WINDOW_CHUNK to bound the temporaries
     ends = [int(np.searchsorted(times, t0 + delta + 1e-12, side="right")) for delta in delta_grid]
     last = max(ends)
-    weight = ref.grid.half.weight(ladder.s_G, ref.components)
+    weight = ref.layout.weight(ladder.s_G, ref.components)
     dist = [np.zeros(1)]  # 0 stands for the empty window
     for lo in range(idx + 1, last, _WINDOW_CHUNK):
         diff = np.stack([f.coeffs for _, f in snaps[lo : min(lo + _WINDOW_CHUNK, last)]])
@@ -290,6 +325,14 @@ def _run_one_path(cfg: RunConfig, noise: NoiseSpec | None, d: int, index: int) -
         alpha_dwell=alpha,
         n_switch_pairs=pairs,
         flags=";".join(f for f in rec.flags if f),
+        blowup_reason=rec.blowup[1] if rec.blowup else "",
+        accepted_steps=rec.accepted_steps,
+        trials=rec.trials,
+        rejections=dict(rec.rejections),
+        finest_level=rec.finest_level,
+        drift_evals=rec.drift_evals,
+        wiener_draws=sum(rec.wiener_draws),
+        wall_s=rec.wall_s,
     )
 
 

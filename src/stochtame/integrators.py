@@ -29,36 +29,41 @@ fixed-step recursion), not at the strong order 1/2.  The adaptive stiffness
 cap (``StepperConfig.stiff_cap``) bounds this quantity by halving the step;
 ``adapt=False`` switches the cap off.
 
-The loop holds its state as the non-redundant half spectrum (the
-:class:`~stochtame.spectral.HalfSpectrum` layout), zero outside the Galerkin
-cutoff, as every computation of the program does.  A full initial state is
-read through its half.  Every trial step, of every scheme, is one call of
+The loop holds its state in the layout of its Galerkin block's kernel
+(:meth:`~stochtame.spectral.HalfSpectrum.kernel`, see
+:mod:`stochtame.spectral`): the block gathered, ``(3, 17, 9)`` for a
+shallow-water state at d = 8, or the first d + 1 columns of the half on the
+FFT kernel.  The initial state is projected and read into it once (a full
+one through its half), and the last state is written back once, for the
+record's ``final_state``.  Every trial step, of every scheme, is one call of
 ``_single_step`` on the loop state (the state with its cached norms and
-drift), and it makes only the array work its arithmetic needs, on the half
-arrays:
+drift), and it makes only the array work its arithmetic needs, on the
+block, with no gather, scatter or model-grid arithmetic:
 
 * one Wiener increment, from a block of base increments drawn at once or
   from the Brownian bridge of the current base interval
   (:class:`~stochtame.noise.WienerPath`);
 * on the first trial from a state, its drift: one ``A(X, cutoff)`` call
-  on the path's Galerkin block (one batched transform each way through the
-  block's kernel, see :mod:`stochtame.spectral`), which lies in the block
-  as the state does, so nothing is masked; then the drift's G norm, one dot
-  product with the power spectrum; a refined trial reuses both;
+  on the block field (one batched transform each way through the block's
+  kernel), which lies in the block as the state does, so nothing is
+  masked; then the drift's G norm, one dot product with the power
+  spectrum; a refined trial reuses both;
 * the scheme update, four array operations for a tamed or Euler-Maruyama
   step, three more drift calls for an RK4 step, whose first stage is the
   cached drift;
 * the four ladder norms of the trial state, one ``np.vecdot`` of the
-  stacked weights with its power spectrum, which is also the finiteness
-  test (:func:`~stochtame.spectral.weighted_norms`).
+  block's stacked weights with its power spectrum, which is also the
+  finiteness test (:func:`~stochtame.spectral.weighted_norms`).
 
-For a tamed Burgers path at n = 256 and d = 16 that is about 40-70 us a
-trial on a 2-vCPU VM, whose speed swings that much from run to run: a
-little under half of it the drift, whose two transforms are dense matrix
-products, and the rest the norms, the update and scalar bookkeeping on
-floats.
-Snapshots are kept as halves.  The one full array a path makes is its
-``final_state``, the record's public field, mirrored from the last half.
+A saved row of a shallow-water path adds its height check, the block's
+values on the model grid's points.  Traced benchmark runs (seed 0, 2 s,
+one BLAS thread, a 2-vCPU VM whose speed swings up to 2x) read 97-105 us
+a drift call of an ``rsw_control`` path (32 x 32, d = 8 and 10), about
+2.9 of them a step, and 25 us a step of the loop's own work besides; a
+``burgers_ensemble`` drift call (n = 256) takes 20-29 us, one a step.
+Snapshots are kept in the block layout; the one full array a path makes is
+its ``final_state``, the record's public field, mirrored from the last
+state.
 
 A path terminates with a blow-up record when the F0 norm crosses the
 threshold or when adaptive halving hits the step floor
@@ -130,9 +135,14 @@ class TrajectoryRecord:
     (time, reason) for the blow-up statuses.  Rows are immutable once the
     record is finalised.  ``sup_norms`` holds the maxima of the (G, F0, F1, D)
     norms over every accepted state, saved as a row or not, so they do not
-    depend on the save stride; ``snapshots`` hold halves and
-    ``snapshot_norm_F0`` the F0 norm of each; ``final_state`` is the full
-    layout, exactly Hermitian.
+    depend on the save stride; ``snapshots`` hold the loop's states in its
+    kernel's block layout (``SpectralField.block``; ``as_half`` writes one
+    to a half) and ``snapshot_norm_F0`` the F0 norm of each;
+    ``final_state`` is the full layout, exactly Hermitian.  Snapshots stay
+    on the block by measurement (Burgers1D, n = 256, d = 8 to 64): a write
+    to a half costs about 2 us, 500 us for a path's 250 snapshots, and the
+    increment statistics read the 250 in 166-211 us from blocks against
+    201-229 us from halves.
 
     The step accounting: ``trials`` counts trial steps; ``rejections`` counts
     the rejected ones by cause ("non_finite", "stiffness", "growth",
@@ -256,7 +266,7 @@ class _RecordBuilder:
             self.snapshot_norms.append(norm_F0)
 
     def build(self, status, blowup, diagnostics, X, drift_evals, wall_s) -> TrajectoryRecord:
-        """The record of a path that ended in the half-layout state ``X``."""
+        """The record of a path that ended in the block-layout state ``X``."""
         data = np.frombuffer(self.data).reshape(-1, 8)
         return TrajectoryRecord(
             times=data[:, 0],
@@ -291,18 +301,19 @@ class _RecordBuilder:
 
 class _LoopDrift:
     """The drift as the stepping loop evaluates it, on the path's cutoff,
-    with the path's weight stacks.  Every evaluation, of a loop state's drift
-    or of an RK4 stage, is one call of it, and it counts them.  The drift
-    ``A(X, cutoff)`` of a state in the block ``|k|_inf <= cutoff`` lies in
-    the block, so every stage and every step stays there unmasked."""
+    with the weight stacks of the path's layout.  Every evaluation, of a
+    loop state's drift or of an RK4 stage, is one call of it, and it counts
+    them.  The drift ``A(X, cutoff)`` of a state in the block ``|k|_inf <=
+    cutoff`` lies in the block, in the state's layout, so every stage and
+    every step stays there unmasked."""
 
     __slots__ = ("A", "cutoff", "ladder_weights", "G_weights", "calls")
 
-    def __init__(self, A, cutoff: int, grid, components: int):
+    def __init__(self, A, cutoff: int, layout, components: int):
         self.A = A
         self.cutoff = cutoff
-        self.ladder_weights = grid.half.weights(A.ladder.exponents, components)
-        self.G_weights = grid.half.weights((A.ladder.s_G,), components)
+        self.ladder_weights = layout.weights(A.ladder.exponents, components)
+        self.G_weights = layout.weights((A.ladder.s_G,), components)
         self.calls = 0
 
     def __call__(self, X: SpectralField) -> SpectralField:
@@ -340,7 +351,7 @@ class _StateCache:
         self._drift_nG = None
 
     def drift(self) -> np.ndarray:
-        """The projected drift's half coefficients."""
+        """The projected drift's coefficients, in the state's layout."""
         if self._drift is None:
             self._drift = self.loop_drift(self.X).coeffs
         return self._drift
@@ -356,15 +367,15 @@ def rk4_deterministic_step(
 ) -> SpectralField:
     """Classical 4-stage step for the deterministic phase dX = A_d(X) dt.
 
-    ``X`` is a half in the loop drift's block and ``k1`` its drift's
-    coefficients; every stage stays in the block.
+    ``X`` is a state in the loop drift's block and ``k1`` its drift's
+    coefficients; every stage stays in the block, in ``X``'s layout.
     """
-    grid = X.grid
+    grid, block = X.grid, X.block
 
     def stage(k, h):
         y = k * h
         y += X.coeffs
-        return A(SpectralField(grid, y)).coeffs
+        return A(SpectralField(grid, y, block)).coeffs
 
     k2 = stage(k1, 0.5 * dt)
     k3 = stage(k2, 0.5 * dt)
@@ -375,7 +386,7 @@ def rk4_deterministic_step(
     out += k4
     out *= dt / 6.0
     out += X.coeffs
-    return SpectralField(grid, out)
+    return SpectralField(grid, out, block)
 
 
 def _single_step(scheme, state: _StateCache, B, dW, h):
@@ -409,7 +420,7 @@ def _single_step(scheme, state: _StateCache, B, dW, h):
         noise_size = h * (coeff * norms[0]) ** 2 if tamed else h * coeff * coeff
         stiffness = max(stiffness, noise_size)
         out += X.coeffs * (dW * coeff / (1.0 + noise_size) if tamed else dW * coeff)
-    return SpectralField(X.grid, out), stiffness
+    return SpectralField(X.grid, out, X.block), stiffness
 
 
 def integrate_path(
@@ -495,8 +506,11 @@ def _adaptive_loop(
 
     grid = X0.grid
     projector = GalerkinProjector(cutoff if cutoff is not None else grid.dealias_cutoff)
-    X = SpectralField(grid, X0.as_half().coeffs * projector.mask(grid))
-    A = _LoopDrift(A, projector.cutoff, grid, len(X.coeffs))
+    X0 = X0.as_half().coeffs * projector.mask(grid)
+    # the state lives in its block kernel's layout until the record is built
+    kernel = grid.half.kernel(projector.cutoff)
+    X = SpectralField(grid, kernel.read(X0), kernel)
+    A = _LoopDrift(A, projector.cutoff, kernel, len(X.coeffs))
     check_state = A.check_state
     cache = _StateCache(X, A, tuple(weighted_norms(X.coeffs, A.ladder_weights)))
     n0 = cache.norms[1]

@@ -25,21 +25,30 @@ exactness is what the enstrophy / energy conservation tests rely on.  A
 drift takes its block as ``cutoff`` (``DriftOperator.__call__(X, cutoff)``;
 None is the grid's 2/3 cutoff) and transforms through the block's kernel
 (:meth:`~stochtame.spectral.HalfSpectrum.kernel`), dense matrix products on
-small blocks and real FFTs on the model grid on large ones.  Each drift
-makes one round trip: the fields and derivatives it needs are gathered into
-one stack and taken to grid values together, the products formed on the
-grid are transformed back together into their tendencies, half spectra of
-the model grid that are zero outside the block (the kernel's ``tendency``),
-and the linear terms are added on the half spectrum.  A 1D Burgers drift
-transforms 2 + 1 fields (u and u_x in, u u_x out), a shallow-water drift
-4 + 5 (below), on either kernel.  The linear terms act on every mode of the
-state, so the drift of a state in the block lies in the block.  Every
-function here takes and returns halves (the layout rule of
-:mod:`stochtame.spectral`).
-Only ``DriftOperator.__call__`` also takes a full field: it reads the field's
-half and mirrors the drift back to the full layout (``fhat_{-k} =
-conj(fhat_k)``, self-conjugate modes real), so that output is exactly
-Hermitian whatever the rounding of the transforms.
+small blocks and real FFTs on the model grid on large ones.
+
+Each drift is written once as a quadratic part and a linear part.  The
+quadratic part takes a stack in a kernel's layout and makes one round trip:
+the fields and derivatives it needs are taken to grid values together, and
+the products formed on the grid are transformed back together into their
+tendencies, in the kernel's layout and zero outside the block (the kernel's
+``tendency``).  A 1D Burgers drift transforms 2 + 1 fields (u and u_x in,
+u u_x out), a shallow-water drift 4 + 5 (below), on either kernel.  The
+linear part acts on every mode of the state, against the per-mode arrays
+(``ik_stack``, ``ksq``, ``k_axes``) of the state's own layout, so the drift
+of a state in the block lies in the block.  The layout is the state's:
+
+* a block field (the stepping loop's state, see :mod:`stochtame.spectral`)
+  is stepped in its kernel's layout: both parts are formed there, and the
+  drift is a block field of the same kernel, with no read or write;
+* a half has its block read, the quadratic part formed on it and written
+  back to a half, and the linear part added on the half.  The drift of a
+  half in the block is the drift of its block field written back, bit for
+  bit;
+* ``DriftOperator.__call__`` also takes a full field: it reads the field's
+  half and mirrors the drift back to the full layout (``fhat_{-k} =
+  conj(fhat_k)``, self-conjugate modes real), so that output is exactly
+  Hermitian whatever the rounding of the transforms.
 
 Shallow water note: the momentum state is used directly as the advected
 velocity.  A rotation vector potential with ``curl R = f zhat`` and zero
@@ -111,7 +120,8 @@ def _dot_grad(vel: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 
 def _velocity_and_gradients(kernel, vel: np.ndarray, f: np.ndarray):
-    """Truncated grid values of ``vel`` and ``grads[a, c] = d_a f_c``, one inverse transform."""
+    """Truncated grid values of ``vel`` and ``grads[a, c] = d_a f_c`` from
+    stacks in the kernel's layout, one inverse transform."""
     dim = len(vel)
     phys = kernel.to_physical(np.concatenate([kernel.dealiased(vel), kernel.gradient(f)]))
     return phys[:dim], phys[dim:].reshape((dim, len(f)) + phys.shape[1:])
@@ -124,8 +134,8 @@ def advective_term(vel: SpectralField, f: SpectralField) -> SpectralField:
     the retained output modes carry the exact convolution.
     """
     kernel = f.grid.half.kernel()
-    v, grads = _velocity_and_gradients(kernel, vel.coeffs, f.coeffs)
-    return SpectralField(f.grid, -kernel.tendency(_dot_grad(v, grads)))
+    v, grads = _velocity_and_gradients(kernel, kernel.read(vel.coeffs), kernel.read(f.coeffs))
+    return SpectralField(f.grid, -kernel.write(kernel.tendency(_dot_grad(v, grads))))
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -162,17 +172,21 @@ def biot_savart(omega: SpectralField) -> SpectralField:
     and the mean of u is zero.  A 3D input whose divergence is not negligible
     relative to its size is rejected.
     """
-    grid, w = omega.grid, omega.coeffs
-    k = grid.half.k_axes
-    zero = (0,) * grid.dim
-    ksq = grid.half.ksq.copy()
+    return SpectralField(omega.grid, _biot_savart(omega.coeffs, omega.layout), omega.block)
+
+
+def _biot_savart(w: np.ndarray, layout) -> np.ndarray:
+    """:func:`biot_savart` of a vorticity stack in ``layout``."""
+    k = layout.k_axes
+    zero = (0,) * len(k)
+    ksq = layout.ksq.copy()
     ksq[zero] = 1.0  # avoid 0/0; the k=0 mode is zeroed below
-    if grid.dim == 2:
+    if len(k) == 2:
         if len(w) != 1:
             raise GridMismatchError("2D vorticity must be scalar")
         psi = -w[0] / ksq  # Lap psi = omega
         u = np.stack([-1j * k[1] * psi, 1j * k[0] * psi])
-    elif grid.dim == 3:
+    elif len(k) == 3:
         if len(w) != 3:
             raise GridMismatchError("3D vorticity must have three components")
         scale = float(np.max(np.abs(w))) or 1.0
@@ -184,7 +198,7 @@ def biot_savart(omega: SpectralField) -> SpectralField:
     else:
         raise GridMismatchError("Biot-Savart inversion is 2D or 3D")
     u[(slice(None),) + zero] = 0.0
-    return SpectralField(grid, u)
+    return u
 
 
 def _leray_project(f: SpectralField) -> SpectralField:
@@ -201,9 +215,9 @@ def _leray_project(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, _leray(f.coeffs, hs) * (hs.kinf < f.grid.nyquist))
 
 
-def _leray(f: np.ndarray, hs) -> np.ndarray:
-    k = hs.k_axes
-    ksq = hs.ksq.copy()
+def _leray(f: np.ndarray, layout) -> np.ndarray:
+    k = layout.k_axes
+    ksq = layout.ksq.copy()
     ksq[(0,) * len(k)] = 1.0
     kdot = sum(k[a] * f[a] for a in range(len(k))) / ksq
     return np.stack([f[a] - k[a] * kdot for a in range(len(k))])
@@ -212,16 +226,43 @@ def _leray(f: np.ndarray, hs) -> np.ndarray:
 # --- the drifts -------------------------------------------------------------
 
 
+def _quadratic(X: SpectralField, cutoff: int | None, part) -> np.ndarray:
+    """``part(block, kernel)``, the quadratic part of a drift formed on a
+    stack in a kernel's layout, for ``X`` in ``X``'s own layout.
+
+    A block field's part is formed on its block as it stands.  A half's
+    block (``|k|_inf <= cutoff``, default the 2/3 cutoff) is read, and the
+    part formed on it is written back to a half, zero outside the block.
+    """
+    if X.block is not None:
+        return part(X.coeffs, X.block)
+    kernel = X.grid.half.kernel(cutoff)
+    return kernel.write(part(kernel.read(X.coeffs), kernel))
+
+
+def _burgers_quadratic(u: np.ndarray, kernel) -> np.ndarray:
+    phys = kernel.to_physical(kernel.with_gradient(u))  # u, d_0 u, d_1 u, ...
+    return kernel.tendency(_dot_grad(phys[0], phys[1:]))
+
+
 def burgers_drift(u: SpectralField, nu: float = 0.0, cutoff: int | None = None) -> SpectralField:
     """-(u.grad)u + nu*Lap u with exact spectral derivatives, the product
     on the block ``|k|_inf <= cutoff`` (default: the 2/3 cutoff)."""
-    hs = u.grid.half
-    kernel = hs.kernel(cutoff)
-    phys = kernel.to_physical(kernel.with_gradient(u.coeffs))  # u, d_0 u, d_1 u, ...
-    out = kernel.tendency(_dot_grad(phys[0], phys[1:]))
+    out = _quadratic(u, cutoff, _burgers_quadratic)
     if nu > 0.0:
-        out += nu * (-hs.ksq * u.coeffs)
-    return SpectralField(u.grid, out)
+        out += nu * (-u.layout.ksq * u.coeffs)
+    return SpectralField(u.grid, out, u.block)
+
+
+def _vorticity_quadratic(w: np.ndarray, kernel) -> np.ndarray:
+    u = _biot_savart(w, kernel)
+    if len(kernel.shape) == 2:
+        vel, grads = _velocity_and_gradients(kernel, u, w)
+        return kernel.tendency(_dot_grad(vel, grads))
+    # (u.grad)w and (w.grad)u share one round trip: u, grad u, w, grad w
+    phys = kernel.to_physical(np.concatenate([kernel.with_gradient(u), kernel.with_gradient(w)]))
+    nonlinear = _dot_grad(phys[0], phys[5:8]) - _dot_grad(phys[4], phys[1:4])
+    return _leray(kernel.tendency(nonlinear), kernel)
 
 
 def vorticity_drift(
@@ -233,23 +274,10 @@ def vorticity_drift(
     The stretching term drops in 2D.  In 3D the output is re-projected onto
     divergence-free fields to stop rounding drift of ``div w``.
     """
-    grid = omega.grid
-    hs = grid.half
-    kernel = hs.kernel(cutoff)
-    wh = omega.coeffs
-    uh = biot_savart(omega).coeffs
-    if grid.dim == 2:
-        vel, grads = _velocity_and_gradients(kernel, uh, wh)
-        out = kernel.tendency(_dot_grad(vel, grads))
-    else:
-        # (u.grad)w and (w.grad)u share one round trip: u, grad u, w, grad w
-        stack = np.concatenate([kernel.with_gradient(uh), kernel.with_gradient(wh)])
-        phys = kernel.to_physical(stack)
-        nonlinear = _dot_grad(phys[0], phys[5:8]) - _dot_grad(phys[4], phys[1:4])
-        out = _leray(kernel.tendency(nonlinear), hs)
+    out = _quadratic(omega, cutoff, _vorticity_quadratic)
     if nu > 0.0:
-        out += nu * (-hs.ksq * wh)
-    return SpectralField(grid, out)
+        out += nu * (-omega.layout.ksq * omega.coeffs)
+    return SpectralField(omega.grid, out, omega.block)
 
 
 #: the grid products of the shallow-water drift from its grid fields
@@ -257,6 +285,14 @@ def vorticity_drift(
 #: ``u2 u2``, which is added to ``u1 u1``
 _RSW_LEFT = np.array([3, 3, 0, 2, 2, 1])
 _RSW_RIGHT = np.array([1, 0, 0, 0, 1, 1])
+
+
+def _rsw_quadratic(state: np.ndarray, kernel) -> np.ndarray:
+    """Minus the truncated ``[zeta u2, zeta u1, |u|^2, h u1, h u2]``."""
+    phys = kernel.to_physical(kernel.with_curl(state))
+    products = phys[_RSW_LEFT] * phys[_RSW_RIGHT]
+    products[2] += products[5]
+    return kernel.tendency(products[:5])
 
 
 def rsw_drift(
@@ -278,35 +314,33 @@ def rsw_drift(
     """
     if state.components != 3:
         raise GridMismatchError("shallow water state must be (v1, v2, h)")
-    hs = state.grid.half
-    kernel = hs.kernel(cutoff)
+    tend = _quadratic(state, cutoff, _rsw_quadratic)
+    layout = state.layout
     sh = state.coeffs
     u, h = sh[0:2], sh[2]
-
-    phys = kernel.to_physical(kernel.with_curl(sh))
-    products = phys[_RSW_LEFT] * phys[_RSW_RIGHT]
-    products[2] += products[5]
-    tend = kernel.tendency(products[:5])  # minus the truncated products
 
     if params.topography is None:
         p = h / (params.rossby * params.froude)
     else:
         b = params.topography.coeffs[0]
         if cutoff is not None:
-            b = b * hs.projection_mask(cutoff)
+            b = b * state.grid.half.projection_mask(cutoff)
+        if state.block is not None:
+            b = state.block.read(b)
         p = (h - b) / (params.rossby * params.froude)
     out = np.empty_like(sh)
-    np.multiply(hs.ik_stack, 0.5 * tend[2] - p, out=out[0:2])  # -grad(|u|^2/2 + p)
+    np.multiply(layout.ik_stack, 0.5 * tend[2] - p, out=out[0:2])  # -grad(|u|^2/2 + p)
     # -(zeta + f) zhat x u, with zeta u dealiased and f u on every mode
     rot = params.f_coriolis * u[::-1] - tend[0:2]
     out[0] += rot[0]
     out[1] -= rot[1]
-    np.sum(hs.ik_stack * tend[3:5], axis=0, out=out[2])  # -div(h u)
+    flux = layout.ik_stack * tend[3:5]
+    np.add(flux[0], flux[1], out=out[2])  # -div(h u)
 
     if viscous:
-        out[0:2] += params.nu * (-hs.ksq * u)
-        out[2] += params.eta * (-hs.ksq * h)
-    return SpectralField(state.grid, out)
+        out[0:2] += params.nu * (-layout.ksq * u)
+        out[2] += params.eta * (-layout.ksq * h)
+    return SpectralField(state.grid, out, state.block)
 
 
 class FourierMultiplierDrift:
@@ -323,8 +357,9 @@ class FourierMultiplierDrift:
         self.kind = "FourierMultiplier"
 
     def __call__(self, X: SpectralField, cutoff: int | None = None) -> SpectralField:
-        """``symbol * X``, mode by mode, so it lies in every block ``X`` lies in."""
-        return SpectralField(X.grid, self.symbol(X.grid.half.ksq) * X.coeffs)
+        """``symbol * X``, mode by mode, so it lies in every block ``X`` lies
+        in; in ``X``'s layout."""
+        return SpectralField(X.grid, self.symbol(X.layout.ksq) * X.coeffs, X.block)
 
     def check_state(self, X: SpectralField, cutoff: int | None = None) -> list[str]:
         return []
@@ -336,10 +371,16 @@ def _no_warnings(X: SpectralField, cutoff: int | None = None) -> list[str]:
 
 def _height_warnings(X: SpectralField, cutoff: int | None = None) -> list[str]:
     """The flag of a height that is not positive at a point of the model
-    grid; with a cutoff, of a state in that block, through its kernel."""
-    hs = X.grid.half
+    grid; of a block field, or with a cutoff of a half in that block,
+    through the block's kernel."""
     h = X.coeffs[2]
-    h_phys = hs.to_physical(h) if cutoff is None else hs.kernel(cutoff).grid_values(h)
+    if X.block is not None:
+        h_phys = X.block.grid_values(h)
+    elif cutoff is None:
+        h_phys = X.grid.half.to_physical(h)
+    else:
+        kernel = X.grid.half.kernel(cutoff)
+        h_phys = kernel.grid_values(kernel.read(h))
     return ["height_nonpositive"] if float(h_phys.min()) <= 0.0 else []
 
 
@@ -359,8 +400,8 @@ class ModelKind:
 
     ``drift(X, params, cutoff)`` is its tendency on the block ``|k|_inf <=
     cutoff`` (None: the 2/3 cutoff), ``ladder(params)`` its default ladder
-    and ``check_state(X, cutoff)`` its state warnings; both take halves, and
-    the drift returns a half.
+    and ``check_state(X, cutoff)`` its state warnings; both take a half or a
+    block field, and the drift returns a field in ``X``'s layout.
     A random state of the kind has zero mean when ``zero_mean`` holds and is
     Leray-projected when ``leray`` does.  ``initial_kinds`` are the initial
     states a config may ask for: a sine in the first component is not
@@ -468,7 +509,8 @@ class DriftOperator:
         return CATALOGUE[self.kind].components
 
     def __call__(self, X: SpectralField, cutoff: int | None = None) -> SpectralField:
-        """The drift of ``X``: a half, or for a full ``X`` the full layout.
+        """The drift of ``X`` in ``X``'s layout: a half, a block field of
+        ``X``'s kernel, or for a full ``X`` the full layout.
 
         Without a cutoff the quadratic terms are formed at the grid's 2/3
         cutoff and the linear terms act on every mode.  With one, ``X`` is
@@ -481,13 +523,13 @@ class DriftOperator:
                 f"{self.kind} expects dim={facts.dim}, components={facts.components}; "
                 f"got dim={X.grid.dim}, components={X.components}"
             )
-        if X.is_half:
+        if X.block is not None or X.is_half:
             return facts.drift(X, self.params, cutoff)
         return facts.drift(X.as_half(), self.params, cutoff).as_full()
 
     def check_state(self, X: SpectralField, cutoff: int | None = None) -> list[str]:
-        """Model-specific state warnings, recorded on the trajectory; with a
-        cutoff, of a state in that block."""
+        """Model-specific state warnings, recorded on the trajectory, of a
+        half or a block field; with a cutoff, of a state in that block."""
         return CATALOGUE[self.kind].check_state(X, cutoff)
 
 

@@ -18,32 +18,43 @@ checks.
 Real-valued fields are Hermitian-symmetric (``fhat_{-k} = conj(fhat_k)``), so
 the program computes on the non-redundant half of the spectrum only: the
 modes ``0 <= k_last <= n/2`` of the last axis (the numpy ``rfftn`` layout,
-:class:`HalfSpectrum`).  Every operation of this module and of
-:mod:`stochtame.models` takes and returns halves.  The full layout, every
-mode in fft order, is a boundary format.  A full field enters a computation
-only through :meth:`SpectralField.as_half`, a view, at the entry of
-``DriftOperator.__call__``, :func:`galerkin_project` and the stepping loop.
-It is made only by :meth:`HalfSpectrum.to_full`, for
-:meth:`SpectralField.from_physical`, a trajectory's ``final_state`` and the
-results handed back to a full-layout caller.  Mirrored arrays are exactly
-Hermitian, with real self-conjugate modes.  In 2D and 3D the planes
-``k_last = 0`` and ``k_last = n/2`` of a half store both ``k`` and ``-k``; a
-stepped half keeps them conjugate only to rounding, and the mirror reads one
-of each pair.
+:class:`HalfSpectrum`).  The layouts follow one rule:
 
-Sobolev norms and pairings are weighted sums over the stored modes of the
-half: each mode is counted once per mirror image, that is twice off the
+* the full layout, every mode in fft order, is a boundary format.  A full
+  field enters a computation only through :meth:`SpectralField.as_half`, a
+  view, at the entry of ``DriftOperator.__call__``,
+  :func:`galerkin_project` and the stepping loop.  It is made only by
+  :meth:`HalfSpectrum.to_full`, for :meth:`SpectralField.from_physical`, a
+  trajectory's ``final_state`` and the results handed back to a full-layout
+  caller;
+* halves are the layout of the public operations: this module's and
+  :mod:`stochtame.models`' functions take and return them;
+* a path's stepping loop runs in its kernel's block layout (below), from
+  its initial projection, one :meth:`_Kernel.read`, until its record is
+  built, one :meth:`_Kernel.write`.  A :class:`SpectralField` with a
+  ``block`` holds such coefficients, and the norms, pairings and drifts
+  take it as they take a half, through its ``layout``.
+
+Mirrored arrays are exactly Hermitian, with real self-conjugate modes.  In
+2D and 3D the planes ``k_last = 0`` and ``k_last = n/2`` of a half store
+both ``k`` and ``-k``; a stepped half keeps them conjugate only to
+rounding, and the mirror reads one of each pair.
+
+Sobolev norms and pairings are weighted sums over the stored modes of a
+layout: each mode is counted once per mirror image, that is twice off the
 planes ``k_last = 0, n/2`` and once on them, where ``-k`` is stored too.  The
 power (:meth:`HalfSpectrum.power`) is the squared real and imaginary parts of
 every component at the stored modes.  ``||f||_{H^s}^2`` is one dot product of
-the power with the cached weight.  :func:`weighted_norms` forms the power
-once and takes the dot products with a stack of weights in one
-``np.vecdot`` call, each row the same dot product as alone, so
-:meth:`SpaceLadder.norms` and :func:`sobolev_norm` agree bit for bit.  They
-agree with the plain sum over the full array only to rounding (a few ulps): the
-half sum adds each off-plane mode once with weight 2, where the full sum adds
-it twice, in another order.  Finiteness is read off the weighted sum instead
-of scanning the coefficients: every square is >= 0 and every weight is > 0,
+the power with the layout's cached weight (:meth:`_Layout.weight`).
+:func:`weighted_norms` forms the power once and takes the dot products with
+a stack of weights in one ``np.vecdot`` call, each row the same dot product
+as alone, so :meth:`SpaceLadder.norms` and :func:`sobolev_norm` agree bit
+for bit.  They agree with the plain sum over the full array, and a block's
+sums with its half's, only to rounding (a few ulps): the half sum adds each
+off-plane mode once with weight 2, where the full sum adds it twice, and the
+block sum leaves out the zeros outside the block, each in another order.
+Finiteness is read off the weighted sum instead of scanning the
+coefficients: every square is >= 0 and every weight is > 0,
 so a NaN or Inf coefficient makes the sum NaN or Inf, and a sum of finite
 coefficients is finite unless it overflows.  Only a non-finite sum is
 followed by an ``isfinite`` scan, which tells an overflow (the norm is inf)
@@ -55,18 +66,22 @@ The 2/3 rule keeps the modes ``|k|_inf <= (n - 1) // 3``
 
 The drifts form their quadratic terms through a kernel of the Galerkin
 block ``|k|_inf <= d`` (:meth:`HalfSpectrum.kernel`), cached per cutoff on
-the grid's half spectrum.  A kernel reads the block of the fields, makes
-their derivatives there, transforms them to grid values in one batched call,
-and the products formed on the grid back to half spectra of the model grid,
-zero outside the block, in another.  The same condition makes any grid of
-``M > 3d`` points per axis alias-free for the block (Orszag, J. Atmos. Sci.
-28, 1971), so two kernels compute the same products up to rounding:
+the grid's half spectrum.  A kernel has a layout of its own, which holds
+the block: its per-mode arrays (wavenumbers, ``|k|^2``, mirror images and
+ladder weights) are the half's read at the layout.  On stacks in the layout
+it makes derivatives, transforms them to grid values in one batched call,
+and the products formed on the grid back to the layout, zero outside the
+block, in another.  The same condition makes any grid of ``M > 3d`` points
+per axis alias-free for the block (Orszag, J. Atmos. Sci. 28, 1971), so two
+kernels compute the same products up to rounding:
 
 * :class:`DenseKernel` on ``M = 3d + 1`` points: one ``np.matmul`` of a
   real DFT matrix per axis for all fields at once, built from the exact
-  integer phases ``k j mod M``;
+  integer phases ``k j mod M``.  Its layout is the block gathered, shape
+  ``(2d + 1, ..., d + 1)``;
 * :class:`FFTKernel` on the model grid's ``n`` points: pocketfft real FFTs,
-  the leading axes on the block's ``d + 1`` columns only.
+  the leading axes on the layout's columns only.  Its layout is the first
+  ``d + 1`` columns of the half.
 
 The dense kernel's work grows like ``d^(dim + 1)`` and does not depend on
 ``n``; the FFT's like ``n^dim log n`` plus a fixed cost per call.  A block
@@ -131,7 +146,45 @@ def two_thirds_cutoff(n: int) -> int:
     return (n - 1) // 3
 
 
-class HalfSpectrum:
+class _Layout:
+    """The per-mode arrays of a coefficient layout, whose last axes are the
+    modes: the wavenumbers ``k_axes`` and ``ik``, ``ik_stack`` (every
+    derivative from one multiply), ``ksq`` and ``kinf`` on every mode, the
+    mirror images each stored mode stands for, and the ladder weights.
+    ``layouts`` holds the coefficient shapes of one component it takes."""
+
+    def _set_modes(self, k_axes, ik_stack, ksq, kinf, images):
+        self.k_axes = k_axes
+        self.ik_stack = ik_stack
+        self.ik = tuple(ik_stack)
+        self.ksq = ksq
+        self.kinf = kinf
+        self._images = np.broadcast_to(images, kinf.shape).ravel()
+        self._weights: dict[tuple[float, int], np.ndarray] = {}
+        self._stacked_weights: dict[tuple, np.ndarray] = {}
+
+    def weight(self, s: float, components: int) -> np.ndarray:
+        """The weights of :meth:`HalfSpectrum.power`: ``(1+|k|^2)^s`` times
+        the mirror images of each stored mode, once for the real and once
+        for the imaginary part, for each component; cached per (s, components)."""
+        key = (float(s), components)
+        if key not in self._weights:
+            w = self._images * (1.0 + self.ksq.ravel()) ** key[0]
+            self._weights[key] = np.tile(np.repeat(w, 2), components)
+        return self._weights[key]
+
+    def weights(self, exponents: tuple[float, ...], components: int) -> np.ndarray:
+        """The :meth:`weight` arrays of several exponents, stacked, as
+        :func:`weighted_norms` takes them; cached per tuple."""
+        key = (exponents, components)
+        weights = self._stacked_weights.get(key)
+        if weights is None:
+            stack = np.stack([self.weight(s, components) for s in exponents])
+            weights = self._stacked_weights[key] = stack
+        return weights
+
+
+class HalfSpectrum(_Layout):
     """The non-redundant half of a real field's spectrum on one grid.
 
     Half arrays hold the modes ``0 <= k_last <= n/2`` of the last spatial axis
@@ -158,22 +211,15 @@ class HalfSpectrum:
         self.layouts = ((n,) * dim, kinf.shape)
         self.axes = tuple(range(-dim, 0))
         self._lead_axes = self.axes[:-1]
-        self.k_axes = tuple(axes)
-        self.ik = tuple(1j * ka for ka in axes)
-        # on every mode, stacked, so that one multiply makes a gradient
-        self.ik_stack = np.stack(np.broadcast_arrays(*self.ik))
-        self.ksq = sum(ka**2 for ka in axes)
-        self.kinf = kinf
-        self._weights: dict[tuple[float, int], np.ndarray] = {}
-        self._stacked_weights: dict[tuple, np.ndarray] = {}
-        self._project_masks: dict[int, np.ndarray] = {}
-        self._kernels: dict[int, DenseKernel | FFTKernel] = {}
-
         # each stored mode stands for itself and its mirror image -k, except
         # on the planes k_last = 0 and k_last = n/2, which store both
         images = np.full(m, 2.0)
         images[0] = images[-1] = 1.0
-        self._images = np.broadcast_to(images, kinf.shape).ravel()
+        # ik on every mode, stacked, so that one multiply makes a gradient
+        ik_stack = np.stack(np.broadcast_arrays(*[1j * ka for ka in axes]))
+        self._set_modes(tuple(axes), ik_stack, sum(ka**2 for ka in axes), kinf, images)
+        self._project_masks: dict[int, np.ndarray] = {}
+        self._kernels: dict[int, DenseKernel | FFTKernel] = {}
 
         # Every full mode k is read from its half-spectrum representative:
         # itself when 0 < k_last < n/2, else -k (conjugated) when k_last >
@@ -196,26 +242,6 @@ class HalfSpectrum:
         """Half spectra of a stack of real grid arrays (not dealiased)."""
         return np.fft.rfftn(values, axes=self.axes) / self.n ** len(self.axes)
 
-    def weight(self, s: float, components: int) -> np.ndarray:
-        """The weights of :meth:`power`: ``(1+|k|^2)^s`` times the mirror
-        images of each stored mode, once for the real and once for the
-        imaginary part, for each component; cached per (s, components)."""
-        key = (float(s), components)
-        if key not in self._weights:
-            w = self._images * (1.0 + self.ksq.ravel()) ** key[0]
-            self._weights[key] = np.tile(np.repeat(w, 2), components)
-        return self._weights[key]
-
-    def weights(self, exponents: tuple[float, ...], components: int) -> np.ndarray:
-        """The :meth:`weight` arrays of several exponents, stacked, as
-        :func:`weighted_norms` takes them; cached per tuple."""
-        key = (exponents, components)
-        weights = self._stacked_weights.get(key)
-        if weights is None:
-            stack = np.stack([self.weight(s, components) for s in exponents])
-            weights = self._stacked_weights[key] = stack
-        return weights
-
     def projection_mask(self, cutoff: int) -> np.ndarray:
         """``|k|_inf <= cutoff`` on the half, as a complex 0/1 array; cached per cutoff."""
         if cutoff not in self._project_masks:
@@ -229,7 +255,8 @@ class HalfSpectrum:
         The block gets the :class:`DenseKernel` when its
         :func:`dense_work_ratio` is at most :data:`DENSE_WORK_RATIO_LIMIT`,
         else the :class:`FFTKernel`.  A cutoff above the 2/3 cutoff always
-        gets the FFT kernel, which forms the quadratic terms at the 2/3 cutoff.
+        gets the FFT kernel, whose layout holds the block and which forms
+        the quadratic terms at the 2/3 cutoff.
         """
         d = self.dealias_cutoff if cutoff is None else cutoff
         kernel = self._kernels.get(d)
@@ -238,14 +265,15 @@ class HalfSpectrum:
             if d <= self.dealias_cutoff and ratio <= DENSE_WORK_RATIO_LIMIT:
                 kernel = DenseKernel(self, d)
             else:
-                kernel = FFTKernel(self, min(d, self.dealias_cutoff))
+                kernel = FFTKernel(self, d)
             self._kernels[d] = kernel
         return kernel
 
     @staticmethod
     def power(coeffs: np.ndarray) -> np.ndarray:
-        """The squared real and imaginary parts of a half array of shape
-        (components, ...), flattened in the order of :meth:`weight`."""
+        """The squared real and imaginary parts of an array of shape
+        (components, ...) in a layout, flattened in the order of its
+        :meth:`_Layout.weight`."""
         v = np.ascontiguousarray(coeffs).view(np.float64)
         return (v * v).reshape(-1)
 
@@ -313,61 +341,87 @@ def _inverse_dft(modes: np.ndarray, points: int) -> np.ndarray:
     return w.reshape(2 * points, 2 * len(modes))
 
 
-class _Kernel:
-    """The drift-facing transforms of the Galerkin block ``|k|_inf <= cutoff``.
+class _Kernel(_Layout):
+    """The Galerkin block ``|k|_inf <= cutoff`` in a layout of its own, and
+    its drift-facing transforms.
 
-    A kernel reads the block of a stack of half spectra (:meth:`read`, its
-    own layout), forms fields and derivatives there, takes them to grid
-    values (:meth:`to_physical`) and the products formed on the grid back to
-    half spectra of the model grid, zero outside the block
-    (:meth:`tendency`).  A subclass sets its layout by the index
-    ``self.index`` into a half, and its transforms.
+    The layout is the index ``self.index`` into a half, set by a subclass
+    with its transforms.  :meth:`read` takes the block of a stack of half
+    spectra into the layout and :meth:`write` puts a stack in the layout
+    back into zero-filled halves; the per-mode arrays of :class:`_Layout`
+    are the half's, read at the layout.  The quadratic terms are formed on
+    stacks in the layout: fields and derivatives truncated to the block,
+    their grid values (:meth:`to_physical`), and the products formed on the
+    grid back to stacks in the layout (:meth:`tendency`), zero outside the
+    block.
     """
 
     def __init__(self, hs: HalfSpectrum, cutoff: int, index: tuple):
         self.hs = hs
         self.cutoff = cutoff
         self.index = index
+
+        # C contiguous, as :meth:`read` makes the state: a shallow-water
+        # drift on the strided arrays an index leaves costs about a sixth more
+        def modes(a):
+            full = np.broadcast_to(a, a.shape[: -len(hs.axes)] + hs.kinf.shape)
+            return np.ascontiguousarray(full[index])
+
+        self._set_modes(
+            tuple(modes(ka) for ka in hs.k_axes),
+            modes(hs.ik_stack),
+            modes(hs.ksq),
+            modes(hs.kinf),
+            modes(hs._images.reshape(hs.kinf.shape)),
+        )
+        self.shape = self.kinf.shape
+        self.layouts = (self.shape,)
         # complex, so that masking complex coefficients needs no cast per call
-        self.mask = (hs.kinf[index] <= cutoff).astype(np.complex128)
+        self.mask = (self.kinf <= cutoff).astype(np.complex128)
         # stacked on a leading axis, so that one multiply makes every derivative
-        self._ik = (hs.ik_stack[(slice(None),) + index] * self.mask)[:, None]
+        self._ik = (self.ik_stack * self.mask)[:, None]
         # and the field itself in front of them
         self._with_gradient = np.concatenate([self.mask[None, None], self._ik])
         self._with_curl: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def read(self, half: np.ndarray) -> np.ndarray:
-        """The block of a stack of half spectra, in the kernel's layout."""
-        return half[self.index]
+        """The block of a stack of half spectra, in the kernel's layout, C
+        contiguous as every array the loop makes."""
+        return np.ascontiguousarray(half[self.index])
 
-    def dealiased(self, half: np.ndarray) -> np.ndarray:
+    def write(self, stack: np.ndarray) -> np.ndarray:
+        """The half spectra of a stack in the kernel's layout, zero elsewhere."""
+        out = np.zeros(stack.shape[: -len(self.shape)] + self.hs.kinf.shape, np.complex128)
+        out[self.index] = stack
+        return out
+
+    def dealiased(self, stack: np.ndarray) -> np.ndarray:
         """Truncation to the block."""
-        return self.read(half) * self.mask
+        return stack * self.mask
 
-    def gradient(self, half: np.ndarray) -> np.ndarray:
+    def gradient(self, stack: np.ndarray) -> np.ndarray:
         """Truncated derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
-        f = self.read(half)
-        return (self._ik * f).reshape((-1,) + f.shape[1:])
+        return (self._ik * stack).reshape((-1,) + stack.shape[1:])
 
-    def with_gradient(self, half: np.ndarray) -> np.ndarray:
+    def with_gradient(self, stack: np.ndarray) -> np.ndarray:
         """The truncated field and its derivatives, ``[f, d_0 f, d_1 f, ...]``
         on a new leading axis, from one multiply."""
-        return self._with_gradient * self.read(half)
+        return self._with_gradient * stack
 
-    def with_curl(self, half: np.ndarray) -> np.ndarray:
+    def with_curl(self, stack: np.ndarray) -> np.ndarray:
         """The truncated stack ``[f_0, ..., f_last, d_0 f_1 - d_1 f_0]`` of a
         2D stack whose first two fields are a velocity: the fields and the
         vorticity, from one multiply and one subtraction."""
-        c = len(half)
+        c = len(stack)
         cached = self._with_curl.get(c)
         if cached is None:
             ik = self._ik[:, 0]
             rows = np.array(list(range(c)) + [1, 0])
             cached = self._with_curl[c] = (np.stack([self.mask] * c + [ik[0], ik[1]]), rows)
         multiplier, rows = cached
-        stack = multiplier * self.read(half)[rows]
-        stack[c] -= stack[c + 1]
-        return stack[: c + 1]
+        out = multiplier * stack[rows]
+        out[c] -= out[c + 1]
+        return out[: c + 1]
 
 
 class FFTKernel(_Kernel):
@@ -376,34 +430,37 @@ class FFTKernel(_Kernel):
     Its layout is the first ``cutoff + 1`` columns of the half, where the
     block lies.  The leading axes of the forward transform run on those
     columns only; its normalisation, the sign of a tendency and the mask are
-    one multiply.
+    one multiply.  A cutoff above the 2/3 cutoff keeps its ``cutoff + 1``
+    columns, but the kernel's cutoff, the block its products are formed
+    on, is the 2/3 cutoff.
     """
 
     def __init__(self, hs: HalfSpectrum, cutoff: int):
-        super().__init__(hs, cutoff, (Ellipsis, slice(None, cutoff + 1)))
+        super().__init__(hs, min(cutoff, hs.dealias_cutoff), (Ellipsis, slice(None, cutoff + 1)))
+        self._columns = cutoff + 1
         # the forward transforms are unnormalised; their 1/n per axis and the
-        # sign of a tendency ride on the mask, over every column of the half.
-        # For n a power of two that scaling is exact and a sign always is, so
-        # the result is bit for bit that of normalised transforms negated
-        self._tendency_mask = np.zeros(hs.kinf.shape, dtype=np.complex128)
-        self._tendency_mask[self.index] = -self.mask / hs.n ** len(hs.axes)
+        # sign of a tendency ride on the mask.  For n a power of two that
+        # scaling is exact and a sign always is, so the result is bit for
+        # bit that of normalised transforms negated
+        self._tendency_mask = -self.mask / hs.n ** len(hs.axes)
 
     def to_physical(self, stack: np.ndarray) -> np.ndarray:
         """Model-grid values of a stack in the kernel's layout."""
         return self.hs.to_physical(stack)
 
     def tendency(self, values: np.ndarray) -> np.ndarray:
-        """Half spectra of minus a stack of real model-grid arrays, truncated
-        to the block: the tendency -N of a nonlinear term N formed on the grid."""
-        x = np.fft.rfft(values, axis=-1)
+        """Minus a stack of real model-grid arrays in the kernel's layout,
+        truncated to the block: the tendency -N of a nonlinear term N formed
+        on the grid."""
+        x = np.fft.rfft(values, axis=-1)[..., : self._columns]
         for axis in self.hs._lead_axes:
-            x[self.index] = np.fft.fft(x[self.index], axis=axis)
+            x = np.fft.fft(x, axis=axis)
         x *= self._tendency_mask
         return x
 
-    def grid_values(self, half: np.ndarray) -> np.ndarray:
-        """Model-grid values of a stack of half spectra."""
-        return self.hs.to_physical(half)
+    def grid_values(self, stack: np.ndarray) -> np.ndarray:
+        """Model-grid values of a stack in the kernel's layout."""
+        return self.hs.to_physical(stack)
 
 
 class DenseKernel(_Kernel):
@@ -428,10 +485,6 @@ class DenseKernel(_Kernel):
         super().__init__(hs, cutoff, (Ellipsis,) + rows + (slice(None, cutoff + 1),))
         M = 3 * cutoff + 1 if points is None else points
         self.points = M
-        self.block = self.mask.shape
-        # the block's positions in a flattened half, for one np.take
-        mesh = np.ix_(*[lead % n] * (dim - 1), np.arange(cutoff + 1))
-        self._flat = np.ravel_multi_index(mesh, hs.kinf.shape).ravel()
         self._model_grid = None
         w_lead = _inverse_dft(lead, M)
         w_last = _inverse_dft(np.arange(cutoff + 1), M)
@@ -454,15 +507,9 @@ class DenseKernel(_Kernel):
             self._inverse = [last.copy()] + inner + [w_lead[:M].copy()]
             self._forward = [w_lead[:M].T.copy()] + [w.T.copy() for w in inner] + [forward_last]
 
-    def read(self, half: np.ndarray) -> np.ndarray:
-        """The block of a stack of half spectra, gathered."""
-        batch = half.shape[: -len(self.block)]
-        flat = np.take(half.reshape(batch + (-1,)), self._flat, axis=-1)
-        return flat.reshape(batch + self.block)
-
     def to_physical(self, stack: np.ndarray) -> np.ndarray:
         """Grid values, ``points`` per axis, of a stack in the kernel's layout."""
-        M, dim = self.points, len(self.block)
+        M, dim = self.points, len(self.shape)
         first, *lead = self._inverse
         x = stack.view(np.float64).reshape(-1, len(first)) @ first
         for a, w in enumerate(lead):
@@ -470,25 +517,23 @@ class DenseKernel(_Kernel):
         return x.reshape(stack.shape[:-dim] + (M,) * dim)
 
     def tendency(self, values: np.ndarray) -> np.ndarray:
-        """Half spectra of minus a stack of real grid arrays, ``points`` per
-        axis, on the block and zero elsewhere: the tendency -N of a
-        nonlinear term N formed on the grid."""
-        M, dim = self.points, len(self.block)
+        """Minus a stack of real grid arrays, ``points`` per axis, in the
+        kernel's layout: the tendency -N of a nonlinear term N formed on the
+        grid."""
+        M, dim = self.points, len(self.shape)
         batch = values.shape[:-dim]
         *lead, last = self._forward
         x = values
         for a, w in enumerate(lead):
             x = np.matmul(w, x.reshape(-1, w.shape[1], M ** (dim - 1 - a)))
         x = x.reshape(-1, len(last)) @ last
-        out = np.zeros(batch + self.hs.kinf.shape, dtype=np.complex128)
-        out[self.index] = x.view(np.complex128).reshape(batch + self.block)
-        return out
+        return x.view(np.complex128).reshape(batch + self.shape)
 
-    def grid_values(self, half: np.ndarray) -> np.ndarray:
-        """Model-grid values of a stack of half spectra on the block."""
+    def grid_values(self, stack: np.ndarray) -> np.ndarray:
+        """Model-grid values of a stack in the kernel's layout."""
         if self._model_grid is None:
             self._model_grid = DenseKernel(self.hs, self.cutoff, self.hs.n)
-        return self._model_grid.to_physical(self._model_grid.read(half))
+        return self._model_grid.to_physical(stack)
 
 
 @functools.cache
@@ -544,26 +589,29 @@ class SpectralField:
 
     ``coeffs`` has shape ``(components, n, ..., m)`` with ``dim`` spatial
     axes and ``m = n/2 + 1``: the non-redundant half of a Hermitian array
-    (the :class:`HalfSpectrum` layout), which every computation takes and
-    returns.  Only the boundary holds the full layout, ``(components, n,
+    (the :class:`HalfSpectrum` layout), which the public operations take and
+    return.  Only the boundary holds the full layout, ``(components, n,
     ..., n)`` in numpy fft order: :meth:`from_physical` makes it,
     :meth:`as_full` mirrors a half into it, and :meth:`as_half` reads a full
     field as the real field it stands for, at the entry of the operations
-    that take one (see the module docstring).
+    that take one (see the module docstring).  A field with a ``block``, the
+    kernel of its Galerkin block, holds ``coeffs`` in that kernel's layout,
+    as a path's stepping loop does; :meth:`as_half` writes it to a half.
     """
 
-    __slots__ = ("grid", "coeffs")
+    __slots__ = ("grid", "coeffs", "block")
 
-    def __init__(self, grid: TorusGrid, coeffs: np.ndarray):
+    def __init__(self, grid: TorusGrid, coeffs: np.ndarray, block: "_Kernel | None" = None):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
-        if coeffs.shape[1:] not in grid.half.layouts:
+        if coeffs.shape[1:] not in (grid.half if block is None else block).layouts:
             raise GridMismatchError(
                 f"coefficient shape {coeffs.shape} incompatible with {grid!r}"
             )
         self.grid = grid
         self.coeffs = coeffs
+        self.block = block
 
     # constructors -------------------------------------------------------
     @classmethod
@@ -605,17 +653,27 @@ class SpectralField:
 
     @property
     def is_half(self) -> bool:
-        """True for the half layout; False for the full boundary layout."""
-        return self.coeffs.shape[-1] != self.grid.n
+        """True for the half layout; False for the full boundary layout and
+        for a block's layout."""
+        return self.block is None and self.coeffs.shape[-1] != self.grid.n
+
+    @property
+    def layout(self) -> _Layout:
+        """The per-mode arrays of the field's layout: its block's, else the half's."""
+        return self.grid.half if self.block is None else self.block
 
     def as_full(self) -> "SpectralField":
-        """The field in the full layout; a half is mirrored, exactly Hermitian."""
-        if not self.is_half:
+        """The field in the full layout; a half or a block field is
+        mirrored, exactly Hermitian."""
+        if self.block is None and not self.is_half:
             return self
-        return SpectralField(self.grid, self.grid.half.to_full(self.coeffs))
+        return SpectralField(self.grid, self.grid.half.to_full(self.as_half().coeffs))
 
     def as_half(self) -> "SpectralField":
-        """The field in the half layout: itself, or a view of a full field's half."""
+        """The field in the half layout: itself, a view of a full field's
+        half, or a block's layout written to a half."""
+        if self.block is not None:
+            return SpectralField(self.grid, self.block.write(self.coeffs))
         if self.is_half:
             return self
         return SpectralField(self.grid, self.coeffs[..., : self.grid.half.m])
@@ -624,15 +682,19 @@ class SpectralField:
         return bool(np.isfinite(self.coeffs).all())
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
+        return SpectralField(self.grid, self.coeffs.copy(), self.block)
 
     def to_physical(self) -> np.ndarray:
-        """Grid values of a half."""
-        return self.grid.half.to_physical(self.coeffs)
+        """Grid values of a half or a block field."""
+        return self.grid.half.to_physical(self.as_half().coeffs)
 
     # arithmetic (value semantics) ----------------------------------------
     def _check_compatible(self, other: "SpectralField"):
-        if self.grid != other.grid or self.coeffs.shape != other.coeffs.shape:
+        if (
+            self.grid != other.grid
+            or self.coeffs.shape != other.coeffs.shape
+            or self.block is not other.block
+        ):
             raise GridMismatchError(
                 f"incompatible fields: {self.grid!r}/{self.coeffs.shape} vs "
                 f"{other.grid!r}/{other.coeffs.shape}"
@@ -640,19 +702,19 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.coeffs + other.coeffs, self.block)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.coeffs - other.coeffs, self.block)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * float(scalar))
+        return SpectralField(self.grid, self.coeffs * float(scalar), self.block)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
+        return SpectralField(self.grid, -self.coeffs, self.block)
 
     def __repr__(self):
         return f"SpectralField({self.grid!r}, components={self.components})"
@@ -693,13 +755,14 @@ class SpaceLadder:
             )
 
     def norms(self, f: "SpectralField") -> tuple[float, float, float, float]:
-        """The (G, F0, F1, D) norms of a half ``f`` from one power spectrum.
+        """The (G, F0, F1, D) norms of a half or block field ``f`` from one
+        power spectrum.
 
         Each equals ``sobolev_norm(f, s)`` for its exponent bit for bit
         (:func:`weighted_norms`).  NaN or Inf coefficients raise
         :class:`NonFiniteFieldError` as there.
         """
-        weights = f.grid.half.weights(self.exponents, len(f.coeffs))
+        weights = f.layout.weights(self.exponents, len(f.coeffs))
         return tuple(weighted_norms(f.coeffs, weights))
 
 
@@ -723,8 +786,9 @@ class GalerkinProjector:
 
 
 def weighted_norms(coeffs: np.ndarray, weights: np.ndarray) -> list[float]:
-    """The norms ``sqrt(w . power)`` of a half array, one per row ``w`` of
-    ``weights`` (:meth:`HalfSpectrum.weights`), from one power spectrum.
+    """The norms ``sqrt(w . power)`` of an array in a layout, one per row
+    ``w`` of ``weights``, the layout's :meth:`_Layout.weights` (a half's, or
+    a block's in the stepping loop), from one power spectrum.
 
     Each row is one ``np.vecdot`` dot product, the same sum whatever the
     other rows are.  Raises :class:`NonFiniteFieldError` on NaN/Inf
@@ -740,21 +804,21 @@ def weighted_norms(coeffs: np.ndarray, weights: np.ndarray) -> list[float]:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm, ``sqrt(sum_k (1+|k|^2)^s |fhat_k|^2)`` over all components.
 
-    Summed over the stored modes of a half, each weighted by its mirror
-    images (:meth:`HalfSpectrum.power`), as :func:`weighted_norms` sums.
+    Summed over the stored modes of ``f``'s layout, each weighted by its
+    mirror images (:meth:`HalfSpectrum.power`), as :func:`weighted_norms` sums.
     Raises :class:`NonFiniteFieldError` on NaN/Inf coefficients; a finite
     field whose weighted sum overflows has norm inf.
     """
-    return weighted_norms(f.coeffs, f.grid.half.weights((s,), len(f.coeffs)))[0]
+    return weighted_norms(f.coeffs, f.layout.weights((s,), len(f.coeffs)))[0]
 
 
 def inner_product(a: SpectralField, b: SpectralField, s: float) -> float:
-    """Real H^s inner product of two halves, summed as :func:`sobolev_norm`
+    """Real H^s inner product of two fields in one layout, summed as :func:`sobolev_norm`
     sums, so ``inner_product(a, a, s) == sobolev_norm(a, s)**2`` bit for bit."""
     a._check_compatible(b)
     va = np.ascontiguousarray(a.coeffs).view(np.float64)
     vb = np.ascontiguousarray(b.coeffs).view(np.float64)
-    return float(np.dot(a.grid.half.weight(s, len(a.coeffs)), (va * vb).reshape(-1)))
+    return float(np.dot(a.layout.weight(s, len(a.coeffs)), (va * vb).reshape(-1)))
 
 
 def galerkin_project(f: SpectralField, p: GalerkinProjector) -> SpectralField:

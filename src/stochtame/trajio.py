@@ -3,13 +3,18 @@
 Trajectories are line-delimited CSV rows (stream-appendable during long
 runs); summaries are plain CSV.  Every file starts with comment lines
 embedding the config hash and seed, so outputs are attributable and
-reproducible byte for byte given (config, seed, version).
+reproducible byte for byte given (config, seed, version), all but the
+measured ``wall_s`` column of the paths table.
 
 Fixed headers:
 
 * trajectory:      t,norm_G,norm_F0,norm_F1,norm_D,int_F1sq,regime,M,QV,flags
 * uniform control: d,K,p_hat,ci_lo,ci_hi,n
 * increments:      d,delta,eta,p_hat,ci_lo,ci_hi,n
+* paths:           d,seed,status,blowup_reason,accepted_steps,trials,
+                   rejected_<cause> for the causes non_finite, stiffness,
+                   growth and crossing, finest_level,drift_evals,
+                   wiener_draws,wall_s; one row per path of an ensemble
 * audit:           key,value rows
 """
 
@@ -23,6 +28,11 @@ import os
 TRAJECTORY_HEADER = "t,norm_G,norm_F0,norm_F1,norm_D,int_F1sq,regime,M,QV,flags"
 UNIFORM_HEADER = "d,K,p_hat,ci_lo,ci_hi,n"
 ALDOUS_HEADER = "d,delta,eta,p_hat,ci_lo,ci_hi,n"
+PATHS_HEADER = (
+    "d,seed,status,blowup_reason,accepted_steps,trials,rejected_non_finite,"
+    "rejected_stiffness,rejected_growth,rejected_crossing,finest_level,drift_evals,"
+    "wiener_draws,wall_s"
+)
 
 
 def _provenance(config_hash: str, seed) -> str:

@@ -54,6 +54,61 @@ def test_ensemble_without_completed_paths_writes_every_table(tmp_path):
     assert all(int(r["n"]) == 2 for r in read_rows(out / "uniform_control.csv"))
 
 
+@pytest.mark.parametrize("threshold", [None, 3.0], ids=["completed", "blowup"])
+def test_ensemble_writes_one_paths_row_per_record(tmp_path, monkeypatch, threshold):
+    # paths.csv holds each path's fate and step accounting as its record
+    # reads them; at the threshold 3.0 some paths blow up and some complete
+    import stochtame.experiments as experiments
+
+    records = []
+    integrate = experiments.integrate_path
+
+    def capture(*args, **kwargs):
+        rec = integrate(*args, **kwargs)
+        records.append((kwargs["cutoff"], rec))
+        return rec
+
+    monkeypatch.setattr(experiments, "integrate_path", capture)
+    stepper = {"scheme": "TamedEulerMaruyama", "dt": 1e-3, "t_end": 0.05}
+    if threshold is not None:
+        stepper["blowup_threshold"] = threshold
+    config = {
+        "model": {
+            "kind": "Burgers1D",
+            "resolution": 64,
+            "initial": {"kind": "sine", "amplitude": 2.0, "space": "D"},
+        },
+        "noise": {"theta": 1.5, "alpha": 1.38, "case": "I"},
+        "stepper": stepper,
+        "ensemble": {"d_list": [8, 16], "T": 0.05},
+    }
+    path = tmp_path / "burgers.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["ensemble", "--config", str(path), "--seed", "5", "--paths", "3", "--out", str(out)]
+    assert main(argv + ["--quiet"]) == 0
+    for name in ("uniform_control.csv", "time_integral.csv", "report.csv"):
+        assert (out / name).is_file()
+    rows = read_rows(out / "paths.csv")
+    assert len(rows) == len(records) == 6
+    by_path = {(d, rec.seed): rec for d, rec in records}
+    assert [(int(r["d"]), int(r["seed"])) for r in rows] == sorted(by_path)
+    for row in rows:
+        rec = by_path[int(row["d"]), int(row["seed"])]
+        assert row["status"] == rec.status
+        assert row["blowup_reason"] == (rec.blowup[1] if rec.blowup else "")
+        assert int(row["accepted_steps"]) == rec.accepted_steps > 0
+        assert int(row["trials"]) == rec.trials
+        for cause, n in rec.rejections.items():
+            assert int(row[f"rejected_{cause}"]) == n
+        assert int(row["finest_level"]) == rec.finest_level
+        assert int(row["drift_evals"]) == rec.drift_evals
+        assert int(row["wiener_draws"]) == sum(rec.wiener_draws)
+        assert float(row["wall_s"]) == rec.wall_s > 0.0
+    statuses = {row["status"] for row in rows}
+    assert statuses == ({"completed"} if threshold is None else {"completed", "blowup"})
+
+
 def test_config_cutoff_limit_is_alias_free():
     # at resolution 24 the modes +-8 alias onto -+8, so the largest
     # alias-free cutoff is (24 - 1) // 3 = 7

@@ -305,14 +305,15 @@ def shallow_water_switching_run(**strides):
 
 
 def test_shallow_water_control_fields_are_hermitian_and_projected():
-    # the snapshots of a switching path are the halves the loop steps, its
-    # final state their mirror
+    # the snapshots of a switching path are the blocks the loop steps, its
+    # final state the mirror of the last
     rec = shallow_water_switching_run(field_stride=1)
     final = rec.final_state
     assert not final.is_half and hermitian_defect(final) == 0.0
     assert np.all(final.coeffs[:, kinf(SW_GRID) > SW_CUTOFF] == 0.0)
     for _, field in rec.snapshots:
-        assert field.is_half and np.all(field.coeffs[:, SW_GRID.half.kinf > SW_CUTOFF] == 0.0)
+        assert field.block is SW_GRID.half.kernel(SW_CUTOFF)
+        assert np.all(field.as_half().coeffs[:, SW_GRID.half.kinf > SW_CUTOFF] == 0.0)
 
 
 def test_drift_evals_count_every_drift_call_of_a_switching_path(monkeypatch):

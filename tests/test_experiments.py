@@ -156,7 +156,17 @@ def test_process_pool_matches_serial_run(tmp_path, monkeypatch, control):
     serial = sorted(p.name for p in (tmp_path / "out1").iterdir())
     assert serial == sorted(p.name for p in (tmp_path / "out2").iterdir())
     for name in serial:
-        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+        one, two = ((tmp_path / out / name).read_text() for out in ("out1", "out2"))
+        if name == "paths.csv":
+            # a path's wall time is measured, not computed: every other
+            # column of paths.csv is the same
+            one, two = (_without_last_column(text) for text in (one, two))
+        assert one == two
+
+
+def _without_last_column(text):
+    assert text.splitlines()[2].endswith(",wall_s")
+    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
 
 
 # the horizon ensemble.T differs from stepper.t_end, and the rows are saved

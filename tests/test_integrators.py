@@ -18,6 +18,7 @@ from stochtame.spectral import (
     SpaceLadder,
     SpectralField,
     TorusGrid,
+    galerkin_project,
     random_field,
     sobolev_norm,
     weighted_norms,
@@ -39,22 +40,27 @@ def sine_field(grid, amplitude=1.0):
 
 
 def loop_state(X, A, projector):
-    """The stepping loop's state of a half ``X`` outside the loop: its ladder
-    norms and its projected drift, evaluated on first use."""
-    drift = _LoopDrift(A, projector.cutoff, X.grid, len(X.coeffs))
-    return _StateCache(X, drift, tuple(weighted_norms(X.coeffs, drift.ladder_weights)))
+    """The stepping loop's state of a half ``X`` outside the loop: ``X`` read
+    into its block kernel's layout, its ladder norms and its projected drift,
+    evaluated on first use."""
+    kernel = X.grid.half.kernel(projector.cutoff)
+    block = SpectralField(X.grid, kernel.read(X.coeffs), kernel)
+    drift = _LoopDrift(A, projector.cutoff, kernel, len(X.coeffs))
+    return _StateCache(block, drift, tuple(weighted_norms(block.coeffs, drift.ladder_weights)))
 
 
 def one_step(scheme, X, A, B, dW, h, projector):
-    """``_single_step`` from the loop state of ``X``."""
-    return _single_step(scheme, loop_state(X, A, projector), B, dW, h)
+    """``_single_step`` from the loop state of ``X``, its new state written
+    back to a half."""
+    out, stiffness = _single_step(scheme, loop_state(X, A, projector), B, dW, h)
+    return out.as_half(), stiffness
 
 
 class TestSteps:
     def setup_method(self):
         self.grid = TorusGrid(1, 32)
         self.proj = GalerkinProjector(self.grid.dealias_cutoff)
-        self.X = sine_field(self.grid)
+        self.X = galerkin_project(sine_field(self.grid), self.proj)  # a loop state lies in V_d
 
     def test_zero_drift_theta_zero_fixed_point(self):
         zero = linear_drift(0.0)
@@ -236,7 +242,7 @@ class TestIntegratePath:
         ladder = LADDER
         by_time = dict(zip(rec.times, range(rec.n_rows)))
         for t_snap, field in rec.snapshots:
-            assert np.max(np.abs(field.coeffs[:, grid.half.kinf > 8])) == 0.0
+            assert np.max(np.abs(field.as_half().coeffs[:, grid.half.kinf > 8])) == 0.0
             if t_snap in by_time:
                 i = by_time[t_snap]
                 recomputed = sobolev_norm(field, ladder.s_F0)
@@ -281,7 +287,8 @@ class TestIntegratePath:
         single_step = integrators._single_step
         grid = TorusGrid(1, 64)
         drift = DriftOperator("Burgers1D")
-        ladder_weights = grid.half.weights(drift.ladder.exponents, 1)
+        kernel = grid.half.kernel(grid.dealias_cutoff)  # the path's layout
+        ladder_weights = kernel.weights(drift.ladder.exponents, 1)
 
         def counting_norms(coeffs, weights):
             if weights is ladder_weights:
@@ -304,7 +311,7 @@ class TestIntegratePath:
         assert len(passes) == len(trials) + 1  # the initial state, then each trial state
         assert len({id(f) for f in passes}) == len(passes)
         assert len(norm_calls) <= len(trials)
-        g_weights = grid.half.weights((drift.ladder.s_G,), 1)
+        g_weights = kernel.weights((drift.ladder.s_G,), 1)
         assert norm_calls and all(np.array_equal(w, g_weights) for w in norm_calls)
 
     @pytest.mark.parametrize("scheme", ["TamedEulerMaruyama", "EulerMaruyama"])
@@ -334,7 +341,7 @@ class TestIntegratePath:
             ladder = LADDER
 
             def __call__(self, X, cutoff=None):
-                return SpectralField(X.grid, np.full_like(X.coeffs, np.nan))
+                return SpectralField(X.grid, np.full_like(X.coeffs, np.nan), X.block)
 
             def check_state(self, X, cutoff=None):
                 return []
@@ -394,8 +401,8 @@ class TestIntegratePath:
         assert rec.drift_evals == rec.accepted_steps + 3 * rec.trials
 
     def test_public_fields_are_hermitian_and_projected(self):
-        # the loop steps the half spectrum and keeps its snapshots as halves;
-        # the final state is mirrored to the full layout
+        # the loop steps the block of the path's kernel and keeps its
+        # snapshots there; the final state is mirrored to the full layout
         grid = TorusGrid(1, 128)
         d = 16
         st = StepperConfig(dt=1e-3, t_end=0.2)
@@ -409,7 +416,8 @@ class TestIntegratePath:
         assert not final.is_half and hermitian_defect(final) == 0.0
         assert np.all(final.coeffs[:, kinf(grid) > d] == 0.0)
         for _, field in rec.snapshots:
-            assert field.is_half and np.all(field.coeffs[:, grid.half.kinf > d] == 0.0)
+            assert field.block is grid.half.kernel(d)
+            assert np.all(field.as_half().coeffs[:, grid.half.kinf > d] == 0.0)
         assert sobolev_norm(final.as_half(), LADDER.s_G) > 0.0
 
     def test_times_strictly_increasing_and_integral_monotone(self):
