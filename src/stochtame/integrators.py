@@ -32,10 +32,10 @@ cap (``StepperConfig.stiff_cap``) bounds this quantity by halving the step;
 The loop holds its state in the layout of its Galerkin block's kernel
 (:meth:`~stochtame.spectral.HalfSpectrum.kernel`, see
 :mod:`stochtame.spectral`): the block gathered, ``(3, 17, 9)`` for a
-shallow-water state at d = 8, or the first d + 1 columns of the half on the
-FFT kernel.  The initial state is projected and read into it once (a full
-one through its half), and the last state is written back once, for the
-record's ``final_state``.  Every trial step, of every scheme, is one call of
+shallow-water state at d = 8, on either kernel.  The initial state is
+projected by reading it into that layout once (a full one through its
+half), and the last state is written back once, for the record's
+``final_state``.  Every trial step, of every scheme, is one call of
 ``_single_step`` on the loop state (the state with its cached norms and
 drift), and it makes only the array work its arithmetic needs, on the
 block, with no gather, scatter or model-grid arithmetic:
@@ -43,11 +43,10 @@ block, with no gather, scatter or model-grid arithmetic:
 * one Wiener increment, from a block of base increments drawn at once or
   from the Brownian bridge of the current base interval
   (:class:`~stochtame.noise.WienerPath`);
-* on the first trial from a state, its drift: one ``A(X, cutoff)`` call
-  on the block field (one batched transform each way through the block's
-  kernel), which lies in the block as the state does, so nothing is
-  masked; then the drift's G norm, one dot product with the power
-  spectrum; a refined trial reuses both;
+* on the first trial from a state, its drift: one ``A(X)`` call on the
+  block field (one batched transform each way through the block's kernel),
+  which lies in the block as the state does; then the drift's G norm, one
+  dot product with the power spectrum; a refined trial reuses both;
 * the scheme update, four array operations for a tamed or Euler-Maruyama
   step, three more drift calls for an RK4 step, whose first stage is the
   cached drift;
@@ -84,7 +83,6 @@ import numpy as np
 from .noise import NOISE_CASES, MartingaleDiagnostics, NoiseSpec, WienerPath
 from .spectral import (
     LADDER_SPACES,
-    GalerkinProjector,
     NonFiniteFieldError,
     SpectralField,
     weighted_norms,
@@ -300,28 +298,26 @@ class _RecordBuilder:
 
 
 class _LoopDrift:
-    """The drift as the stepping loop evaluates it, on the path's cutoff,
-    with the weight stacks of the path's layout.  Every evaluation, of a
-    loop state's drift or of an RK4 stage, is one call of it, and it counts
-    them.  The drift ``A(X, cutoff)`` of a state in the block ``|k|_inf <=
-    cutoff`` lies in the block, in the state's layout, so every stage and
-    every step stays there unmasked."""
+    """The drift as the stepping loop evaluates it, with the weight stacks
+    of the path's layout.  Every evaluation, of a loop state's drift or of
+    an RK4 stage, is one call of it, and it counts them.  The drift ``A(X)``
+    of a block field lies in its block, in the state's layout, so every
+    stage and every step stays there."""
 
-    __slots__ = ("A", "cutoff", "ladder_weights", "G_weights", "calls")
+    __slots__ = ("A", "ladder_weights", "G_weights", "calls")
 
-    def __init__(self, A, cutoff: int, layout, components: int):
+    def __init__(self, A, layout, components: int):
         self.A = A
-        self.cutoff = cutoff
         self.ladder_weights = layout.weights(A.ladder.exponents, components)
         self.G_weights = layout.weights((A.ladder.s_G,), components)
         self.calls = 0
 
     def __call__(self, X: SpectralField) -> SpectralField:
         self.calls += 1
-        return self.A(X, self.cutoff)
+        return self.A(X)
 
     def check_state(self, X: SpectralField) -> list[str]:
-        return self.A.check_state(X, self.cutoff)
+        return self.A.check_state(X)
 
 
 class _StateCache:
@@ -438,13 +434,13 @@ def integrate_path(
 ) -> TrajectoryRecord:
     """Integrate one path up to the horizon or blow-up.
 
-    The initial state is projected to the Galerkin cutoff (default: the 2/3
-    dealiasing cutoff of the grid, the largest closure-exact choice).  A
-    full one is read through its half, as the real field it stands for.  The
-    record stores per-row norms in all four ladder
-    spaces, the running integral of ||X||_F1^2, the regime label, and the raw
-    martingale pair (M_t, <M>_t) accumulated from 2<X, B(X)> dW in the case's
-    envelope space.
+    The initial state is projected to the Galerkin cutoff, which must lie in
+    ``1 ... (n - 1)//3`` (default: the 2/3 dealiasing cutoff of the grid,
+    the largest closure-exact choice).  A full one is read through its
+    half, as the real field it stands for.  The record stores per-row norms
+    in all four ladder spaces, the running integral of ||X||_F1^2, the
+    regime label, and the raw martingale pair (M_t, <M>_t) accumulated from
+    2<X, B(X)> dW in the case's envelope space.
 
     A row is saved every ``save_stride >= 1`` accepted steps and at the end;
     with a ``field_stride`` a snapshot at the times ``j * field_stride * dt``.
@@ -505,12 +501,11 @@ def _adaptive_loop(
         raise ValueError("a WienerPath is required when the noise is active")
 
     grid = X0.grid
-    projector = GalerkinProjector(cutoff if cutoff is not None else grid.dealias_cutoff)
-    X0 = X0.as_half().coeffs * projector.mask(grid)
-    # the state lives in its block kernel's layout until the record is built
-    kernel = grid.half.kernel(projector.cutoff)
-    X = SpectralField(grid, kernel.read(X0), kernel)
-    A = _LoopDrift(A, projector.cutoff, kernel, len(X.coeffs))
+    # the state lives in its block kernel's layout until the record is
+    # built; reading it there is the Galerkin projection
+    kernel = grid.half.kernel(cutoff)
+    X = SpectralField(grid, kernel.read(X0.as_half().coeffs), kernel)
+    A = _LoopDrift(A, kernel, len(X.coeffs))
     check_state = A.check_state
     cache = _StateCache(X, A, tuple(weighted_norms(X.coeffs, A.ladder_weights)))
     n0 = cache.norms[1]

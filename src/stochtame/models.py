@@ -22,16 +22,17 @@ evaluated pseudo-spectrally on a Galerkin block ``|k|_inf <= d``: the inputs
 are truncated to it and the products kept on it, on a grid that is alias-free
 for it, which keeps the quadratic convolution exact on the block; that
 exactness is what the enstrophy / energy conservation tests rely on.  A
-drift takes its block as ``cutoff`` (``DriftOperator.__call__(X, cutoff)``;
-None is the grid's 2/3 cutoff) and transforms through the block's kernel
-(:meth:`~stochtame.spectral.HalfSpectrum.kernel`), dense matrix products on
-small blocks and real FFTs on the model grid on large ones.
+drift takes its block from its input: a block field carries its kernel
+(:meth:`~stochtame.spectral.HalfSpectrum.kernel`), and a half or a full
+field is taken at the grid's 2/3 cutoff.  It transforms through that
+kernel, dense matrix products on small blocks and real FFTs on the model
+grid on large ones.
 
 Each drift is written once as a quadratic part and a linear part.  The
 quadratic part takes a stack in a kernel's layout and makes one round trip:
 the fields and derivatives it needs are taken to grid values together, and
 the products formed on the grid are transformed back together into their
-tendencies, in the kernel's layout and zero outside the block (the kernel's
+tendencies, in the kernel's layout, the block (the kernel's
 ``tendency``).  A 1D Burgers drift transforms 2 + 1 fields (u and u_x in,
 u u_x out), a shallow-water drift 4 + 5 (below), on either kernel.  The
 linear part acts on every mode of the state, against the per-mode arrays
@@ -41,10 +42,10 @@ of a state in the block lies in the block.  The layout is the state's:
 * a block field (the stepping loop's state, see :mod:`stochtame.spectral`)
   is stepped in its kernel's layout: both parts are formed there, and the
   drift is a block field of the same kernel, with no read or write;
-* a half has its block read, the quadratic part formed on it and written
-  back to a half, and the linear part added on the half.  The drift of a
-  half in the block is the drift of its block field written back, bit for
-  bit;
+* a half has its block at the 2/3 cutoff read, the quadratic part formed
+  on it and written back to a half, and the linear part added on the half.
+  The drift of a half in that block is the drift of its block field written
+  back, bit for bit;
 * ``DriftOperator.__call__`` also takes a full field: it reads the field's
   half and mirrors the drift back to the full layout (``fhat_{-k} =
   conj(fhat_k)``, self-conjugate modes real), so that output is exactly
@@ -123,7 +124,7 @@ def _velocity_and_gradients(kernel, vel: np.ndarray, f: np.ndarray):
     """Truncated grid values of ``vel`` and ``grads[a, c] = d_a f_c`` from
     stacks in the kernel's layout, one inverse transform."""
     dim = len(vel)
-    phys = kernel.to_physical(np.concatenate([kernel.dealiased(vel), kernel.gradient(f)]))
+    phys = kernel.to_physical(np.concatenate([vel, kernel.gradient(f)]))
     return phys[:dim], phys[dim:].reshape((dim, len(f)) + phys.shape[1:])
 
 
@@ -226,17 +227,17 @@ def _leray(f: np.ndarray, layout) -> np.ndarray:
 # --- the drifts -------------------------------------------------------------
 
 
-def _quadratic(X: SpectralField, cutoff: int | None, part) -> np.ndarray:
+def _quadratic(X: SpectralField, part) -> np.ndarray:
     """``part(block, kernel)``, the quadratic part of a drift formed on a
     stack in a kernel's layout, for ``X`` in ``X``'s own layout.
 
     A block field's part is formed on its block as it stands.  A half's
-    block (``|k|_inf <= cutoff``, default the 2/3 cutoff) is read, and the
-    part formed on it is written back to a half, zero outside the block.
+    block at the 2/3 cutoff is read, and the part formed on it is written
+    back to a half, zero outside the block.
     """
     if X.block is not None:
         return part(X.coeffs, X.block)
-    kernel = X.grid.half.kernel(cutoff)
+    kernel = X.grid.half.kernel()
     return kernel.write(part(kernel.read(X.coeffs), kernel))
 
 
@@ -245,10 +246,10 @@ def _burgers_quadratic(u: np.ndarray, kernel) -> np.ndarray:
     return kernel.tendency(_dot_grad(phys[0], phys[1:]))
 
 
-def burgers_drift(u: SpectralField, nu: float = 0.0, cutoff: int | None = None) -> SpectralField:
+def burgers_drift(u: SpectralField, nu: float = 0.0) -> SpectralField:
     """-(u.grad)u + nu*Lap u with exact spectral derivatives, the product
-    on the block ``|k|_inf <= cutoff`` (default: the 2/3 cutoff)."""
-    out = _quadratic(u, cutoff, _burgers_quadratic)
+    on ``u``'s block (module docstring)."""
+    out = _quadratic(u, _burgers_quadratic)
     if nu > 0.0:
         out += nu * (-u.layout.ksq * u.coeffs)
     return SpectralField(u.grid, out, u.block)
@@ -265,16 +266,14 @@ def _vorticity_quadratic(w: np.ndarray, kernel) -> np.ndarray:
     return _leray(kernel.tendency(nonlinear), kernel)
 
 
-def vorticity_drift(
-    omega: SpectralField, nu: float = 0.0, cutoff: int | None = None
-) -> SpectralField:
+def vorticity_drift(omega: SpectralField, nu: float = 0.0) -> SpectralField:
     """-[(u.grad)w - (w.grad)u] + nu*Lap w, velocity via Biot-Savart, the
-    products on the block ``|k|_inf <= cutoff`` (default: the 2/3 cutoff).
+    products on ``omega``'s block (module docstring).
 
     The stretching term drops in 2D.  In 3D the output is re-projected onto
     divergence-free fields to stop rounding drift of ``div w``.
     """
-    out = _quadratic(omega, cutoff, _vorticity_quadratic)
+    out = _quadratic(omega, _vorticity_quadratic)
     if nu > 0.0:
         out += nu * (-omega.layout.ksq * omega.coeffs)
     return SpectralField(omega.grid, out, omega.block)
@@ -295,9 +294,7 @@ def _rsw_quadratic(state: np.ndarray, kernel) -> np.ndarray:
     return kernel.tendency(products[:5])
 
 
-def rsw_drift(
-    state: SpectralField, params: ModelParams, viscous: bool, cutoff: int | None = None
-) -> SpectralField:
+def rsw_drift(state: SpectralField, params: ModelParams, viscous: bool) -> SpectralField:
     """Rotating shallow water tendency for the state (v1, v2, h).
 
     Momentum: ``-(u.grad)u - f zhat x u - grad p (+ nu Lap u)`` with
@@ -308,13 +305,13 @@ def rsw_drift(
     ``grad(|u|^2/2) + zeta zhat x u``, exact for the dealiased inputs: 4 + 5
     field transforms (module docstring), one gradient of ``|u|^2/2 + p``, and
     the pressure, Coriolis force, viscosity and topography on every mode.
-    The products are formed on the block ``|k|_inf <= cutoff`` (default: the
-    2/3 cutoff); with a cutoff the topography is read on the block too, so
-    the drift of a state in that block lies in it.
+    The products are formed on the state's block (module docstring); a
+    block field reads the topography on its block too, so its drift lies
+    in the block.
     """
     if state.components != 3:
         raise GridMismatchError("shallow water state must be (v1, v2, h)")
-    tend = _quadratic(state, cutoff, _rsw_quadratic)
+    tend = _quadratic(state, _rsw_quadratic)
     layout = state.layout
     sh = state.coeffs
     u, h = sh[0:2], sh[2]
@@ -323,8 +320,6 @@ def rsw_drift(
         p = h / (params.rossby * params.froude)
     else:
         b = params.topography.coeffs[0]
-        if cutoff is not None:
-            b = b * state.grid.half.projection_mask(cutoff)
         if state.block is not None:
             b = state.block.read(b)
         p = (h - b) / (params.rossby * params.froude)
@@ -356,31 +351,24 @@ class FourierMultiplierDrift:
         self.symbol = symbol
         self.kind = "FourierMultiplier"
 
-    def __call__(self, X: SpectralField, cutoff: int | None = None) -> SpectralField:
+    def __call__(self, X: SpectralField) -> SpectralField:
         """``symbol * X``, mode by mode, so it lies in every block ``X`` lies
         in; in ``X``'s layout."""
         return SpectralField(X.grid, self.symbol(X.layout.ksq) * X.coeffs, X.block)
 
-    def check_state(self, X: SpectralField, cutoff: int | None = None) -> list[str]:
+    def check_state(self, X: SpectralField) -> list[str]:
         return []
 
 
-def _no_warnings(X: SpectralField, cutoff: int | None = None) -> list[str]:
+def _no_warnings(X: SpectralField) -> list[str]:
     return []
 
 
-def _height_warnings(X: SpectralField, cutoff: int | None = None) -> list[str]:
+def _height_warnings(X: SpectralField) -> list[str]:
     """The flag of a height that is not positive at a point of the model
-    grid; of a block field, or with a cutoff of a half in that block,
-    through the block's kernel."""
+    grid; of a block field through its kernel."""
     h = X.coeffs[2]
-    if X.block is not None:
-        h_phys = X.block.grid_values(h)
-    elif cutoff is None:
-        h_phys = X.grid.half.to_physical(h)
-    else:
-        kernel = X.grid.half.kernel(cutoff)
-        h_phys = kernel.grid_values(kernel.read(h))
+    h_phys = X.grid.half.to_physical(h) if X.block is None else X.block.grid_values(h)
     return ["height_nonpositive"] if float(h_phys.min()) <= 0.0 else []
 
 
@@ -398,10 +386,10 @@ def _vorticity_ladder(params: ModelParams) -> SpaceLadder:
 class ModelKind:
     """The facts of one model kind.
 
-    ``drift(X, params, cutoff)`` is its tendency on the block ``|k|_inf <=
-    cutoff`` (None: the 2/3 cutoff), ``ladder(params)`` its default ladder
-    and ``check_state(X, cutoff)`` its state warnings; both take a half or a
-    block field, and the drift returns a field in ``X``'s layout.
+    ``drift(X, params)`` is its tendency, ``ladder(params)`` its default
+    ladder and ``check_state(X)`` its state warnings; both take a half or a
+    block field, and the drift returns a field in ``X``'s layout, its
+    quadratic part formed on ``X``'s block (module docstring).
     A random state of the kind has zero mean when ``zero_mean`` holds and is
     Leray-projected when ``leray`` does.  ``initial_kinds`` are the initial
     states a config may ask for: a sine in the first component is not
@@ -410,9 +398,9 @@ class ModelKind:
 
     dim: int
     components: int
-    drift: Callable[[SpectralField, ModelParams, int | None], SpectralField]
+    drift: Callable[[SpectralField, ModelParams], SpectralField]
     ladder: Callable[[ModelParams], SpaceLadder]
-    check_state: Callable[[SpectralField, int | None], list[str]] = _no_warnings
+    check_state: Callable[[SpectralField], list[str]] = _no_warnings
     zero_mean: bool = False
     leray: bool = False
     initial_kinds: tuple[str, ...] = ("sine", "random")
@@ -422,12 +410,12 @@ _LADDER_0134 = _fixed_ladder(0.0, 1.0, 3.0, 4.0)
 _RSW_INITIAL = ("sine", "random", "rest_height")
 
 CATALOGUE = {
-    "Burgers1D": ModelKind(1, 1, lambda X, p, d: burgers_drift(X, p.nu, d), _LADDER_0134),
-    "Burgers2D": ModelKind(2, 2, lambda X, p, d: burgers_drift(X, p.nu, d), _LADDER_0134),
+    "Burgers1D": ModelKind(1, 1, lambda X, p: burgers_drift(X, p.nu), _LADDER_0134),
+    "Burgers2D": ModelKind(2, 2, lambda X, p: burgers_drift(X, p.nu), _LADDER_0134),
     "RSW_Viscous": ModelKind(
         2,
         3,
-        lambda X, p, d: rsw_drift(X, p, True, d),
+        lambda X, p: rsw_drift(X, p, True),
         _fixed_ladder(0.0, 1.0, 2.0, 3.0),
         _height_warnings,
         initial_kinds=_RSW_INITIAL,
@@ -435,18 +423,18 @@ CATALOGUE = {
     "RSW_Inviscid": ModelKind(
         2,
         3,
-        lambda X, p, d: rsw_drift(X, p, False, d),
+        lambda X, p: rsw_drift(X, p, False),
         _LADDER_0134,
         _height_warnings,
         initial_kinds=_RSW_INITIAL,
     ),
     "Vorticity2D": ModelKind(
-        2, 1, lambda X, p, d: vorticity_drift(X, p.nu, d), _vorticity_ladder, zero_mean=True
+        2, 1, lambda X, p: vorticity_drift(X, p.nu), _vorticity_ladder, zero_mean=True
     ),
     "Vorticity3D": ModelKind(
         3,
         3,
-        lambda X, p, d: vorticity_drift(X, p.nu, d),
+        lambda X, p: vorticity_drift(X, p.nu),
         _vorticity_ladder,
         zero_mean=True,
         leray=True,
@@ -508,14 +496,14 @@ class DriftOperator:
     def components(self) -> int:
         return CATALOGUE[self.kind].components
 
-    def __call__(self, X: SpectralField, cutoff: int | None = None) -> SpectralField:
+    def __call__(self, X: SpectralField) -> SpectralField:
         """The drift of ``X`` in ``X``'s layout: a half, a block field of
         ``X``'s kernel, or for a full ``X`` the full layout.
 
-        Without a cutoff the quadratic terms are formed at the grid's 2/3
-        cutoff and the linear terms act on every mode.  With one, ``X`` is
-        taken to lie in the block ``|k|_inf <= cutoff`` and the drift is the
-        projected ``A_d(X)``, which lies there too.
+        A block field's drift is the projected ``A_d(X)`` of its block, which
+        lies in the block too.  A half's or a full field's quadratic terms
+        are formed at the grid's 2/3 cutoff and its linear terms act on
+        every mode.
         """
         facts = CATALOGUE[self.kind]
         if X.grid.dim != facts.dim or len(X.coeffs) != facts.components:
@@ -524,13 +512,13 @@ class DriftOperator:
                 f"got dim={X.grid.dim}, components={X.components}"
             )
         if X.block is not None or X.is_half:
-            return facts.drift(X, self.params, cutoff)
-        return facts.drift(X.as_half(), self.params, cutoff).as_full()
+            return facts.drift(X, self.params)
+        return facts.drift(X.as_half(), self.params).as_full()
 
-    def check_state(self, X: SpectralField, cutoff: int | None = None) -> list[str]:
+    def check_state(self, X: SpectralField) -> list[str]:
         """Model-specific state warnings, recorded on the trajectory, of a
-        half or a block field; with a cutoff, of a state in that block."""
-        return CATALOGUE[self.kind].check_state(X, cutoff)
+        half or a block field."""
+        return CATALOGUE[self.kind].check_state(X)
 
 
 def dissipation_term(a: SpectralField, s: float) -> float:

@@ -29,7 +29,7 @@ modes ``0 <= k_last <= n/2`` of the last axis (the numpy ``rfftn`` layout,
   caller;
 * halves are the layout of the public operations: this module's and
   :mod:`stochtame.models`' functions take and return them;
-* a path's stepping loop runs in its kernel's block layout (below), from
+* a path's stepping loop runs in its Galerkin block's layout (below), from
   its initial projection, one :meth:`_Kernel.read`, until its record is
   built, one :meth:`_Kernel.write`.  A :class:`SpectralField` with a
   ``block`` holds such coefficients, and the norms, pairings and drifts
@@ -66,22 +66,24 @@ The 2/3 rule keeps the modes ``|k|_inf <= (n - 1) // 3``
 
 The drifts form their quadratic terms through a kernel of the Galerkin
 block ``|k|_inf <= d`` (:meth:`HalfSpectrum.kernel`), cached per cutoff on
-the grid's half spectrum.  A kernel has a layout of its own, which holds
-the block: its per-mode arrays (wavenumbers, ``|k|^2``, mirror images and
-ladder weights) are the half's read at the layout.  On stacks in the layout
-it makes derivatives, transforms them to grid values in one batched call,
-and the products formed on the grid back to the layout, zero outside the
-block, in another.  The same condition makes any grid of ``M > 3d`` points
-per axis alias-free for the block (Orszag, J. Atmos. Sci. 28, 1971), so two
-kernels compute the same products up to rounding:
+the grid's half spectrum, for the cutoffs ``1 <= d <= (n - 1) // 3``.  Every
+kernel has the one block layout: the block gathered, shape ``(2d + 1, ...,
+d + 1)``, which holds V_d and nothing else, so reading a half into it is the
+Galerkin projection.  Its per-mode arrays (wavenumbers, ``|k|^2``, mirror
+images and ladder weights) are the half's read at the layout.  On stacks in
+the layout a kernel makes derivatives, transforms them to grid values in one
+batched call, and the products formed on the grid back to the layout in
+another.  The same condition makes any grid of ``M > 3d`` points per axis
+alias-free for the block (Orszag, J. Atmos. Sci. 28, 1971), so the two
+kernels, which differ only in their transforms, compute the same products up
+to rounding:
 
 * :class:`DenseKernel` on ``M = 3d + 1`` points: one ``np.matmul`` of a
   real DFT matrix per axis for all fields at once, built from the exact
-  integer phases ``k j mod M``.  Its layout is the block gathered, shape
-  ``(2d + 1, ..., d + 1)``;
+  integer phases ``k j mod M``;
 * :class:`FFTKernel` on the model grid's ``n`` points: pocketfft real FFTs,
-  the leading axes on the layout's columns only.  Its layout is the first
-  ``d + 1`` columns of the half.
+  the leading axes on the first ``d + 1`` columns only, the block scattered
+  into their rows before and gathered from them after.
 
 The dense kernel's work grows like ``d^(dim + 1)`` and does not depend on
 ``n``; the FFT's like ``n^dim log n`` plus a fixed cost per call.  A block
@@ -218,7 +220,6 @@ class HalfSpectrum(_Layout):
         # ik on every mode, stacked, so that one multiply makes a gradient
         ik_stack = np.stack(np.broadcast_arrays(*[1j * ka for ka in axes]))
         self._set_modes(tuple(axes), ik_stack, sum(ka**2 for ka in axes), kinf, images)
-        self._project_masks: dict[int, np.ndarray] = {}
         self._kernels: dict[int, DenseKernel | FFTKernel] = {}
 
         # Every full mode k is read from its half-spectrum representative:
@@ -242,27 +243,19 @@ class HalfSpectrum(_Layout):
         """Half spectra of a stack of real grid arrays (not dealiased)."""
         return np.fft.rfftn(values, axes=self.axes) / self.n ** len(self.axes)
 
-    def projection_mask(self, cutoff: int) -> np.ndarray:
-        """``|k|_inf <= cutoff`` on the half, as a complex 0/1 array; cached per cutoff."""
-        if cutoff not in self._project_masks:
-            self._project_masks[cutoff] = (self.kinf <= cutoff).astype(np.complex128)
-        return self._project_masks[cutoff]
-
     def kernel(self, cutoff: int | None = None) -> "DenseKernel | FFTKernel":
         """The drift transforms of the Galerkin block ``|k|_inf <= cutoff``
-        (default: the 2/3 cutoff); cached per cutoff.
+        (default: the 2/3 cutoff); cached per cutoff.  A cutoff outside ``1
+        ... (n - 1)//3`` raises ValueError.
 
         The block gets the :class:`DenseKernel` when its
         :func:`dense_work_ratio` is at most :data:`DENSE_WORK_RATIO_LIMIT`,
-        else the :class:`FFTKernel`.  A cutoff above the 2/3 cutoff always
-        gets the FFT kernel, whose layout holds the block and which forms
-        the quadratic terms at the 2/3 cutoff.
+        else the :class:`FFTKernel`.
         """
         d = self.dealias_cutoff if cutoff is None else cutoff
         kernel = self._kernels.get(d)
         if kernel is None:
-            ratio = dense_work_ratio(len(self.axes), self.n, d)
-            if d <= self.dealias_cutoff and ratio <= DENSE_WORK_RATIO_LIMIT:
+            if dense_work_ratio(len(self.axes), self.n, d) <= DENSE_WORK_RATIO_LIMIT:
                 kernel = DenseKernel(self, d)
             else:
                 kernel = FFTKernel(self, d)
@@ -280,8 +273,8 @@ class HalfSpectrum(_Layout):
     def to_physical(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a stack of half spectra, one batched inverse transform.
 
-        The stack may hold only the first columns (as the FFT kernel reads
-        them); the missing ones read as zero.
+        The stack may hold only the first columns (as the FFT kernel
+        scatters a block into them); the missing ones read as zero.
         """
         x = half
         for axis in self._lead_axes:
@@ -345,27 +338,38 @@ class _Kernel(_Layout):
     """The Galerkin block ``|k|_inf <= cutoff`` in a layout of its own, and
     its drift-facing transforms.
 
-    The layout is the index ``self.index`` into a half, set by a subclass
-    with its transforms.  :meth:`read` takes the block of a stack of half
-    spectra into the layout and :meth:`write` puts a stack in the layout
-    back into zero-filled halves; the per-mode arrays of :class:`_Layout`
-    are the half's, read at the layout.  The quadratic terms are formed on
-    stacks in the layout: fields and derivatives truncated to the block,
-    their grid values (:meth:`to_physical`), and the products formed on the
-    grid back to stacks in the layout (:meth:`tendency`), zero outside the
-    block.
+    The layout is the block gathered, shape ``(2d + 1, ..., d + 1)``: the
+    ``2d + 1`` modes of each leading axis in fft order and the ``d + 1`` of
+    the last, which hold every mode of V_d and no other.  ``self.index``
+    takes it from a half: :meth:`read` takes the block of a stack of half
+    spectra into the layout, which is the Galerkin projection, and
+    :meth:`write` puts a stack in the layout back into zero-filled halves.
+    The per-mode arrays of :class:`_Layout` are the half's, read at the
+    layout.  The quadratic terms are formed on stacks in the layout: fields
+    and derivatives, their grid values (a subclass's ``to_physical``), and
+    the products formed on the grid back to stacks in the layout (its
+    ``tendency``).  The cutoff must lie in ``1 ... (n - 1)//3``, where those
+    products are exact on the block.
     """
 
-    def __init__(self, hs: HalfSpectrum, cutoff: int, index: tuple):
+    def __init__(self, hs: HalfSpectrum, cutoff: int):
+        n, dim = hs.n, len(hs.axes)
+        if not 1 <= cutoff <= hs.dealias_cutoff:
+            raise ValueError(
+                f"cutoff {cutoff} outside 1 ... (n - 1)//3 = {hs.dealias_cutoff} "
+                f"of the {n}-point grid"
+            )
         self.hs = hs
         self.cutoff = cutoff
-        self.index = index
+        self._lead = np.r_[0 : cutoff + 1, -cutoff:0]  # fft order
+        rows = np.ix_(*[self._lead % n] * (dim - 1))
+        self.index = (Ellipsis,) + rows + (slice(None, cutoff + 1),)
 
         # C contiguous, as :meth:`read` makes the state: a shallow-water
         # drift on the strided arrays an index leaves costs about a sixth more
         def modes(a):
-            full = np.broadcast_to(a, a.shape[: -len(hs.axes)] + hs.kinf.shape)
-            return np.ascontiguousarray(full[index])
+            full = np.broadcast_to(a, a.shape[:-dim] + hs.kinf.shape)
+            return np.ascontiguousarray(full[self.index])
 
         self._set_modes(
             tuple(modes(ka) for ka in hs.k_axes),
@@ -376,13 +380,8 @@ class _Kernel(_Layout):
         )
         self.shape = self.kinf.shape
         self.layouts = (self.shape,)
-        # complex, so that masking complex coefficients needs no cast per call
-        self.mask = (self.kinf <= cutoff).astype(np.complex128)
         # stacked on a leading axis, so that one multiply makes every derivative
-        self._ik = (self.ik_stack * self.mask)[:, None]
-        # and the field itself in front of them
-        self._with_gradient = np.concatenate([self.mask[None, None], self._ik])
-        self._with_curl: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._ik = self.ik_stack[:, None]
 
     def read(self, half: np.ndarray) -> np.ndarray:
         """The block of a stack of half spectra, in the kernel's layout, C
@@ -395,98 +394,81 @@ class _Kernel(_Layout):
         out[self.index] = stack
         return out
 
-    def dealiased(self, stack: np.ndarray) -> np.ndarray:
-        """Truncation to the block."""
-        return stack * self.mask
-
     def gradient(self, stack: np.ndarray) -> np.ndarray:
-        """Truncated derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
+        """Derivatives, stacked axis-major: ``[d_0 f, d_1 f, ...]``."""
         return (self._ik * stack).reshape((-1,) + stack.shape[1:])
 
     def with_gradient(self, stack: np.ndarray) -> np.ndarray:
-        """The truncated field and its derivatives, ``[f, d_0 f, d_1 f, ...]``
-        on a new leading axis, from one multiply."""
-        return self._with_gradient * stack
+        """The field and its derivatives, ``[f, d_0 f, d_1 f, ...]`` on a new
+        leading axis."""
+        return np.concatenate([stack[None], self._ik * stack])
 
     def with_curl(self, stack: np.ndarray) -> np.ndarray:
-        """The truncated stack ``[f_0, ..., f_last, d_0 f_1 - d_1 f_0]`` of a
-        2D stack whose first two fields are a velocity: the fields and the
-        vorticity, from one multiply and one subtraction."""
-        c = len(stack)
-        cached = self._with_curl.get(c)
-        if cached is None:
-            ik = self._ik[:, 0]
-            rows = np.array(list(range(c)) + [1, 0])
-            cached = self._with_curl[c] = (np.stack([self.mask] * c + [ik[0], ik[1]]), rows)
-        multiplier, rows = cached
-        out = multiplier * stack[rows]
-        out[c] -= out[c + 1]
-        return out[: c + 1]
+        """The stack ``[f_0, ..., f_last, d_0 f_1 - d_1 f_0]`` of a 2D stack
+        whose first two fields are a velocity: the fields and the vorticity."""
+        ik = self.ik
+        return np.concatenate([stack, (ik[0] * stack[1] - ik[1] * stack[0])[None]])
 
 
 class FFTKernel(_Kernel):
     """The block's transforms as pocketfft real FFTs on the model grid.
 
-    Its layout is the first ``cutoff + 1`` columns of the half, where the
-    block lies.  The leading axes of the forward transform run on those
-    columns only; its normalisation, the sign of a tendency and the mask are
-    one multiply.  A cutoff above the 2/3 cutoff keeps its ``cutoff + 1``
-    columns, but the kernel's cutoff, the block its products are formed
-    on, is the 2/3 cutoff.
+    The inverse transform scatters the block into the model grid's rows of
+    its first ``cutoff + 1`` columns, and the forward one gathers it back
+    from them; the leading axes are transformed on those columns only.  In
+    1D the block is those columns, and neither moves anything.
     """
 
     def __init__(self, hs: HalfSpectrum, cutoff: int):
-        super().__init__(hs, min(cutoff, hs.dealias_cutoff), (Ellipsis, slice(None, cutoff + 1)))
-        self._columns = cutoff + 1
+        super().__init__(hs, cutoff)
+        self._rows = hs.kinf.shape[:-1] + (cutoff + 1,)
         # the forward transforms are unnormalised; their 1/n per axis and the
-        # sign of a tendency ride on the mask.  For n a power of two that
+        # sign of a tendency are one multiply.  For n a power of two that
         # scaling is exact and a sign always is, so the result is bit for
         # bit that of normalised transforms negated
-        self._tendency_mask = -self.mask / hs.n ** len(hs.axes)
+        self._tendency_scale = -1.0 / hs.n ** len(hs.axes)
 
     def to_physical(self, stack: np.ndarray) -> np.ndarray:
         """Model-grid values of a stack in the kernel's layout."""
+        if len(self.shape) > 1:
+            rows = np.zeros(stack.shape[: -len(self.shape)] + self._rows, np.complex128)
+            rows[self.index] = stack
+            stack = rows
         return self.hs.to_physical(stack)
 
     def tendency(self, values: np.ndarray) -> np.ndarray:
-        """Minus a stack of real model-grid arrays in the kernel's layout,
-        truncated to the block: the tendency -N of a nonlinear term N formed
-        on the grid."""
-        x = np.fft.rfft(values, axis=-1)[..., : self._columns]
+        """Minus a stack of real model-grid arrays in the kernel's layout: the
+        tendency -N of a nonlinear term N formed on the grid."""
+        x = np.fft.rfft(values, axis=-1)[..., : self.cutoff + 1]
         for axis in self.hs._lead_axes:
             x = np.fft.fft(x, axis=axis)
-        x *= self._tendency_mask
+        x = x[self.index]
+        x *= self._tendency_scale
         return x
 
-    def grid_values(self, stack: np.ndarray) -> np.ndarray:
-        """Model-grid values of a stack in the kernel's layout."""
-        return self.hs.to_physical(stack)
+    grid_values = to_physical
 
 
 class DenseKernel(_Kernel):
     """The block's transforms as dense real matrix products.
 
-    The block holds ``2d + 1`` modes on each leading axis and ``d + 1`` on
-    the last; its layout is those modes, gathered, the leading ones in fft
-    order.  Its grid has ``points`` per axis, by default ``M = 3d + 1``:
-    a product of two block fields has ``|k|_inf <= 2d`` and aliases onto the
-    block only when ``3d >= M``, so the tendency is exact (Orszag's
-    alias-free condition).  Each axis is one ``np.matmul`` over every field,
-    of a real matrix of :func:`_inverse_dft` or its transpose.  The complex
-    values between two axes are kept as an axis of two (real, imaginary)
-    next to the modes or points of the axis to transform next, so that each
-    product contracts two adjacent axes and every reshape is free.
+    Its grid has ``points`` per axis, by default ``M = 3d + 1``: a product
+    of two block fields has ``|k|_inf <= 2d`` and aliases onto the block
+    only when ``3d >= M``, so the tendency is exact (Orszag's alias-free
+    condition).  Each axis is one ``np.matmul`` over every field, of a real
+    matrix of :func:`_inverse_dft` or its transpose.  The complex values
+    between two axes are kept as an axis of two (real, imaginary) next to
+    the modes or points of the axis to transform next, so that each product
+    contracts two adjacent axes and every reshape is free.
     """
 
     def __init__(self, hs: HalfSpectrum, cutoff: int, points: int | None = None):
-        n, dim = hs.n, len(hs.axes)
-        lead = np.r_[0 : cutoff + 1, -cutoff:0]  # fft order
-        rows = np.ix_(*[lead % n] * (dim - 1))
-        super().__init__(hs, cutoff, (Ellipsis,) + rows + (slice(None, cutoff + 1),))
+        super().__init__(hs, cutoff)
+        dim = len(hs.axes)
         M = 3 * cutoff + 1 if points is None else points
         self.points = M
         self._model_grid = None
-        w_lead = _inverse_dft(lead, M)
+        w_lead = _inverse_dft(self._lead, M)
         w_last = _inverse_dft(np.arange(cutoff + 1), M)
         # a mode off the plane k_last = 0 stands for itself and its mirror
         # image; the real part of their sum is twice its own
@@ -777,12 +759,12 @@ class GalerkinProjector:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
     def mask(self, grid: TorusGrid) -> np.ndarray:
-        """The cached complex 0/1 mask of the kept modes on the half of ``grid``."""
+        """The 0/1 mask of the kept modes on the half of ``grid``."""
         if self.cutoff > grid.nyquist:
             raise ValueError(
                 f"cutoff {self.cutoff} exceeds the Nyquist limit {grid.nyquist} of {grid!r}"
             )
-        return grid.half.projection_mask(self.cutoff)
+        return grid.half.kinf <= self.cutoff
 
 
 def weighted_norms(coeffs: np.ndarray, weights: np.ndarray) -> list[float]:

@@ -1,6 +1,8 @@
 """Acceptance criteria that run in seconds: each passes on the program and
 fails when the identity it checks is broken."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,79 @@ def test_ac8_without_a_shallow_water_ensemble_claims_no_check_of_it():
     result = acceptance.ac8_schedule_validity(NoRuns(), None)
     assert result.passed
     assert result.details["rsw_schedules_ok"] is None
+
+
+def _outcome(seed, **fields):
+    return experiments.PathOutcome(
+        seed=seed, status="completed", sup_sq={}, int_f1sq=0.0, e_record=0.0, **fields
+    )
+
+
+def _switching_stats(corrupt=None):
+    """Two cutoffs of four switching paths each, every schedule valid with a
+    positive dwell; ``corrupt`` edits the last path's fields."""
+    by_d = {
+        d: [_outcome(10 * d + i, schedule_passed=True, alpha_dwell=0.5 + i) for i in range(4)]
+        for d in (8, 10)
+    }
+    if corrupt:
+        by_d[10][-1] = dataclasses.replace(by_d[10][-1], **corrupt)
+    return experiments.SummaryStats(by_d=by_d, K_grid=(1.0,), delta_grid=None)
+
+
+def test_ac8_passes_on_valid_schedules():
+    result = acceptance.ac8_schedule_validity(_switching_stats(), _switching_stats())
+    assert result.passed
+    assert result.details["validated_runs"] == 8 and result.details["failures"] == 0
+    assert result.details["min_dwell"] == 0.5 and result.details["rsw_schedules_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "corrupt", [{"schedule_passed": False}, {"alpha_dwell": 0.0}], ids=["schedule", "dwell"]
+)
+def test_ac8_rejects_one_bad_switching_path(corrupt):
+    result = acceptance.ac8_schedule_validity(_switching_stats(corrupt), None)
+    assert not result.passed
+
+
+def test_ac8_rejects_one_bad_shallow_water_schedule():
+    bad = _switching_stats({"schedule_passed": False})
+    result = acceptance.ac8_schedule_validity(_switching_stats(), bad)
+    assert not result.passed and result.details["rsw_schedules_ok"] is False
+
+
+DELTAS = (0.01, 0.1)
+
+
+def _increment_stats(large_small_windows=0, empty_cutoff=False):
+    """Ten paths at each of two cutoffs whose smallest-window increments lie
+    far below the largest-window median, so p_hat is 0 there; the cutoff
+    d = 16 gets ``large_small_windows`` paths with a large one, or no
+    increment samples at all."""
+    by_d = {}
+    for d in (8, 16):
+        paths = []
+        for i in range(10):
+            small = 5.0 if d == 16 and i < large_small_windows else 1e-3
+            aldous = None if d == 16 and empty_cutoff else {0.01: small, 0.1: 1.0 + 0.01 * i}
+            paths.append(_outcome(100 * d + i, aldous=aldous))
+        by_d[d] = paths
+    return experiments.SummaryStats(by_d=by_d, K_grid=(1.0,), delta_grid=DELTAS)
+
+
+def test_ac6_passes_on_small_increments():
+    result = acceptance.ac6_increment_statistics(_increment_stats())
+    assert result.passed
+    assert result.details["delta_min"] == 0.01
+    assert result.details["p_at_delta_min"] == {8: 0.0, 16: 0.0}
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        pytest.param(lambda: _increment_stats(large_small_windows=2), id="p_hat_above_0.1"),
+        pytest.param(lambda: _increment_stats(empty_cutoff=True), id="no_samples"),
+    ],
+)
+def test_ac6_rejects_a_cutoff_with_large_or_missing_increments(stats):
+    assert not acceptance.ac6_increment_statistics(stats()).passed

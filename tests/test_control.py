@@ -268,7 +268,7 @@ class TestSharedLoop:
         # a blow-up between saved rows closes the record with a row that
         # carries the model's state flags, as every saved row does
         class FlaggedGrowth(FourierMultiplierDrift):
-            def check_state(self, X, cutoff=None):
+            def check_state(self, X):
                 return ["flagged"]
 
         grid = TorusGrid(1, 32)
@@ -322,9 +322,9 @@ def test_drift_evals_count_every_drift_call_of_a_switching_path(monkeypatch):
     calls = []
     call = DriftOperator.__call__
 
-    def counted(self, X, cutoff=None):
+    def counted(self, X):
         calls.append(X)
-        return call(self, X, cutoff)
+        return call(self, X)
 
     monkeypatch.setattr(DriftOperator, "__call__", counted)
     rec = shallow_water_switching_run()

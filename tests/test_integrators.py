@@ -45,7 +45,7 @@ def loop_state(X, A, projector):
     evaluated on first use."""
     kernel = X.grid.half.kernel(projector.cutoff)
     block = SpectralField(X.grid, kernel.read(X.coeffs), kernel)
-    drift = _LoopDrift(A, projector.cutoff, kernel, len(X.coeffs))
+    drift = _LoopDrift(A, kernel, len(X.coeffs))
     return _StateCache(block, drift, tuple(weighted_norms(block.coeffs, drift.ladder_weights)))
 
 
@@ -340,10 +340,10 @@ class TestIntegratePath:
         class NanDrift:
             ladder = LADDER
 
-            def __call__(self, X, cutoff=None):
+            def __call__(self, X):
                 return SpectralField(X.grid, np.full_like(X.coeffs, np.nan), X.block)
 
-            def check_state(self, X, cutoff=None):
+            def check_state(self, X):
                 return []
 
         grid = TorusGrid(1, 32)
@@ -380,9 +380,9 @@ class TestIntegratePath:
         calls = []
 
         class CountedHeat(FourierMultiplierDrift):
-            def __call__(self, X, cutoff=None):
+            def __call__(self, X):
                 calls.append(X)
-                return super().__call__(X, cutoff)
+                return super().__call__(X)
 
         grid = TorusGrid(1, 32)
         x = grid.coordinates()[0]
@@ -392,6 +392,30 @@ class TestIntegratePath:
         rec = integrate_path(x0, drift, NoiseSpec(2.0, 1.0, "F0", "I"), st, WienerPath(4, 1e-3))
         assert rec.status == "completed" and rec.rejected_steps > 0
         assert rec.drift_evals == rec.accepted_steps == len(calls)
+
+    def test_a_drift_that_takes_only_the_state_runs(self):
+        # the loop calls A(X) and A.check_state(X) on its block field: a
+        # drift takes its block from its input, with no cutoff argument
+        seen = []
+
+        class Decay:
+            ladder = LADDER
+
+            def __call__(self, X):
+                seen.append(X.block)
+                return -1.0 * X
+
+            def check_state(self, X):
+                seen.append(X.block)
+                return []
+
+        grid = TorusGrid(1, 32)
+        st = StepperConfig(dt=1e-3, t_end=0.02)
+        noise = NoiseSpec(0.5, 1.0, "F0", "I")
+        rec = integrate_path(sine_field(grid), Decay(), noise, st, WienerPath(2, 1e-3), cutoff=8)
+        assert rec.status == "completed" and rec.accepted_steps >= 20
+        assert rec.drift_evals == rec.accepted_steps and rec.flags == [""] * rec.n_rows
+        assert set(seen) == {grid.half.kernel(8)} and len(seen) > rec.drift_evals
 
     def test_drift_evals_on_an_rk4_path(self):
         # three stages per trial besides the cached drift of each state

@@ -1,10 +1,14 @@
-"""The two drift kernels: the dense block products against numpy's FFT, every
-drift on both against the mode-by-mode convolution, the kernel each block
-gets, and the height check that goes through them."""
+"""The two drift kernels: their one block layout, the dense block products
+against numpy's FFT, every drift on both against the mode-by-mode
+convolution, the kernel each block gets and the cutoffs it refuses, and the
+height check that goes through them."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stochtame.control import ControlSchedule, control_run
 from stochtame.integrators import StepperConfig, integrate_path
 from stochtame.models import DriftOperator, ModelParams, random_state
 from stochtame.noise import NoiseSpec, WienerPath
@@ -76,12 +80,48 @@ def test_dense_values_on_the_model_grid_are_the_inverse_fft(dim, n, cutoff):
         assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16), (2, 32), (3, 10)])
+def test_both_kernels_share_one_block_layout(dim, n):
+    # the block gathered, (2d + 1, ..., d + 1), at the 2/3 cutoff and a
+    # smaller one: the same index, shape, per-mode arrays and ladder weights
+    hs = TorusGrid(dim, n).half
+    for cutoff in (hs.dealias_cutoff, 2):
+        dense, fft = DenseKernel(hs, cutoff), FFTKernel(hs, cutoff)
+        assert len(dense.index) == len(fft.index) == dim + 1
+        for a, b in zip(dense.index, fft.index):
+            assert a == b if not isinstance(a, np.ndarray) else np.array_equal(a, b)
+        assert dense.shape == fft.shape == (2 * cutoff + 1,) * (dim - 1) + (cutoff + 1,)
+        for a, b in zip(dense.k_axes + (dense.ksq,), fft.k_axes + (fft.ksq,)):
+            assert np.array_equal(a, b)
+        exponents = (0.0, 1.0, 3.0, 4.0)
+        assert np.array_equal(dense.weights(exponents, 3), fft.weights(exponents, 3))
+        assert np.max(dense.kinf) == cutoff
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_cutoffs_outside_the_two_thirds_range_are_refused(dim, n):
+    # a kernel, a path and a switching path alike, with one message
+    grid = TorusGrid(dim, n)
+    hs = grid.half
+    X0 = random_field(grid, 1, 2.0, 1.0, 0)
+    st = StepperConfig(scheme="RK4Deterministic", dt=1e-3, t_end=0.01)
+    drift = DriftOperator("Burgers1D" if dim == 1 else "Vorticity2D")
+    for cutoff in (0, (n - 1) // 3 + 1):
+        with pytest.raises(ValueError, match=r"\(n - 1\)//3"):
+            hs.kernel(cutoff)
+        with pytest.raises(ValueError, match=r"\(n - 1\)//3"):
+            integrate_path(X0, drift, None, st, cutoff=cutoff)
+        with pytest.raises(ValueError, match=r"\(n - 1\)//3"):
+            control_run(X0, drift, None, ControlSchedule(K=1.0), st, cutoff=cutoff)
+    assert hs.kernel() is hs.kernel(hs.dealias_cutoff)
+
+
 @KERNELS
 @pytest.mark.parametrize("kind", QUADRATIC_KINDS)
 @pytest.mark.parametrize("at_cutoff", [False, True], ids=["two_thirds", "cutoff"])
 def test_drift_on_each_kernel_matches_mode_convolution(monkeypatch, kind, kernel_class, at_cutoff):
-    # at the 2/3 cutoff, and at a smaller cutoff d with a state in V_d, whose
-    # drift is the convolution kept on |k|_inf <= d
+    # of a half, at the 2/3 cutoff, and of a block field of a smaller cutoff
+    # d, whose drift is the convolution kept on |k|_inf <= d
     force_kernel(monkeypatch, kernel_class)
     dim = {"Burgers1D": 1, "Vorticity3D": 3}.get(kind, 2)
     band = {1: 12, 2: 4, 3: 2}[dim] if at_cutoff else {1: 20, 2: 5, 3: 3}[dim]
@@ -89,7 +129,11 @@ def test_drift_on_each_kernel_matches_mode_convolution(monkeypatch, kind, kernel
     for seed in range(3):
         X = _band_limited_state(kind, seed, band)
         params = _params(kind, X.grid)
-        out = DriftOperator(kind, params)(X.as_full(), cutoff)
+        state = X.as_full()
+        if at_cutoff:
+            kernel = X.grid.half.kernel(cutoff)
+            state = SpectralField(X.grid, kernel.read(X.coeffs), kernel)
+        out = DriftOperator(kind, params)(state).as_full()
         expected = _oracle_drift(kind, X, params, band, cutoff)
         scale = np.max(np.abs(expected))
         assert scale > 0.0
@@ -98,15 +142,20 @@ def test_drift_on_each_kernel_matches_mode_convolution(monkeypatch, kind, kernel
 
 @KERNELS
 def test_rsw_drift_of_a_block_state_lies_in_the_block(monkeypatch, kernel_class):
-    # the topography is read on the block too, so nothing leaves it
+    # the topography is read on the block too: one with modes above the
+    # cutoff acts as its projection, and nothing leaves the block
     force_kernel(monkeypatch, kernel_class)
     grid = TorusGrid(2, 32)
     topography = random_field(grid, 1, 2.0, 0.2, 99)
     params = ModelParams(nu=0.3, eta=0.2, topography=topography)
-    X = galerkin_project(random_state("RSW_Viscous", grid, 2.0, 1.0, 0), GalerkinProjector(6))
-    out = DriftOperator("RSW_Viscous", params)(X, 6).coeffs
-    assert np.max(np.abs(out[:, grid.half.kinf > 6])) == 0.0
-    assert np.max(np.abs(out[:, grid.half.kinf <= 6])) > 0.0
+    projected = replace(params, topography=galerkin_project(topography, GalerkinProjector(6)))
+    kernel = grid.half.kernel(6)
+    X = random_state("RSW_Viscous", grid, 2.0, 1.0, 0)
+    block = SpectralField(grid, kernel.read(X.coeffs), kernel)
+    out = DriftOperator("RSW_Viscous", params)(block)
+    assert out.block is kernel and np.max(np.abs(out.coeffs)) > 0.0
+    assert np.array_equal(out.coeffs, DriftOperator("RSW_Viscous", projected)(block).coeffs)
+    assert np.max(np.abs(out.as_half().coeffs[:, grid.half.kinf > 6])) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -127,13 +176,6 @@ def test_each_block_gets_the_faster_kernel(dim, n, cutoff, kernel_class):
     assert type(TorusGrid(dim, n).half.kernel(cutoff)) is kernel_class
 
 
-def test_default_kernel_is_the_two_thirds_block_and_larger_cutoffs_use_it():
-    hs = TorusGrid(2, 16).half
-    assert hs.kernel() is hs.kernel(hs.dealias_cutoff)
-    beyond = hs.kernel(hs.dealias_cutoff + 2)
-    assert type(beyond) is FFTKernel and beyond.cutoff == hs.dealias_cutoff
-
-
 def test_height_check_reads_the_model_grid():
     # h = c + cos(8 x) dips to c - 1 on the 32-point model grid, but stays
     # above c - 0.993 on the 25-point grid of the d = 8 dense kernel
@@ -142,10 +184,13 @@ def test_height_check_reads_the_model_grid():
     height = np.broadcast_to(0.995 + np.cos(8 * x), (32, 32))
     state = SpectralField.from_physical(grid, np.stack([0 * height, 0 * height, height])).as_half()
     A = DriftOperator("RSW_Inviscid")
-    assert type(grid.half.kernel(8)) is DenseKernel
-    assert A.check_state(state, 8) == A.check_state(state) == ["height_nonpositive"]
+    kernel = grid.half.kernel(8)
+    assert type(kernel) is DenseKernel
+    block = SpectralField(grid, kernel.read(state.coeffs), kernel)
+    assert A.check_state(block) == A.check_state(state) == ["height_nonpositive"]
     state.coeffs[2, 0, 0] += 0.01
-    assert A.check_state(state, 8) == A.check_state(state) == []
+    block.coeffs[2, 0, 0] += 0.01
+    assert A.check_state(block) == A.check_state(state) == []
 
 
 def _fft_calls(monkeypatch):
