@@ -40,7 +40,7 @@ from scipy import stats as sps
 from .config import InitialBuilder, InitialSection, ModelSection, parse_config
 from .experiments import (
     SummaryStats,
-    assumption_audit,
+    advised_noise,
     exp_law_study,
     gbm_strong_error_order,
     gbm_study,
@@ -55,10 +55,8 @@ from .noise import (
     NoiseSpec,
     ScaleFunctionSpec,
     WienerPath,
-    advisor_constants,
     gbm_scale_closed_form,
     scale_function,
-    theta_advisor,
 )
 from .spectral import (
     GalerkinProjector,
@@ -97,16 +95,15 @@ def _fmt(v):
 # --- shared Burgers experiment pieces ----------------------------------------
 
 
-def burgers_advised_noise(case: str, epsilon: float = 0.25, level: float = 1.45, seed: int = 11):
-    """The (theta, alpha) advised for a case from an audit of the inviscid
-    Burgers drift.
+def burgers_advised_noise(case: str):
+    """The (theta, alpha) advised for a case at epsilon 0.25 from an audit
+    of the inviscid Burgers drift at seed 11.
 
-    ``level`` = 1.45 is the smallest admissible envelope level (the formula
+    The level 1.45 is the smallest admissible envelope level (the formula
     needs level > sqrt(C/(1-2*eps)) = sqrt(2)), engaging the taming just
     above the unit initial norm scale.
     """
-    audit = assumption_audit(DriftOperator("Burgers1D"), n_samples=200, seed=seed)
-    return theta_advisor(case, advisor_constants(case, *audit), epsilon, level=level)
+    return advised_noise(DriftOperator("Burgers1D"), case, 0.25, 1.45, seed=11)
 
 
 def _noisy_burgers(
@@ -337,8 +334,7 @@ def ac5_uniform_control(
 
     # switching shallow-water ensemble, top-of-ladder report
     rsw = DriftOperator("RSW_Inviscid", ModelParams(f_coriolis=1.0, rossby=1.0, froude=1.0))
-    rsw_constants, rsw_report = assumption_audit(rsw, n_samples=120, seed=seed + 5)
-    rsw_adv = theta_advisor("II", rsw_constants, 0.25)
+    rsw_adv = advised_noise(rsw, "II", 0.25, 2.0, seed + 5, n_samples=120)
     rsw_config = {
         "model": {
             "kind": "RSW_Inviscid", "resolution": 32,

@@ -1,9 +1,14 @@
 """Command line front end.
 
-Subcommands: ``simulate`` (one path), ``control`` (switching run),
-``ensemble`` (Monte Carlo study with CSV tables), ``audit`` (drift growth
-constants), ``gbm`` and ``scalefn`` (the 1D laboratory) and ``verify``
-(structural/acceptance suites; nonzero exit on failure).
+Subcommands: ``simulate`` (one path), ``ensemble`` (Monte Carlo study with
+CSV tables), ``audit`` (drift growth constants), ``gbm`` and ``scalefn`` (the
+1D laboratory) and ``verify`` (structural/acceptance suites; nonzero exit on
+failure).
+
+``simulate`` and ``ensemble`` build each path one way
+(:func:`~stochtame.experiments.run_path`), so both follow the config's
+``control.enabled``.  On a switching config ``simulate`` also writes
+``events.csv`` and exits 1 when the schedule fails validation.
 
 Every subcommand that takes a seed resolves it one way: the ``--seed`` flag,
 else the subcommand's default: the config's ``ensemble.base_seed``, 0 for
@@ -57,67 +62,29 @@ def _step_accounting(record) -> str:
 
 
 def cmd_simulate(args) -> int:
-    from .config import InitialBuilder, build_drift, build_grid, build_noise, config_hash
-    from .integrators import integrate_path
-    from .noise import WienerPath
-    from .trajio import write_trajectory
+    from .config import build_noise, config_hash
+    from .experiments import run_path
+    from .trajio import EVENTS_HEADER, write_table, write_trajectory
 
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
-    drift = build_drift(cfg)
-    noise = build_noise(cfg)
-    x0 = InitialBuilder(cfg.model)(build_grid(cfg))
-    wiener = WienerPath(seed, cfg.stepper.dt) if noise else None
-    record = integrate_path(
-        x0, drift, noise, cfg.stepper, wiener,
-        seed=seed, config_hash=config_hash(cfg), save_stride=cfg.output.save_stride,
-    )
-    out = _out_dir(args, cfg) / "trajectory.csv"
-    write_trajectory(out, record)
-    if not args.quiet:
-        print(f"status={record.status} {_step_accounting(record)} rows={record.n_rows} "
-              f"final_norms=G={record.norm_G[-1]:.6g},F0={record.norm_F0[-1]:.6g}")
-        print(f"wrote {out}")
-    return 0
-
-
-def cmd_control(args) -> int:
-    from .config import (
-        InitialBuilder,
-        build_drift,
-        build_grid,
-        build_noise,
-        build_schedule,
-        config_hash,
-    )
-    from .control import control_run, validate_schedule
-    from .noise import WienerPath
-    from .trajio import write_events, write_trajectory
-
-    cfg = _load_config(args.config)
-    if not cfg.control.enabled:
-        raise SystemExit("config has control.enabled = false")
-    seed = _resolve_seed(args, cfg.ensemble.base_seed)
-    drift = build_drift(cfg)
-    noise = build_noise(cfg)
-    sched = build_schedule(cfg)
-    x0 = InitialBuilder(cfg.model)(build_grid(cfg))
-    wiener = WienerPath(seed, cfg.stepper.dt) if noise else None
-    record = control_run(
-        x0, drift, noise, sched, cfg.stepper, wiener,
-        seed=seed, config_hash=config_hash(cfg), save_stride=cfg.output.save_stride,
-    )
-    report = validate_schedule(record, sched)
+    record, report = run_path(cfg, build_noise(cfg), cfg.stepper, seed)
+    h = config_hash(cfg)
     out = _out_dir(args, cfg)
-    write_trajectory(out / "trajectory.csv", record)
-    write_events(out / "events.csv", record.events, config_hash(cfg), seed)
+    write_trajectory(out / "trajectory.csv", record, h)
+    if report is None:
+        norms = f"G={record.norm_G[-1]:.6g},F0={record.norm_F0[-1]:.6g}"
+        tail = f"rows={record.n_rows} final_norms={norms}"
+        written = f"{out}/trajectory.csv"
+    else:
+        events = [e.as_dict() for e in record.events]
+        write_table(out / "events.csv", events, EVENTS_HEADER, h, seed)
+        tail = f"events={len(record.events)} valid={report.passed} dwell={report.alpha_dwell}"
+        written = f"{out}/trajectory.csv, {out}/events.csv"
     if not args.quiet:
-        print(
-            f"status={record.status} {_step_accounting(record)} events={len(record.events)} "
-            f"valid={report.passed} dwell={report.alpha_dwell}"
-        )
-        print(f"wrote {out}/trajectory.csv, {out}/events.csv")
-    return 0 if report.passed else 1
+        print(f"status={record.status} {_step_accounting(record)} {tail}")
+        print(f"wrote {written}")
+    return 0 if report is None or report.passed else 1
 
 
 def cmd_ensemble(args) -> int:
@@ -137,7 +104,7 @@ def cmd_ensemble(args) -> int:
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
     run = replace(cfg.ensemble, n_paths=args.paths or cfg.ensemble.n_paths, base_seed=seed)
     noise = cfg.noise
-    if noise.advisor:  # audited at the config's own base seed, as simulate and control do
+    if noise.advisor:  # audited at the config's own base seed, as simulate does
         spec = build_noise(cfg)
         noise = replace(noise, advisor=False, theta=spec.theta, alpha=spec.alpha)
     stats = run_ensemble(replace(cfg, ensemble=run, noise=noise), jobs=args.jobs)
@@ -238,13 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("simulate", help="integrate a single path")
+    p = sub.add_parser("simulate", help="integrate one path, switching when control.enabled")
     common(p)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("control", help="run the switching strategy")
-    common(p)
-    p.set_defaults(func=cmd_control)
 
     p = sub.add_parser("ensemble", help="Monte Carlo ensemble with summary tables")
     common(p)

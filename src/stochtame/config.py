@@ -53,13 +53,7 @@ from .models import (
     model_kind,
     random_state,
 )
-from .noise import (
-    MartingaleDiagnostics,
-    NoiseSpec,
-    advisor_constants,
-    check_advisor_inputs,
-    theta_advisor,
-)
+from .noise import MartingaleDiagnostics, NoiseSpec, check_advisor_inputs
 from .spectral import (
     GalerkinProjector,
     SpaceLadder,
@@ -364,11 +358,12 @@ class InitialBuilder:
 def build_noise(cfg: RunConfig) -> NoiseSpec | None:
     n = cfg.noise
     if n.advisor:
-        from .experiments import assumption_audit
+        from .experiments import advised_noise
 
-        audit = assumption_audit(build_drift(cfg), n_samples=200, seed=cfg.ensemble.base_seed)
-        constants = advisor_constants(n.case, *audit)
-        return theta_advisor(n.case, constants, n.advisor_epsilon, level=n.advisor_level).spec()
+        advice = advised_noise(
+            build_drift(cfg), n.case, n.advisor_epsilon, n.advisor_level, cfg.ensemble.base_seed
+        )
+        return advice.spec()
     if n.theta == 0.0:
         return None
     return NoiseSpec.for_case(n.theta, n.alpha, n.case)

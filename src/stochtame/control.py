@@ -132,7 +132,6 @@ def control_run(
     *,
     cutoff: int | None = None,
     seed: int | None = None,
-    config_hash: str = "",
     save_stride: int = 1,
     field_stride: int | None = None,
 ):
@@ -145,7 +144,7 @@ def control_run(
     """
     switch = _Switching(sched, B, stepper.mart_epsilon)
     record = _adaptive_loop(
-        X0, A, B, stepper, wiener, cutoff, seed, config_hash, save_stride, field_stride, switch
+        X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_stride, switch
     )
     if switch.regime == "S":
         switch.keep_residual()

@@ -2,6 +2,11 @@
 statistics, the exponential law of the martingale record, tail-bound checks,
 geometric-Brownian-motion stabilisation and drift assumption audits.
 
+:func:`run_path` is the one recipe of a configured path: ``stochtame
+simulate`` runs one, and :func:`run_ensemble` one for each (cutoff, path)
+pair.  :func:`advised_noise` is the one route from an audit to the noise the
+advisor advises.
+
 Determinism: path seeds derive as ``base_seed + path_index``, the same seed
 drives the same Brownian path at every Galerkin cutoff, and aggregation is
 order independent, so identical configurations produce identical statistics.
@@ -28,8 +33,8 @@ from .config import (
     build_noise,
     build_schedule,
 )
-from .control import control_run, validate_schedule
-from .integrators import integrate_path
+from .control import ValidationReport, control_run, validate_schedule
+from .integrators import StepperConfig, TrajectoryRecord, integrate_path
 from .models import (
     AssumptionConstants,
     DriftOperator,
@@ -39,6 +44,7 @@ from .models import (
 )
 from .noise import (
     NOISE_CASES,
+    AdvisedNoise,
     GbmSpec,
     NoiseSpec,
     WienerPath,
@@ -47,11 +53,7 @@ from .noise import (
     gbm_exact,
     theta_advisor,
 )
-from .spectral import (
-    GalerkinProjector,
-    TorusGrid,
-    galerkin_project,
-)
+from .spectral import TorusGrid
 
 # --- small statistics helpers -------------------------------------------------
 
@@ -285,32 +287,52 @@ def _aldous_increments(record, delta_grid, seed, use_hitting: bool, ladder):
     return {float(delta): float(running[end - idx - 1]) for delta, end in zip(delta_grid, ends)}
 
 
+def run_path(
+    cfg: RunConfig,
+    noise: NoiseSpec | None,
+    stepper: StepperConfig,
+    seed: int,
+    cutoff: int | None = None,
+    field_stride: int | None = None,
+) -> tuple[TrajectoryRecord, ValidationReport | None]:
+    """The path of ``cfg`` driven by the Wiener path of ``seed``, and the
+    validation of its schedule (None without ``control.enabled``).
+
+    The one recipe of a configured path: the config's initial state and
+    drift, ``noise`` as :func:`~stochtame.config.build_noise` builds it, the
+    Wiener path of ``seed`` when ``noise.theta > 0`` and ``stepper`` to its
+    ``t_end``, switched by the config's schedule when ``control.enabled``.
+    The path runs at ``cutoff`` (default: the grid's 2/3 cutoff), saves a row
+    every ``output.save_stride`` accepted steps and, with a ``field_stride``,
+    keeps snapshots.  It makes one call of this module's ``integrate_path``
+    or ``control_run``, with the cutoff as a keyword.
+    """
+    X0 = InitialBuilder(cfg.model)(build_grid(cfg))
+    drift = build_drift(cfg)
+    wiener = WienerPath(seed, stepper.dt) if noise and noise.theta > 0 else None
+    kw = {
+        "cutoff": cutoff, "seed": seed,
+        "save_stride": cfg.output.save_stride, "field_stride": field_stride,
+    }
+    schedule = build_schedule(cfg)
+    if schedule is None:
+        return integrate_path(X0, drift, noise, stepper, wiener, **kw), None
+    record = control_run(X0, drift, noise, schedule, stepper, wiener, **kw)
+    return record, validate_schedule(record, schedule)
+
+
 def _run_one_path(cfg: RunConfig, noise: NoiseSpec | None, d: int, index: int) -> PathOutcome:
     """Path ``index`` of ``cfg``'s ensemble at cutoff ``d``, run with ``noise``."""
     seed = cfg.ensemble.base_seed + index
-    grid, drift = build_grid(cfg), build_drift(cfg)
-    X0 = galerkin_project(InitialBuilder(cfg.model)(grid), GalerkinProjector(d))
     stepper = build_ensemble_stepper(cfg)
     delta_grid = cfg.ensemble.delta_grid
     field_stride = max(1, int(min(delta_grid) / stepper.dt / 2.0)) if delta_grid else None
-    wiener = WienerPath(seed, stepper.dt) if noise and noise.theta > 0 else None
-    strides = {"save_stride": cfg.output.save_stride, "field_stride": field_stride}
-
-    schedule = build_schedule(cfg)
-    if schedule is None:
-        rec = integrate_path(X0, drift, noise, stepper, wiener, cutoff=d, seed=seed, **strides)
-        schedule_passed, alpha, pairs = None, None, 0
-    else:
-        rec = control_run(X0, drift, noise, schedule, stepper, wiener, cutoff=d, seed=seed, **strides)
-        report = validate_schedule(rec, schedule)
-        schedule_passed = bool(report.passed)
-        alpha = report.alpha_dwell
-        pairs = report.n_pairs
+    rec, report = run_path(cfg, noise, stepper, seed, d, field_stride)
 
     aldous = None
     if delta_grid and rec.status == "completed":
         aldous = _aldous_increments(
-            rec, delta_grid, seed, use_hitting=(index % 2 == 0), ladder=drift.ladder
+            rec, delta_grid, seed, use_hitting=(index % 2 == 0), ladder=build_drift(cfg).ladder
         )
     rec.snapshots = None  # free field memory before aggregation
     return PathOutcome(
@@ -321,9 +343,9 @@ def _run_one_path(cfg: RunConfig, noise: NoiseSpec | None, d: int, index: int) -
         e_record=rec.diagnostics.record if rec.diagnostics else 0.0,
         blowup_time=rec.blowup[0] if rec.blowup else None,
         aldous=aldous,
-        schedule_passed=schedule_passed,
-        alpha_dwell=alpha,
-        n_switch_pairs=pairs,
+        schedule_passed=None if report is None else bool(report.passed),
+        alpha_dwell=None if report is None else report.alpha_dwell,
+        n_switch_pairs=0 if report is None else report.n_pairs,
         flags=";".join(f for f in rec.flags if f),
         blowup_reason=rec.blowup[1] if rec.blowup else "",
         accepted_steps=rec.accepted_steps,
@@ -800,6 +822,21 @@ def assumption_audit(
         }
     report["advised"] = advised
     return constants, report
+
+
+def advised_noise(
+    drift: DriftOperator,
+    case: str,
+    epsilon: float,
+    level: float,
+    seed: int,
+    n_samples: int = 200,
+) -> AdvisedNoise:
+    """The noise :func:`~stochtame.noise.theta_advisor` advises for ``case``
+    at ``epsilon`` and ``level``, from an :func:`assumption_audit` of
+    ``drift`` over ``n_samples`` states of seeds ``seed, seed + 1, ...``."""
+    audit = assumption_audit(drift, n_samples=n_samples, seed=seed)
+    return theta_advisor(case, advisor_constants(case, *audit), epsilon, level=level)
 
 
 def _interpolation_ratio(model, grid, seed, lad, n: int = 64) -> float:

@@ -174,7 +174,6 @@ class TrajectoryRecord:
     status: str = "completed"
     blowup: tuple[float, str] | None = None
     seed: int | None = None
-    config_hash: str = ""
     events: list = dataclass_field(default_factory=list)
     envelope_residuals: list = dataclass_field(default_factory=list)
     diagnostics: MartingaleDiagnostics | None = None
@@ -234,7 +233,7 @@ class _RecordBuilder:
     """A path's record in the making.  A row's eight float columns go into
     one flat buffer, its regime and flags into two lists: about 80 bytes."""
 
-    def __init__(self, seed, config_hash, keep_fields: bool, max_level: int):
+    def __init__(self, seed, keep_fields: bool, max_level: int):
         self.data = array("d")
         self.regimes = []
         self.flags = []
@@ -242,7 +241,6 @@ class _RecordBuilder:
         self.snapshot_norms = [] if keep_fields else None
         self.sup = (0.0, 0.0, 0.0, 0.0)
         self.seed = seed
-        self.config_hash = config_hash
         self.trials = 0
         self.rejections = dict.fromkeys(("non_finite", "stiffness", "growth", "crossing"), 0)
         self.level_steps = [0] * (max_level + 1)
@@ -280,7 +278,6 @@ class _RecordBuilder:
             status=status,
             blowup=blowup,
             seed=self.seed,
-            config_hash=self.config_hash,
             diagnostics=diagnostics,
             snapshots=self.snapshots,
             final_state=X.as_full(),
@@ -428,7 +425,6 @@ def integrate_path(
     *,
     cutoff: int | None = None,
     seed: int | None = None,
-    config_hash: str = "",
     save_stride: int = 1,
     field_stride: int | None = None,
 ) -> TrajectoryRecord:
@@ -446,9 +442,7 @@ def integrate_path(
     with a ``field_stride`` a snapshot at the times ``j * field_stride * dt``.
     The step floor is the stepper's ``dt * 2**-dt_min_exponent``.
     """
-    return _adaptive_loop(
-        X0, A, B, stepper, wiener, cutoff, seed, config_hash, save_stride, field_stride
-    )
+    return _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_stride)
 
 
 def check_scheme_carries(scheme: str, noise_on: bool) -> None:
@@ -457,9 +451,7 @@ def check_scheme_carries(scheme: str, noise_on: bool) -> None:
         raise ValueError("scheme RK4Deterministic is deterministic and cannot carry the noise")
 
 
-def _adaptive_loop(
-    X0, A, B, stepper, wiener, cutoff, seed, config_hash, save_stride, field_stride, switch=None
-):
+def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_stride, switch=None):
     """The adaptive dyadic stepping loop of plain and switching paths.
 
     A trial step is refined (level + 1, the Wiener path split by its bridge)
@@ -522,7 +514,7 @@ def _adaptive_loop(
     diag = MartingaleDiagnostics(stepper.mart_epsilon)
 
     max_level = stepper.dt_min_exponent
-    rec = _RecordBuilder(seed, config_hash, field_stride is not None, max_level)
+    rec = _RecordBuilder(seed, field_stride is not None, max_level)
     flags = "" if switch is None else switch.start(n0)
     label = ("S" if noise_on else "D") if switch is None else switch.regime
     int_f1 = 0.0

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import integrate
 
-from .spectral import LADDER_SPACES, SpaceLadder, SpectralField
+from .spectral import LADDER_SPACES
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,6 @@ class NoiseSpec:
         if declared not in LADDER_SPACES:
             raise ValueError(f"unknown ladder space {declared!r}")
         return LADDER_SPACES.index(declared) >= LADDER_SPACES.index(self.required_initial_space)
-
-
-def noise_coefficient(X: SpectralField, spec: NoiseSpec, ladder: SpaceLadder) -> SpectralField:
-    """B(X) = theta * ||X||_{F_i}^alpha * X."""
-    return spec.coefficient(ladder.norms(X)) * X
 
 
 # --- scalar Wiener path with dyadic bridge refinement -----------------------

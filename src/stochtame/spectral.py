@@ -660,9 +660,6 @@ class SpectralField:
             return self
         return SpectralField(self.grid, self.coeffs[..., : self.grid.half.m])
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.coeffs).all())
-
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.block)
 

@@ -15,6 +15,8 @@ Fixed headers:
                    rejected_<cause> for the causes non_finite, stiffness,
                    growth and crossing, finest_level,drift_evals,
                    wiener_draws,wall_s; one row per path of an ensemble
+* events:          kind,index,time,norm,norm_before,level_hi,level_lo,K;
+                   one row per switching event of a path
 * audit:           key,value rows
 """
 
@@ -33,6 +35,7 @@ PATHS_HEADER = (
     "rejected_stiffness,rejected_growth,rejected_crossing,finest_level,drift_evals,"
     "wiener_draws,wall_s"
 )
+EVENTS_HEADER = "kind,index,time,norm,norm_before,level_hi,level_lo,K"
 
 
 def _provenance(config_hash: str, seed) -> str:
@@ -42,7 +45,7 @@ def _provenance(config_hash: str, seed) -> str:
 def trajectory_csv(record, config_hash: str = "") -> str:
     """Render a TrajectoryRecord as CSV text (with provenance comments)."""
     buf = io.StringIO()
-    buf.write(_provenance(config_hash or record.config_hash, record.seed))
+    buf.write(_provenance(config_hash, record.seed))
     buf.write(TRAJECTORY_HEADER + "\n")
     for row in record.rows():
         t, ng, n0, n1, nd, intf, regime, m, qv, flags = row
@@ -81,17 +84,6 @@ def write_keyvalue(path, mapping: dict, config_hash: str = "", seed=None) -> Non
             if isinstance(value, (dict, list, tuple)):
                 value = json.dumps(value, sort_keys=True)
             writer.writerow([key, value])
-
-
-def write_events(path, events, config_hash: str = "", seed=None) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_provenance(config_hash, seed))
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "index", "time", "norm", "norm_before", "level_hi", "level_lo", "K"])
-        for e in events:
-            d = e.as_dict()
-            writer.writerow([d[k] for k in
-                             ("kind", "index", "time", "norm", "norm_before", "level_hi", "level_lo", "K")])
 
 
 def ensure_dir(path) -> str:

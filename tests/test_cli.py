@@ -187,24 +187,25 @@ ACCOUNTING = (
 )
 
 
-@pytest.mark.parametrize("command", ["simulate", "control"])
-def test_path_commands_print_the_step_accounting(tmp_path, capsys, command):
-    # a tamed Burgers path whose noise refines some steps; the control run
-    # starts above L_hi, so tau fires at t = 0, and the noise stays on: every
-    # step is a tamed step, one drift evaluation per accepted step
+@pytest.mark.parametrize("control", [False, True], ids=["simulate", "control"])
+def test_path_commands_print_the_step_accounting(tmp_path, capsys, control):
+    # simulate of a tamed Burgers path whose noise refines some steps, plain
+    # or under control.enabled; the switching run starts above L_hi, so tau
+    # fires at t = 0, and the noise stays on: every step is a tamed step,
+    # one drift evaluation per accepted step
     import re
 
     config = {
         "model": {"kind": "Burgers1D", "resolution": 64, "initial": {"amplitude": 3.0}},
         "noise": {"theta": 0.5, "alpha": 1.0, "case": "I"},
         "stepper": {"dt": 1e-3, "t_end": 0.05, "stiff_cap": 0.05, "growth_trigger": 0.05},
-        "control": {"enabled": command == "control", "K": 1.0, "C": 1.0},
+        "control": {"enabled": control, "K": 1.0, "C": 1.0},
         "ensemble": {"d_list": [8]},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out), "--seed", "3"]) == 0
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "3"]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     match = re.match(ACCOUNTING, line)
     assert match, line
@@ -216,23 +217,24 @@ def test_path_commands_print_the_step_accounting(tmp_path, capsys, command):
     assert int(evals) == accepted
 
 
-@pytest.mark.parametrize("command", ["simulate", "control"])
-def test_step_accounting_prints_wiener_draws_and_wall_time(tmp_path, capsys, command):
-    # the noise is on at every step of both runs (the control run starts above
-    # L_hi and stays there), so each trial draws one Wiener increment at its
-    # level: the draws by level sum to the trials, and a refined level draws
+@pytest.mark.parametrize("control", [False, True], ids=["simulate", "control"])
+def test_step_accounting_prints_wiener_draws_and_wall_time(tmp_path, capsys, control):
+    # simulate, plain or under control.enabled: the noise is on at every step
+    # of both runs (the switching run starts above L_hi and stays there), so
+    # each trial draws one Wiener increment at its level: the draws by level
+    # sum to the trials, and a refined level draws
     import re
 
     config = {
         "model": {"kind": "Burgers1D", "resolution": 64, "initial": {"amplitude": 3.0}},
         "noise": {"theta": 0.5, "alpha": 1.0, "case": "I"},
         "stepper": {"dt": 1e-3, "t_end": 0.05, "stiff_cap": 0.05, "growth_trigger": 0.05},
-        "control": {"enabled": command == "control", "K": 1.0, "C": 1.0},
+        "control": {"enabled": control, "K": 1.0, "C": 1.0},
         "ensemble": {"d_list": [8]},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]
     assert main(argv) == 0
     line = capsys.readouterr().out.splitlines()[0]
     pattern = r" trials=(\d+) .* finest_level=(\d+) .* wiener_draws=([\d:,]+) wall_s=(\S+) "
@@ -269,3 +271,87 @@ def test_refused_config_exits_with_one_line(tmp_path):
         f"invalid config {path}: stepper.stiff_cap must be a number, got '0.5'"
     ]
     assert not (tmp_path / "out").exists()
+
+
+SWITCHING = {
+    "model": {
+        "kind": "RSW_Inviscid",
+        "resolution": 16,
+        "initial": {"kind": "rest_height", "amplitude": 0.4, "space": "D", "seed": 97},
+    },
+    "noise": {"theta": 2.0, "alpha": 0.5, "case": "II"},
+    "stepper": {"scheme": "EulerMaruyama", "dt": 2e-3, "t_end": 0.05, "stiff_cap": 0.1},
+    "control": {"enabled": True, "K": 1.0, "C": 1.0},
+    "ensemble": {"d_list": [4, 5]},
+    "output": {"save_stride": 2},
+}
+
+
+def test_simulate_follows_control_enabled(tmp_path, monkeypatch, capsys):
+    # simulate of a switching config runs the config's schedule: it writes
+    # the events beside the trajectory, prints the schedule's verdict, and
+    # its record is control_run's on the config's own inputs
+    import numpy as np
+
+    import stochtame.experiments as experiments
+    from stochtame.config import (
+        InitialBuilder,
+        build_drift,
+        build_grid,
+        build_noise,
+        build_schedule,
+    )
+    from stochtame.control import control_run, validate_schedule
+    from stochtame.noise import WienerPath
+
+    records = []
+    run = experiments.control_run
+
+    def capture(*args, **kwargs):
+        records.append(run(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(experiments, "control_run", capture)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(SWITCHING))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+    (rec,) = records
+    cfg = parse_config(path.read_text())
+    x0 = InitialBuilder(cfg.model)(build_grid(cfg))
+    schedule = build_schedule(cfg)
+    wiener = WienerPath(7, cfg.stepper.dt)
+    ref = control_run(
+        x0, build_drift(cfg), build_noise(cfg), schedule, cfg.stepper, wiener,
+        seed=7, save_stride=2,
+    )
+    assert list(rec.rows()) == list(ref.rows())
+    assert [e.as_dict() for e in rec.events] == [e.as_dict() for e in ref.events]
+    assert (rec.trials, rec.rejections, rec.level_steps, rec.drift_evals, rec.wiener_draws) == (
+        ref.trials, ref.rejections, ref.level_steps, ref.drift_evals, ref.wiener_draws
+    )
+    assert np.array_equal(rec.final_state.coeffs, ref.final_state.coeffs)
+    events = read_rows(out / "events.csv")
+    assert len(events) == len(rec.events) > 0
+    assert [(e["kind"], float(e["time"])) for e in events] == [
+        (e.kind, e.time) for e in rec.events
+    ]
+    report = validate_schedule(rec, schedule)
+    assert report.passed
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.endswith(f" events={len(rec.events)} valid=True dwell={report.alpha_dwell}")
+    assert second == f"wrote {out}/trajectory.csv, {out}/events.csv"
+
+
+def test_simulate_exits_one_when_the_schedule_fails(tmp_path, monkeypatch):
+    import stochtame.experiments as experiments
+    from stochtame.control import ValidationReport
+
+    monkeypatch.setattr(
+        experiments, "validate_schedule", lambda record, schedule: ValidationReport(False)
+    )
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(SWITCHING))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    assert (out / "trajectory.csv").is_file() and (out / "events.csv").is_file()

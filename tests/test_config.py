@@ -158,7 +158,7 @@ REFUSED = [
     ({"stepper.dt_min_exponent": 0}, "simulate", "stepper.dt_min_exponent"),
     ({"model.ladder": [0, 3, 2, 4]}, "simulate", "model.ladder"),
     ({"output.save_stride": 0}, "simulate", "output.save_stride"),
-    ({"control.enabled": True, "control.C": -1}, "control", "control: scale offset C"),
+    ({"control.enabled": True, "control.C": -1}, "simulate", "control: scale offset C"),
     ({"ensemble.T": 1, "ensemble.delta_grid": [0.9]}, "ensemble", "ensemble.delta_grid"),
     ({"noise.advisor": True, "noise.advisor_epsilon": 0.7}, "simulate", "noise: epsilon"),
     ({"ensemble.T": -1}, "ensemble", "ensemble.T"),
@@ -191,7 +191,7 @@ REFUSED = [
     "changes, command, message", REFUSED, ids=[";".join(c) for c, _, _ in REFUSED]
 )
 def test_bad_setting_is_refused_before_any_work(tmp_path, monkeypatch, changes, command, message):
-    # each of these ended simulate, control or ensemble in a traceback, some
+    # each of these ended a path command or ensemble in a traceback, some
     # after paths or the advisor's audit had run; now the command exits with
     # one line naming the key or its section, before any work
     from stochtame import control, experiments, integrators

@@ -236,3 +236,48 @@ def test_run_ensemble_runs_the_paths_built_by_hand(name):
                 assert outcome.aldous == _aldous_increments(
                     rec, cfg.ensemble.delta_grid, outcome.seed, j % 2 == 0, drift.ladder
                 )
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_run_path_is_the_path_the_ensemble_runs(tmp_path, monkeypatch, name):
+    # stochtame ensemble hands each path's record to experiments'
+    # integrate_path / control_run bindings, as the benchmark's capture reads
+    # them; run_path at that (cutoff, seed) returns the same record, and for
+    # a switching config the validation of its schedule
+    captured = {}
+    for binding in ("integrate_path", "control_run"):
+        inner = getattr(experiments, binding)
+
+        def capture(*args, _inner=inner, **kwargs):
+            rec = _inner(*args, **kwargs)
+            captured[kwargs["cutoff"], rec.seed] = rec
+            return rec
+
+        monkeypatch.setattr(experiments, binding, capture)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(HAND_BUILT[name]))
+    assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    monkeypatch.undo()
+    cfg = parse_config(path.read_text())
+    noise = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
+    stepper = replace(cfg.stepper, t_end=cfg.ensemble.T)
+    schedule = build_schedule(cfg)
+    field_stride = 5 if cfg.ensemble.delta_grid else None
+    ens = cfg.ensemble
+    assert sorted(captured) == [(d, ens.base_seed + j) for d in ens.d_list for j in range(2)]
+    for d, seed in sorted(captured):
+        ensemble_rec = captured[d, seed]
+        rec, report = experiments.run_path(cfg, noise, stepper, seed, d, field_stride)
+        assert list(rec.rows()) == list(ensemble_rec.rows())
+        assert (rec.trials, rec.rejections, rec.level_steps) == (
+            ensemble_rec.trials, ensemble_rec.rejections, ensemble_rec.level_steps
+        )
+        assert (rec.drift_evals, rec.wiener_draws, rec.sup_norms) == (
+            ensemble_rec.drift_evals, ensemble_rec.wiener_draws, ensemble_rec.sup_norms
+        )
+        assert np.array_equal(rec.final_state.coeffs, ensemble_rec.final_state.coeffs)
+        if schedule is None:
+            assert report is None
+        else:
+            assert [e.as_dict() for e in rec.events] == [e.as_dict() for e in ensemble_rec.events]
+            assert report == validate_schedule(ensemble_rec, schedule)

@@ -18,7 +18,6 @@ from stochtame.noise import (
     gbm_decay_criterion,
     gbm_exact,
     gbm_scale_closed_form,
-    noise_coefficient,
     revuz_yor_bound,
     scale_function,
     theta_advisor,
@@ -46,14 +45,14 @@ class TestNoiseCoefficient:
     def test_theta_zero(self):
         grid = TorusGrid(1, 32)
         X = random_field(grid, 1, 4.0, 1.0, 1)
-        B = noise_coefficient(X, NoiseSpec(0.0, 2.0, "F0", "I"), LADDER)
+        B = NoiseSpec(0.0, 2.0, "F0", "I").coefficient(LADDER.norms(X)) * X
         assert np.max(np.abs(B.coeffs)) == 0.0
 
     def test_unit_norm_returns_theta_X(self):
         grid = TorusGrid(1, 32)
         X = random_field(grid, 1, 4.0, 1.0, 2)
         X = (1.0 / sobolev_norm(X, LADDER.s_F0)) * X
-        B = noise_coefficient(X, NoiseSpec(0.7, 3.0, "F0", "I"), LADDER)
+        B = NoiseSpec(0.7, 3.0, "F0", "I").coefficient(LADDER.norms(X)) * X
         assert np.allclose(B.coeffs, 0.7 * X.coeffs, rtol=1e-13)
 
     def test_norm_two_alpha_one(self):
@@ -61,14 +60,14 @@ class TestNoiseCoefficient:
         grid = TorusGrid(1, 32)
         X = random_field(grid, 1, 4.0, 1.0, 3)
         X = (2.0 / sobolev_norm(X, LADDER.s_F0)) * X
-        B = noise_coefficient(X, NoiseSpec(0.5, 1.0, "F0", "I"), LADDER)
+        B = NoiseSpec(0.5, 1.0, "F0", "I").coefficient(LADDER.norms(X)) * X
         assert np.allclose(B.coeffs, X.coeffs, rtol=1e-13)
 
     def test_norm_identity_all_exponents(self):
         grid = TorusGrid(1, 32)
         spec = NoiseSpec(0.9, 1.5, "F0", "I")
         X = random_field(grid, 1, 4.0, 1.3, 4)
-        B = noise_coefficient(X, spec, LADDER)
+        B = spec.coefficient(LADDER.norms(X)) * X
         m = sobolev_norm(X, LADDER.s_F0)
         for s in (0.0, 1.0, 2.0):
             assert sobolev_norm(B, s) == pytest.approx(
@@ -82,8 +81,8 @@ class TestNoiseCoefficient:
         grid = TorusGrid(1, 32)
         spec = NoiseSpec(1.1, 2.0, "F0", "I")
         X = random_field(grid, 1, 4.0, 1.0, seed)
-        lhs = noise_coefficient(lam * X, spec, LADDER)
-        rhs = lam ** (spec.alpha + 1.0) * noise_coefficient(X, spec, LADDER)
+        lhs = spec.coefficient(LADDER.norms(lam * X)) * (lam * X)
+        rhs = lam ** (spec.alpha + 1.0) * (spec.coefficient(LADDER.norms(X)) * X)
         assert np.allclose(lhs.coeffs, rhs.coeffs, rtol=1e-10, atol=1e-14)
 
 

@@ -107,7 +107,7 @@ class TestLadderNorms:
     def test_overflowing_sum_of_finite_field_is_inf(self):
         grid = TorusGrid(1, 64)
         f = SpectralField.from_modes(grid, [((20,), 0, 1e153)])
-        assert f.is_finite()
+        assert np.isfinite(f.coeffs).all()
         with np.errstate(over="ignore"):
             g, f0, f1, d = self.LADDER.norms(f)
             assert math.isfinite(g) and g == sobolev_norm(f, self.LADDER.s_G)
