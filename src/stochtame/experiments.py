@@ -569,8 +569,11 @@ class ExpLawReport:
         return d
 
 
-#: steps drawn and advanced at a time by :func:`exp_law_samples`
+#: steps whose normals :func:`exp_law_samples` draws at a time
 _EXP_LAW_CHUNK = 512
+#: steps whose bridge uniforms :func:`exp_law_samples` draws and advances at a
+#: time, within a block of normals
+_EXP_LAW_SUB = 32
 
 
 def exp_law_samples(
@@ -587,20 +590,33 @@ def exp_law_samples(
     supremum (a Brownian bridge maximum; the linear compensator folds into
     the endpoints), so up to the horizon truncation the samples follow
     Exp(eps) exactly.
+
+    The generator draws a block of ``_EXP_LAW_CHUNK`` steps' normals, then
+    that block's uniforms, then the next block's normals.  The normals go to
+    one reused (block, P) buffer and the uniforms a few steps at a time to a
+    second, small one; the stream order, and so every sample, does not depend
+    on that sub-block size.
     """
     rng = np.random.default_rng(seed)
     n_steps = int(round(T / dt))
     z = np.zeros(n_paths)
     rec = np.zeros(n_paths)
     c = 0.5 * epsilon
-    done = 0
     root_dt = math.sqrt(dt)
-    while done < n_steps:
-        s = min(_EXP_LAW_CHUNK, n_steps - done)
-        dw = rng.standard_normal((s, n_paths)) * root_dt
-        u = 1.0 - rng.random((s, n_paths)) if bridge else None
-        envelope_chunk(z, rec, np.ascontiguousarray(dw), u, dt, c)
-        done += s
+    normals = np.empty((min(_EXP_LAW_CHUNK, n_steps), n_paths))
+    uniforms = np.empty((min(_EXP_LAW_SUB, n_steps), n_paths)) if bridge else None
+    for done in range(0, n_steps, _EXP_LAW_CHUNK):
+        dw = normals[: min(_EXP_LAW_CHUNK, n_steps - done)]
+        rng.standard_normal(out=dw)
+        dw *= root_dt
+        for k in range(0, len(dw), _EXP_LAW_SUB):
+            sub = dw[k : k + _EXP_LAW_SUB]
+            u = None
+            if bridge:
+                u = uniforms[: len(sub)]
+                rng.random(out=u)
+                np.subtract(1.0, u, out=u)
+            envelope_chunk(z, rec, sub, u, dt, c)
     return rec
 
 
@@ -712,16 +728,17 @@ def assumption_audit(
 
     rows = []
     lips = []
-    prev = None
+    prev = Aprev = None
     for i in range(n_samples):
         amp = amps[i % len(amps)]
         decay = decays[(i // len(amps)) % len(decays)]
         f = random_state(model.kind, grid, decay, amp, seed + i)
-        rep = drift_pairing_report(f, model)
+        Af = model(f)
+        rep = drift_pairing_report(f, model, Af)
         rows.append((seed + i, amp, rep))
         if prev is not None and (i % 3 == 0):
-            lips.append((seed + i, lipschitz_quotient(model, prev, f)))
-        prev = f
+            lips.append((seed + i, lipschitz_quotient(model, prev, f, Aprev, Af)))
+        prev, Aprev = f, Af
 
     tiny = 1e-300
     m0 = np.asarray([r.norm_F0 for _, _, r in rows])

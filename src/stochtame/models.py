@@ -585,8 +585,12 @@ class AssumptionReport:
         return {k: float(v) for k, v in self.__dict__.items()}
 
 
-def drift_pairing_report(a: SpectralField, A: DriftOperator) -> AssumptionReport:
+def drift_pairing_report(
+    a: SpectralField, A: DriftOperator, Aa: SpectralField | None = None
+) -> AssumptionReport:
     """Evaluate every pairing and growth functional entering the audits.
+
+    ``Aa`` is the drift ``A(a)`` when the caller has it already.
 
     ``ratio_F1_incompressible`` is ``<a,A(a)>_F1 / (||a||_F0 ||a||_F1^2)``
     (the incompressible-form candidate with unit exponent) and
@@ -594,7 +598,8 @@ def drift_pairing_report(a: SpectralField, A: DriftOperator) -> AssumptionReport
     ``dissipation_F0`` is the exact viscous deficit ``nu * D_s(a)``.
     """
     lad = A.ladder
-    Aa = A(a)
+    if Aa is None:
+        Aa = A(a)
     nG, n0, n1, nD = lad.norms(a)
     pG = inner_product(a, Aa, lad.s_G)
     p0 = inner_product(a, Aa, lad.s_F0)
@@ -618,10 +623,22 @@ def drift_pairing_report(a: SpectralField, A: DriftOperator) -> AssumptionReport
     )
 
 
-def lipschitz_quotient(A: DriftOperator, a: SpectralField, b: SpectralField) -> float:
-    """||A(a)-A(b)||_G / ((1 + ||a||_F1 + ||b||_F1) ||a-b||_F0)."""
+def lipschitz_quotient(
+    A: DriftOperator,
+    a: SpectralField,
+    b: SpectralField,
+    Aa: SpectralField | None = None,
+    Ab: SpectralField | None = None,
+) -> float:
+    """||A(a)-A(b)||_G / ((1 + ||a||_F1 + ||b||_F1) ||a-b||_F0).
+
+    ``Aa`` and ``Ab`` are the drifts ``A(a)`` and ``A(b)`` when the caller
+    has them already.
+    """
     lad = A.ladder
-    num = sobolev_norm(A(a) - A(b), lad.s_G)
+    Aa = A(a) if Aa is None else Aa
+    Ab = A(b) if Ab is None else Ab
+    num = sobolev_norm(Aa - Ab, lad.s_G)
     den = (1.0 + sobolev_norm(a, lad.s_F1) + sobolev_norm(b, lad.s_F1)) * sobolev_norm(
         a - b, lad.s_F0
     )

@@ -281,3 +281,17 @@ def test_run_path_is_the_path_the_ensemble_runs(tmp_path, monkeypatch, name):
         else:
             assert [e.as_dict() for e in rec.events] == [e.as_dict() for e in ensemble_rec.events]
             assert report == validate_schedule(ensemble_rec, schedule)
+
+
+def test_audit_evaluates_one_drift_per_sample(monkeypatch):
+    # the Lipschitz quotients reuse the drifts of the pairing reports
+    calls = []
+    inner = DriftOperator.__call__
+
+    def counted(self, X):
+        calls.append(X)
+        return inner(self, X)
+
+    monkeypatch.setattr(DriftOperator, "__call__", counted)
+    experiments.assumption_audit(DriftOperator("Burgers1D"), n_samples=12)
+    assert len(calls) == 12
