@@ -15,10 +15,10 @@ or audit runs, with a :class:`ConfigError` naming the dotted key or section:
   annotation (a float key takes an integer, no number key a boolean, a list
   key a list of numbers, and only an optional key null);
 * what the runtime objects refuse: it builds the grid, the drift with its
-  parameters and ladder, the stepper (also to ``ensemble.T``), the
-  martingale record, the Galerkin projectors, the schedule when
-  ``control.enabled``, the noise spec and the initial state, and checks the
-  advisor's epsilon and level without running its audit;
+  parameters and ladder, the stepper (also to ``ensemble.T``), the Galerkin
+  projectors, the schedule when ``control.enabled``, the noise spec and the
+  initial state, and checks the advisor's epsilon and level without running
+  its audit;
 * the rules only the config states (:func:`validate_config`);
 * a ``stepper.blowup_threshold`` at or below the F0 norm of the initial
   state at the dealias cutoff, the largest cutoff a command runs.
@@ -53,7 +53,7 @@ from .models import (
     model_kind,
     random_state,
 )
-from .noise import MartingaleDiagnostics, NoiseSpec, check_advisor_inputs
+from .noise import NoiseSpec, check_advisor_inputs
 from .spectral import (
     GalerkinProjector,
     SpaceLadder,
@@ -221,7 +221,6 @@ def parse_config(text: str) -> RunConfig:
 
     grid = _built("model", build_grid, cfg)
     drift = _built("model", build_drift, cfg)
-    _built("stepper.mart_epsilon", MartingaleDiagnostics, cfg.stepper.mart_epsilon)
     _built("ensemble.T", build_ensemble_stepper, cfg)
     for d in cfg.ensemble.d_list:
         _built("ensemble.d_list", GalerkinProjector, d)

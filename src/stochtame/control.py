@@ -30,13 +30,6 @@ recording the escalation.  The levels then follow the K in force, so
 When the norm already lies at or below the raised L_lo, rho fires at the
 escalation instant itself, with no crossing step to bisect, just as tau_0
 fires at t = 0 when the start lies at or above L_hi.
-
-During each stochastic phase the controller logs the envelope residual: the
-observed excess of ``phi(||X_t||)`` over
-``phi(||X_tau||) + (M_t - eps/2 <M>_t)`` per unit time, where M is the
-phase's normalised martingale ``int 2<X, B(X)>_F0 / (C + ||X||_F0^2) dW``.
-Only finiteness of the residual is asserted; its constants are model
-dependent.
 """
 
 from __future__ import annotations
@@ -119,7 +112,6 @@ class ValidationReport:
     failures: list = dataclass_field(default_factory=list)
     alpha_dwell: float | None = None
     n_pairs: int = 0
-    residuals_finite: bool = True
 
 
 def control_run(
@@ -142,38 +134,30 @@ def control_run(
     deterministic integration.  The strides are those of
     :func:`~stochtame.integrators.integrate_path`.
     """
-    switch = _Switching(sched, B, stepper.mart_epsilon)
+    switch = _Switching(sched, B)
     record = _adaptive_loop(
         X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_stride, switch
     )
-    if switch.regime == "S":
-        switch.keep_residual()
     record.events = switch.events
-    record.envelope_residuals = switch.residuals
     return record
 
 
 class _Switching:
     """The phases of one switching path, as the shared stepping loop asks.
 
-    Holds the regime, the K in force and its levels, the tau/rho/escalate
-    events and the envelope of the open stochastic phase.
+    Holds the regime, the K in force and its levels, the start of the open
+    stochastic phase and the tau/rho/escalate events.
     """
 
-    def __init__(self, sched: ControlSchedule, B: NoiseSpec | None, epsilon: float):
+    def __init__(self, sched: ControlSchedule, B: NoiseSpec | None):
         self.sched = sched
-        self.B = B
         self.noise = B is not None and B.theta > 0.0
-        self.epsilon = epsilon
         self.K = sched.K
         self.L_hi, self.L_lo = sched.levels(self.K)
         self.regime = "D"
         self.pair_index = 0
         self.events: list[ControlEvent] = []
-        self.residuals: list[float] = []
         self.phase_start = 0.0
-        self.env_ref = self.env_m = self.env_qv = 0.0
-        self.env_residual = -math.inf
 
     @property
     def stochastic(self) -> bool:
@@ -200,40 +184,19 @@ class _Switching:
         self._event("rho", t, norm_before, norm)
         self.pair_index += 1
         self.regime = "D"
-        self.keep_residual()
 
     def _open(self, t, norm_before, norm):
         self._event("tau", t, norm_before, norm)
         self.regime = "S"
         self.phase_start = t
-        self.env_ref = scale_value(norm, self.sched)
-        self.env_m = self.env_qv = 0.0
-        self.env_residual = -math.inf
 
-    def keep_residual(self):
-        if math.isfinite(self.env_residual):
-            self.residuals.append(self.env_residual)
-
-    def accept(self, t, h, dW, norms, norm_new, crossing) -> str:
-        """Envelope, switching and escalation events of an accepted step; its
-        row's regime."""
-        if self.regime == "S":
-            norm = norms[1]
-            b_pair = 2.0 * self.B.coefficient(norms) * norm**2
-            rate = b_pair / (self.sched.C + norm * norm)
-            self.env_m += rate * dW
-            self.env_qv += rate**2 * h
-            if t > self.phase_start:
-                excess = (
-                    scale_value(norm_new, self.sched)
-                    - self.env_ref
-                    - (self.env_m - 0.5 * self.epsilon * self.env_qv)
-                )
-                self.env_residual = max(self.env_residual, excess / (t - self.phase_start))
+    def accept(self, t, norm, norm_new, crossing) -> str:
+        """Switching and escalation events of an accepted step from F0 norm
+        ``norm`` to ``norm_new``; its row's regime."""
         if crossing and self.regime == "D":
-            self._open(t, norms[1], norm_new)
+            self._open(t, norm, norm_new)
         elif crossing:
-            self._close(t, norms[1], norm_new)
+            self._close(t, norm, norm_new)
         limit = self.sched.max_stochastic_duration
         if self.regime == "S" and limit is not None and t - self.phase_start > limit:
             self._escalate(t, norm_new)
@@ -319,15 +282,10 @@ def validate_schedule(record, sched: ControlSchedule) -> ValidationReport:
                 f"{e.kind}_{e.index} at t={e.time}: norm {e.norm} does not bracket level {lvl}"
             )
 
-    residuals_finite = all(math.isfinite(r) for r in record.envelope_residuals)
-    if not residuals_finite:
-        failures.append("non-finite envelope residual")
-
     alpha = min(dwells) if len(dwells) >= 2 else (dwells[0] if dwells else None)
     return ValidationReport(
         passed=not failures,
         failures=failures,
         alpha_dwell=alpha,
         n_pairs=min(len(taus), len(rhos)),
-        residuals_finite=residuals_finite,
     )

@@ -116,13 +116,10 @@ class PathOutcome:
     status: str
     sup_sq: dict
     int_f1sq: float
-    e_record: float
-    blowup_time: float | None = None
     aldous: dict | None = None
     schedule_passed: bool | None = None
     alpha_dwell: float | None = None
     n_switch_pairs: int = 0
-    flags: str = ""
     blowup_reason: str = ""
     accepted_steps: int = 0
     trials: int = 0
@@ -273,7 +270,9 @@ def _aldous_increments(record, delta_grid, seed, use_hitting: bool, ladder):
     t0 = times[idx]
     ref = snaps[idx][1]
     # each window holds the snapshots idx+1 .. end-1; their distances to
-    # X_tau are computed in stacks of _WINDOW_CHUNK to bound the temporaries
+    # X_tau are computed in stacks of _WINDOW_CHUNK to bound the temporaries,
+    # one dot product a row, so that a distance is sobolev_norm's of its
+    # difference bit for bit, whatever the stack size
     ends = [int(np.searchsorted(times, t0 + delta + 1e-12, side="right")) for delta in delta_grid]
     last = max(ends)
     weight = ref.layout.weight(ladder.s_G, ref.components)
@@ -282,7 +281,7 @@ def _aldous_increments(record, delta_grid, seed, use_hitting: bool, ladder):
         diff = np.stack([f.coeffs for _, f in snaps[lo : min(lo + _WINDOW_CHUNK, last)]])
         diff -= ref.coeffs
         power = np.square(diff.view(np.float64)).reshape(len(diff), -1)
-        dist.append(np.sqrt(power @ weight))
+        dist.append(np.sqrt(np.vecdot(power, weight)))
     running = np.maximum.accumulate(np.concatenate(dist))
     return {float(delta): float(running[end - idx - 1]) for delta, end in zip(delta_grid, ends)}
 
@@ -340,13 +339,10 @@ def _run_one_path(cfg: RunConfig, noise: NoiseSpec | None, d: int, index: int) -
         status=rec.status,
         sup_sq=rec.sup_norm_sq,
         int_f1sq=float(rec.int_F1sq[-1]),
-        e_record=rec.diagnostics.record if rec.diagnostics else 0.0,
-        blowup_time=rec.blowup[0] if rec.blowup else None,
         aldous=aldous,
         schedule_passed=None if report is None else bool(report.passed),
         alpha_dwell=None if report is None else report.alpha_dwell,
         n_switch_pairs=0 if report is None else report.n_pairs,
-        flags=";".join(f for f in rec.flags if f),
         blowup_reason=rec.blowup[1] if rec.blowup else "",
         accepted_steps=rec.accepted_steps,
         trials=rec.trials,
@@ -569,11 +565,9 @@ class ExpLawReport:
         return d
 
 
-#: steps whose normals :func:`exp_law_samples` draws at a time
-_EXP_LAW_CHUNK = 512
-#: steps whose bridge uniforms :func:`exp_law_samples` draws and advances at a
-#: time, within a block of normals
-_EXP_LAW_SUB = 32
+#: steps whose normals and bridge uniforms :func:`exp_law_samples` draws
+#: and advances at a time
+_EXP_LAW_CHUNK = 32
 
 
 def exp_law_samples(
@@ -591,32 +585,30 @@ def exp_law_samples(
     the endpoints), so up to the horizon truncation the samples follow
     Exp(eps) exactly.
 
-    The generator draws a block of ``_EXP_LAW_CHUNK`` steps' normals, then
-    that block's uniforms, then the next block's normals.  The normals go to
-    one reused (block, P) buffer and the uniforms a few steps at a time to a
-    second, small one; the stream order, and so every sample, does not depend
-    on that sub-block size.
+    The normals and the bridge uniforms come from the two child streams of
+    ``np.random.SeedSequence(seed)``, the normals from the first, so the
+    samples depend on the seed alone and not on the block size.  Each block
+    of ``_EXP_LAW_CHUNK`` steps draws its normals and its uniforms into two
+    reused (block, P) buffers and is advanced at once.
     """
-    rng = np.random.default_rng(seed)
+    normal_rng, uniform_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     n_steps = int(round(T / dt))
     z = np.zeros(n_paths)
     rec = np.zeros(n_paths)
     c = 0.5 * epsilon
     root_dt = math.sqrt(dt)
     normals = np.empty((min(_EXP_LAW_CHUNK, n_steps), n_paths))
-    uniforms = np.empty((min(_EXP_LAW_SUB, n_steps), n_paths)) if bridge else None
+    uniforms = np.empty_like(normals) if bridge else None
     for done in range(0, n_steps, _EXP_LAW_CHUNK):
         dw = normals[: min(_EXP_LAW_CHUNK, n_steps - done)]
-        rng.standard_normal(out=dw)
+        normal_rng.standard_normal(out=dw)
         dw *= root_dt
-        for k in range(0, len(dw), _EXP_LAW_SUB):
-            sub = dw[k : k + _EXP_LAW_SUB]
-            u = None
-            if bridge:
-                u = uniforms[: len(sub)]
-                rng.random(out=u)
-                np.subtract(1.0, u, out=u)
-            envelope_chunk(z, rec, sub, u, dt, c)
+        u = None
+        if bridge:
+            u = uniforms[: len(dw)]
+            uniform_rng.random(out=u)
+            np.subtract(1.0, u, out=u)
+        envelope_chunk(z, rec, dw, u, dt, c)
     return rec
 
 

@@ -80,7 +80,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .noise import NOISE_CASES, MartingaleDiagnostics, NoiseSpec, WienerPath
+from .noise import NOISE_CASES, NoiseSpec, WienerPath
 from .spectral import (
     LADDER_SPACES,
     NonFiniteFieldError,
@@ -112,7 +112,6 @@ class StepperConfig:
     growth_trigger: float = 0.10
     stiff_cap: float = 0.5
     blowup_threshold: float | None = None
-    mart_epsilon: float = 0.25
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -127,20 +126,22 @@ class StepperConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Time series of norms, regime labels and martingale diagnostics.
+    """Time series of norms, regime labels and the martingale pair (M, QV).
 
     ``status`` is "completed", "blowup" or "numeric_error"; ``blowup`` holds
     (time, reason) for the blow-up statuses.  Rows are immutable once the
-    record is finalised.  ``sup_norms`` holds the maxima of the (G, F0, F1, D)
-    norms over every accepted state, saved as a row or not, so they do not
-    depend on the save stride; ``snapshots`` hold the loop's states in its
-    kernel's block layout (``SpectralField.block``; ``as_half`` writes one
-    to a half) and ``snapshot_norm_F0`` the F0 norm of each;
-    ``final_state`` is the full layout, exactly Hermitian.  Snapshots stay
-    on the block by measurement (Burgers1D, n = 256, d = 8 to 64): a write
-    to a half costs about 2 us, 500 us for a path's 250 snapshots, and the
-    increment statistics read the 250 in 166-211 us from blocks against
-    201-229 us from halves.
+    record is finalised.  ``M`` and ``QV`` hold the raw pair (M_t, <M>_t)
+    of the martingale ``int 2<X, B(X)> dW`` in the noise case's envelope
+    space, constant over deterministic steps.  ``sup_norms`` holds the
+    maxima of the (G, F0, F1, D) norms over every accepted state, saved as a
+    row or not, so they do not depend on the save stride; ``snapshots``
+    hold the loop's states in its kernel's block layout
+    (``SpectralField.block``; ``as_half`` writes one to a half) and
+    ``snapshot_norm_F0`` the F0 norm of each; ``final_state`` is the full
+    layout, exactly Hermitian.  Snapshots stay on the block by measurement
+    (Burgers1D, n = 256, d = 8 to 64): a write to a half costs about 2 us,
+    500 us for a path's 250 snapshots, and the increment statistics read
+    the 250 in 166-211 us from blocks against 201-229 us from halves.
 
     The step accounting: ``trials`` counts trial steps; ``rejections`` counts
     the rejected ones by cause ("non_finite", "stiffness", "growth",
@@ -175,8 +176,6 @@ class TrajectoryRecord:
     blowup: tuple[float, str] | None = None
     seed: int | None = None
     events: list = dataclass_field(default_factory=list)
-    envelope_residuals: list = dataclass_field(default_factory=list)
-    diagnostics: MartingaleDiagnostics | None = None
     snapshots: list[tuple[float, SpectralField]] | None = None
     final_state: SpectralField | None = None
     sup_norms: tuple[float, float, float, float] | None = None
@@ -261,7 +260,7 @@ class _RecordBuilder:
             self.snapshots.append((t, X))
             self.snapshot_norms.append(norm_F0)
 
-    def build(self, status, blowup, diagnostics, X, drift_evals, wall_s) -> TrajectoryRecord:
+    def build(self, status, blowup, X, drift_evals, wall_s) -> TrajectoryRecord:
         """The record of a path that ended in the block-layout state ``X``."""
         data = np.frombuffer(self.data).reshape(-1, 8)
         return TrajectoryRecord(
@@ -278,7 +277,6 @@ class _RecordBuilder:
             status=status,
             blowup=blowup,
             seed=self.seed,
-            diagnostics=diagnostics,
             snapshots=self.snapshots,
             final_state=X.as_full(),
             sup_norms=self.sup,
@@ -481,10 +479,10 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_s
     (:mod:`stochtame.control`) provides ``stochastic`` (the next step
     carries the noise; otherwise it is an RK4 step), ``start(norm)`` (the
     initial row's flags), ``crosses(norm_new)`` (the trial state crosses the
-    level in force) and ``accept(t, h, dW, norms, norm_new, crossing)`` (its
-    events; returns the new row's regime label).  A step that changes the
-    regime is always saved, and a crossing step restarts the coarsening
-    count.
+    level in force) and ``accept(t, norm, norm_new, crossing)`` (its events
+    on a step between these F0 norms; returns the new row's regime label).
+    A step that changes the regime is always saved, and a crossing step
+    restarts the coarsening count.
     """
     wall_start = time.perf_counter()
     noise_on = B is not None and B.theta > 0.0
@@ -511,16 +509,15 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_s
 
     env_space = NOISE_CASES[B.case_label].envelope_space if noise_on else "F0"
     env_idx = LADDER_SPACES.index(env_space)
-    diag = MartingaleDiagnostics(stepper.mart_epsilon)
 
     max_level = stepper.dt_min_exponent
     rec = _RecordBuilder(seed, field_stride is not None, max_level)
     flags = "" if switch is None else switch.start(n0)
     label = ("S" if noise_on else "D") if switch is None else switch.regime
-    int_f1 = 0.0
+    int_f1 = m = qv = 0.0
     t = 0.0
     rec.visit(cache.norms)
-    rec.add(t, cache.norms, int_f1, label, diag.m, diag.qv, flags)
+    rec.add(t, cache.norms, int_f1, label, m, qv, flags)
     rec.snap(t, X, n0)
 
     n_base = int(round(stepper.t_end / stepper.dt))
@@ -588,7 +585,8 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_s
         int_f1 += norms[2] ** 2 * h
         if stochastic:
             b_pair = 2.0 * B.coefficient(norms) * norms[env_idx] ** 2
-            diag.update(b_pair * dW, b_pair**2 * h)
+            m += b_pair * dW
+            qv += b_pair**2 * h
         X = X_new
         cache = _StateCache(X, A, norms_new)
         rec.visit(norms_new)
@@ -599,14 +597,14 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_s
         accepted_since_refine = 0 if crossing else accepted_since_refine + 1
         before = label
         if switch is not None:
-            label = switch.accept(t, h, dW, norms, norm_new, crossing)
+            label = switch.accept(t, norms[1], norm_new, crossing)
         if label != before:
             climb_to, bisect_from = bisect_from, None
         elif bisect_from is not None and pos % (1 << (level - bisect_from)) == 0:
             bisect_from = None  # past the pre-bisection step: nothing crossed
 
         if steps_done % save_stride == 0 or pos == (n_base << level) or label != before:
-            rec.add(t, norms_new, int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
+            rec.add(t, norms_new, int_f1, label, m, qv, ";".join(check_state(X)))
         # snapshots at the times j * field_stride * dt, which lie on every level
         if rec.snapshots is not None and pos % (field_stride << level) == 0:
             rec.snap(t, X, norm_new)
@@ -630,5 +628,5 @@ def _adaptive_loop(X0, A, B, stepper, wiener, cutoff, seed, save_stride, field_s
             accepted_since_refine = 0
 
     if rec.data[-8] != t:  # the last row's time
-        rec.add(t, cache.norms, int_f1, label, diag.m, diag.qv, ";".join(check_state(X)))
-    return rec.build(status, blowup, diag, X, A.calls, time.perf_counter() - wall_start)
+        rec.add(t, cache.norms, int_f1, label, m, qv, ";".join(check_state(X)))
+    return rec.build(status, blowup, X, A.calls, time.perf_counter() - wall_start)

@@ -566,7 +566,7 @@ class AssumptionConstants:
 
 @dataclass
 class AssumptionReport:
-    """All pairings, norms and candidate ratios for one sample field."""
+    """All pairings and norms the audit reads for one sample field."""
 
     norm_G: float
     norm_F0: float
@@ -577,12 +577,7 @@ class AssumptionReport:
     pair_F1: float
     pair_D: float
     norm_A_G: float
-    ratio_F1_incompressible: float
-    ratio_D_inviscid: float
     dissipation_F0: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {k: float(v) for k, v in self.__dict__.items()}
 
 
 def drift_pairing_report(
@@ -591,10 +586,6 @@ def drift_pairing_report(
     """Evaluate every pairing and growth functional entering the audits.
 
     ``Aa`` is the drift ``A(a)`` when the caller has it already.
-
-    ``ratio_F1_incompressible`` is ``<a,A(a)>_F1 / (||a||_F0 ||a||_F1^2)``
-    (the incompressible-form candidate with unit exponent) and
-    ``ratio_D_inviscid`` is ``<a,A(a)>_D / (||a||_F1 ||a||_D^2)``.
     ``dissipation_F0`` is the exact viscous deficit ``nu * D_s(a)``.
     """
     lad = A.ladder
@@ -606,7 +597,6 @@ def drift_pairing_report(
     p1 = inner_product(a, Aa, lad.s_F1)
     pD = inner_product(a, Aa, lad.s_D)
     nAG = sobolev_norm(Aa, lad.s_G)
-    tiny = np.finfo(float).tiny
     return AssumptionReport(
         norm_G=nG,
         norm_F0=n0,
@@ -617,8 +607,6 @@ def drift_pairing_report(
         pair_F1=p1,
         pair_D=pD,
         norm_A_G=nAG,
-        ratio_F1_incompressible=p1 / max(n0 * n1**2, tiny),
-        ratio_D_inviscid=pD / max(n1 * nD**2, tiny),
         dissipation_F0=A.params.nu * dissipation_term(a, lad.s_F0),
     )
 

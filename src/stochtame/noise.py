@@ -7,10 +7,10 @@ The stochastic term is the rank-one superlinear multiplier
 driven by a single scalar Brownian motion.  Its scalar coefficient
 ``theta * ||X||_{F_i}^alpha`` has one definition,
 :meth:`NoiseSpec.coefficient`, read from a state's four ladder norms; the
-Euler steps, the martingale pair of the stepping loop and the switching
-envelope all take it from there.  Because B(X) points along X, the
-Hilbert-Schmidt norm of the noise collapses to ``||B(X)||_{F_i}`` and every
-norm identity used by the envelope computations holds verbatim, e.g.
+Euler steps and the martingale pair of the stepping loop both take it from
+there.  Because B(X) points along X, the Hilbert-Schmidt norm of the noise
+collapses to ``||B(X)||_{F_i}`` and every norm identity used by the
+envelope computations holds verbatim, e.g.
 ``||B(X)||_{F_i}^2 = theta^2 ||X||_{F_i}^(2*alpha+2)``.
 
 Three regimes pair the space of the initial state with the norm entering the
@@ -26,11 +26,15 @@ solution ``f_t = f0 exp((a - b^2/2) t + b W_t)`` (decay to zero exactly when
 
     s(x) = int_c^x exp(-int_c^y 2 mu(z)/sigma(z)^2 dz) dy,
 
-and the martingale diagnostics M_t, <M>_t with the pathwise record
+and the pathwise record of a martingale M with quadratic variation <M>,
 
     E(eps) = sup_t (M_t - eps/2 <M>_t),
 
-which for a driftless Brownian integrand is Exp(eps)-distributed.
+which for a driftless Brownian integrand is Exp(eps)-distributed.  The
+record has one definition, the kernel
+:func:`~stochtame._backend.envelope_chunk` that the exponential-law study
+runs; a field path keeps only the raw pair M_t, <M>_t of its stepping loop
+(the record's ``M`` and ``QV`` columns).
 
 The tail estimate for a continuous local martingale Y vanishing at zero is
 implemented in its decaying form ``P(sup Y >= x, <Y> <= y) <= exp(-x^2/(2y))``
@@ -350,44 +354,7 @@ def gbm_scale_closed_form(a: float, b: float, c: float, x: float) -> float:
     return c**q * (x ** (1.0 - q) - c ** (1.0 - q)) / (1.0 - q)
 
 
-# --- martingale diagnostics ---------------------------------------------------
-
-
-@dataclass
-class MartingaleDiagnostics:
-    """Running M_t, <M>_t and the record sup_t (M_t - eps/2 <M>_t).
-
-    Owned by a single path simulation.  ``update`` consumes one increment of
-    the stochastic term and of its quadratic variation.
-
-    Any ``epsilon > 0`` is accepted here: the record E(eps) is
-    Exp(eps)-distributed for a Brownian integrand at every positive epsilon,
-    and the exponential-law study runs at eps = 1.  The envelope strategy
-    itself needs eps < 1/2, which :func:`theta_advisor` enforces.
-    """
-
-    epsilon: float
-    m: float = 0.0
-    qv: float = 0.0
-    record: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-
-    @property
-    def compensated(self) -> float:
-        return self.m - 0.5 * self.epsilon * self.qv
-
-    def update(self, dM: float, d_qv: float):
-        if d_qv < 0:
-            raise ValueError("quadratic variation increments are nonnegative")
-        self.m += dM
-        self.qv += d_qv
-        candidate = self.compensated
-        if candidate > self.record:
-            self.record = candidate
-        return self
+# --- martingale tail bound -----------------------------------------------------
 
 
 def revuz_yor_bound(x: float, y: float) -> float:

@@ -109,7 +109,7 @@ def test_ac8_without_a_shallow_water_ensemble_claims_no_check_of_it():
 
 def _outcome(seed, **fields):
     return experiments.PathOutcome(
-        seed=seed, status="completed", sup_sq={}, int_f1sq=0.0, e_record=0.0, **fields
+        seed=seed, status="completed", sup_sq={}, int_f1sq=0.0, **fields
     )
 
 

@@ -1,6 +1,6 @@
 """Four seeded paths, pinned: a refactor that keeps the stepping must keep
 their step accounting, statuses and switching times exactly, and their
-norms to 1e-12 relative.
+norms and last martingale pair (M, QV) and int_F1sq to 1e-12 relative.
 
 Two are the benchmark's field workloads at fixed (theta, alpha): a tamed
 Burgers path whose growth check refines it five levels deep, and a switching
@@ -106,6 +106,7 @@ PINNED = {
         events=[],
         final=(0.34407160268341946, 0.519997043573933, 2.5112214204636243, 12.957293830780795),
         sup=(2.0811432657165154, 2.9753343911211223, 6.608811784231777, 14.550885873338045),
+        martingale=(-3.810248051153858, 44.73448016086914, 4.388860585909905),
     ),
     "rsw": dict(
         config=RSW,
@@ -118,6 +119,7 @@ PINNED = {
         events=[("tau", 0.0), ("rho", 0.07020836448669433)],
         final=(0.9386466442004368, 3.7865861145613864, 162.0317215520154, 1153.5218634269565),
         sup=(134.52023292079963, 655.9621202566686, 30640.82505392804, 228897.56716178608),
+        martingale=(-241665.79865305504, 385710309584.8979, 1335025.3115023961),
     ),
     "burgers2d": dict(
         config=BURGERS2D,
@@ -130,6 +132,7 @@ PINNED = {
         events=[],
         final=(1.3630411086016354, 1.4197962548504677, 1.8032196369029416, 2.5202404689925624),
         sup=(7.550659696397139, 7.859585845755341, 9.822335257130769, 13.138966035857758),
+        martingale=(-95.43805872227306, 9587.11716035905, 2.556994540514903),
     ),
     "stiff": dict(
         config=STIFF,
@@ -142,6 +145,7 @@ PINNED = {
         events=[],
         final=(0.24033024000293227, 0.34177661714643304, 0.7195578137308145, 1.1208673557261744),
         sup=(17.03600245302501, 24.09339598622042, 48.201679095574015, 68.20509527552159),
+        martingale=(-511.15391618580634, 537316.4927058711, 1.0326559255326115),
     ),
 }
 
@@ -170,7 +174,10 @@ def test_pinned_path_is_kept(name):
     assert rec.status == want["status"]
     assert [(e.kind, e.time) for e in rec.events] == want["events"]
     final = tuple(float(a[-1]) for a in (rec.norm_G, rec.norm_F0, rec.norm_F1, rec.norm_D))
-    for got, pinned in zip(final + tuple(rec.sup_norms), want["final"] + want["sup"]):
+    # the last row's M, QV and int_F1sq
+    last = tuple(float(a[-1]) for a in (rec.M, rec.QV, rec.int_F1sq))
+    kept = final + tuple(rec.sup_norms) + last
+    for got, pinned in zip(kept, want["final"] + want["sup"] + want["martingale"], strict=True):
         assert got == pytest.approx(pinned, rel=1e-12, abs=0.0)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from stochtame import experiments
 from stochtame._backend import envelope_chunk, tamed_gbm_chunk
-from stochtame.experiments import _EXP_LAW_CHUNK, exp_law_samples
+from stochtame.experiments import exp_law_samples
 
 
 def envelope_oracle(z, rec, dw, u, h, c):
@@ -37,18 +37,15 @@ def tamed_gbm_oracle(x, a, b, dw, h):
 
 
 def exp_law_oracle(epsilon, n_paths, dt, T, seed=0, bridge=True):
-    """Whole blocks of normals and uniforms, drawn and advanced together."""
-    rng = np.random.default_rng(seed)
+    """The whole horizon's normals and uniforms, each drawn at once from its
+    own child stream of the seed, and advanced together."""
+    normal_seed, uniform_seed = np.random.SeedSequence(seed).spawn(2)
     n_steps = int(round(T / dt))
     z = np.zeros(n_paths)
     rec = np.zeros(n_paths)
-    done = 0
-    while done < n_steps:
-        s = min(_EXP_LAW_CHUNK, n_steps - done)
-        dw = rng.standard_normal((s, n_paths)) * math.sqrt(dt)
-        u = 1.0 - rng.random((s, n_paths)) if bridge else None
-        envelope_oracle(z, rec, dw, u, dt, 0.5 * epsilon)
-        done += s
+    dw = np.random.default_rng(normal_seed).standard_normal((n_steps, n_paths)) * math.sqrt(dt)
+    u = 1.0 - np.random.default_rng(uniform_seed).random((n_steps, n_paths)) if bridge else None
+    envelope_oracle(z, rec, dw, u, dt, 0.5 * epsilon)
     return rec
 
 
@@ -77,20 +74,21 @@ def test_tamed_gbm_chunk_is_its_expression():
     assert np.array_equal(x, x_ref)
 
 
-@pytest.mark.parametrize("sub", [32, 7])
+@pytest.mark.parametrize("chunk", [32, 7, 1100])
 @pytest.mark.parametrize("bridge", [True, False])
-def test_exp_law_samples_are_the_whole_block_loop(monkeypatch, bridge, sub):
-    # 1100 steps: neither a multiple of the block of normals nor of the
-    # uniforms' sub-block, whose size must not move a sample
-    monkeypatch.setattr(experiments, "_EXP_LAW_SUB", sub)
+def test_exp_law_samples_are_the_whole_block_loop(monkeypatch, bridge, chunk):
+    # 1100 steps: a multiple of neither 32 nor 7, and one block at 1100; the
+    # block size must not move a sample
+    monkeypatch.setattr(experiments, "_EXP_LAW_CHUNK", chunk)
     got = exp_law_samples(0.7, 257, 0.01, 11.0, seed=9, bridge=bridge)
     want = exp_law_oracle(0.7, 257, 0.01, 11.0, seed=9, bridge=bridge)
     assert np.array_equal(got, want)
 
 
 def test_exp_law_samples_hold_about_one_block_of_normals():
+    # at most a quarter more than one 512-step block of normals
     n_paths = 2000
-    block = _EXP_LAW_CHUNK * n_paths * 8
+    block = 512 * n_paths * 8
     tracemalloc.start()
     try:
         exp_law_samples(1.0, n_paths, 0.01, 11.0, seed=1)
