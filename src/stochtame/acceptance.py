@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .config import InitialBuilder, InitialSection, ModelSection, parse_config
+from .config import InitialSection, ModelSection, build_noise, initial_state, parse_config
 from .experiments import (
     SummaryStats,
     advised_noise,
@@ -126,7 +126,8 @@ def _noisy_burgers(
         "output": {"save_stride": save_stride},
         **sections,
     }
-    return run_ensemble(parse_config(json.dumps(config)))
+    cfg = parse_config(json.dumps(config))
+    return run_ensemble(cfg, build_noise(cfg))
 
 
 # --- the criteria -------------------------------------------------------------
@@ -254,7 +255,7 @@ def ac4_blowup_vs_taming(
     the result and the switching arm's ensemble, whose schedules AC-8 checks."""
     t0 = time.time()
     grid = TorusGrid(1, 1024)
-    u0 = InitialBuilder(ModelSection("Burgers1D", initial=InitialSection("sine")))(grid)
+    u0 = initial_state(ModelSection("Burgers1D", initial=InitialSection("sine")), grid)
     model = DriftOperator("Burgers1D")
 
     # (a) deterministic blow-up inside the characteristics window
@@ -352,7 +353,8 @@ def ac5_uniform_control(
         "ensemble": {"n_paths": 48, "base_seed": seed + 70_000, "d_list": [8, 10], "T": 1.0},
         "output": {"save_stride": 5},
     }
-    rsw_stats = run_ensemble(parse_config(json.dumps(rsw_config)))
+    rsw_cfg = parse_config(json.dumps(rsw_config))
+    rsw_stats = run_ensemble(rsw_cfg, build_noise(rsw_cfg))
     rsw_d_report = uniform_control_report(rsw_stats, epsilon_target=0.1, space="D")
 
     passed = report.attained and trend_ok and rsw_d_report.K1 is not None

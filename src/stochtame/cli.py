@@ -7,8 +7,11 @@ failure).
 
 ``simulate`` and ``ensemble`` build each path one way
 (:func:`~stochtame.experiments.run_path`), so both follow the config's
-``control.enabled``.  On a switching config ``simulate`` also writes
-``events.csv`` and exits 1 when the schedule fails validation.
+``control.enabled``.  Each builds the config's noise once
+(:func:`~stochtame.config.build_noise`), so the advisor's audit runs at the
+config's own ``ensemble.base_seed`` whatever ``--seed`` says.  On a switching
+config ``simulate`` also writes ``events.csv`` and, when the schedule fails
+validation, prints each failure to stderr and exits 1.
 
 Every subcommand that takes a seed resolves it one way: the ``--seed`` flag,
 else the subcommand's default: the config's ``ensemble.base_seed``, 0 for
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import KERNEL_BACKEND, __version__
@@ -77,10 +81,12 @@ def cmd_simulate(args) -> int:
         tail = f"rows={record.n_rows} final_norms={norms}"
         written = f"{out}/trajectory.csv"
     else:
-        events = [e.as_dict() for e in record.events]
+        events = [asdict(e) for e in record.events]
         write_table(out / "events.csv", events, EVENTS_HEADER, h, seed)
         tail = f"events={len(record.events)} valid={report.passed} dwell={report.alpha_dwell}"
         written = f"{out}/trajectory.csv, {out}/events.csv"
+        for failure in report.failures:
+            print(f"schedule check failed: {failure}", file=sys.stderr)
     if not args.quiet:
         print(f"status={record.status} {_step_accounting(record)} {tail}")
         print(f"wrote {written}")
@@ -88,8 +94,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    from dataclasses import replace
-
     from .config import build_noise, config_hash
     from .experiments import run_ensemble, uniform_control_report
     from .trajio import (
@@ -102,12 +106,9 @@ def cmd_ensemble(args) -> int:
 
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
+    noise = build_noise(cfg)
     run = replace(cfg.ensemble, n_paths=args.paths or cfg.ensemble.n_paths, base_seed=seed)
-    noise = cfg.noise
-    if noise.advisor:  # audited at the config's own base seed, as simulate does
-        spec = build_noise(cfg)
-        noise = replace(noise, advisor=False, theta=spec.theta, alpha=spec.alpha)
-    stats = run_ensemble(replace(cfg, ensemble=run, noise=noise), jobs=args.jobs)
+    stats = run_ensemble(replace(cfg, ensemble=run), noise, jobs=args.jobs)
     h = config_hash(cfg)
     out = _out_dir(args, cfg)
     write_table(out / "uniform_control.csv", stats.sup_table("F0"), UNIFORM_HEADER, h, seed)
@@ -115,7 +116,7 @@ def cmd_ensemble(args) -> int:
     summary = {}
     if len(cfg.ensemble.d_list) >= 2:
         rep = uniform_control_report(stats, cfg.ensemble.epsilon_target)
-        summary.update(rep.as_dict())
+        summary.update(asdict(rep))
     if stats.delta_grid:
         write_table(
             out / "aldous.csv", stats.aldous_table(cfg.ensemble.eta), ALDOUS_HEADER, h, seed
@@ -139,12 +140,12 @@ def cmd_audit(args) -> int:
     seed = _resolve_seed(args, cfg.ensemble.base_seed)
     drift = build_drift(cfg)
     constants, report = assumption_audit(drift, n_samples=args.samples, seed=seed)
-    payload = {**constants.as_dict(), **{f"report_{k}": v for k, v in report.items()}}
+    payload = {**asdict(constants), **{f"report_{k}": v for k, v in report.items()}}
     out = _out_dir(args, cfg)
     write_keyvalue(out / "audit.csv", payload, config_hash(cfg), seed)
     if not args.quiet:
         for key in ("C1", "gamma1", "C2", "gamma13"):
-            print(f"{key} = {constants.as_dict()[key]:.6g}")
+            print(f"{key} = {getattr(constants, key):.6g}")
         print(f"wrote {out}/audit.csv")
     return 0
 
@@ -156,12 +157,12 @@ def cmd_gbm(args) -> int:
     seed = _resolve_seed(args, 0)
     rows = gbm_study(
         [GbmSpec(args.a, args.b, args.f0)],
-        n_paths=args.paths or 1000,
+        n_paths=args.paths,
         T=args.T,
         seed=seed,
         threshold=args.threshold,
     )
-    print(json.dumps(rows[0].as_dict(), indent=2))
+    print(json.dumps(asdict(rows[0]), indent=2))
     return 0
 
 
@@ -190,6 +191,14 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochtame",
@@ -211,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="Monte Carlo ensemble with summary tables")
     common(p)
-    p.add_argument("--paths", type=int, default=None)
+    p.add_argument("--paths", type=positive_int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_ensemble)
 
@@ -226,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f0", type=float, default=1.0)
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--threshold", type=float, default=1e-2)
-    p.add_argument("--paths", type=int, default=1000)
+    p.add_argument("--paths", type=positive_int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_gbm)
 
     p = sub.add_parser("scalefn", help="scale function of a 1D diffusion (mu=a*x, sigma=b*x)")
@@ -236,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=2.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_scalefn)
 
     p = sub.add_parser("verify", help="run the structural/acceptance suites")

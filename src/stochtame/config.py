@@ -15,10 +15,12 @@ or audit runs, with a :class:`ConfigError` naming the dotted key or section:
   annotation (a float key takes an integer, no number key a boolean, a list
   key a list of numbers, and only an optional key null);
 * what the runtime objects refuse: it builds the grid, the drift with its
-  parameters and ladder, the stepper (also to ``ensemble.T``), the Galerkin
-  projectors, the schedule when ``control.enabled``, the noise spec and the
-  initial state, and checks the advisor's epsilon and level without running
-  its audit;
+  parameters and ladder, the stepper (also to ``ensemble.T``), the drift
+  kernel of each ``ensemble.d_list`` cutoff, the schedule when
+  ``control.enabled``, the noise spec and the initial state
+  (:func:`initial_state`), and checks the advisor's epsilon and level
+  without running its audit.  Kernels are cached on their grid, so the
+  paths reuse the ones parsing builds;
 * the rules only the config states (:func:`validate_config`);
 * a ``stepper.blowup_threshold`` at or below the F0 norm of the initial
   state at the dealias cutoff, the largest cutoff a command runs.
@@ -49,20 +51,17 @@ from .models import (
     CATALOGUE,
     DriftOperator,
     ModelParams,
-    default_ladder,
     model_kind,
     random_state,
 )
 from .noise import NoiseSpec, check_advisor_inputs
 from .spectral import (
-    GalerkinProjector,
     SpaceLadder,
     SpectralField,
     TorusGrid,
     dealias,
     random_field,
     sobolev_norm,
-    two_thirds_cutoff,
 )
 
 
@@ -223,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
     drift = _built("model", build_drift, cfg)
     _built("ensemble.T", build_ensemble_stepper, cfg)
     for d in cfg.ensemble.d_list:
-        _built("ensemble.d_list", GalerkinProjector, d)
+        _built("ensemble.d_list", grid.half.kernel, d)
     _built("control", build_schedule, cfg)
     n = cfg.noise
     _built("noise", NoiseSpec.for_case, n.theta, n.alpha, n.case)
@@ -231,7 +230,7 @@ def parse_config(text: str) -> RunConfig:
     if n.advisor:
         _built("noise", check_advisor_inputs, n.case, n.advisor_epsilon, n.advisor_level)
     validate_config(cfg)
-    X0 = _built("model.initial", InitialBuilder(cfg.model), grid)
+    X0 = _built("model.initial", initial_state, cfg.model, grid)
     threshold = cfg.stepper.blowup_threshold
     if threshold is not None:
         # every command projects X0 to a cutoff no larger than the dealias
@@ -265,13 +264,6 @@ def validate_config(cfg: RunConfig) -> None:
     e = cfg.ensemble
     if not e.d_list:
         raise ConfigError("ensemble.d_list must hold at least one cutoff")
-    cutoff_limit = two_thirds_cutoff(m.resolution)
-    for d in e.d_list:
-        if d > cutoff_limit:
-            raise ConfigError(
-                f"ensemble.d_list entry {d} exceeds the dealiased closure limit "
-                f"(resolution - 1)//3 = {cutoff_limit}"
-            )
     if list(e.d_list) != sorted(e.d_list):
         raise ConfigError("ensemble.d_list must be increasing")
     horizon = build_ensemble_stepper(cfg).t_end
@@ -310,7 +302,7 @@ def build_drift(cfg: RunConfig) -> DriftOperator:
     # the section holds every ModelParams field but the topography
     keys = [f.name for f in fields(ModelParams) if hasattr(m, f.name)]
     params = ModelParams(**{key: getattr(m, key) for key in keys})
-    ladder = SpaceLadder(*m.ladder) if m.ladder is not None else default_ladder(m.kind, params)
+    ladder = None if m.ladder is None else SpaceLadder(*m.ladder)
     return DriftOperator(m.kind, params, ladder)
 
 
@@ -330,28 +322,22 @@ def build_schedule(cfg: RunConfig) -> ControlSchedule | None:
     )
 
 
-class InitialBuilder:
-    """Picklable initial-state factory resolved from the config."""
-
-    def __init__(self, model: ModelSection):
-        self.section = model.initial
-        self.kind = model.kind
-
-    def __call__(self, grid: TorusGrid) -> SpectralField:
-        init = self.section
-        components = CATALOGUE[self.kind].components
-        if init.kind == "sine":
-            values = np.zeros((components,) + (grid.n,) * grid.dim)
-            values[0] = init.amplitude * np.sin(grid.coordinates()[0])
-            return SpectralField(grid, grid.half.from_physical(values))
-        if init.kind == "random":
-            return random_state(self.kind, grid, init.decay_exponent, init.amplitude, init.seed)
-        if init.kind == "rest_height":
-            # small random velocity over a positive mean height column
-            f = random_field(grid, components, init.decay_exponent, init.amplitude, init.seed)
-            f.coeffs[2, (0,) * grid.dim] = init.mean_height
-            return f
-        raise ConfigError(f"unknown initial kind {init.kind!r}")
+def initial_state(model: ModelSection, grid: TorusGrid) -> SpectralField:
+    """The initial state of the model section ``model`` on ``grid``."""
+    init = model.initial
+    components = CATALOGUE[model.kind].components
+    if init.kind == "sine":
+        values = np.zeros((components,) + (grid.n,) * grid.dim)
+        values[0] = init.amplitude * np.sin(grid.coordinates()[0])
+        return SpectralField(grid, grid.half.from_physical(values))
+    if init.kind == "random":
+        return random_state(model.kind, grid, init.decay_exponent, init.amplitude, init.seed)
+    if init.kind == "rest_height":
+        # small random velocity over a positive mean height column
+        f = random_field(grid, components, init.decay_exponent, init.amplitude, init.seed)
+        f.coeffs[2, (0,) * grid.dim] = init.mean_height
+        return f
+    raise ConfigError(f"unknown initial kind {init.kind!r}")
 
 
 def build_noise(cfg: RunConfig) -> NoiseSpec | None:

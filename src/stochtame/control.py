@@ -77,18 +77,6 @@ class ControlEvent:
     level_lo: float
     K: float
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "index": self.index,
-            "time": self.time,
-            "norm": self.norm,
-            "norm_before": self.norm_before,
-            "level_hi": self.level_hi,
-            "level_lo": self.level_lo,
-            "K": self.K,
-        }
-
 
 def scale_value(m: float, sched: ControlSchedule) -> float:
     """phi(m) = log(C + m^2), strictly increasing on m >= 0."""

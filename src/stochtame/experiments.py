@@ -15,7 +15,7 @@ order independent, so identical configurations produce identical statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from itertools import permutations
 
@@ -25,13 +25,12 @@ from scipy import stats as sps
 from ._backend import envelope_chunk, tamed_gbm_chunk
 from .config import (
     DEFAULT_K_GRID,
-    InitialBuilder,
     RunConfig,
     build_drift,
     build_ensemble_stepper,
     build_grid,
-    build_noise,
     build_schedule,
+    initial_state,
 )
 from .control import ValidationReport, control_run, validate_schedule
 from .integrators import StepperConfig, TrajectoryRecord, integrate_path
@@ -306,7 +305,7 @@ def run_path(
     keeps snapshots.  It makes one call of this module's ``integrate_path``
     or ``control_run``, with the cutoff as a keyword.
     """
-    X0 = InitialBuilder(cfg.model)(build_grid(cfg))
+    X0 = initial_state(cfg.model, build_grid(cfg))
     drift = build_drift(cfg)
     wiener = WienerPath(seed, stepper.dt) if noise and noise.theta > 0 else None
     kw = {
@@ -354,11 +353,12 @@ def _run_one_path(cfg: RunConfig, noise: NoiseSpec | None, d: int, index: int) -
     )
 
 
-def run_ensemble(cfg: RunConfig, jobs: int = 1) -> SummaryStats:
+def run_ensemble(cfg: RunConfig, noise: NoiseSpec | None, jobs: int = 1) -> SummaryStats:
     """Integrate every (cutoff, path) pair of a parsed config's ensemble and
     aggregate order-independently.
 
-    The noise is built once, with :func:`~stochtame.config.build_noise`.
+    Every path runs with ``noise``, as :func:`run_path` takes it: the
+    caller builds it once, with :func:`~stochtame.config.build_noise`.
     Path ``j`` at cutoff ``d`` starts from the initial state projected to
     ``d``, is driven by the Wiener path of seed ``ensemble.base_seed + j``
     and runs the config's stepper (floor ``dt * 2**-dt_min_exponent``) to
@@ -374,7 +374,7 @@ def run_ensemble(cfg: RunConfig, jobs: int = 1) -> SummaryStats:
     """
     e = cfg.ensemble
     tasks = [(d, j) for d in e.d_list for j in range(e.n_paths)]
-    run = partial(_run_one_path, cfg, build_noise(cfg))
+    run = partial(_run_one_path, cfg, noise)
     ds, js = [d for d, _ in tasks], [j for _, j in tasks]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -409,17 +409,6 @@ class UniformControlReport:
     per_d_at_K1: dict
     trend_pvalue: float | None
     attained: bool
-
-    def as_dict(self):
-        return {
-            "space": self.space,
-            "epsilon_target": self.epsilon_target,
-            "K1": self.K1,
-            "K2": self.K2,
-            "per_d_at_K1": self.per_d_at_K1,
-            "trend_pvalue": self.trend_pvalue,
-            "attained": self.attained,
-        }
 
 
 def _smallest_controlling_K(rows, K_grid, epsilon_target):
@@ -471,9 +460,6 @@ class GbmStudyRow:
     fraction_below: float
     closed_form_prob: float
     median_terminal: float
-
-    def as_dict(self):
-        return self.__dict__.copy()
 
 
 def gbm_study(
@@ -558,11 +544,6 @@ class ExpLawReport:
     ks_stat: float
     ks_pvalue: float
     samples: np.ndarray
-
-    def as_dict(self):
-        d = self.__dict__.copy()
-        d.pop("samples")
-        return d
 
 
 #: steps whose normals and bridge uniforms :func:`exp_law_samples` draws
@@ -733,16 +714,8 @@ def assumption_audit(
         prev, Aprev = f, Af
 
     tiny = 1e-300
-    m0 = np.asarray([r.norm_F0 for _, _, r in rows])
-    m1 = np.asarray([r.norm_F1 for _, _, r in rows])
-    mD = np.asarray([r.norm_D for _, _, r in rows])
-    mG = np.asarray([r.norm_G for _, _, r in rows])
-    p0 = np.asarray([r.pair_F0 for _, _, r in rows])
-    p1 = np.asarray([r.pair_F1 for _, _, r in rows])
-    pD = np.asarray([r.pair_D for _, _, r in rows])
-    pG = np.asarray([r.pair_G for _, _, r in rows])
-    nAG = np.asarray([r.norm_A_G for _, _, r in rows])
-    diss = np.asarray([r.dissipation_F0 for _, _, r in rows])
+    # one contiguous column per AssumptionReport field, in its field order
+    mG, m0, m1, mD, pG, p0, p1, pD, nAG, diss = np.array([astuple(r) for _, _, r in rows]).T.copy()
     seeds = np.asarray([s for s, _, _ in rows])
 
     nonlin = p0 + diss  # exact viscous part removed

@@ -3,7 +3,8 @@
 The catalogue (:data:`CATALOGUE`) holds each kind's facts: its dimension and
 components, its drift, its default ladder (G, F0, F1, D), its state check,
 and how a random state of the kind is built.  Every other module reads them
-from there.
+from there; the default ladder through :class:`DriftOperator`, which takes it
+when built without a ladder.
 
 ==============  ====  ============  =====================================
 kind            dim   components    drift
@@ -452,11 +453,6 @@ def model_kind(kind: str) -> ModelKind:
     return CATALOGUE[kind]
 
 
-def default_ladder(kind: str, params: ModelParams | None = None) -> SpaceLadder:
-    """Per-kind Sobolev exponents of the four-space ladder."""
-    return model_kind(kind).ladder(params or ModelParams())
-
-
 def random_state(
     kind: str, grid: TorusGrid, decay_exponent: float, amplitude: float, seed
 ) -> SpectralField:
@@ -474,7 +470,8 @@ class DriftOperator:
     """Tagged drift descriptor; immutable, shareable across ensemble workers.
 
     The kind's facts are read from :data:`CATALOGUE` by name, so the operator
-    pickles as its kind, parameters and ladder.
+    pickles as its kind, parameters and ladder.  Without a ``ladder`` it
+    takes its kind's default ladder at its ``params``.
     """
 
     kind: str
@@ -559,9 +556,6 @@ class AssumptionConstants:
     gamma13: float = 0.0
     alpha_emb: float = 0.0
     beta_emb: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {k: float(v) for k, v in self.__dict__.items()}
 
 
 @dataclass

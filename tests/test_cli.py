@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_config_cutoff_limit_is_alias_free():
         )
 
     assert parse_config(config(7)).ensemble.d_list == (7,)
-    with pytest.raises(ConfigError, match=r"\(resolution - 1\)//3 = 7"):
+    with pytest.raises(ConfigError, match=r"\(n - 1\)//3 = 7"):
         parse_config(config(8))
 
 
@@ -295,11 +296,11 @@ def test_simulate_follows_control_enabled(tmp_path, monkeypatch, capsys):
 
     import stochtame.experiments as experiments
     from stochtame.config import (
-        InitialBuilder,
         build_drift,
         build_grid,
         build_noise,
         build_schedule,
+        initial_state,
     )
     from stochtame.control import control_run, validate_schedule
     from stochtame.noise import WienerPath
@@ -318,7 +319,7 @@ def test_simulate_follows_control_enabled(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
     (rec,) = records
     cfg = parse_config(path.read_text())
-    x0 = InitialBuilder(cfg.model)(build_grid(cfg))
+    x0 = initial_state(cfg.model, build_grid(cfg))
     schedule = build_schedule(cfg)
     wiener = WienerPath(7, cfg.stepper.dt)
     ref = control_run(
@@ -326,7 +327,7 @@ def test_simulate_follows_control_enabled(tmp_path, monkeypatch, capsys):
         seed=7, save_stride=2,
     )
     assert list(rec.rows()) == list(ref.rows())
-    assert [e.as_dict() for e in rec.events] == [e.as_dict() for e in ref.events]
+    assert [asdict(e) for e in rec.events] == [asdict(e) for e in ref.events]
     assert (rec.trials, rec.rejections, rec.level_steps, rec.drift_evals, rec.wiener_draws) == (
         ref.trials, ref.rejections, ref.level_steps, ref.drift_evals, ref.wiener_draws
     )
@@ -343,15 +344,77 @@ def test_simulate_follows_control_enabled(tmp_path, monkeypatch, capsys):
     assert second == f"wrote {out}/trajectory.csv, {out}/events.csv"
 
 
-def test_simulate_exits_one_when_the_schedule_fails(tmp_path, monkeypatch):
+def test_simulate_exits_one_when_the_schedule_fails(tmp_path, monkeypatch, capsys):
+    # the failed check says why on stderr, also under --quiet
     import stochtame.experiments as experiments
     from stochtame.control import ValidationReport
 
-    monkeypatch.setattr(
-        experiments, "validate_schedule", lambda record, schedule: ValidationReport(False)
-    )
+    failure = "tau_0 at t=0.01: norm 1.5 does not bracket level 2.0"
+    report = ValidationReport(False, [failure])
+    monkeypatch.setattr(experiments, "validate_schedule", lambda record, schedule: report)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(SWITCHING))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == 1
     assert (out / "trajectory.csv").is_file() and (out / "events.csv").is_file()
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.splitlines() == [f"schedule check failed: {failure}"]
+
+
+def test_gbm_prints_the_study_row(capsys):
+    # the JSON is gbm_study's row for the same arguments; gbm has no --quiet,
+    # which silenced nothing
+    from stochtame.experiments import gbm_study
+    from stochtame.noise import GbmSpec
+
+    argv = ["gbm", "--a", "0.5", "--b", "1.5", "--f0", "2.0", "--T", "4.0"]
+    argv += ["--threshold", "0.05", "--paths", "300", "--seed", "8"]
+    assert main(argv) == 0
+    (row,) = gbm_study([GbmSpec(0.5, 1.5, 2.0)], n_paths=300, T=4.0, seed=8, threshold=0.05)
+    assert json.loads(capsys.readouterr().out) == asdict(row)
+    with pytest.raises(SystemExit) as refused:
+        main(argv + ["--quiet"])
+    assert refused.value.code == 2
+
+
+def test_scalefn_agrees_with_the_closed_form(capsys):
+    # the quadrature of the scale function of mu = a x, sigma = b x matches
+    # its closed form; scalefn has no --quiet, which silenced nothing
+    from stochtame.noise import gbm_scale_closed_form
+
+    argv = ["scalefn", "--a", "0.5", "--b", "1.5", "--c", "1.0", "--x", "2.0"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    closed = gbm_scale_closed_form(0.5, 1.5, 1.0, 2.0)
+    assert printed["x"] == 2.0 and printed["closed_form"] == closed
+    assert printed["scale"] == pytest.approx(closed, rel=1e-9, abs=0.0)
+    with pytest.raises(SystemExit) as refused:
+        main(argv + ["--quiet"])
+    assert refused.value.code == 2
+
+
+@pytest.mark.parametrize("paths", ["0", "-2"])
+@pytest.mark.parametrize("command", ["gbm", "ensemble"])
+def test_paths_below_one_are_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, command, paths
+):
+    # gbm --paths 0 ran 1000 paths and ensemble --paths 0 the config's
+    # n_paths; argparse now refuses the count before any work
+    import stochtame.experiments as experiments
+
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setattr(experiments, "gbm_study", ran)
+    monkeypatch.setattr(experiments, "run_ensemble", ran)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"resolution": 32}, "ensemble": {"d_list": [8]}}))
+    argv = [command, "--paths", paths]
+    if command == "ensemble":
+        argv += ["--config", str(path), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    assert f"argument --paths: must be at least 1, got {paths}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -6,11 +6,11 @@ import pytest
 from full_layout import hermitian_defect
 from stochtame.config import (
     ConfigError,
-    InitialBuilder,
     RunConfig,
     build_drift,
     build_grid,
     config_hash,
+    initial_state,
     parse_config,
     serialize_config,
 )
@@ -48,7 +48,7 @@ def _build(kind, initial):
         )
     )
     grid = build_grid(cfg)
-    return grid, build_drift(cfg), InitialBuilder(cfg.model)(grid)
+    return grid, build_drift(cfg), initial_state(cfg.model, grid)
 
 
 PAIRS = [(kind, initial) for kind in CATALOGUE for initial in _initial_kinds(kind)]

@@ -16,7 +16,7 @@ from stochtame.control import (
 from stochtame.integrators import StepperConfig, integrate_path
 from stochtame.models import DriftOperator, FourierMultiplierDrift
 from stochtame.noise import NoiseSpec, WienerPath
-from stochtame.spectral import SpaceLadder, SpectralField, TorusGrid, random_field, sobolev_norm
+from stochtame.spectral import SpaceLadder, SpectralField, TorusGrid, random_field
 
 LADDER = SpaceLadder(0.0, 1.0, 2.0, 3.0)
 

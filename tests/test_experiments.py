@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ import pytest
 from stochtame import experiments
 from stochtame.cli import main
 from stochtame.config import (
-    InitialBuilder,
     build_drift,
     build_grid,
+    build_noise,
     build_schedule,
+    initial_state,
     parse_config,
 )
 from stochtame.control import control_run, validate_schedule
@@ -161,8 +162,8 @@ def test_process_pool_matches_serial_run(tmp_path, monkeypatch, control):
     stats = {}
     run = experiments.run_ensemble
 
-    def keep(cfg, jobs=1):
-        stats[jobs] = run(cfg, jobs)
+    def keep(cfg, noise, jobs=1):
+        stats[jobs] = run(cfg, noise, jobs)
         return stats[jobs]
 
     monkeypatch.setattr(experiments, "run_ensemble", keep)
@@ -229,7 +230,7 @@ def test_run_ensemble_runs_the_paths_built_by_hand(name):
     # base_seed + j, the stepper to the horizon T, snapshots every
     # min(delta_grid) / (2 dt) = 5 steps
     cfg = parse_config(json.dumps(HAND_BUILT[name]))
-    stats = experiments.run_ensemble(cfg)
+    stats = experiments.run_ensemble(cfg, build_noise(cfg))
     grid, drift = build_grid(cfg), build_drift(cfg)
     noise = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
     stepper = replace(cfg.stepper, t_end=cfg.ensemble.T)
@@ -238,7 +239,7 @@ def test_run_ensemble_runs_the_paths_built_by_hand(name):
     for d in cfg.ensemble.d_list:
         assert [p.seed for p in stats.by_d[d]] == [cfg.ensemble.base_seed + j for j in range(2)]
         for j, outcome in enumerate(stats.by_d[d]):
-            x0 = galerkin_project(InitialBuilder(cfg.model)(grid), GalerkinProjector(d))
+            x0 = galerkin_project(initial_state(cfg.model, grid), GalerkinProjector(d))
             kw = dict(cutoff=d, seed=outcome.seed, save_stride=3, field_stride=field_stride)
             wiener = WienerPath(outcome.seed, stepper.dt)
             if schedule is None:
@@ -300,7 +301,7 @@ def test_run_path_is_the_path_the_ensemble_runs(tmp_path, monkeypatch, name):
         if schedule is None:
             assert report is None
         else:
-            assert [e.as_dict() for e in rec.events] == [e.as_dict() for e in ensemble_rec.events]
+            assert [asdict(e) for e in rec.events] == [asdict(e) for e in ensemble_rec.events]
             assert report == validate_schedule(ensemble_rec, schedule)
 
 

@@ -6,14 +6,12 @@ from full_layout import hermitian_defect, kinf, ksq, wavenumbers
 from stochtame.models import (
     _leray_project,
     CATALOGUE,
-    AssumptionConstants,
     DriftOperator,
     FourierMultiplierDrift,
     ModelParams,
     biot_savart,
     burgers_drift,
     curl,
-    default_ladder,
     dissipation_term,
     divergence,
     drift_pairing_report,
@@ -221,12 +219,12 @@ class TestDriftOperator:
             DriftOperator("RSW_Inviscid", ModelParams(nu=0.1))
 
     def test_default_ladders_follow_catalogue(self):
-        assert default_ladder("Burgers1D") == SpaceLadder(0.0, 1.0, 3.0, 4.0)
-        assert default_ladder("RSW_Viscous") == SpaceLadder(0.0, 1.0, 2.0, 3.0)
-        assert default_ladder("Vorticity3D", ModelParams(nu=1.0)) == SpaceLadder(
+        assert DriftOperator("Burgers1D").ladder == SpaceLadder(0.0, 1.0, 3.0, 4.0)
+        assert DriftOperator("RSW_Viscous").ladder == SpaceLadder(0.0, 1.0, 2.0, 3.0)
+        assert DriftOperator("Vorticity3D", ModelParams(nu=1.0)).ladder == SpaceLadder(
             0.0, 2.0, 3.0, 4.0
         )
-        euler = default_ladder("Vorticity3D", ModelParams(nu=0.0, epsilon_sobolev=0.1))
+        euler = DriftOperator("Vorticity3D", ModelParams(nu=0.0, epsilon_sobolev=0.1)).ladder
         assert euler.s_F0 == pytest.approx(1.6)
 
     def test_component_checks(self):

@@ -21,7 +21,7 @@ from stochtame.noise import (
     scale_function,
     theta_advisor,
 )
-from stochtame.spectral import SpaceLadder, SpectralField, TorusGrid, random_field, sobolev_norm
+from stochtame.spectral import SpaceLadder, TorusGrid, random_field, sobolev_norm
 
 LADDER = SpaceLadder(0.0, 1.0, 3.0, 4.0)
 

@@ -19,10 +19,10 @@ import time
 import pytest
 
 from stochtame.config import (
-    InitialBuilder,
     build_drift,
     build_grid,
     build_schedule,
+    initial_state,
     parse_config,
 )
 from stochtame.control import control_run
@@ -155,7 +155,7 @@ def _run(config, cutoff, seed, **strides):
     drift, grid = build_drift(cfg), build_grid(cfg)
     stepper = cfg.stepper
     noise = NoiseSpec.for_case(cfg.noise.theta, cfg.noise.alpha, cfg.noise.case)
-    x0 = galerkin_project(InitialBuilder(cfg.model)(grid), GalerkinProjector(cutoff))
+    x0 = galerkin_project(initial_state(cfg.model, grid), GalerkinProjector(cutoff))
     wiener = WienerPath(seed, stepper.dt)
     schedule = build_schedule(cfg)
     kw = dict(cutoff=cutoff, seed=seed, save_stride=cfg.output.save_stride, **strides)
